@@ -132,20 +132,22 @@ def train_erm(
     ys = np.concatenate([d.y for d in used])
     rng = np.random.default_rng(config.seed)
     dims = (xs.shape[1],) + tuple(config.hidden) + (k_classes,)
-    net = nn.init_mlp(dims, rng)
+    params, [net] = nn.flatten_mlps([nn.init_mlp(dims, rng)])
     # Zero-start the classifier head: harmless for the convex last layer, and
     # it keeps never-activated index blocks exactly inert at prediction time.
-    head_w, head_b = net.layers[-1]
-    net = nn.MlpParams(net.layers[:-1] + ((np.zeros_like(head_w), np.zeros_like(head_b)),))
-    state = nn.make_optimizer(config.optimizer, config.lr)
+    for head in net.layers[-1]:
+        head[...] = 0.0
+    grad = np.empty_like(params)
+    [grads] = nn.mlp_views(grad, [net])
+    opt = nn.Optimizer(config.optimizer, config.lr, params)
     n = xs.shape[0]
     batch = min(config.batch_size, n)
     for _ in range(config.steps):
         pick = rng.choice(n, size=batch, replace=False)
         logits, cache = nn.mlp_forward(net, xs[pick])
         _, dlogits = nn.softmax_cross_entropy(logits, ys[pick])
-        grads, _ = nn.mlp_backward(net, cache, dlogits)
-        [net], state = nn.step_mlps(state, [net], [grads])
+        nn.mlp_backward(net, cache, dlogits, out=grads)
+        nn.step_mlps(opt, grad)
     return ErmModel(net=net, index_mode=index_mode, num_domains_seen=m, feature_dim=feature_dim)
 
 

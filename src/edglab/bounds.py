@@ -565,6 +565,10 @@ def run_certification(
 ) -> list[CertificationResult]:
     """Randomized certification of every inequality; deterministic per seed,
     independent of worker count (instances are keyed by index and reduced by min)."""
+    if instances < 1:
+        raise ValueError(f"instances must be at least 1, got {instances}")
+    if decomposition_pairs < 1:
+        raise ValueError(f"decomposition_pairs must be at least 1, got {decomposition_pairs}")
 
     def run_range(lo: int, hi: int) -> list[dict]:
         return [_instance_slacks(seed, i) for i in range(lo, hi)]

@@ -187,6 +187,18 @@ def cmd_train(args) -> int:
     sources, target = domains[:-1], domains[-1]
     seed = int(settings["seed"])
     steps, lr, batch = int(settings["steps"]), float(settings["lr"]), int(settings["batch"])
+    if batch < 1:
+        raise CliConfigError(f"--batch must be at least 1, got {batch}")
+    if algo in ("dpnets", "proto"):
+        # Every source domain serves episodes: dpnets draws n per class from
+        # each side of a pair, proto draws disjoint support and query (2n).
+        need = batch if algo == "dpnets" else 2 * batch
+        fewest = min(len(idx) for d in sources for idx in d.class_index)
+        if fewest < need:
+            raise CliConfigError(
+                f"--batch {batch} needs {need} samples per class in every source domain "
+                f"for {algo}; the smallest class holds {fewest}"
+            )
     embed = _parse_widths(settings["embed"]) or (sources[0].dim,)
     hidden = _parse_widths(settings["hidden"])
     spec = _spec_from(settings)
@@ -378,9 +390,13 @@ BOUNDS_DEFAULTS = {
 
 def cmd_verify_bounds(args) -> int:
     settings = resolve_settings(args, BOUNDS_DEFAULTS)
+    counts = {key: int(settings[key]) for key in ("instances", "decomposition-pairs")}
+    for key, count in counts.items():
+        if count < 1:
+            raise CliConfigError(f"--{key} must be at least 1, got {count}")
     results = bounds.run_certification(
-        instances=int(settings["instances"]),
-        decomposition_pairs=int(settings["decomposition-pairs"]),
+        instances=counts["instances"],
+        decomposition_pairs=counts["decomposition-pairs"],
         seed=int(settings["seed"]),
         workers=int(settings["workers"]),
     )
@@ -548,7 +564,7 @@ def main(argv=None) -> int:
     except CliConfigError as exc:
         emit("config-error", getattr(args, "quiet", False), message=str(exc))
         return 2
-    except (data.IngestionError, FileNotFoundError) as exc:
+    except (data.IngestionError, nn.CheckpointError, FileNotFoundError) as exc:
         emit("input-error", getattr(args, "quiet", False), message=str(exc))
         return 2
     except RuntimeError as exc:

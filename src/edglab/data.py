@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -73,8 +74,13 @@ class DomainData:
     def dim(self) -> int:
         return self.x.shape[1]
 
-    def class_indices(self, k: int) -> Array:
-        return np.flatnonzero(self.y == k)
+    @cached_property
+    def class_index(self) -> tuple[Array, ...]:
+        """Ascending sample indices of each class, computed once per domain
+        (labels are fixed after construction) and read-only."""
+        order = np.argsort(self.y, kind="stable")
+        order.flags.writeable = False
+        return tuple(np.split(order, np.cumsum(np.bincount(self.y, minlength=self.num_classes))[:-1]))
 
 
 @dataclass(frozen=True)
@@ -345,8 +351,7 @@ def split_train_val(domain: DomainData, ratio: float, seed: int) -> tuple[Domain
         raise SplitError(f"ratio must be in (0, 1), got {ratio}")
     rng = child_rng(seed, "split", domain.index)
     train_idx, val_idx = [], []
-    for k in range(domain.num_classes):
-        idx = domain.class_indices(k)
+    for k, idx in enumerate(domain.class_index):
         if len(idx) < 2:
             raise SplitError(f"class {k} has {len(idx)} sample(s); need at least 2 to split")
         idx = rng.permutation(idx)
@@ -376,17 +381,25 @@ def load_domains(path) -> list[DomainData]:
     if data[: len(DATA_MAGIC)] != DATA_MAGIC:
         raise IngestionError(f"{path}: bad magic at offset 0")
     pos = len(DATA_MAGIC)
-    (count,) = struct.unpack_from("<I", data, pos)
-    pos += 4
+
+    def take(nbytes: int) -> int:
+        """Offset of the next ``nbytes``; raises when the file ends first."""
+        nonlocal pos
+        if len(data) - pos < nbytes:
+            raise IngestionError(f"{path}: truncated: file ends at offset {len(data)}, need {pos + nbytes}")
+        pos += nbytes
+        return pos - nbytes
+
+    (count,) = struct.unpack_from("<I", data, take(4))
     domains = []
     for _ in range(count):
-        index, n, dim, k = struct.unpack_from("<IIII", data, pos)
-        pos += 16
-        y = np.frombuffer(data, dtype="<i8", count=n, offset=pos).copy()
-        pos += 8 * n
-        x = np.frombuffer(data, dtype="<f8", count=n * dim, offset=pos).reshape(n, dim).copy()
-        pos += 8 * n * dim
-        domains.append(DomainData(index, x, y, num_classes=k))
+        index, n, dim, k = struct.unpack_from("<IIII", data, take(16))
+        y = np.frombuffer(data, dtype="<i8", count=n, offset=take(8 * n)).copy()
+        x = np.frombuffer(data, dtype="<f8", count=n * dim, offset=take(8 * n * dim)).reshape(n, dim).copy()
+        try:
+            domains.append(DomainData(index, x, y, num_classes=k))
+        except ValueError as exc:
+            raise IngestionError(f"{path}: {exc}") from None
     if pos != len(data):
         raise IngestionError(f"{path}: trailing bytes at offset {pos}")
     return domains

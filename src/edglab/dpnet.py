@@ -53,27 +53,31 @@ def init_dpnet(dims: tuple[int, ...], num_classes: int, seed: int, shared: bool 
 
 @dataclass(frozen=True)
 class EpisodeBatch:
-    """Per-class support (domain i) and query (domain i+1) feature blocks."""
+    """Support (domain i) and query (domain i+1) features, stacked class-major.
 
-    support: tuple[Array, ...]  # K blocks, each n_per_class × d
-    query: tuple[Array, ...]
+    Each side is one K × n_per_class × d array, so ``support[k]`` is class k's
+    block; a sequence of equal-sized per-class blocks is stacked on entry.
+    """
+
+    support: Array
+    query: Array
     source_index: int
 
     def __post_init__(self):
-        if len(self.support) != len(self.query) or not self.support:
-            raise ValueError("support and query must hold one block per class")
-        n = self.support[0].shape[0]
-        for block in self.support + self.query:
-            if block.ndim != 2 or block.shape[0] != n:
-                raise ValueError("all class blocks must hold the same number of samples")
+        support = np.asarray(self.support, dtype=np.float64)
+        query = np.asarray(self.query, dtype=np.float64)
+        if support.ndim != 3 or 0 in support.shape[:2] or query.shape != support.shape:
+            raise ValueError("support and query must hold one equal-sized, non-empty block per class")
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "query", query)
 
     @property
     def num_classes(self) -> int:
-        return len(self.support)
+        return self.support.shape[0]
 
     @property
     def n_per_class(self) -> int:
-        return self.support[0].shape[0]
+        return self.support.shape[1]
 
 
 def compute_prototypes(model: DPNetModel, support: tuple[Array, ...] | list[Array]) -> Array:
@@ -95,21 +99,26 @@ def predictive_distribution(model: DPNetModel, prototypes: Array, x: Array) -> A
     return probs[0] if np.asarray(x).ndim == 1 else probs
 
 
-def episode_loss(model: DPNetModel, batch: EpisodeBatch) -> tuple[float, Grads, Grads]:
+def episode_loss(
+    model: DPNetModel, batch: EpisodeBatch, grads: tuple[Grads, Grads] | None = None
+) -> tuple[float, Array, Grads, Grads]:
     """Episodic loss and exact gradients for both encoders.
 
     Loss = mean over queries of d(z_q, c_y) + log sum_k exp(-d(z_q, c_k)),
     i.e. the mean negative log-probability of the true class. Gradients flow
     into the query encoder directly and into the support encoder through the
     prototype means.
+
+    Returns (loss, d2, grads_phi, grads_psi) with d2 the (K·n) × K squared
+    query-to-prototype distances. ``grads``, a (phi, psi) pair, receives the
+    gradients in place (see ``nn.mlp_backward``).
     """
-    k_classes = batch.num_classes
-    n_b = batch.n_per_class
-    support_stack = np.vstack(batch.support)  # class-major: k*n_b rows
-    query_stack = np.vstack(batch.query)
-    zs, cache_s = nn.mlp_forward(model.f_phi, support_stack)
-    zq, cache_q = nn.mlp_forward(model.f_psi, query_stack)
-    protos = zs.reshape(k_classes, n_b, -1).mean(axis=1)
+    k_classes, n_b, dim = batch.support.shape
+    zs, cache_s = nn.mlp_forward(model.f_phi, batch.support.reshape(k_classes * n_b, dim))
+    zq, cache_q = nn.mlp_forward(model.f_psi, batch.query.reshape(k_classes * n_b, dim))
+    # Means and sums go straight to the ufunc reductions np.mean and
+    # ndarray.sum wrap: the same arithmetic with fewer Python calls.
+    protos = np.add.reduce(zs.reshape(k_classes, n_b, -1), axis=1) / n_b
 
     d2 = nn.pairwise_sq_dists(zq, protos)  # (K*n_b) × K
     labels = np.repeat(np.arange(k_classes), n_b)
@@ -117,24 +126,25 @@ def episode_loss(model: DPNetModel, batch: EpisodeBatch) -> tuple[float, Grads, 
     rows = np.arange(n_q)
     # log sum_k exp(-d2) with max-subtraction, per query row.
     neg = -d2
-    m = neg.max(axis=1, keepdims=True)
-    lse = (m + np.log(np.exp(neg - m).sum(axis=1, keepdims=True))).ravel()
-    loss = float(np.mean(d2[rows, labels] + lse))
-
+    m = np.maximum.reduce(neg, axis=1, keepdims=True)
     p = np.exp(neg - m)
-    p /= p.sum(axis=1, keepdims=True)
+    lse = (m + np.log(np.add.reduce(p, axis=1, keepdims=True))).ravel()
+    loss = float(np.add.reduce(d2[rows, labels] + lse) / n_q)
+
+    p /= np.add.reduce(p, axis=1, keepdims=True)
     # dJ/d d2[q,k] = (1[k=y_q] - p[q,k]) / n_q
     gd2 = -p
     gd2[rows, labels] += 1.0
     gd2 /= n_q
     # Chain through d2 = |zq - c_k|^2 exactly (no zero-row-sum shortcut).
-    gzq = 2.0 * (zq * gd2.sum(axis=1, keepdims=True) - gd2 @ protos)
-    gproto = -2.0 * (gd2.T @ zq - gd2.sum(axis=0)[:, None] * protos)
+    gzq = 2.0 * (zq * np.add.reduce(gd2, axis=1, keepdims=True) - gd2 @ protos)
+    gproto = -2.0 * (gd2.T @ zq - np.add.reduce(gd2, axis=0)[:, None] * protos)
     gzs = np.repeat(gproto / n_b, n_b, axis=0)
 
-    grads_psi, _ = nn.mlp_backward(model.f_psi, cache_q, gzq)
-    grads_phi, _ = nn.mlp_backward(model.f_phi, cache_s, gzs)
-    return loss, grads_phi, grads_psi
+    out_phi, out_psi = grads if grads is not None else (None, None)
+    grads_psi, _ = nn.mlp_backward(model.f_psi, cache_q, gzq, out=out_psi)
+    grads_phi, _ = nn.mlp_backward(model.f_phi, cache_s, gzs, out=out_phi)
+    return loss, d2, grads_phi, grads_psi
 
 
 def sample_episode(
@@ -158,23 +168,25 @@ def sample_episode(
             raise ValueError("need at least two source domains for consecutive episodes")
         i = int(rng.integers(0, len(domains) - 1))
         sup_dom, qry_dom = domains[i], domains[i + 1]
-    support, query = [], []
+    # Row indices per class, gathered with one fancy index per side below.
+    s_rows = np.empty((sup_dom.num_classes, n_per_class), dtype=np.int64)
+    q_rows = np.empty_like(s_rows)
+    s_table, q_table = sup_dom.class_index, qry_dom.class_index
     for k in range(sup_dom.num_classes):
         if same_domain:
-            idx = sup_dom.class_indices(k)
+            idx = s_table[k]
             if len(idx) < 2 * n_per_class:
                 raise ValueError(f"domain {i} class {k}: need {2 * n_per_class} samples, have {len(idx)}")
             pick = rng.choice(idx, size=2 * n_per_class, replace=False)
-            support.append(sup_dom.x[pick[:n_per_class]])
-            query.append(qry_dom.x[pick[n_per_class:]])
+            s_rows[k] = pick[:n_per_class]
+            q_rows[k] = pick[n_per_class:]
         else:
-            s_idx = sup_dom.class_indices(k)
-            q_idx = qry_dom.class_indices(k)
+            s_idx, q_idx = s_table[k], q_table[k]
             if len(s_idx) < n_per_class or len(q_idx) < n_per_class:
                 raise ValueError(f"episode ({i},{i + 1}) class {k}: insufficient per-class samples")
-            support.append(sup_dom.x[rng.choice(s_idx, size=n_per_class, replace=False)])
-            query.append(qry_dom.x[rng.choice(q_idx, size=n_per_class, replace=False)])
-    return EpisodeBatch(support=tuple(support), query=tuple(query), source_index=i)
+            s_rows[k] = rng.choice(s_idx, size=n_per_class, replace=False)
+            q_rows[k] = rng.choice(q_idx, size=n_per_class, replace=False)
+    return EpisodeBatch(support=sup_dom.x[s_rows], query=qry_dom.x[q_rows], source_index=i)
 
 
 @dataclass(frozen=True)
@@ -206,31 +218,29 @@ def train(
     ``progress(step, loss)`` is called after each step when provided.
     """
     rng = np.random.default_rng(config.seed)
-    state = nn.make_optimizer(config.optimizer, config.lr)
-    trace: list[TraceEntry] = []
-    f_phi, f_psi = model.f_phi, model.f_psi
     shared = model.shared_encoder
+    params, nets = nn.flatten_mlps([model.f_phi] if shared else [model.f_phi, model.f_psi])
+    cur = DPNetModel(nets[0], nets[0] if shared else nets[1], model.embed_dim, model.num_classes)
+    # Gradients of both encoders, phi then psi; a shared encoder steps on their sum.
+    grad = np.empty(2 * params.size if shared else params.size)
+    grads = tuple(nn.mlp_views(grad, [model.f_phi, model.f_psi]))
+    step_grad = grad[: params.size]
+    opt = nn.Optimizer(config.optimizer, config.lr, params)
+    labels = np.repeat(np.arange(model.num_classes), config.n_per_class)
+    trace: list[TraceEntry] = []
     for step in range(config.steps):
-        cur = DPNetModel(f_phi, f_psi, model.embed_dim, model.num_classes)
         batch = sample_episode(source_domains, config.n_per_class, rng, same_domain=same_domain_episodes)
-        loss, g_phi, g_psi = episode_loss(cur, batch)
+        loss, d2, _, _ = episode_loss(cur, batch, grads)
         if shared:
-            [f_phi], state = nn.step_mlps(state, [f_phi], [nn.add_grads(g_phi, g_psi)])
-            f_psi = f_phi
-        else:
-            [f_phi, f_psi], state = nn.step_mlps(state, [f_phi, f_psi], [g_phi, g_psi])
-        acc = _episode_query_accuracy(cur, batch)
+            step_grad += grad[params.size :]
+        nn.step_mlps(opt, step_grad)
+        # The logged accuracy scores the pre-step encoders, as predict_with_prototypes
+        # would: argmin sends ties to the lowest class index.
+        acc = np.count_nonzero(np.argmin(d2, axis=1) == labels) / labels.size
         trace.append(TraceEntry(step=step, loss=loss, query_accuracy=acc))
         if progress is not None:
             progress(step, loss)
-    return DPNetModel(f_phi, f_psi, model.embed_dim, model.num_classes), trace
-
-
-def _episode_query_accuracy(model: DPNetModel, batch: EpisodeBatch) -> float:
-    protos = compute_prototypes(model, batch.support)
-    labels = np.repeat(np.arange(batch.num_classes), batch.n_per_class)
-    preds = predict_with_prototypes(model, protos, np.vstack(batch.query))
-    return float(np.mean(preds == labels))
+    return cur, trace
 
 
 def predict_with_prototypes(model: DPNetModel, prototypes: Array, queries: Array) -> Array:
@@ -241,6 +251,6 @@ def predict_with_prototypes(model: DPNetModel, prototypes: Array, queries: Array
 
 def predict_target(model: DPNetModel, last_source: DomainData, queries: Array) -> Array:
     """Labels for target queries, using the final source domain as support."""
-    support = tuple(last_source.x[last_source.class_indices(k)] for k in range(last_source.num_classes))
+    support = tuple(last_source.x[idx] for idx in last_source.class_index)
     protos = compute_prototypes(model, support)
     return predict_with_prototypes(model, protos, queries)

@@ -2,9 +2,11 @@
 
 Matrices are plain row-major ``numpy.ndarray`` of float64. Networks are
 stacks of dense layers with ReLU on hidden layers and an identity output.
-Everything is functional: forward/backward never mutate their inputs,
-optimizers return fresh arrays, and all randomness comes from an explicit
-``numpy.random.Generator``.
+Forward and backward never mutate their inputs (backward may write its
+gradients into caller-supplied arrays). Training packs the networks into one
+flat parameter buffer with per-layer views (``flatten_mlps``), and
+``step_mlps`` updates that buffer in place. All randomness comes from an
+explicit ``numpy.random.Generator``.
 """
 from __future__ import annotations
 
@@ -21,6 +23,10 @@ CHECKPOINT_VERSION = 1
 
 class OptimizerError(RuntimeError):
     """Non-finite gradients; the surrounding trial must abort."""
+
+
+class CheckpointError(ValueError):
+    """Malformed checkpoint file."""
 
 
 @dataclass
@@ -107,10 +113,14 @@ def mlp_forward(params: MlpParams, batch: Array) -> tuple[Array, ForwardCache]:
     return h, ForwardCache(inputs=inputs, pre_acts=pre_acts)
 
 
-def mlp_backward(params: MlpParams, cache: ForwardCache, out_grad: Array) -> tuple[Grads, Array]:
+def mlp_backward(
+    params: MlpParams, cache: ForwardCache, out_grad: Array, out: Grads | None = None
+) -> tuple[Grads, Array]:
     """Exact reverse-mode gradients of ``mlp_forward``.
 
-    Returns (parameter grads, gradient w.r.t. the input batch).
+    Returns (parameter grads, gradient w.r.t. the input batch). The parameter
+    grads are written into ``out`` when given (e.g. views of a flat gradient
+    buffer), otherwise into fresh arrays.
     """
     n_layers = len(params.layers)
     if len(cache.inputs) != n_layers:
@@ -118,23 +128,46 @@ def mlp_backward(params: MlpParams, cache: ForwardCache, out_grad: Array) -> tup
     g = np.asarray(out_grad, dtype=np.float64)
     if g.shape != cache.pre_acts[-1].shape:
         raise ValueError(f"out_grad shape {g.shape} != output shape {cache.pre_acts[-1].shape}")
-    grad_layers: list[tuple[Array, Array]] = [None] * n_layers  # type: ignore[list-item]
+    if out is None:
+        out = MlpParams(tuple((np.empty_like(w), np.empty_like(b)) for w, b in params.layers))
     for li in reversed(range(n_layers)):
         w, _ = params.layers[li]
-        a = cache.inputs[li]
-        grad_layers[li] = (g.T @ a, g.sum(axis=0))
+        gw, gb = out.layers[li]
+        np.matmul(g.T, cache.inputs[li], out=gw)
+        np.add.reduce(g, axis=0, out=gb)
         g = g @ w
         if li > 0:
-            g = g * (cache.pre_acts[li - 1] > 0.0)
-    return MlpParams(tuple(grad_layers)), g
+            g *= cache.pre_acts[li - 1] > 0.0
+    return out, g
 
 
-def zeros_like_grads(params: MlpParams) -> Grads:
-    return MlpParams(tuple((np.zeros_like(w), np.zeros_like(b)) for w, b in params.layers))
+def mlp_views(buffer: Array, like: list[MlpParams]) -> list[MlpParams]:
+    """Networks shaped like ``like`` whose layers are consecutive views of ``buffer``."""
+    nets, pos = [], 0
+    for net in like:
+        arrays = []
+        for a in net.arrays():
+            arrays.append(buffer[pos : pos + a.size].reshape(a.shape))
+            pos += a.size
+        nets.append(MlpParams.from_arrays(arrays))
+    if pos != buffer.size:
+        raise ValueError(f"buffer holds {buffer.size} values, networks need {pos}")
+    return nets
 
 
-def add_grads(a: Grads, b: Grads) -> Grads:
-    return MlpParams(tuple((aw + bw, ab + bb) for (aw, ab), (bw, bb) in zip(a.layers, b.layers)))
+def flatten_mlps(nets: list[MlpParams]) -> tuple[Array, list[MlpParams]]:
+    """Copy networks into one flat float64 buffer.
+
+    Returns the buffer and copies of the networks whose layers are views into
+    it, so an in-place update of the buffer moves every network at once. The
+    input networks are left untouched.
+    """
+    buffer = np.empty(sum(a.size for net in nets for a in net.arrays()))
+    views = mlp_views(buffer, nets)
+    for net, view in zip(nets, views):
+        for src, dst in zip(net.arrays(), view.arrays()):
+            dst[...] = src
+    return buffer, views
 
 
 def sq_euclidean(a: Array, b: Array) -> float:
@@ -162,97 +195,84 @@ def log_softmax(v: Array) -> Array:
 
 
 def log_softmax_rows(m: Array) -> Array:
+    # The ufunc reductions behind np.max and np.sum, called directly: the
+    # same arithmetic with less per-call overhead on training's small batches.
     m = np.asarray(m, dtype=np.float64)
-    shifted = m - np.max(m, axis=1, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+    shifted = m - np.maximum.reduce(m, axis=1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
 
 
 def softmax_cross_entropy(logits: Array, labels: Array) -> tuple[float, Array]:
     """Mean cross-entropy over a batch and its gradient w.r.t. the logits."""
     labels = np.asarray(labels)
     n = logits.shape[0]
+    rows = np.arange(n)
     logp = log_softmax_rows(logits)
-    loss = -float(np.mean(logp[np.arange(n), labels]))
+    loss = -float(np.add.reduce(logp[rows, labels]) / n)
     grad = np.exp(logp)
-    grad[np.arange(n), labels] -= 1.0
-    return loss, grad / n
+    grad[rows, labels] -= 1.0
+    grad /= n
+    return loss, grad
 
 
-@dataclass(frozen=True)
-class SgdState:
-    lr: float
+class Optimizer:
+    """SGD or Adam over one flat float64 parameter buffer, updated in place.
 
-    def __post_init__(self):
-        if self.lr <= 0:
+    Adam keeps its moments in buffers the size of the parameters and works
+    through two scratch buffers, so a step allocates nothing the size of the
+    network.
+    """
+
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, kind: str, lr: float, params: Array):
+        if kind not in ("sgd", "adam"):
+            raise ValueError(f"unknown optimizer kind {kind!r}")
+        if lr <= 0:
             raise ValueError("lr must be positive")
+        if params.ndim != 1 or params.dtype != np.float64 or not params.flags.c_contiguous:
+            raise ValueError("params must be a flat contiguous float64 buffer")
+        self.kind, self.lr, self.params = kind, lr, params
+        self.t = 0
+        self.scratch = np.empty_like(params)
+        if kind == "adam":
+            self.m = np.zeros_like(params)
+            self.v = np.zeros_like(params)
+            self.scratch2 = np.empty_like(params)
 
 
-@dataclass(frozen=True)
-class AdamState:
-    lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    m: tuple[Array, ...] = ()
-    v: tuple[Array, ...] = ()
-    t: int = 0
+def step_mlps(opt: Optimizer, grad: Array) -> None:
+    """One in-place update of ``opt.params`` from the flat gradient buffer.
 
-    def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
-
-
-OptimState = SgdState | AdamState
-
-
-def make_optimizer(kind: str, lr: float) -> OptimState:
-    if kind == "sgd":
-        return SgdState(lr=lr)
-    if kind == "adam":
-        return AdamState(lr=lr)
-    raise ValueError(f"unknown optimizer kind {kind!r}")
-
-
-def optim_step(state: OptimState, arrays: list[Array], grads: list[Array]) -> tuple[list[Array], OptimState]:
-    """One update over a flat list of parameter arrays. Functional: returns new arrays."""
-    if len(arrays) != len(grads):
-        raise ValueError("parameter/gradient count mismatch")
-    for p, g in zip(arrays, grads):
-        if p.shape != g.shape:
-            raise ValueError(f"shape mismatch {p.shape} vs {g.shape}")
-        if not np.all(np.isfinite(g)):
-            raise OptimizerError("non-finite gradient")
-    if isinstance(state, SgdState):
-        return [p - state.lr * g for p, g in zip(arrays, grads)], state
-    m = state.m if state.m else tuple(np.zeros_like(p) for p in arrays)
-    v = state.v if state.v else tuple(np.zeros_like(p) for p in arrays)
-    t = state.t + 1
-    new_m = tuple(state.beta1 * mi + (1 - state.beta1) * g for mi, g in zip(m, grads))
-    new_v = tuple(state.beta2 * vi + (1 - state.beta2) * g * g for vi, g in zip(v, grads))
-    bc1 = 1 - state.beta1**t
-    bc2 = 1 - state.beta2**t
-    new_arrays = [
-        p - state.lr * (mi / bc1) / (np.sqrt(vi / bc2) + state.eps)
-        for p, mi, vi in zip(arrays, new_m, new_v)
-    ]
-    return new_arrays, AdamState(state.lr, state.beta1, state.beta2, state.eps, new_m, new_v, t)
-
-
-def step_mlps(state: OptimState, nets: list[MlpParams], grads: list[Grads]) -> tuple[list[MlpParams], OptimState]:
-    """Joint update of several networks under one optimizer state."""
-    flat_p: list[Array] = []
-    flat_g: list[Array] = []
-    for net, gr in zip(nets, grads):
-        flat_p.extend(net.arrays())
-        flat_g.extend(gr.arrays())
-    new_flat, new_state = optim_step(state, flat_p, flat_g)
-    out: list[MlpParams] = []
-    pos = 0
-    for net in nets:
-        n = len(net.arrays())
-        out.append(MlpParams.from_arrays(new_flat[pos : pos + n]))
-        pos += n
-    return out, new_state
+    Every operation matches the textbook recursion ``m = b1*m + (1-b1)*g``,
+    ``v = b2*v + ((1-b2)*g)*g``, ``p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)``
+    in its floating-point order, so results do not depend on the buffering.
+    """
+    if grad.shape != opt.params.shape:
+        raise ValueError(f"gradient shape {grad.shape} != parameter shape {opt.params.shape}")
+    if not np.isfinite(grad).all():
+        raise OptimizerError("non-finite gradient")
+    p, tmp = opt.params, opt.scratch
+    if opt.kind == "sgd":
+        np.multiply(grad, opt.lr, out=tmp)
+        p -= tmp
+        return
+    opt.t += 1
+    m, v, upd = opt.m, opt.v, opt.scratch2
+    m *= opt.beta1
+    np.multiply(grad, 1 - opt.beta1, out=tmp)
+    m += tmp
+    v *= opt.beta2
+    np.multiply(grad, 1 - opt.beta2, out=tmp)
+    tmp *= grad
+    v += tmp
+    np.divide(v, 1 - opt.beta2**opt.t, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += opt.eps
+    np.divide(m, 1 - opt.beta1**opt.t, out=upd)
+    upd *= opt.lr
+    upd /= tmp
+    p -= upd
 
 
 def save_checkpoint(path, nets: list[MlpParams]) -> None:
@@ -273,29 +293,33 @@ def load_checkpoint(path) -> list[MlpParams]:
     with open(path, "rb") as fh:
         data = fh.read()
     if data[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint (bad magic)")
+        raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
     pos = len(CHECKPOINT_MAGIC)
-    version, n_nets = struct.unpack_from("<II", data, pos)
-    pos += 8
+
+    def take(nbytes: int) -> int:
+        """Offset of the next ``nbytes``; raises when the file ends first."""
+        nonlocal pos
+        if len(data) - pos < nbytes:
+            raise CheckpointError(f"{path}: truncated: file ends at offset {len(data)}, need {pos + nbytes}")
+        pos += nbytes
+        return pos - nbytes
+
+    version, n_nets = struct.unpack_from("<II", data, take(8))
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     nets = []
     for _ in range(n_nets):
-        (n_layers,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        shapes = []
-        for _ in range(n_layers):
-            out_d, in_d = struct.unpack_from("<II", data, pos)
-            pos += 8
-            shapes.append((out_d, in_d))
+        (n_layers,) = struct.unpack_from("<I", data, take(4))
+        shapes = [struct.unpack_from("<II", data, take(8)) for _ in range(n_layers)]
         layers = []
         for out_d, in_d in shapes:
-            w = np.frombuffer(data, dtype="<f8", count=out_d * in_d, offset=pos).reshape(out_d, in_d)
-            pos += 8 * out_d * in_d
-            b = np.frombuffer(data, dtype="<f8", count=out_d, offset=pos)
-            pos += 8 * out_d
-            layers.append((w.copy(), b.copy()))
-        nets.append(MlpParams(tuple(layers)))
+            w = np.frombuffer(data, dtype="<f8", count=out_d * in_d, offset=take(8 * out_d * in_d))
+            b = np.frombuffer(data, dtype="<f8", count=out_d, offset=take(8 * out_d))
+            layers.append((w.reshape(out_d, in_d).copy(), b.copy()))
+        try:
+            nets.append(MlpParams(tuple(layers)))
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: {exc}") from None
     if pos != len(data):
-        raise ValueError(f"{path}: trailing bytes after checkpoint payload")
+        raise CheckpointError(f"{path}: trailing bytes after checkpoint payload")
     return nets

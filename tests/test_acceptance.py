@@ -109,7 +109,7 @@ def _episode_grad_error(dims, num_classes, n_per_class, n_coords, rng):
         query=tuple(rng.standard_normal((n_per_class, dims[0])) for _ in range(num_classes)),
         source_index=0,
     )
-    _, g_phi, g_psi = dpnet.episode_loss(model, batch)
+    _, _, g_phi, g_psi = dpnet.episode_loss(model, batch)
     h = 1e-5
     worst = 0.0
     for net, grads in ((model.f_phi, g_phi), (model.f_psi, g_psi)):
@@ -122,9 +122,9 @@ def _episode_grad_error(dims, num_classes, n_per_class, n_coords, rng):
                     idx = np.unravel_index(fi, arr.shape)
                     orig = arr[idx]
                     arr[idx] = orig + h
-                    hi, _, _ = dpnet.episode_loss(model, batch)
+                    hi, _, _, _ = dpnet.episode_loss(model, batch)
                     arr[idx] = orig - h
-                    lo, _, _ = dpnet.episode_loss(model, batch)
+                    lo, _, _, _ = dpnet.episode_loss(model, batch)
                     arr[idx] = orig
                     worst = max(worst, _rel_err((hi - lo) / (2 * h), g_arr[idx]))
     return worst
@@ -194,7 +194,7 @@ def test_criterion_2_loss_probability_consistency():
             query=tuple(rng.standard_normal((npc, 3)) for _ in range(k)),
             source_index=0,
         )
-        loss, _, _ = dpnet.episode_loss(model, batch)
+        loss, _, _, _ = dpnet.episode_loss(model, batch)
         protos = dpnet.compute_prototypes(model, batch.support)
         ref = -np.mean(
             [

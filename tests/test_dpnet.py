@@ -103,7 +103,7 @@ class TestEpisodeLoss:
         model = identity_model()
         support = (np.array([[1.0, 0.5], [1.0, -0.5]]), np.array([[-1.0, 0.5], [-1.0, -0.5]]))
         query = (np.array([[0.0, 2.0], [0.0, -1.0]]), np.array([[0.0, 0.5], [0.0, 7.0]]))
-        loss, _, _ = dpnet.episode_loss(
+        loss, _, _, _ = dpnet.episode_loss(
             model, dpnet.EpisodeBatch(support=support, query=query, source_index=0)
         )
         assert abs(loss - math.log(2.0)) < 1e-12
@@ -112,7 +112,7 @@ class TestEpisodeLoss:
         for _ in range(25):
             model = random_model(rng)
             batch = random_batch(rng, model)
-            loss, _, _ = dpnet.episode_loss(model, batch)
+            loss, _, _, _ = dpnet.episode_loss(model, batch)
             protos = dpnet.compute_prototypes(model, batch.support)
             total = 0.0
             for k, block in enumerate(batch.query):
@@ -124,7 +124,7 @@ class TestEpisodeLoss:
     def test_gradients_match_finite_differences(self, rng):
         model = random_model(rng, dims=(3, 5, 2))
         batch = random_batch(rng, model, n_per_class=3)
-        _, g_phi, g_psi = dpnet.episode_loss(model, batch)
+        _, _, g_phi, g_psi = dpnet.episode_loss(model, batch)
         h = 1e-5
         for net_name, grads in (("f_phi", g_phi), ("f_psi", g_psi)):
             net = getattr(model, net_name)
@@ -135,9 +135,9 @@ class TestEpisodeLoss:
                         idx = it.multi_index
                         orig = arr[idx]
                         arr[idx] = orig + h
-                        hi, _, _ = dpnet.episode_loss(model, batch)
+                        hi, _, _, _ = dpnet.episode_loss(model, batch)
                         arr[idx] = orig - h
-                        lo, _, _ = dpnet.episode_loss(model, batch)
+                        lo, _, _, _ = dpnet.episode_loss(model, batch)
                         arr[idx] = orig
                         fd = (hi - lo) / (2 * h)
                         denom = max(abs(fd), abs(g_arr[idx]), 1e-8)

@@ -160,26 +160,25 @@ class TestDistancesAndSoftmax:
 
 class TestOptimizers:
     def test_sgd_step(self):
-        new, _ = nn.optim_step(nn.SgdState(lr=0.1), [np.array([1.0])], [np.array([2.0])])
-        assert abs(new[0][0] - 0.8) < 1e-15
+        p = np.array([1.0])
+        nn.step_mlps(nn.Optimizer("sgd", 0.1, p), np.array([2.0]))
+        assert abs(p[0] - 0.8) < 1e-15
 
     def test_zero_gradient_leaves_params(self):
-        p = [np.array([1.0, -2.0])]
-        g = [np.zeros(2)]
-        sgd_new, _ = nn.optim_step(nn.SgdState(lr=0.5), p, g)
-        adam_new, _ = nn.optim_step(nn.AdamState(lr=0.5), p, g)
-        assert np.array_equal(sgd_new[0], p[0])
-        assert np.array_equal(adam_new[0], p[0])
+        for kind in ("sgd", "adam"):
+            p = np.array([1.0, -2.0])
+            nn.step_mlps(nn.Optimizer(kind, 0.5, p), np.zeros(2))
+            assert np.array_equal(p, np.array([1.0, -2.0]))
 
     def test_adam_minimizes_quadratic(self):
         # Oracle: an independent textbook Adam recursion run side by side.
         p = np.array([1.0])
-        state = nn.AdamState(lr=0.1)
+        opt = nn.Optimizer("adam", 0.1, p)
         m = v = 0.0
         ref = 1.0
         for t in range(1, 101):
             g = 2 * p
-            [p], state = nn.optim_step(state, [p], [g])
+            nn.step_mlps(opt, g)
             gr = 2 * ref
             m = 0.9 * m + 0.1 * gr
             v = 0.999 * v + 0.001 * gr * gr
@@ -189,11 +188,11 @@ class TestOptimizers:
 
     def test_non_finite_gradient_raises(self):
         with pytest.raises(nn.OptimizerError):
-            nn.optim_step(nn.SgdState(lr=0.1), [np.array([1.0])], [np.array([np.nan])])
+            nn.step_mlps(nn.Optimizer("sgd", 0.1, np.array([1.0])), np.array([np.nan]))
 
     def test_bad_lr_rejected(self):
         with pytest.raises(ValueError):
-            nn.SgdState(lr=0.0)
+            nn.Optimizer("sgd", 0.0, np.zeros(1))
 
 
 class TestCheckpoint:
