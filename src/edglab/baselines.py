@@ -1,5 +1,6 @@
-"""Comparison methods: pooled ERM (optionally with domain-index features or a
-recent-domains-only window) and the vanilla single-encoder prototypical net.
+"""Comparison method: pooled ERM, optionally with domain-index features or a
+recent-domains-only window. (The vanilla single-encoder prototypical net is
+``dpnet`` with a shared encoder and same-domain episodes.)
 """
 from __future__ import annotations
 
@@ -10,7 +11,6 @@ import numpy as np
 
 from . import nn
 from .data import DomainData
-from .dpnet import DPNetModel, TrainConfig, init_dpnet, train
 from .nn import MlpParams
 
 Array = np.ndarray
@@ -166,15 +166,3 @@ def predict_erm(model: ErmModel, x: Array, domain_index: int | None = None) -> A
     logits, _ = nn.mlp_forward(model.net, np.atleast_2d(aug))
     return np.argmax(logits, axis=1)
 
-
-def train_proto_vanilla(
-    domains: list[DomainData],
-    config: TrainConfig,
-    dims: tuple[int, ...] | None = None,
-) -> tuple[DPNetModel, list]:
-    """Vanilla prototypical network: one shared encoder, support and query
-    drawn from the same domain each episode. Returns the model and its trace."""
-    if dims is None:
-        dims = (domains[0].dim, domains[0].dim)
-    model = init_dpnet(dims, domains[0].num_classes, config.seed, shared=True)
-    return train(model, domains, config, same_domain_episodes=True)

@@ -316,18 +316,7 @@ def verify_sequential_transfer_bound(env: DiscreteEnv, report: ConsistencyReport
 def js_decomposition_gap(p: DiscreteJoint, q: DiscreteJoint) -> float:
     """RHS minus LHS of the joint-JS decomposition into a label-marginal term
     plus both label-weighted conditional expectations. Non-negative."""
-    if (p.nx, p.ny) != (q.nx, q.ny):
-        raise ValueError("joints must share support")
-    lhs = js(p, q)
-    rhs = js(p.marginal_y(), q.marginal_y())
-    py, qy = p.marginal_y(), q.marginal_y()
-    for weights in (py, qy):
-        for y in range(p.ny):
-            if weights[y] <= 0.0:
-                continue
-            cond_div = _conditional_js(p, q, y)
-            rhs += weights[y] * cond_div
-    return float(rhs - lhs)
+    return float(sum(decomposed_terms(p, q)) - js(p, q))
 
 
 def _conditional_js(p: DiscreteJoint, q: DiscreteJoint, y: int) -> float:
@@ -342,11 +331,13 @@ def _conditional_js(p: DiscreteJoint, q: DiscreteJoint, y: int) -> float:
 
 def decomposed_terms(p: DiscreteJoint, q: DiscreteJoint) -> tuple[float, float, float]:
     """(label-marginal JS, E_{y~p(y)} cond-JS, E_{y~q(y)} cond-JS) for one pair."""
-    t1 = js(p.marginal_y(), q.marginal_y())
+    if (p.nx, p.ny) != (q.nx, q.ny):
+        raise ValueError("joints must share support")
     py, qy = p.marginal_y(), q.marginal_y()
-    t2 = sum(py[y] * _conditional_js(p, q, y) for y in range(p.ny) if py[y] > 0)
-    t3 = sum(qy[y] * _conditional_js(p, q, y) for y in range(p.ny) if qy[y] > 0)
-    return float(t1), float(t2), float(t3)
+    cond = [_conditional_js(p, q, y) for y in range(p.ny)]
+    t2 = sum(py[y] * cond[y] for y in range(p.ny) if py[y] > 0)
+    t3 = sum(qy[y] * cond[y] for y in range(p.ny) if qy[y] > 0)
+    return float(js(py, qy)), float(t2), float(t3)
 
 
 def verify_decomposed_transfer_bound(env: DiscreteEnv, report: ConsistencyReport, h_spec: LossSpec) -> SlackReport:

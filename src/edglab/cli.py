@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines, bounds, data, dpnet, harness, nn
+from . import bounds, data, harness, nn
 
 CACHE_ENV_VAR = "EDGLAB_CACHE_DIR"
 
@@ -99,21 +99,38 @@ def _spec_from(settings: dict) -> data.EnvironmentSpec:
         raise CliConfigError(str(exc))
 
 
+def _idx_digest(images, labels) -> str:
+    """Short sha256 of the rmnist IDX image and label bytes."""
+    digest = hashlib.sha256(Path(images).read_bytes())
+    digest.update(Path(labels).read_bytes())
+    return digest.hexdigest()[:16]
+
+
 def _load_dataset(settings: dict, quiet: bool) -> list[data.DomainData]:
+    """Generate, ingest or read from the cache the dataset ``settings`` name.
+
+    For rmnist the cache name carries a digest of the IDX files, so a cache
+    built from other images is never reused. The digest is left in
+    ``settings["source-sha256"]``; a checkpoint sidecar can supply it in place
+    of the IDX paths.
+    """
     spec = _spec_from(settings)
+    images, labels = settings.get("images"), settings.get("labels")
+    tag = f"{spec.kind}-s{spec.seed}-m{spec.num_domains}-n{spec.samples_per_domain}-d{spec.domain_distance:g}"
+    if spec.kind == "rmnist":
+        if images and labels:
+            settings["source-sha256"] = _idx_digest(images, labels)
+        elif not settings.get("source-sha256"):
+            raise CliConfigError("rmnist needs --images and --labels IDX paths")
+        tag += f"-x{settings['source-sha256']}"
     cache_dir = settings.get("cache-dir") or os.environ.get(CACHE_ENV_VAR)
     cache_path = None
     if cache_dir:
-        tag = (
-            f"{spec.kind}-s{spec.seed}-m{spec.num_domains}"
-            f"-n{spec.samples_per_domain}-d{spec.domain_distance:g}.bin"
-        )
-        cache_path = Path(cache_dir) / tag
+        cache_path = Path(cache_dir) / f"{tag}.bin"
         if cache_path.exists():
             emit("dataset-cache-hit", quiet, path=str(cache_path))
             return data.load_domains(cache_path)
     if spec.kind == "rmnist":
-        images, labels = settings.get("images"), settings.get("labels")
         if not images or not labels:
             raise CliConfigError("rmnist needs --images and --labels IDX paths")
         domains = data.load_rmnist(images, labels, spec)
@@ -125,6 +142,15 @@ def _load_dataset(settings: dict, quiet: bool) -> list[data.DomainData]:
         emit("dataset-cached", quiet, path=str(cache_path))
     return domains
 
+
+# Dataset settings and the EnvironmentSpec fields a checkpoint sidecar pins.
+SPEC_FIELDS = {
+    "dataset": "kind",
+    "seed": "seed",
+    "num-domains": "num_domains",
+    "samples": "samples_per_domain",
+    "distance": "domain_distance",
+}
 
 DATASET_DEFAULTS = {
     "dataset": "evolcircle",
@@ -176,31 +202,42 @@ def _parse_widths(text: str) -> tuple[int, ...]:
         raise CliConfigError(f"expected comma-separated widths, got {text!r}")
 
 
+def _method(algo):
+    if algo not in harness.METHODS:
+        raise CliConfigError(f"unknown algorithm {algo!r}; choose from {harness.ALGORITHMS}")
+    return harness.METHODS[algo]
+
+
 def cmd_train(args) -> int:
     settings = resolve_settings(args, TRAIN_DEFAULTS)
     algo = settings["algo"]
-    if algo not in harness.ALGORITHMS:
-        raise CliConfigError(f"unknown --algo {algo!r}; choose from {harness.ALGORITHMS}")
+    method = _method(algo)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     domains = _load_dataset(settings, args.quiet)
     sources, target = domains[:-1], domains[-1]
     seed = int(settings["seed"])
-    steps, lr, batch = int(settings["steps"]), float(settings["lr"]), int(settings["batch"])
+    batch = int(settings["batch"])
     if batch < 1:
         raise CliConfigError(f"--batch must be at least 1, got {batch}")
-    if algo in ("dpnets", "proto"):
-        # Every source domain serves episodes: dpnets draws n per class from
-        # each side of a pair, proto draws disjoint support and query (2n).
-        need = batch if algo == "dpnets" else 2 * batch
-        fewest = min(len(idx) for d in sources for idx in d.class_index)
-        if fewest < need:
-            raise CliConfigError(
-                f"--batch {batch} needs {need} samples per class in every source domain "
-                f"for {algo}; the smallest class holds {fewest}"
-            )
-    embed = _parse_widths(settings["embed"]) or (sources[0].dim,)
-    hidden = _parse_widths(settings["hidden"])
+    need = method.samples_needed(batch)
+    fewest = min(len(idx) for d in sources for idx in d.class_index)
+    if fewest < need:
+        raise CliConfigError(
+            f"--batch {batch} needs {need} samples per class in every source domain "
+            f"for {algo}; the smallest class holds {fewest}"
+        )
+    hparams = {
+        "steps": int(settings["steps"]),
+        "lr": float(settings["lr"]),
+        "batch": batch,
+        "embed": _parse_widths(settings["embed"]) or (sources[0].dim,),
+        "hidden": _parse_widths(settings["hidden"]),
+    }
+    progress = None if args.quiet else lambda s, l: s % 200 == 0 and emit("train-step", False, step=s, loss=l)
+    model = method.fit(sources, hparams, seed, progress=progress)
+    ckpt_path = out / "model.ckpt"
+    nn.save_checkpoint(ckpt_path, method.nets(model))
     spec = _spec_from(settings)
     sidecar = {
         "algo": algo,
@@ -209,40 +246,13 @@ def cmd_train(args) -> int:
         "num_classes": sources[0].num_classes,
         "feature_dim": sources[0].dim,
         "num_domains_seen": len(sources),
-        "spec": {
-            "kind": spec.kind,
-            "num_domains": spec.num_domains,
-            "samples_per_domain": spec.samples_per_domain,
-            "domain_distance": spec.domain_distance,
-            "seed": spec.seed,
-        },
+        "spec": {name: getattr(spec, name) for name in SPEC_FIELDS.values()},
+        **method.sidecar(model),
     }
-    ckpt_path = out / "model.ckpt"
-    if algo in ("dpnets", "proto"):
-        dims = (sources[0].dim,) + embed
-        cfg = dpnet.TrainConfig(steps=steps, n_per_class=batch, lr=lr, seed=seed)
-        if algo == "dpnets":
-            model = dpnet.init_dpnet(dims, sources[0].num_classes, seed)
-            model, trace = dpnet.train(
-                model, sources, cfg,
-                progress=None if args.quiet else lambda s, l: s % 200 == 0 and emit("train-step", False, step=s, loss=l),
-            )
-            nn.save_checkpoint(ckpt_path, [model.f_phi, model.f_psi])
-        else:
-            model, trace = baselines.train_proto_vanilla(sources, cfg, dims)
-            nn.save_checkpoint(ckpt_path, [model.f_phi])
-        sidecar.update(embed_dim=model.embed_dim, dims=list(dims))
-        acc = harness.evaluate_accuracy(lambda x: dpnet.predict_target(model, sources[-1], x), target)
-    else:
-        mode, last_k = harness._erm_variant(algo)
-        cfg = baselines.ErmConfig(
-            steps=steps, batch_size=batch * sources[0].num_classes, lr=lr, seed=seed, hidden=hidden
-        )
-        model = baselines.train_erm(sources, cfg, index_mode=mode, last_k=last_k)
-        nn.save_checkpoint(ckpt_path, [model.net])
-        sidecar.update(index_mode=model.index_mode.value, hidden=list(hidden))
-        acc = harness.evaluate_accuracy(lambda x: baselines.predict_erm(model, x), target)
+    if spec.kind == "rmnist":
+        sidecar["spec"]["source_sha256"] = settings["source-sha256"]
     (out / "model.json").write_text(json.dumps(sidecar, sort_keys=True, indent=1))
+    acc = harness.evaluate_accuracy(lambda x: method.predict(model, sources, x), target)
     digest = hashlib.sha256(ckpt_path.read_bytes()).hexdigest()
     emit(
         "train",
@@ -268,35 +278,17 @@ def cmd_eval(args) -> int:
     if not sidecar_path.exists():
         raise CliConfigError(f"missing checkpoint sidecar {sidecar_path}")
     sidecar = json.loads(sidecar_path.read_text())
+    method = _method(sidecar["algo"])
     # The sidecar pins the training environment; flags may override any part.
     saved = sidecar.get("spec", {})
-    for key, spec_key in (
-        ("dataset", "kind"),
-        ("seed", "seed"),
-        ("num-domains", "num_domains"),
-        ("samples", "samples_per_domain"),
-        ("distance", "domain_distance"),
-    ):
-        if settings.get(key) is None and spec_key in saved:
-            settings[key] = saved[spec_key]
+    for key, name in {**SPEC_FIELDS, "source-sha256": "source_sha256"}.items():
+        if settings.get(key) is None and name in saved:
+            settings[key] = saved[name]
     domains = _load_dataset(settings, args.quiet)
     sources, target = domains[:-1], domains[-1]
-    nets = nn.load_checkpoint(ckpt)
-    algo = sidecar["algo"]
-    if algo in ("dpnets", "proto"):
-        f_phi = nets[0]
-        f_psi = nets[1] if len(nets) > 1 else nets[0]
-        model = dpnet.DPNetModel(f_phi, f_psi, sidecar["embed_dim"], sidecar["num_classes"])
-        acc = harness.evaluate_accuracy(lambda x: dpnet.predict_target(model, sources[-1], x), target)
-    else:
-        model = baselines.ErmModel(
-            net=nets[0],
-            index_mode=baselines.IndexMode(sidecar["index_mode"]),
-            num_domains_seen=sidecar["num_domains_seen"],
-            feature_dim=sidecar["feature_dim"],
-        )
-        acc = harness.evaluate_accuracy(lambda x: baselines.predict_erm(model, x), target)
-    emit("eval", args.quiet, algo=algo, dataset=settings["dataset"], target_accuracy=acc)
+    model = method.load(nn.load_checkpoint(ckpt), sidecar)
+    acc = harness.evaluate_accuracy(lambda x: method.predict(model, sources, x), target)
+    emit("eval", args.quiet, algo=sidecar["algo"], dataset=settings["dataset"], target_accuracy=acc)
     return 0
 
 

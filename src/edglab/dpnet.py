@@ -20,6 +20,10 @@ from .nn import Grads, MlpParams
 Array = np.ndarray
 
 
+class EpisodeError(ValueError):
+    """An episode cannot be drawn: some class has too few samples."""
+
+
 @dataclass
 class DPNetModel:
     """Two encoders into a shared embedding space.
@@ -142,8 +146,8 @@ def episode_loss(
     gzs = np.repeat(gproto / n_b, n_b, axis=0)
 
     out_phi, out_psi = grads if grads is not None else (None, None)
-    grads_psi, _ = nn.mlp_backward(model.f_psi, cache_q, gzq, out=out_psi)
-    grads_phi, _ = nn.mlp_backward(model.f_phi, cache_s, gzs, out=out_phi)
+    grads_psi = nn.mlp_backward(model.f_psi, cache_q, gzq, out=out_psi)
+    grads_phi = nn.mlp_backward(model.f_phi, cache_s, gzs, out=out_phi)
     return loss, d2, grads_phi, grads_psi
 
 
@@ -176,14 +180,14 @@ def sample_episode(
         if same_domain:
             idx = s_table[k]
             if len(idx) < 2 * n_per_class:
-                raise ValueError(f"domain {i} class {k}: need {2 * n_per_class} samples, have {len(idx)}")
+                raise EpisodeError(f"domain {i} class {k}: need {2 * n_per_class} samples, have {len(idx)}")
             pick = rng.choice(idx, size=2 * n_per_class, replace=False)
             s_rows[k] = pick[:n_per_class]
             q_rows[k] = pick[n_per_class:]
         else:
             s_idx, q_idx = s_table[k], q_table[k]
             if len(s_idx) < n_per_class or len(q_idx) < n_per_class:
-                raise ValueError(f"episode ({i},{i + 1}) class {k}: insufficient per-class samples")
+                raise EpisodeError(f"episode ({i},{i + 1}) class {k}: insufficient per-class samples")
             s_rows[k] = rng.choice(s_idx, size=n_per_class, replace=False)
             q_rows[k] = rng.choice(q_idx, size=n_per_class, replace=False)
     return EpisodeBatch(support=sup_dom.x[s_rows], query=qry_dom.x[q_rows], source_index=i)

@@ -18,24 +18,12 @@ import numpy as np
 
 from . import baselines, data, dpnet
 from .data import DomainData, EnvironmentSpec
-from .nn import OptimizerError
+from .nn import MlpParams, OptimizerError
 from .seeding import child_rng, child_seed
 
 log = logging.getLogger("edglab")
 
 VAL_RATIO = 0.8
-
-ALGORITHMS = (
-    "dpnets",
-    "proto",
-    "erm",
-    "erm-1",
-    "erm-2",
-    "erm-3",
-    "erm-scalar",
-    "erm-onehot",
-    "erm-outer",
-)
 
 
 class SelectionStrategy(str, Enum):
@@ -82,11 +70,100 @@ def default_space(kind: str) -> HParamSpace:
     return HParamSpace()
 
 
+@dataclass(frozen=True)
+class Episodic:
+    """dpnets (``shared=False``): two encoders, support from domain i and
+    queries from i+1, so a domain is scored with its predecessor as support.
+    proto (``shared=True``): one encoder, support and queries from one domain."""
+
+    shared: bool
+
+    def samples_needed(self, batch: int) -> int:
+        """Samples per class every source domain must hold for one episode:
+        dpnets draws n from each side of a pair, proto a disjoint support and
+        query set (2n) from one domain."""
+        return 2 * batch if self.shared else batch
+
+    def fit(self, sources: list[DomainData], hparams: dict, seed: int, progress=None) -> dpnet.DPNetModel:
+        dims = (sources[0].dim,) + tuple(hparams["embed"])
+        cfg = dpnet.TrainConfig(steps=hparams["steps"], n_per_class=hparams["batch"], lr=hparams["lr"], seed=seed)
+        model = dpnet.init_dpnet(dims, sources[0].num_classes, seed, shared=self.shared)
+        model, _ = dpnet.train(model, sources, cfg, same_domain_episodes=self.shared, progress=progress)
+        return model
+
+    def predict(self, model: dpnet.DPNetModel, sources: list[DomainData], x, i: int | None = None):
+        """Labels for the target (``i=None``) or for held-out data of source i."""
+        support = sources[-1] if i is None else sources[i if self.shared else i - 1]
+        return dpnet.predict_target(model, support, x)
+
+    def val_indices(self, num_sources: int) -> range:
+        return range(0 if self.shared else 1, num_sources)
+
+    def nets(self, model: dpnet.DPNetModel) -> list[MlpParams]:
+        return [model.f_phi] if self.shared else [model.f_phi, model.f_psi]
+
+    def sidecar(self, model: dpnet.DPNetModel) -> dict:
+        return {"embed_dim": model.embed_dim, "dims": list(model.f_phi.dims)}
+
+    def load(self, nets: list[MlpParams], sidecar: dict) -> dpnet.DPNetModel:
+        return dpnet.DPNetModel(nets[0], nets[-1], sidecar["embed_dim"], sidecar["num_classes"])
+
+
+@dataclass(frozen=True)
+class Erm:
+    """Pooled ERM, with domain-index features (``mode``) or on the last
+    ``last_k`` source domains only."""
+
+    mode: baselines.IndexMode = baselines.IndexMode.NONE
+    last_k: int | None = None
+
+    def samples_needed(self, batch: int) -> int:
+        return 0  # batches are drawn from the pool and capped at its size
+
+    def fit(self, sources: list[DomainData], hparams: dict, seed: int, progress=None) -> baselines.ErmModel:
+        batch = hparams["batch"] * sources[0].num_classes
+        cfg = baselines.ErmConfig(
+            steps=hparams["steps"], batch_size=batch, lr=hparams["lr"], seed=seed, hidden=tuple(hparams["hidden"])
+        )
+        return baselines.train_erm(sources, cfg, index_mode=self.mode, last_k=self.last_k)
+
+    def predict(self, model: baselines.ErmModel, sources: list[DomainData], x, i: int | None = None):
+        return baselines.predict_erm(model, x, None if i is None else sources[i].index)
+
+    def val_indices(self, num_sources: int) -> range:
+        return range(num_sources)
+
+    def nets(self, model: baselines.ErmModel) -> list[MlpParams]:
+        return [model.net]
+
+    def sidecar(self, model: baselines.ErmModel) -> dict:
+        return {"index_mode": model.index_mode.value, "hidden": list(model.net.dims[1:-1])}
+
+    def load(self, nets: list[MlpParams], sidecar: dict) -> baselines.ErmModel:
+        mode = baselines.IndexMode(sidecar["index_mode"])
+        return baselines.ErmModel(nets[0], mode, sidecar["num_domains_seen"], sidecar["feature_dim"])
+
+
+# The one place an algorithm is defined: search, `edg-lab train` and
+# `edg-lab eval` all build, score, save and load models through this table.
+METHODS = {
+    "dpnets": Episodic(shared=False),
+    "proto": Episodic(shared=True),
+    "erm": Erm(),
+    "erm-1": Erm(last_k=1),
+    "erm-2": Erm(last_k=2),
+    "erm-3": Erm(last_k=3),
+    "erm-scalar": Erm(baselines.IndexMode.SCALAR_CONCAT),
+    "erm-onehot": Erm(baselines.IndexMode.ONE_HOT_CONCAT),
+    "erm-outer": Erm(baselines.IndexMode.OUTER_PRODUCT),
+}
+ALGORITHMS = tuple(METHODS)
+
+
 @dataclass
 class RunOutcome:
     target_acc: float | None
     val_acc: float | None
-    losses: list[float]
     error: str | None = None
 
 
@@ -99,7 +176,6 @@ class Trial:
     seeds: tuple[int, ...]
     target_accs: tuple[float, ...] = ()
     val_accs: tuple[float | None, ...] = ()
-    loss_traces: tuple[tuple[float, ...], ...] = ()
     error: str | None = None
 
     @property
@@ -112,22 +188,6 @@ class Trial:
         return float(np.mean(vals)) if vals else float("nan")
 
 
-def _erm_variant(algorithm: str) -> tuple[baselines.IndexMode, int | None]:
-    mode = baselines.IndexMode.NONE
-    last_k = None
-    if algorithm.startswith("erm-"):
-        tag = algorithm.split("-", 1)[1]
-        if tag.isdigit():
-            last_k = int(tag)
-        else:
-            mode = {
-                "scalar": baselines.IndexMode.SCALAR_CONCAT,
-                "onehot": baselines.IndexMode.ONE_HOT_CONCAT,
-                "outer": baselines.IndexMode.OUTER_PRODUCT,
-            }[tag]
-    return mode, last_k
-
-
 def run_single(
     algorithm: str,
     train_sources: list[DomainData],
@@ -138,59 +198,25 @@ def run_single(
 ) -> RunOutcome:
     """Train one model and score it on the target (and validation when given).
 
-    Optimizer blow-ups are recorded, not raised; the surrounding trial is then
-    excluded from selection.
+    A diverged optimizer or an episode the domains cannot serve fails the run,
+    not the search: it is recorded and the trial is excluded from selection.
+    Any other error is a bug and raises.
     """
+    method = METHODS[algorithm]
     try:
-        if algorithm in ("dpnets", "proto"):
-            dims = (train_sources[0].dim,) + tuple(hparams["embed"])
-            cfg = dpnet.TrainConfig(
-                steps=hparams["steps"], n_per_class=hparams["batch"], lr=hparams["lr"], seed=seed
-            )
-            if algorithm == "dpnets":
-                model = dpnet.init_dpnet(dims, train_sources[0].num_classes, seed)
-                model, trace = dpnet.train(model, train_sources, cfg)
-            else:
-                model, trace = baselines.train_proto_vanilla(train_sources, cfg, dims)
-            target_acc = evaluate_accuracy(
-                lambda x: dpnet.predict_target(model, train_sources[-1], x), target
-            )
-            val_acc = None
-            if val_sources is not None:
-                accs = []
-                for i in range(len(val_sources)):
-                    sup = train_sources[i] if algorithm == "proto" else (train_sources[i - 1] if i > 0 else None)
-                    if sup is None:
-                        continue
-                    accs.append(
-                        evaluate_accuracy(lambda x: dpnet.predict_target(model, sup, x), val_sources[i])
-                    )
-                val_acc = float(np.mean(accs))
-            return RunOutcome(target_acc, val_acc, [t.loss for t in trace])
-
-        mode, last_k = _erm_variant(algorithm)
-        cfg = baselines.ErmConfig(
-            steps=hparams["steps"],
-            batch_size=hparams["batch"] * train_sources[0].num_classes,
-            lr=hparams["lr"],
-            seed=seed,
-            hidden=tuple(hparams["hidden"]),
-        )
-        model = baselines.train_erm(train_sources, cfg, index_mode=mode, last_k=last_k)
-        target_acc = evaluate_accuracy(lambda x: baselines.predict_erm(model, x), target)
-        val_acc = None
-        if val_sources is not None:
-            accs = [
-                evaluate_accuracy(lambda x, i=v.index: baselines.predict_erm(model, x, i), v)
-                for v in val_sources
-            ]
-            val_acc = float(np.mean(accs))
-        return RunOutcome(target_acc, val_acc, [])
-    except (OptimizerError, ValueError) as exc:
-        # Diverged optimizers and infeasible draws (e.g. a per-class batch
-        # larger than the domain provides) fail the run, not the search.
+        model = method.fit(train_sources, hparams, seed)
+    except (OptimizerError, dpnet.EpisodeError) as exc:
         log.warning("run failed: algo=%s seed=%d: %s", algorithm, seed, exc)
-        return RunOutcome(None, None, [], error=str(exc))
+        return RunOutcome(None, None, error=str(exc))
+    target_acc = evaluate_accuracy(lambda x: method.predict(model, train_sources, x), target)
+    val_acc = None
+    if val_sources is not None:
+        accs = [
+            evaluate_accuracy(lambda x: method.predict(model, train_sources, x, i), val_sources[i])
+            for i in method.val_indices(len(val_sources))
+        ]
+        val_acc = float(np.mean(accs))
+    return RunOutcome(target_acc, val_acc)
 
 
 @dataclass
@@ -258,7 +284,6 @@ def random_search(
                 seeds=tuple(seeds[(t, s)] for s in range(n_seeds)),
                 target_accs=tuple(o.target_acc for o in per_seed if o.error is None),
                 val_accs=tuple(o.val_acc for o in per_seed if o.error is None),
-                loss_traces=tuple(tuple(o.losses) for o in per_seed if o.error is None),
                 error="; ".join(errors) if errors else None,
             )
         )

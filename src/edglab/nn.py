@@ -115,12 +115,12 @@ def mlp_forward(params: MlpParams, batch: Array) -> tuple[Array, ForwardCache]:
 
 def mlp_backward(
     params: MlpParams, cache: ForwardCache, out_grad: Array, out: Grads | None = None
-) -> tuple[Grads, Array]:
-    """Exact reverse-mode gradients of ``mlp_forward``.
+) -> Grads:
+    """Exact reverse-mode parameter gradients of ``mlp_forward``.
 
-    Returns (parameter grads, gradient w.r.t. the input batch). The parameter
-    grads are written into ``out`` when given (e.g. views of a flat gradient
-    buffer), otherwise into fresh arrays.
+    The grads are written into ``out`` when given (e.g. views of a flat
+    gradient buffer), otherwise into fresh arrays. The gradient with respect
+    to the input batch is never formed: no caller needs it.
     """
     n_layers = len(params.layers)
     if len(cache.inputs) != n_layers:
@@ -131,14 +131,13 @@ def mlp_backward(
     if out is None:
         out = MlpParams(tuple((np.empty_like(w), np.empty_like(b)) for w, b in params.layers))
     for li in reversed(range(n_layers)):
-        w, _ = params.layers[li]
         gw, gb = out.layers[li]
         np.matmul(g.T, cache.inputs[li], out=gw)
         np.add.reduce(g, axis=0, out=gb)
-        g = g @ w
         if li > 0:
+            g = g @ params.layers[li][0]
             g *= cache.pre_acts[li - 1] > 0.0
-    return out, g
+    return out
 
 
 def mlp_views(buffer: Array, like: list[MlpParams]) -> list[MlpParams]:

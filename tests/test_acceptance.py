@@ -136,7 +136,7 @@ def _erm_grad_error(dims, n_coords, rng):
     ys = rng.integers(0, dims[-1], size=24)
     logits, cache = nn.mlp_forward(net, xs)
     _, dlogits = nn.softmax_cross_entropy(logits, ys)
-    grads, _ = nn.mlp_backward(net, cache, dlogits)
+    grads = nn.mlp_backward(net, cache, dlogits)
     h = 1e-5
     worst = 0.0
     for li in range(len(net.layers)):

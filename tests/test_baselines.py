@@ -5,7 +5,13 @@ from hypothesis import strategies as st
 
 from edglab import baselines, data, dpnet, nn
 from edglab.baselines import IndexMode
-from edglab.harness import evaluate_accuracy
+from edglab.harness import METHODS, evaluate_accuracy
+
+
+def train_proto(sources, seed, steps=2000, batch=16, lr=0.01):
+    """The vanilla prototypical net as the method table builds it."""
+    hparams = {"steps": steps, "batch": batch, "lr": lr, "embed": (2,)}
+    return METHODS["proto"].fit(sources, hparams, seed)
 
 
 class TestAugmentation:
@@ -139,7 +145,7 @@ class TestErm:
         net = nn.init_mlp((2, 4, 2), rng)
         logits, cache = nn.mlp_forward(net, xs)
         _, dlogits = nn.softmax_cross_entropy(logits, ys)
-        grads, _ = nn.mlp_backward(net, cache, dlogits)
+        grads = nn.mlp_backward(net, cache, dlogits)
         h = 1e-5
         for li, (w, b) in enumerate(net.layers):
             for arr, g_arr in ((w, grads.layers[li][0]), (b, grads.layers[li][1])):
@@ -160,9 +166,7 @@ class TestErm:
 class TestProtoVanilla:
     def test_shared_encoder(self, rng):
         domains = make_domains(rng, m=3)
-        model, _ = baselines.train_proto_vanilla(
-            domains, dpnet.TrainConfig(steps=20, n_per_class=4, seed=0)
-        )
+        model = train_proto(domains, seed=0, steps=20, batch=4)
         assert model.f_phi is model.f_psi
 
     def test_evolcircle_vanilla_proto_window(self):
@@ -172,8 +176,7 @@ class TestProtoVanilla:
         sources, target = domains[:-1], domains[-1]
         accs = []
         for seed in (1, 2, 3):
-            cfg = dpnet.TrainConfig(steps=2000, n_per_class=16, lr=0.01, seed=seed)
-            model, _ = baselines.train_proto_vanilla(sources, cfg, (2, 2))
+            model = train_proto(sources, seed)
             accs.append(
                 evaluate_accuracy(lambda x: dpnet.predict_target(model, sources[-1], x), target)
             )
@@ -193,7 +196,7 @@ class TestProtoVanilla:
             directional.append(
                 evaluate_accuracy(lambda x: dpnet.predict_target(model, sources[-1], x), target)
             )
-            vmodel, _ = baselines.train_proto_vanilla(sources, cfg, (2, 2))
+            vmodel = train_proto(sources, seed)
             vanilla.append(
                 evaluate_accuracy(lambda x: dpnet.predict_target(vmodel, sources[-1], x), target)
             )

@@ -259,9 +259,9 @@ class TestDpnetMatchesOracle:
 def test_proto_shared_encoder_matches_oracle(evolcircle, optimizer):
     config = dpnet.TrainConfig(steps=80, n_per_class=6, lr=0.03, optimizer=optimizer, seed=5)
     dims = (2, 8, 2)
-    trained, trace = baselines.train_proto_vanilla(evolcircle, config, dims)
-    assert trained.shared_encoder
     model = dpnet.init_dpnet(dims, 2, config.seed, shared=True)
+    trained, trace = dpnet.train(model, evolcircle, config, same_domain_episodes=True)
+    assert trained.shared_encoder
     phi, _, want = oracle_train_dpnet(model, evolcircle, config, same_domain=True)
     assert _layers_equal(trained.f_phi, phi)
     assert np.array_equal(np.array([(t.loss, t.query_accuracy) for t in trace]), np.array(want))
