@@ -106,30 +106,29 @@ def _idx_digest(images, labels) -> str:
     return digest.hexdigest()[:16]
 
 
-def _load_dataset(settings: dict, quiet: bool) -> list[data.DomainData]:
+def _load_dataset(settings: dict, quiet: bool, source_sha256: str | None = None):
     """Generate, ingest or read from the cache the dataset ``settings`` name.
 
-    For rmnist the cache name carries a digest of the IDX files, so a cache
-    built from other images is never reused. The digest is left in
-    ``settings["source-sha256"]``; a checkpoint sidecar can supply it in place
-    of the IDX paths.
+    Returns the domains and, for rmnist, the digest of the IDX files that the
+    cache name carries, so a cache built from other images is never reused.
+    Without ``--images/--labels``, ``source_sha256`` from a sidecar stands in.
     """
     spec = _spec_from(settings)
     images, labels = settings.get("images"), settings.get("labels")
     tag = f"{spec.kind}-s{spec.seed}-m{spec.num_domains}-n{spec.samples_per_domain}-d{spec.domain_distance:g}"
     if spec.kind == "rmnist":
         if images and labels:
-            settings["source-sha256"] = _idx_digest(images, labels)
-        elif not settings.get("source-sha256"):
+            source_sha256 = _idx_digest(images, labels)
+        elif not source_sha256:
             raise CliConfigError("rmnist needs --images and --labels IDX paths")
-        tag += f"-x{settings['source-sha256']}"
+        tag += f"-x{source_sha256}"
     cache_dir = settings.get("cache-dir") or os.environ.get(CACHE_ENV_VAR)
     cache_path = None
     if cache_dir:
         cache_path = Path(cache_dir) / f"{tag}.bin"
         if cache_path.exists():
             emit("dataset-cache-hit", quiet, path=str(cache_path))
-            return data.load_domains(cache_path)
+            return data.load_domains(cache_path), source_sha256
     if spec.kind == "rmnist":
         if not images or not labels:
             raise CliConfigError("rmnist needs --images and --labels IDX paths")
@@ -140,7 +139,7 @@ def _load_dataset(settings: dict, quiet: bool) -> list[data.DomainData]:
         cache_path.parent.mkdir(parents=True, exist_ok=True)
         data.save_domains(cache_path, domains)
         emit("dataset-cached", quiet, path=str(cache_path))
-    return domains
+    return domains, source_sha256
 
 
 # Dataset settings and the EnvironmentSpec fields a checkpoint sidecar pins.
@@ -168,7 +167,7 @@ def cmd_gen_data(args) -> int:
     settings = resolve_settings(args, DATASET_DEFAULTS)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    domains = _load_dataset(settings, args.quiet)
+    domains, _ = _load_dataset(settings, args.quiet)
     path = out / f"{settings['dataset']}.bin"
     data.save_domains(path, domains)
     emit(
@@ -214,7 +213,7 @@ def cmd_train(args) -> int:
     method = _method(algo)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    domains = _load_dataset(settings, args.quiet)
+    domains, source_sha256 = _load_dataset(settings, args.quiet)
     sources, target = domains[:-1], domains[-1]
     seed = int(settings["seed"])
     batch = int(settings["batch"])
@@ -249,8 +248,8 @@ def cmd_train(args) -> int:
         "spec": {name: getattr(spec, name) for name in SPEC_FIELDS.values()},
         **method.sidecar(model),
     }
-    if spec.kind == "rmnist":
-        sidecar["spec"]["source_sha256"] = settings["source-sha256"]
+    if source_sha256 is not None:
+        sidecar["spec"]["source_sha256"] = source_sha256
     (out / "model.json").write_text(json.dumps(sidecar, sort_keys=True, indent=1))
     acc = harness.evaluate_accuracy(lambda x: method.predict(model, sources, x), target)
     digest = hashlib.sha256(ckpt_path.read_bytes()).hexdigest()
@@ -281,10 +280,10 @@ def cmd_eval(args) -> int:
     method = _method(sidecar["algo"])
     # The sidecar pins the training environment; flags may override any part.
     saved = sidecar.get("spec", {})
-    for key, name in {**SPEC_FIELDS, "source-sha256": "source_sha256"}.items():
+    for key, name in SPEC_FIELDS.items():
         if settings.get(key) is None and name in saved:
             settings[key] = saved[name]
-    domains = _load_dataset(settings, args.quiet)
+    domains, _ = _load_dataset(settings, args.quiet, saved.get("source_sha256"))
     sources, target = domains[:-1], domains[-1]
     model = method.load(nn.load_checkpoint(ckpt), sidecar)
     acc = harness.evaluate_accuracy(lambda x: method.predict(model, sources, x), target)

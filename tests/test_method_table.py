@@ -161,6 +161,17 @@ class TestRmnistCacheKey:
         code, evals = run_cli(capsys, ckpt)
         assert code == 2 and "--images" in evals["config-error"]["message"]
 
+    def test_digest_is_not_a_setting(self, capsys, tmp_path):
+        idx = idx_flags(tmp_path / "idx", seed=0)
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        run_cli(capsys, ["gen-data", *self.SPEC, *idx, *cache, "--out", str(tmp_path / "o")])
+        digest = next((tmp_path / "cache").glob("*.bin")).stem.rsplit("-x", 1)[1]
+        for command in ("gen-data", "train"):
+            code, events = run_cli(
+                capsys, [command, *self.SPEC, *cache, "--set", f"source-sha256={digest}", "--out", str(tmp_path / "p")]
+            )
+            assert code == 2 and "--images" in events["config-error"]["message"]
+
 
 def test_js_decomposition_gap_folds_the_terms(monkeypatch):
     rng = np.random.default_rng(3)
