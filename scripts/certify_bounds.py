@@ -12,7 +12,7 @@ def main() -> int:
     parser.add_argument("--instances", type=int, default=1000)
     parser.add_argument("--decomposition-pairs", type=int, default=10000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=int, default=1, help="accepted and ignored: certification starts no threads")
     args = parser.parse_args()
 
     results = bounds.run_certification(

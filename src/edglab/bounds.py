@@ -7,10 +7,15 @@ evaluated to float precision and each inequality certified by its slack
 
 Divergences are in nats. Conventions: 0·log 0 = 0; conditionals of zero-mass
 labels are excluded from expectations.
+
+The divergence kernels work on stacks: the last axis is the distribution and
+any leading axes index independent pairs, so a whole family of pairs costs a
+handful of numpy calls. Padding a distribution with zero cells leaves its
+divergences unchanged (0·log 0 = 0), which lets pairs of different support
+sizes share one stack.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,41 +26,64 @@ Array = np.ndarray
 
 SLACK_TOL = 1e-9
 
+# Largest support drawn by the randomized certification (feature values x
+# labels); decomposition pairs are zero-padded to this shape and scored
+# PAIR_BLOCK at a time, so memory stays flat however many pairs are drawn.
+MAX_NX, MAX_NY = 6, 3
+PAIR_BLOCK = 256
+
 
 class AbsoluteContinuityError(ValueError):
     """KL(P||Q) requested where Q puts zero mass on part of P's support."""
 
 
-def _as_dist(p) -> Array:
-    arr = np.asarray(p.p if isinstance(p, DiscreteJoint) else p, dtype=np.float64).ravel()
-    if np.any(arr < 0.0):
-        raise ValueError("negative probability mass")
-    if abs(arr.sum() - 1.0) > 1e-9:
-        raise ValueError(f"distribution sums to {arr.sum()!r}, not 1")
-    return arr
-
-
-def kl(p, q) -> float:
-    """Kullback-Leibler divergence (nats) between same-support distributions."""
-    pa, qa = _as_dist(p), _as_dist(q)
+def _as_dists(p, q) -> tuple[Array, Array]:
+    """Both arguments as float64 stacks of one shape whose last axis is a
+    distribution (a DiscreteJoint is one flattened distribution); every row
+    must be non-negative and sum to 1 within 1e-9."""
+    pa, qa = (np.asarray(a.p.ravel() if isinstance(a, DiscreteJoint) else a, dtype=np.float64) for a in (p, q))
     if pa.shape != qa.shape:
         raise ValueError(f"support size mismatch: {pa.shape} vs {qa.shape}")
+    for arr in (pa, qa):
+        if (arr < 0.0).any():
+            raise ValueError("negative probability mass")
+        sums = arr.sum(axis=-1)
+        off = np.abs(sums - 1.0) > 1e-9
+        if off.any():
+            raise ValueError(f"distribution sums to {float(sums[off][0])!r}, not 1")
+    return pa, qa
+
+
+def _kl_rows(pa: Array, qa: Array) -> Array:
+    """KL over the last axis of already validated (broadcastable) stacks."""
     mask = pa > 0.0
-    if np.any(qa[mask] == 0.0):
+    if (mask & (qa == 0.0)).any():
         raise AbsoluteContinuityError("Q is zero on part of P's support")
-    return float(np.sum(pa[mask] * np.log(pa[mask] / qa[mask])))
+    ratio = np.ones(mask.shape)
+    np.divide(pa, qa, out=ratio, where=mask)
+    return (pa * np.log(ratio)).sum(axis=-1)
 
 
-def js(p, q) -> float:
+def _scalar(values: Array):
+    """A Python float for a single pair, the array for a stack."""
+    return float(values) if values.ndim == 0 else values
+
+
+def kl(p, q):
+    """Kullback-Leibler divergence (nats) along the last axis of same-shape
+    stacks: a float for one pair of distributions, an array for a stack."""
+    return _scalar(_kl_rows(*_as_dists(p, q)))
+
+
+def js(p, q):
     """Jensen-Shannon divergence: 0.5 KL(P||M) + 0.5 KL(Q||M), M the mixture.
 
-    Always finite; 0 iff P = Q; at most ln 2 (attained on disjoint supports).
+    Same stacking as ``kl``. Always finite; 0 iff P = Q; at most ln 2
+    (attained on disjoint supports).
     """
-    pa, qa = _as_dist(p), _as_dist(q)
-    if pa.shape != qa.shape:
-        raise ValueError(f"support size mismatch: {pa.shape} vs {qa.shape}")
-    m = 0.5 * (pa + qa)
-    return 0.5 * kl(pa, m) + 0.5 * kl(qa, m)
+    pa, qa = _as_dists(p, q)
+    both = _kl_rows(np.stack((pa, qa)), 0.5 * (pa + qa))
+    return _scalar(0.5 * both[0] + 0.5 * both[1])
 
 
 @dataclass(frozen=True)
@@ -69,7 +97,7 @@ class DiscreteJoint:
         object.__setattr__(self, "p", arr)
         if arr.ndim != 2:
             raise ValueError("joint must be an nx × ny matrix")
-        if np.any(arr < 0.0):
+        if (arr < 0.0).any():
             raise ValueError("negative probability mass")
         if abs(arr.sum() - 1.0) > 1e-12:
             raise ValueError(f"mass sums to {arr.sum()!r}, not 1")
@@ -84,12 +112,6 @@ class DiscreteJoint:
 
     def marginal_y(self) -> Array:
         return self.p.sum(axis=0)
-
-    def conditional_x_given_y(self, y: int) -> Array:
-        mass = self.p[:, y].sum()
-        if mass <= 0.0:
-            raise ValueError(f"label {y} has zero mass")
-        return self.p[:, y] / mass
 
 
 @dataclass(frozen=True)
@@ -107,13 +129,21 @@ class MappingFn:
             raise ValueError("map table must be total on X")
 
 
+def _pushforward(tables: Array, joints: Array) -> Array:
+    """Every joint pushed through every map: (k, nx) tables and (m, nx, ny)
+    joints give (k, m, nx, ny). Mass reaches each cell in ascending x."""
+    k, m, nx = len(tables), len(joints), joints.shape[1]
+    out = np.zeros((k,) + joints.shape)
+    index = (np.arange(k).reshape(k, 1, 1), np.arange(m).reshape(1, m, 1), tables.reshape(k, 1, nx))
+    np.add.at(out, index, joints)
+    return out
+
+
 def apply_map(d: DiscreteJoint, g: MappingFn) -> DiscreteJoint:
     """Pushforward on features, labels untouched: p'[x', y] = sum_{g(x)=x'} p[x, y]."""
     if g.table.size != d.nx:
         raise ValueError(f"map over {g.table.size} points, joint has nx={d.nx}")
-    out = np.zeros_like(d.p)
-    np.add.at(out, g.table, d.p)
-    return DiscreteJoint(out)
+    return DiscreteJoint(_pushforward(g.table[None], d.p[None])[0, 0])
 
 
 @dataclass(frozen=True)
@@ -130,6 +160,9 @@ class DiscreteEnv:
         for d in self.domains:
             if (d.nx, d.ny) != (nx, ny):
                 raise ValueError("all domains must share nx and ny")
+        for g in self.candidate_maps:
+            if g.table.size != nx:
+                raise ValueError(f"candidate map over {g.table.size} points, domains have nx={nx}")
 
     @property
     def num_sources(self) -> int:
@@ -180,12 +213,6 @@ def risk(h_spec: LossSpec, d: DiscreteJoint) -> float:
 # ---------------------------------------------------------------------------
 
 
-def source_pair_divergences(env: DiscreteEnv, g: MappingFn) -> Array:
-    """d_JS(g(D_{i-1}) || D_i) for every consecutive source pair (m-1 values)."""
-    src = env.sources
-    return np.array([js(apply_map(src[j - 1], g), src[j]) for j in range(1, len(src))])
-
-
 def target_divergence(env: DiscreteEnv, g: MappingFn) -> float:
     """d_JS(g(D_m) || D_t): divergence of the synthetic target from the real one."""
     return js(apply_map(env.sources[-1], g), env.target)
@@ -218,14 +245,15 @@ def find_minimax_map(env: DiscreteEnv) -> ConsistencyReport:
     """
     if not env.candidate_maps:
         raise ValueError("candidate map family is empty")
-    best = None
-    for g in env.candidate_maps:
-        divs = source_pair_divergences(env, g)
-        worst = divs.max()
-        if best is None or worst < best[0]:
-            best = (worst, g, divs)
-    _, g_star, divs = best
-    return ConsistencyReport(map=g_star, divergences=tuple(float(v) for v in divs), gap=consistency_gap(divs))
+    src = np.stack([d.p for d in env.sources])
+    pushed = _pushforward(np.stack([g.table for g in env.candidate_maps]), src[:-1])
+    # divs[k, j] = d_JS(g_k(D_j) || D_{j+1}) for every map and consecutive source pair.
+    flat = pushed.reshape(pushed.shape[:2] + (-1,))
+    divs = js(flat, np.broadcast_to(src[1:].reshape(len(src) - 1, -1), flat.shape))
+    best = int(np.argmin(divs.max(axis=1)))  # the first of any tied maps
+    return ConsistencyReport(
+        map=env.candidate_maps[best], divergences=tuple(float(v) for v in divs[best]), gap=consistency_gap(divs[best])
+    )
 
 
 def gap_with_target(env: DiscreteEnv, report: ConsistencyReport) -> float:
@@ -251,13 +279,8 @@ class SlackReport:
         return self.bound - self.target_risk
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "bound": self.bound,
-            "target_risk": self.target_risk,
-            "slack": self.slack,
-            **self.details,
-        }
+        out = {"name": self.name, "bound": self.bound, "target_risk": self.target_risk, "slack": self.slack}
+        return {**out, **self.details}
 
 
 def transfer_penalty(g_range: float, divergence: float) -> float:
@@ -276,12 +299,7 @@ def verify_synthetic_transfer_bound(env: DiscreteEnv, g: MappingFn, h_spec: Loss
     synthetic = apply_map(env.sources[-1], g)
     div = js(synthetic, env.target)
     bound = risk(h_spec, synthetic) + transfer_penalty(h_spec.g_range, div)
-    return SlackReport(
-        name="synthetic_transfer",
-        bound=float(bound),
-        target_risk=risk(h_spec, env.target),
-        details={"target_pair_js": float(div)},
-    )
+    return SlackReport("synthetic_transfer", float(bound), risk(h_spec, env.target), {"target_pair_js": float(div)})
 
 
 def sequential_bound_value(env: DiscreteEnv, report: ConsistencyReport, h_spec: LossSpec, gap_full: float) -> float:
@@ -305,39 +323,51 @@ def verify_sequential_transfer_bound(env: DiscreteEnv, report: ConsistencyReport
     premise holds by construction and the slack must be non-negative."""
     gap_full = gap_with_target(env, report)
     bound = sequential_bound_value(env, report, h_spec, gap_full)
-    return SlackReport(
-        name="sequential_transfer",
-        bound=bound,
-        target_risk=risk(h_spec, env.target),
-        details={"gap_source": report.gap, "gap_full": gap_full},
-    )
+    details = {"gap_source": report.gap, "gap_full": gap_full}
+    return SlackReport("sequential_transfer", bound, risk(h_spec, env.target), details)
 
 
-def js_decomposition_gap(p: DiscreteJoint, q: DiscreteJoint) -> float:
+def js_decomposition_gap(p, q):
     """RHS minus LHS of the joint-JS decomposition into a label-marginal term
-    plus both label-weighted conditional expectations. Non-negative."""
-    return float(sum(decomposed_terms(p, q)) - js(p, q))
+    plus both label-weighted conditional expectations. Non-negative.
+
+    Takes two joints, or two same-shape stacks of joint matrices (..., nx, ny)
+    (zero padding is exact), and returns a float or an array of gaps.
+    """
+    pa, qa = (np.asarray(a.p if isinstance(a, DiscreteJoint) else a, dtype=np.float64) for a in (p, q))
+    if pa.shape != qa.shape:
+        raise ValueError("joints must share support")
+    t1, t2, t3 = _decomposed_rows(pa, qa)
+    flat = pa.shape[:-2] + (-1,)
+    return _scalar(t1 + t2 + t3 - js(pa.reshape(flat), qa.reshape(flat)))
 
 
-def _conditional_js(p: DiscreteJoint, q: DiscreteJoint, y: int) -> float:
-    """JS between the two x|y conditionals. A label with zero mass on either
-    side contributes 0: the matching chain-rule term is exactly 0 there, so
-    the decomposition inequality survives the exclusion."""
-    pmass, qmass = p.p[:, y].sum(), q.p[:, y].sum()
-    if pmass <= 0.0 or qmass <= 0.0:
-        return 0.0
-    return js(p.p[:, y] / pmass, q.p[:, y] / qmass)
+def _decomposed_rows(p: Array, q: Array) -> tuple[Array, Array, Array]:
+    """The three decomposition terms for stacks of joint matrices (..., nx, ny).
+
+    The x|y conditional JS of a label with zero mass on either side counts as
+    0: the matching chain-rule term is exactly 0 there, so the decomposition
+    inequality survives the exclusion. Such labels get one point mass on both
+    sides, whose JS is exactly 0, so all conditionals go through one ``js``.
+    """
+    py, qy = p.sum(axis=-2), q.sum(axis=-2)
+    live = ((py > 0.0) & (qy > 0.0))[..., None]
+    point = np.eye(p.shape[-2])[0]
+    pc, qc = (
+        np.where(live, np.swapaxes(a, -1, -2) / np.where(live, ay[..., None], 1.0), point)
+        for a, ay in ((p, py), (q, qy))
+    )
+    cond = js(pc, qc)
+    t2 = np.where(py > 0.0, py * cond, 0.0).sum(axis=-1)
+    t3 = np.where(qy > 0.0, qy * cond, 0.0).sum(axis=-1)
+    return js(py, qy), t2, t3
 
 
 def decomposed_terms(p: DiscreteJoint, q: DiscreteJoint) -> tuple[float, float, float]:
     """(label-marginal JS, E_{y~p(y)} cond-JS, E_{y~q(y)} cond-JS) for one pair."""
     if (p.nx, p.ny) != (q.nx, q.ny):
         raise ValueError("joints must share support")
-    py, qy = p.marginal_y(), q.marginal_y()
-    cond = [_conditional_js(p, q, y) for y in range(p.ny)]
-    t2 = sum(py[y] * cond[y] for y in range(p.ny) if py[y] > 0)
-    t3 = sum(qy[y] * cond[y] for y in range(p.ny) if qy[y] > 0)
-    return float(js(py, qy)), float(t2), float(t3)
+    return tuple(float(t) for t in _decomposed_rows(p.p, q.p))
 
 
 def verify_decomposed_transfer_bound(env: DiscreteEnv, report: ConsistencyReport, h_spec: LossSpec) -> SlackReport:
@@ -345,38 +375,16 @@ def verify_decomposed_transfer_bound(env: DiscreteEnv, report: ConsistencyReport
     its label-marginal + conditional decomposition. Checks both that the bound
     dominates the target risk and that it dominates the tighter bound."""
     m = env.num_sources
-    src = env.sources
-    t1s, t2s, t3s = [], [], []
-    for j in range(1, len(src)):
-        p = apply_map(src[j - 1], report.map)
-        t1, t2, t3 = decomposed_terms(p, src[j])
-        t1s.append(t1)
-        t2s.append(t2)
-        t3s.append(t3)
+    src = np.stack([d.p for d in env.sources])
+    t1s, t2s, t3s = _decomposed_rows(_pushforward(report.map.table[None], src[:-1])[0], src[1:])
     gap_full = gap_with_target(env, report)
-    synthetic = apply_map(src[-1], report.map)
+    synthetic = apply_map(env.sources[-1], report.map)
     coeff = h_spec.g_range * np.sqrt(2.0 / (m - 1))
-    bound = float(
-        risk(h_spec, synthetic)
-        + coeff
-        * (
-            np.sqrt(np.sum(t1s))
-            + np.sqrt((m - 1) * gap_full)
-            + np.sqrt(np.sum(t2s))
-            + np.sqrt(np.sum(t3s))
-        )
-    )
+    terms = np.sqrt(np.sum(t1s)) + np.sqrt((m - 1) * gap_full) + np.sqrt(np.sum(t2s)) + np.sqrt(np.sum(t3s))
+    bound = float(risk(h_spec, synthetic) + coeff * terms)
     tighter = sequential_bound_value(env, report, h_spec, gap_full)
-    return SlackReport(
-        name="decomposed_transfer",
-        bound=bound,
-        target_risk=risk(h_spec, env.target),
-        details={
-            "label_terms": [float(v) for v in t1s],
-            "tighter_bound": tighter,
-            "relaxation_margin": bound - tighter,
-        },
-    )
+    details = {"label_terms": [float(v) for v in t1s], "tighter_bound": tighter, "relaxation_margin": bound - tighter}
+    return SlackReport("decomposed_transfer", bound, risk(h_spec, env.target), details)
 
 
 def verify_change_of_measure(p, q, f: Array, lam: float) -> float:
@@ -387,9 +395,9 @@ def verify_change_of_measure(p, q, f: Array, lam: float) -> float:
     invariant to adding constants to f; it vanishes at f = (1/lam) log(q/p)
     when P and Q are mutually absolutely continuous.
     """
-    pa, qa = _as_dist(p), _as_dist(q)
+    pa, qa = _as_dists(p, q)
     fa = np.asarray(f, dtype=np.float64).ravel()
-    if pa.shape != qa.shape or fa.shape != pa.shape:
+    if pa.ndim != 1 or fa.shape != pa.shape:
         raise ValueError("P, Q and f must share one support")
     div = kl(qa, pa)  # raises if Q is not absolutely continuous w.r.t. P
     ep_f = float(pa @ fa)
@@ -404,7 +412,7 @@ def verify_change_of_measure(p, q, f: Array, lam: float) -> float:
 def attainment_function(p, q, lam: float) -> Array:
     """The f that makes the change-of-measure inequality tight (up to an
     additive constant): (1/lam) log(q/p). Needs mutual absolute continuity."""
-    pa, qa = _as_dist(p), _as_dist(q)
+    pa, qa = _as_dists(p, q)
     if np.any(pa == 0.0) or np.any(qa == 0.0):
         raise AbsoluteContinuityError("attainment case needs strictly positive P and Q")
     if lam == 0.0:
@@ -430,6 +438,8 @@ def env_to_dict(env: DiscreteEnv) -> dict:
 def env_from_dict(payload: dict) -> DiscreteEnv:
     domains = tuple(DiscreteJoint(np.asarray(p, dtype=np.float64)) for p in payload["domains"])
     maps = tuple(MappingFn(np.asarray(t, dtype=np.int64)) for t in payload["candidate_maps"])
+    if not maps:
+        raise ValueError("candidate map family is empty")
     env = DiscreteEnv(domains=domains, candidate_maps=maps)
     if (env.domains[0].nx, env.domains[0].ny) != (payload["nx"], payload["ny"]):
         raise ValueError("declared nx/ny do not match the domain matrices")
@@ -439,10 +449,8 @@ def env_from_dict(payload: dict) -> DiscreteEnv:
 def certify_env(env: DiscreteEnv, h_spec: LossSpec | None = None) -> list[SlackReport]:
     """All three transfer-bound slacks for one concrete environment."""
     if h_spec is None:
-        nx, ny = env.domains[0].nx, env.domains[0].ny
         # Default probe classifier: the target-optimal label per feature value.
-        classifier = np.argmax(env.target.p, axis=1)
-        h_spec = LossSpec(classifier=classifier, loss=1.0 - np.eye(ny))
+        h_spec = LossSpec(classifier=np.argmax(env.target.p, axis=1), loss=1.0 - np.eye(env.target.ny))
     report = find_minimax_map(env)
     return [
         verify_synthetic_transfer_bound(env, report.map, h_spec),
@@ -502,13 +510,8 @@ class CertificationResult:
         return ok
 
     def to_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "instances": self.instances,
-            "min_slack": self.min_slack,
-            "passed": self.passed,
-            **self.extras,
-        }
+        out = {"name": self.name, "instances": self.instances, "min_slack": self.min_slack, "passed": self.passed}
+        out.update(self.extras)
         if self.max_abs_attainment is not None:
             out["max_abs_attainment"] = self.max_abs_attainment
         return out
@@ -517,8 +520,8 @@ class CertificationResult:
 def _instance_slacks(seed: int, index: int) -> dict:
     """All per-instance certification quantities for one random draw."""
     rng = child_rng(seed, "cert", index)
-    nx = int(rng.integers(2, 7))
-    ny = int(rng.integers(2, 4))
+    nx = int(rng.integers(2, MAX_NX + 1))
+    ny = int(rng.integers(2, MAX_NY + 1))
     m_sources = int(rng.integers(2, 5))
     env = random_env(rng, nx, ny, m_sources, n_maps=int(rng.integers(1, 17)))
     h_spec = random_loss_spec(rng, nx, ny)
@@ -548,56 +551,51 @@ def _instance_slacks(seed: int, index: int) -> dict:
     }
 
 
+def _random_pairs(seed: int, indices: range) -> Array:
+    """The random joint pairs ``indices`` of the decomposition check as one
+    (2, len(indices), MAX_NX, MAX_NY) stack, zero-padded."""
+    joints = np.zeros((2, len(indices), MAX_NX, MAX_NY))
+    for row, i in enumerate(indices):
+        rng = child_rng(seed, "jsdec", i)
+        nx = int(rng.integers(2, MAX_NX + 1))
+        ny = int(rng.integers(2, MAX_NY + 1))
+        joints[0, row, :nx, :ny] = random_joint(rng, nx, ny).p
+        joints[1, row, :nx, :ny] = random_joint(rng, nx, ny).p
+    return joints
+
+
 def run_certification(
-    instances: int = 1000,
-    decomposition_pairs: int = 10000,
-    seed: int = 0,
-    workers: int = 1,
+    instances: int = 1000, decomposition_pairs: int = 10000, seed: int = 0, workers: int = 1
 ) -> list[CertificationResult]:
-    """Randomized certification of every inequality; deterministic per seed,
-    independent of worker count (instances are keyed by index and reduced by min)."""
+    """Randomized certification of every inequality, deterministic per seed.
+
+    Each instance is scored with a few stacked divergence calls; decomposition
+    pairs are scored PAIR_BLOCK at a time. ``workers`` is accepted for callers
+    that pass it and changes nothing: no threads are started.
+    """
     if instances < 1:
         raise ValueError(f"instances must be at least 1, got {instances}")
     if decomposition_pairs < 1:
         raise ValueError(f"decomposition_pairs must be at least 1, got {decomposition_pairs}")
-
-    def run_range(lo: int, hi: int) -> list[dict]:
-        return [_instance_slacks(seed, i) for i in range(lo, hi)]
-
-    if workers <= 1:
-        rows = run_range(0, instances)
-    else:
-        step = (instances + workers - 1) // workers
-        spans = [(i, min(i + step, instances)) for i in range(0, instances, step)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda span: run_range(*span), spans))
-        rows = [row for chunk in chunks for row in chunk]
+    rows = [_instance_slacks(seed, i) for i in range(instances)]
 
     def collect(key: str) -> float:
         return float(min(row[key] for row in rows))
 
-    results = [
+    min_gap = min(
+        float(js_decomposition_gap(*_random_pairs(seed, range(lo, min(lo + PAIR_BLOCK, decomposition_pairs)))).min())
+        for lo in range(0, decomposition_pairs, PAIR_BLOCK)
+    )
+    return [
         CertificationResult("synthetic_transfer", instances, collect("synthetic_transfer")),
         CertificationResult("sequential_transfer", instances, collect("sequential_transfer")),
         CertificationResult(
-            "decomposed_transfer",
-            instances,
-            collect("decomposed_transfer"),
+            "decomposed_transfer", instances, collect("decomposed_transfer"),
             extras={"min_relaxation_margin": collect("relaxation_margin")},
         ),
         CertificationResult(
-            "change_of_measure",
-            instances,
-            collect("change_of_measure"),
+            "change_of_measure", instances, collect("change_of_measure"),
             max_abs_attainment=float(max(row["attainment_abs"] for row in rows)),
         ),
+        CertificationResult("js_decomposition", decomposition_pairs, min_gap),
     ]
-
-    gaps = []
-    for i in range(decomposition_pairs):
-        rng = child_rng(seed, "jsdec", i)
-        nx = int(rng.integers(2, 7))
-        ny = int(rng.integers(2, 4))
-        gaps.append(js_decomposition_gap(random_joint(rng, nx, ny), random_joint(rng, nx, ny)))
-    results.append(CertificationResult("js_decomposition", decomposition_pairs, float(min(gaps))))
-    return results

@@ -25,6 +25,20 @@ class CliConfigError(ValueError):
     pass
 
 
+class CliInputError(ValueError):
+    """A file an earlier command wrote (sidecar, raw cell) is corrupt or incomplete."""
+
+
+def _read_json_object(path: Path, what: str, error: type = CliInputError) -> dict:
+    try:
+        payload = json.loads(path.read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise error(f"{what} {path} is not valid JSON: {exc}")
+    if not isinstance(payload, dict):
+        raise error(f"{what} {path} must hold a JSON object")
+    return payload
+
+
 def emit(event: str, quiet: bool = False, **fields) -> None:
     if quiet:
         detail = " ".join(f"{k}={v}" for k, v in fields.items())
@@ -54,13 +68,7 @@ def resolve_settings(args: argparse.Namespace, defaults: dict) -> dict:
         path = Path(args.config)
         if not path.exists():
             raise CliConfigError(f"config file not found: {path}")
-        try:
-            loaded = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise CliConfigError(f"config file {path} is not valid JSON: {exc}")
-        if not isinstance(loaded, dict):
-            raise CliConfigError(f"config file {path} must hold a JSON object")
-        settings.update(loaded)
+        settings.update(_read_json_object(path, "config file", CliConfigError))
     for item in getattr(args, "set", None) or []:
         key, value = _parse_override(item)
         settings[key] = value
@@ -74,7 +82,12 @@ def resolve_settings(args: argparse.Namespace, defaults: dict) -> dict:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default="edglab-out", help="output directory for artifacts")
     parser.add_argument("--seed", type=int, default=None, help="master seed")
-    parser.add_argument("--workers", type=int, default=None, help="worker thread count")
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="worker threads for sweep and interp-study; the other subcommands ignore it",
+    )
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--set", action="append", metavar="KEY=VALUE", help="override one setting")
     parser.add_argument("--quiet", action="store_true", help="plain one-line logs instead of JSON")
@@ -276,16 +289,21 @@ def cmd_eval(args) -> int:
     sidecar_path = Path(ckpt).with_suffix(".json")
     if not sidecar_path.exists():
         raise CliConfigError(f"missing checkpoint sidecar {sidecar_path}")
-    sidecar = json.loads(sidecar_path.read_text())
+    sidecar = _read_json_object(sidecar_path, "checkpoint sidecar")
+    saved = sidecar.get("spec")
+    if "algo" not in sidecar or not isinstance(saved, dict) or not set(SPEC_FIELDS.values()) <= saved.keys():
+        raise CliInputError(f"checkpoint sidecar {sidecar_path} lacks the algo or spec fields train writes")
     method = _method(sidecar["algo"])
     # The sidecar pins the training environment; flags may override any part.
-    saved = sidecar.get("spec", {})
     for key, name in SPEC_FIELDS.items():
-        if settings.get(key) is None and name in saved:
+        if settings.get(key) is None:
             settings[key] = saved[name]
     domains, _ = _load_dataset(settings, args.quiet, saved.get("source_sha256"))
     sources, target = domains[:-1], domains[-1]
-    model = method.load(nn.load_checkpoint(ckpt), sidecar)
+    try:
+        model = method.load(nn.load_checkpoint(ckpt), sidecar)
+    except KeyError as exc:
+        raise CliInputError(f"checkpoint sidecar {sidecar_path} lacks {exc}")
     acc = harness.evaluate_accuracy(lambda x: method.predict(model, sources, x), target)
     emit("eval", args.quiet, algo=sidecar["algo"], dataset=settings["dataset"], target_accuracy=acc)
     return 0
@@ -398,9 +416,10 @@ def cmd_verify_bounds(args) -> int:
         env_path = Path(settings["env-json"])
         if not env_path.exists():
             raise CliConfigError(f"environment file not found: {env_path}")
+        payload = _read_json_object(env_path, "environment file", CliConfigError)
         try:
-            env = bounds.env_from_dict(json.loads(env_path.read_text()))
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
+            env = bounds.env_from_dict(payload)
+        except (ValueError, KeyError) as exc:
             raise CliConfigError(f"bad environment file {env_path}: {exc}")
         env_slacks = [s.to_dict() for s in bounds.certify_env(env)]
         report["environment"] = {"path": str(env_path), "slacks": env_slacks}
@@ -432,27 +451,26 @@ def cmd_report(args) -> int:
         raise CliConfigError(f"--raw must name a directory of per-cell JSON files, got {raw_dir!r}")
     cells = []
     for path in sorted(Path(raw_dir).glob("*.json")):
-        payload = json.loads(path.read_text())
-        per_seed = tuple(payload["per_seed"])
-        if per_seed:
-            mean = float(np.mean(per_seed))
-            std = float(np.std(per_seed, ddof=1)) if len(per_seed) > 1 else 0.0
-            if payload["mean"] is not None and (
-                abs(mean - payload["mean"]) > 1e-12 or abs(std - (payload["std"] or 0.0)) > 1e-12
-            ):
-                emit("report-mismatch", args.quiet, file=str(path))
-                return 1
-        cells.append(
-            harness.CellResult(
+        payload = _read_json_object(path, "raw cell")
+        try:
+            cell = harness.CellResult(
                 row=payload["row"],
                 algorithm=payload["algorithm"],
                 mean=payload["mean"],
                 std=payload["std"],
-                per_seed=per_seed,
+                per_seed=tuple(payload["per_seed"]),
                 scheme=payload["scheme"],
                 error=payload.get("error"),
             )
-        )
+        except KeyError as exc:
+            raise CliInputError(f"raw cell {path} lacks {exc}")
+        if cell.per_seed:
+            mean = float(np.mean(cell.per_seed))
+            std = float(np.std(cell.per_seed, ddof=1)) if len(cell.per_seed) > 1 else 0.0
+            if cell.mean is not None and (abs(mean - cell.mean) > 1e-12 or abs(std - (cell.std or 0.0)) > 1e-12):
+                emit("report-mismatch", args.quiet, file=str(path))
+                return 1
+        cells.append(cell)
     if not cells:
         raise CliConfigError(f"no raw cell files under {raw_dir}")
     paths = harness.emit_report(cells, Path(args.out))
@@ -555,7 +573,7 @@ def main(argv=None) -> int:
     except CliConfigError as exc:
         emit("config-error", getattr(args, "quiet", False), message=str(exc))
         return 2
-    except (data.IngestionError, nn.CheckpointError, FileNotFoundError) as exc:
+    except (CliInputError, data.IngestionError, nn.CheckpointError, FileNotFoundError) as exc:
         emit("input-error", getattr(args, "quiet", False), message=str(exc))
         return 2
     except RuntimeError as exc:

@@ -205,6 +205,86 @@ class TestVerifyBounds:
         assert code == 2
 
 
+    @pytest.mark.parametrize(
+        "maps", [[], [[0, 1]]], ids=["empty-family", "table-shorter-than-nx"]
+    )
+    def test_malformed_map_family_is_config_error(self, capsys, tmp_path, maps):
+        import numpy as np
+
+        from edglab import bounds
+
+        payload = bounds.env_to_dict(bounds.random_env(np.random.default_rng(2), 3, 2, 3, n_maps=2))
+        payload["candidate_maps"] = maps
+        env_path = tmp_path / "env.json"
+        env_path.write_text(json.dumps(payload))
+        code, events = run_cli(
+            capsys,
+            ["verify-bounds", "--instances", "2", "--decomposition-pairs", "2",
+             "--env-json", str(env_path), "--out", str(tmp_path)],
+        )
+        assert code == 2
+        assert "map" in last_event(events, "config-error")["message"]
+
+
+class TestCorruptJsonInputs:
+    """A truncated, non-object or incomplete JSON file an earlier command
+    wrote is a clean exit 2, not a traceback."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("erm")
+        argv = [
+            "train", "--algo", "erm", "--dataset", "evolcircle", "--seed", "7",
+            "--num-domains", "4", "--samples", "30", "--steps", "5", "--out", str(out),
+        ]
+        assert cli.main(argv) == 0
+        return out
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"algo": "erm"', '["erm"]', '{"algo": "erm"}', None],
+        ids=["truncated", "not-an-object", "no-spec", "no-index-mode"],
+    )
+    def test_bad_sidecar_is_input_error(self, capsys, tmp_path, trained, text):
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes((trained / "model.ckpt").read_bytes())
+        if text is None:  # complete apart from one field the erm loader reads
+            sidecar = json.loads((trained / "model.json").read_text())
+            del sidecar["index_mode"]
+            text = json.dumps(sidecar)
+        ckpt.with_suffix(".json").write_text(text)
+        capsys.readouterr()
+        code, events = run_cli(capsys, ["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "e")])
+        assert code == 2
+        assert "sidecar" in last_event(events, "input-error")["message"]
+
+    @pytest.fixture(scope="class")
+    def raw_cells(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("sweep")
+        argv = [
+            "sweep", "--dataset", "rotatedcloud", "--axis", "distance", "--values", "5,25",
+            "--algos", "erm", "--trials", "1", "--n-seeds", "2", "--samples", "40",
+            "--num-domains", "4", "--seed", "5", "--out", str(out),
+        ]
+        assert cli.main(argv) == 0
+        return json.loads(sorted((out / "raw").glob("*.json"))[0].read_text())
+
+    @pytest.mark.parametrize("damage", ["truncated", "not-an-object", "no-per-seed"])
+    def test_bad_raw_cell_is_input_error(self, capsys, tmp_path, raw_cells, damage):
+        cell = dict(raw_cells)
+        if damage == "no-per-seed":
+            del cell["per_seed"]
+        text = json.dumps(cell)
+        text = {"truncated": text[: len(text) // 2], "not-an-object": "[1, 2]"}.get(damage, text)
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        (raw / "cell.json").write_text(text)
+        capsys.readouterr()
+        code, events = run_cli(capsys, ["report", "--raw", str(raw), "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert "raw cell" in last_event(events, "input-error")["message"]
+
+
 class TestSweepAndReport:
     def test_sweep_grid_and_report_roundtrip(self, capsys, tmp_path):
         out = tmp_path / "sweep"

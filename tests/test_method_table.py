@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from edglab import baselines, bounds, cli, data, dpnet, harness
+import test_batched_bounds as oracle
 from test_data import write_idx
 
 DATASET = ["--dataset", "evolcircle", "--seed", "7", "--num-domains", "6", "--samples", "40"]
@@ -175,18 +176,19 @@ class TestRmnistCacheKey:
 
 def test_js_decomposition_gap_folds_the_terms(monkeypatch):
     rng = np.random.default_rng(3)
-    calls = []
-    conditional_js = bounds._conditional_js
-    monkeypatch.setattr(bounds, "_conditional_js", lambda p, q, y: calls.append(y) or conditional_js(p, q, y))
+    shapes = []
+    js = bounds.js
+    monkeypatch.setattr(bounds, "js", lambda p, q: shapes.append(np.shape(getattr(p, "p", p))) or js(p, q))
     for _ in range(200):
         nx, ny = int(rng.integers(2, 7)), int(rng.integers(2, 4))
         p, q = bounds.random_joint(rng, nx, ny), bounds.random_joint(rng, nx, ny)
-        calls.clear()
+        shapes.clear()
         gap = bounds.js_decomposition_gap(p, q)
-        assert calls == list(range(ny))  # one conditional JS per label
-        # The pre-fold formula: each weighted conditional term added in turn.
-        rhs = bounds.js(p.marginal_y(), q.marginal_y())
+        # Every label's conditional JS in one stacked call, then the label marginals and the joint.
+        assert shapes == [(ny, nx), (ny,), (nx * ny,)]
+        # The pre-fold formula on the scalar oracle: each weighted conditional term added in turn.
+        rhs = oracle.js(p.marginal_y(), q.marginal_y())
         for weights in (p.marginal_y(), q.marginal_y()):
-            rhs += sum(weights[y] * conditional_js(p, q, y) for y in range(ny) if weights[y] > 0)
-        assert abs(gap - (rhs - bounds.js(p, q))) <= 1e-15
+            rhs += sum(weights[y] * oracle._conditional_js(p, q, y) for y in range(ny) if weights[y] > 0)
+        assert abs(gap - (rhs - oracle.js(p, q))) <= 1e-15
         assert gap >= -1e-12
