@@ -213,11 +213,6 @@ def risk(h_spec: LossSpec, d: DiscreteJoint) -> float:
 # ---------------------------------------------------------------------------
 
 
-def target_divergence(env: DiscreteEnv, g: MappingFn) -> float:
-    """d_JS(g(D_m) || D_t): divergence of the synthetic target from the real one."""
-    return js(apply_map(env.sources[-1], g), env.target)
-
-
 def consistency_gap(divergences: Array) -> float:
     """Largest pairwise gap between per-pair divergences."""
     d = np.asarray(divergences, dtype=np.float64)
@@ -226,40 +221,50 @@ def consistency_gap(divergences: Array) -> float:
 
 @dataclass(frozen=True)
 class ConsistencyReport:
-    """Minimax drift map with its per-pair source divergences and their gap."""
+    """Minimax drift map with its per-pair source divergences and their gap,
+    plus the synthetic target g(D_m) and d_JS(g(D_m) || D_t)."""
 
     map: MappingFn
     divergences: tuple[float, ...]
     gap: float  # max pairwise spread over source pairs (the observable gap)
+    synthetic: DiscreteJoint
+    target_divergence: float
 
     def __post_init__(self):
         if self.gap < 0:
             raise ValueError("gap must be non-negative")
 
+    @property
+    def gap_full(self) -> float:
+        """Pairwise-divergence gap including the (unobservable) target pair."""
+        return consistency_gap(np.append(np.asarray(self.divergences), self.target_divergence))
+
 
 def find_minimax_map(env: DiscreteEnv) -> ConsistencyReport:
     """Candidate map minimizing the worst consecutive-pair source divergence.
 
-    Ties break toward the earliest candidate. The reported gap covers source
-    pairs only; verifiers that need the target pair compute it separately.
+    Ties break toward the earliest candidate. Every source, the last one
+    too, goes through every map in one pass, so the report also carries the
+    chosen map's synthetic target and its divergence from the real target;
+    the selection and the reported gap cover source pairs only.
     """
     if not env.candidate_maps:
         raise ValueError("candidate map family is empty")
-    src = np.stack([d.p for d in env.sources])
-    pushed = _pushforward(np.stack([g.table for g in env.candidate_maps]), src[:-1])
-    # divs[k, j] = d_JS(g_k(D_j) || D_{j+1}) for every map and consecutive source pair.
+    doms = np.stack([d.p for d in env.domains])
+    pushed = _pushforward(np.stack([g.table for g in env.candidate_maps]), doms[:-1])
+    # divs[k, j] = d_JS(g_k(D_j) || D_{j+1}) for every map and consecutive
+    # pair; the last column pairs g_k(D_m) with the target.
     flat = pushed.reshape(pushed.shape[:2] + (-1,))
-    divs = js(flat, np.broadcast_to(src[1:].reshape(len(src) - 1, -1), flat.shape))
-    best = int(np.argmin(divs.max(axis=1)))  # the first of any tied maps
+    divs = js(flat, np.broadcast_to(doms[1:].reshape(len(doms) - 1, -1), flat.shape))
+    best = int(np.argmin(divs[:, :-1].max(axis=1)))  # the first of any tied maps
+    src_divs = divs[best, :-1]
     return ConsistencyReport(
-        map=env.candidate_maps[best], divergences=tuple(float(v) for v in divs[best]), gap=consistency_gap(divs[best])
+        map=env.candidate_maps[best],
+        divergences=tuple(float(v) for v in src_divs),
+        gap=consistency_gap(src_divs),
+        synthetic=DiscreteJoint(pushed[best, -1]),
+        target_divergence=float(divs[best, -1]),
     )
-
-
-def gap_with_target(env: DiscreteEnv, report: ConsistencyReport) -> float:
-    """Pairwise-divergence gap including the (unobservable) target pair."""
-    all_divs = np.append(np.asarray(report.divergences), target_divergence(env, report.map))
-    return consistency_gap(all_divs)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +307,7 @@ def verify_synthetic_transfer_bound(env: DiscreteEnv, g: MappingFn, h_spec: Loss
     return SlackReport("synthetic_transfer", float(bound), risk(h_spec, env.target), {"target_pair_js": float(div)})
 
 
-def sequential_bound_value(env: DiscreteEnv, report: ConsistencyReport, h_spec: LossSpec, gap_full: float) -> float:
+def sequential_bound_value(env: DiscreteEnv, report: ConsistencyReport, h_spec: LossSpec) -> float:
     """Multi-domain bound value: synthetic-target risk plus the averaged
     source-divergence term and the consistency-gap term.
 
@@ -311,19 +316,17 @@ def sequential_bound_value(env: DiscreteEnv, report: ConsistencyReport, h_spec: 
     coefficient sqrt(2/(m-1))·G on (sqrt(sum d_i) + sqrt((m-1)·gap)).
     """
     m = env.num_sources
-    synthetic = apply_map(env.sources[-1], report.map)
     divs = np.asarray(report.divergences)
     coeff = h_spec.g_range * np.sqrt(2.0 / (m - 1))
-    return float(risk(h_spec, synthetic) + coeff * (np.sqrt(divs.sum()) + np.sqrt((m - 1) * gap_full)))
+    return float(risk(h_spec, report.synthetic) + coeff * (np.sqrt(divs.sum()) + np.sqrt((m - 1) * report.gap_full)))
 
 
 def verify_sequential_transfer_bound(env: DiscreteEnv, report: ConsistencyReport, h_spec: LossSpec) -> SlackReport:
     """Bound the target risk using only consecutive-pair source divergences
     plus the pairwise gap. Uses the gap including the target pair, so its
     premise holds by construction and the slack must be non-negative."""
-    gap_full = gap_with_target(env, report)
-    bound = sequential_bound_value(env, report, h_spec, gap_full)
-    details = {"gap_source": report.gap, "gap_full": gap_full}
+    bound = sequential_bound_value(env, report, h_spec)
+    details = {"gap_source": report.gap, "gap_full": report.gap_full}
     return SlackReport("sequential_transfer", bound, risk(h_spec, env.target), details)
 
 
@@ -377,12 +380,10 @@ def verify_decomposed_transfer_bound(env: DiscreteEnv, report: ConsistencyReport
     m = env.num_sources
     src = np.stack([d.p for d in env.sources])
     t1s, t2s, t3s = _decomposed_rows(_pushforward(report.map.table[None], src[:-1])[0], src[1:])
-    gap_full = gap_with_target(env, report)
-    synthetic = apply_map(env.sources[-1], report.map)
     coeff = h_spec.g_range * np.sqrt(2.0 / (m - 1))
-    terms = np.sqrt(np.sum(t1s)) + np.sqrt((m - 1) * gap_full) + np.sqrt(np.sum(t2s)) + np.sqrt(np.sum(t3s))
-    bound = float(risk(h_spec, synthetic) + coeff * terms)
-    tighter = sequential_bound_value(env, report, h_spec, gap_full)
+    terms = np.sqrt(np.sum(t1s)) + np.sqrt((m - 1) * report.gap_full) + np.sqrt(np.sum(t2s)) + np.sqrt(np.sum(t3s))
+    bound = float(risk(h_spec, report.synthetic) + coeff * terms)
+    tighter = sequential_bound_value(env, report, h_spec)
     details = {"label_terms": [float(v) for v in t1s], "tighter_bound": tighter, "relaxation_margin": bound - tighter}
     return SlackReport("decomposed_transfer", bound, risk(h_spec, env.target), details)
 

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds, data, harness, nn
+from .files import write_atomic
 
 CACHE_ENV_VAR = "EDGLAB_CACHE_DIR"
 
@@ -214,6 +215,15 @@ def _parse_widths(text: str) -> tuple[int, ...]:
         raise CliConfigError(f"expected comma-separated widths, got {text!r}")
 
 
+def _counts(settings: dict, keys: tuple[str, ...]) -> dict:
+    """The named count settings as ints, each checked to be at least 1."""
+    counts = {key: int(settings[key]) for key in keys}
+    for key, count in counts.items():
+        if count < 1:
+            raise CliConfigError(f"--{key} must be at least 1, got {count}")
+    return counts
+
+
 def _method(algo):
     if algo not in harness.METHODS:
         raise CliConfigError(f"unknown algorithm {algo!r}; choose from {harness.ALGORITHMS}")
@@ -263,7 +273,7 @@ def cmd_train(args) -> int:
     }
     if source_sha256 is not None:
         sidecar["spec"]["source_sha256"] = source_sha256
-    (out / "model.json").write_text(json.dumps(sidecar, sort_keys=True, indent=1))
+    write_atomic(out / "model.json", json.dumps(sidecar, sort_keys=True, indent=1))
     acc = harness.evaluate_accuracy(lambda x: method.predict(model, sources, x), target)
     digest = hashlib.sha256(ckpt_path.read_bytes()).hexdigest()
     emit(
@@ -324,6 +334,7 @@ SWEEP_DEFAULTS = {
 
 def cmd_sweep(args) -> int:
     settings = resolve_settings(args, SWEEP_DEFAULTS)
+    sizes = _counts(settings, ("trials", "n-seeds"))
     axis = {"distance": "domain_distance", "count": "domain_count"}.get(settings["axis"])
     if axis is None:
         raise CliConfigError(f"--axis must be 'distance' or 'count', got {settings['axis']!r}")
@@ -342,8 +353,8 @@ def cmd_sweep(args) -> int:
         raise CliConfigError(str(exc))
     cells = harness.run_sweep(
         sweep,
-        n_trials=int(settings["trials"]),
-        n_seeds=int(settings["n-seeds"]),
+        n_trials=sizes["trials"],
+        n_seeds=sizes["n-seeds"],
         strategy=harness.SelectionStrategy(settings["strategy"]),
         master_seed=int(settings["seed"]),
         workers=int(settings["workers"]),
@@ -368,16 +379,19 @@ INTERP_DEFAULTS = {
 
 def cmd_interp_study(args) -> int:
     settings = resolve_settings(args, INTERP_DEFAULTS)
+    sizes = _counts(settings, ("trials", "n-seeds"))
     try:
         counts = tuple(int(v) for v in str(settings["counts"]).split(","))
     except ValueError:
         raise CliConfigError(f"bad --counts list {settings['counts']!r}")
     base_spec = _spec_from(settings)
+    for count in counts:  # every study environment is valid before any training
+        _spec_from({**settings, "num-domains": count})
     cells = harness.run_interpolation_study(
         base_spec,
         counts,
-        n_trials=int(settings["trials"]),
-        n_seeds=int(settings["n-seeds"]),
+        n_trials=sizes["trials"],
+        n_seeds=sizes["n-seeds"],
         strategy=harness.SelectionStrategy(settings["strategy"]),
         master_seed=int(settings["seed"]),
         workers=int(settings["workers"]),
@@ -399,10 +413,7 @@ BOUNDS_DEFAULTS = {
 
 def cmd_verify_bounds(args) -> int:
     settings = resolve_settings(args, BOUNDS_DEFAULTS)
-    counts = {key: int(settings[key]) for key in ("instances", "decomposition-pairs")}
-    for key, count in counts.items():
-        if count < 1:
-            raise CliConfigError(f"--{key} must be at least 1, got {count}")
+    counts = _counts(settings, ("instances", "decomposition-pairs"))
     results = bounds.run_certification(
         instances=counts["instances"],
         decomposition_pairs=counts["decomposition-pairs"],
@@ -427,14 +438,14 @@ def cmd_verify_bounds(args) -> int:
             s["slack"] >= -bounds.SLACK_TOL for s in env_slacks
         )
     json_path = out / "slack_report.json"
-    json_path.write_text(json.dumps(report, sort_keys=True, indent=1))
+    write_atomic(json_path, json.dumps(report, sort_keys=True, indent=1))
     lines = ["| check | instances | min slack | status |", "|---|---|---|---|"]
     for r in results:
         lines.append(
             f"| {r.name} | {r.instances} | {r.min_slack:.3e} | {'pass' if r.passed else 'FAIL'} |"
         )
     md_path = out / "slack_summary.md"
-    md_path.write_text("\n".join(lines) + "\n")
+    write_atomic(md_path, "\n".join(lines) + "\n")
     for r in results:
         emit("bound-check", args.quiet, name=r.name, min_slack=r.min_slack, passed=r.passed)
     emit("verify-bounds", args.quiet, report=str(json_path), summary=str(md_path), all_passed=report["all_passed"])

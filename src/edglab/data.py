@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .files import Reader, write_atomic
 from .seeding import child_rng
 
 Array = np.ndarray
@@ -372,34 +373,20 @@ def save_domains(path, domains: list[DomainData]) -> None:
         chunks.append(struct.pack("<IIII", d.index, d.n, d.dim, d.num_classes))
         chunks.append(np.ascontiguousarray(d.y, dtype="<i8").tobytes())
         chunks.append(np.ascontiguousarray(d.x, dtype="<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+    write_atomic(path, b"".join(chunks))
 
 
 def load_domains(path) -> list[DomainData]:
-    data = Path(path).read_bytes()
-    if data[: len(DATA_MAGIC)] != DATA_MAGIC:
-        raise IngestionError(f"{path}: bad magic at offset 0")
-    pos = len(DATA_MAGIC)
-
-    def take(nbytes: int) -> int:
-        """Offset of the next ``nbytes``; raises when the file ends first."""
-        nonlocal pos
-        if len(data) - pos < nbytes:
-            raise IngestionError(f"{path}: truncated: file ends at offset {len(data)}, need {pos + nbytes}")
-        pos += nbytes
-        return pos - nbytes
-
-    (count,) = struct.unpack_from("<I", data, take(4))
+    reader = Reader(path, DATA_MAGIC, IngestionError)
+    (count,) = reader.unpack("<I")
     domains = []
     for _ in range(count):
-        index, n, dim, k = struct.unpack_from("<IIII", data, take(16))
-        y = np.frombuffer(data, dtype="<i8", count=n, offset=take(8 * n)).copy()
-        x = np.frombuffer(data, dtype="<f8", count=n * dim, offset=take(8 * n * dim)).reshape(n, dim).copy()
+        index, n, dim, k = reader.unpack("<IIII")
+        y = reader.array("<i8", n)
+        x = reader.array("<f8", n * dim).reshape(n, dim)
         try:
             domains.append(DomainData(index, x, y, num_classes=k))
         except ValueError as exc:
             raise IngestionError(f"{path}: {exc}") from None
-    if pos != len(data):
-        raise IngestionError(f"{path}: trailing bytes at offset {pos}")
+    reader.end()
     return domains

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import baselines, data, dpnet
 from .data import DomainData, EnvironmentSpec
+from .files import write_atomic
 from .nn import MlpParams, OptimizerError
 from .seeding import child_rng, child_seed
 
@@ -247,6 +248,8 @@ def random_search(
     strategy. Fully deterministic given master_seed, whatever the worker count."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r} (expected one of {ALGORITHMS})")
+    if n_trials < 1 or n_seeds < 1:
+        raise ValueError(f"n_trials and n_seeds must be at least 1, got {n_trials} and {n_seeds}")
     target = domains[-1]
     sources = domains[:-1]
     if strategy is SelectionStrategy.TRAINING_DOMAIN_VALIDATION:
@@ -325,6 +328,8 @@ class SweepConfig:
             raise ValueError(f"unknown sweep axis {self.axis!r}")
         if len(self.values) < 2:
             raise ValueError("a sweep needs at least two axis values")
+        for value in self.values:  # every cell's environment is valid before any training
+            self.spec_for(value)
 
     def spec_for(self, value) -> EnvironmentSpec:
         if self.axis == "domain_count":
@@ -510,13 +515,14 @@ def emit_report(cells: list[CellResult], out_dir, name: str = "results") -> dict
         raw_dir.mkdir(parents=True, exist_ok=True)
         csv_path = out / f"{name}.csv"
         md_path = out / f"{name}.md"
-        csv_path.write_text(render_csv(cells))
-        md_path.write_text(render_markdown(cells))
+        write_atomic(csv_path, render_csv(cells))
+        write_atomic(md_path, render_markdown(cells))
         raw_paths = []
         for c in sorted(cells, key=lambda c: (_row_key(c.row), c.algorithm)):
             safe = f"{c.row}__{c.algorithm}".replace("=", "-").replace("/", "-")
             path = raw_dir / f"{safe}.json"
-            path.write_text(
+            write_atomic(
+                path,
                 json.dumps(
                     {
                         "row": c.row,

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .files import Reader, write_atomic
+
 Array = np.ndarray
 
 CHECKPOINT_MAGIC = b"EDGCKPT1"
@@ -284,41 +286,25 @@ def save_checkpoint(path, nets: list[MlpParams]) -> None:
         for w, b in net.layers:
             chunks.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
             chunks.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+    write_atomic(path, b"".join(chunks))
 
 
 def load_checkpoint(path) -> list[MlpParams]:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
-    pos = len(CHECKPOINT_MAGIC)
-
-    def take(nbytes: int) -> int:
-        """Offset of the next ``nbytes``; raises when the file ends first."""
-        nonlocal pos
-        if len(data) - pos < nbytes:
-            raise CheckpointError(f"{path}: truncated: file ends at offset {len(data)}, need {pos + nbytes}")
-        pos += nbytes
-        return pos - nbytes
-
-    version, n_nets = struct.unpack_from("<II", data, take(8))
+    reader = Reader(path, CHECKPOINT_MAGIC, CheckpointError)
+    version, n_nets = reader.unpack("<II")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     nets = []
     for _ in range(n_nets):
-        (n_layers,) = struct.unpack_from("<I", data, take(4))
-        shapes = [struct.unpack_from("<II", data, take(8)) for _ in range(n_layers)]
+        (n_layers,) = reader.unpack("<I")
+        shapes = [reader.unpack("<II") for _ in range(n_layers)]
         layers = []
         for out_d, in_d in shapes:
-            w = np.frombuffer(data, dtype="<f8", count=out_d * in_d, offset=take(8 * out_d * in_d))
-            b = np.frombuffer(data, dtype="<f8", count=out_d, offset=take(8 * out_d))
-            layers.append((w.reshape(out_d, in_d).copy(), b.copy()))
+            w = reader.array("<f8", out_d * in_d).reshape(out_d, in_d)
+            layers.append((w, reader.array("<f8", out_d)))
         try:
             nets.append(MlpParams(tuple(layers)))
         except ValueError as exc:
             raise CheckpointError(f"{path}: {exc}") from None
-    if pos != len(data):
-        raise CheckpointError(f"{path}: trailing bytes after checkpoint payload")
+    reader.end()
     return nets

@@ -9,6 +9,7 @@ conditional JS per label. The stacked kernels sum the same terms with zero
 padding in between, so results may differ from the oracle in the last bits
 only; the comparisons use 1e-12.
 """
+import collections
 import functools
 import tracemalloc
 
@@ -195,10 +196,40 @@ def oracle_gaps(seed, n=2000):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_instances_match_the_scalar_oracle(seed):
     for index, (env, k, want) in enumerate(oracle_instances(seed)):
-        assert bounds.find_minimax_map(env).map is env.candidate_maps[k]
+        report = bounds.find_minimax_map(env)
+        assert report.map is env.candidate_maps[k]
+        synthetic = apply_map(env.sources[-1], report.map)
+        assert np.array_equal(report.synthetic.p, synthetic.p), index
+        # Bit for bit what the single-pair kernel gives, so the certified
+        # minima cannot move; the oracle's masked sums agree to TOL.
+        assert report.target_divergence == bounds.js(synthetic, env.target), index
+        assert abs(report.target_divergence - js(synthetic, env.target)) <= TOL, index
         got = bounds._instance_slacks(seed, index)
         for key, value in got.items():
             assert abs(value - want[key]) <= TOL, (index, key)
+
+
+def test_one_pushforward_and_target_pair_per_instance(monkeypatch):
+    calls = collections.Counter()
+
+    def counted(name):
+        fn = getattr(bounds, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("apply_map", "js"):
+        monkeypatch.setattr(bounds, name, counted(name))
+    n = 50
+    for index in range(n):
+        bounds._instance_slacks(SEEDS[0], index)
+    # apply_map: the single-pair bound under the first candidate only.
+    # js: the minimax scoring (target pair included), that bound, and the
+    # decomposition's marginals and conditionals.
+    assert calls == {"apply_map": n, "js": 4 * n}
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -118,7 +118,7 @@ class TestMinimaxMap:
         assert np.array_equal(report.map.table, swap.table)
         assert report.divergences == (0.0, 0.0)
         assert report.gap == 0.0
-        assert bounds.target_divergence(env, report.map) == 0.0
+        assert report.target_divergence == 0.0
 
     def test_empty_family_rejected(self, rng):
         env = DiscreteEnv(
@@ -210,7 +210,7 @@ class TestSequentialTransferBound:
             out = bounds.verify_sequential_transfer_bound(env, report, spec)
             # m=2: coefficient is sqrt(2)·G, one source-pair term plus the gap term.
             d2 = report.divergences[0]
-            gap = bounds.gap_with_target(env, report)
+            gap = report.gap_full
             synthetic = bounds.apply_map(env.sources[-1], report.map)
             expected = bounds.risk(spec, synthetic) + math.sqrt(2.0) * spec.g_range * (
                 math.sqrt(d2) + math.sqrt(gap)
@@ -239,8 +239,7 @@ class TestSequentialTransferBound:
             chain = tuple(a if i % 2 == 0 else b for i in range(m + 1))
             env = DiscreteEnv(domains=chain, candidate_maps=(ident,))
             report = bounds.find_minimax_map(env)
-            gap_full = bounds.gap_with_target(env, report)
-            values.append(bounds.sequential_bound_value(env, report, spec, gap_full))
+            values.append(bounds.sequential_bound_value(env, report, spec))
         for lo, hi in zip(values[1:], values[:-1]):
             assert lo <= hi + 1e-12
 

@@ -309,6 +309,22 @@ class TestSweepAndReport:
         code, _ = run_cli(capsys, ["sweep", "--set", "axis=zigzag", "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv,words",
+        [
+            (["sweep", "--axis", "count", "--values", "2,5"], "num_domains"),
+            (["interp-study", "--counts", "2,5"], "num_domains"),
+            (["sweep", "--trials", "0"], "--trials"),
+            (["sweep", "--n-seeds", "0"], "--n-seeds"),
+        ],
+        ids=["sweep-count-2", "interp-count-2", "sweep-trials-0", "sweep-n-seeds-0"],
+    )
+    def test_bad_sizes_are_config_errors(self, capsys, tmp_path, argv, words):
+        code, events = run_cli(capsys, [*argv, "--out", str(tmp_path)])
+        assert code == 2
+        assert words in last_event(events, "config-error")["message"]
+        assert not any(tmp_path.iterdir())
+
     def test_report_needs_directory(self, capsys, tmp_path):
         code, _ = run_cli(capsys, ["report", "--raw", str(tmp_path / "missing"), "--out", str(tmp_path)])
         assert code == 2

@@ -99,6 +99,11 @@ class TestRandomSearch:
         with pytest.raises(ValueError, match="unknown algorithm"):
             harness.random_search(FAST_SPACE, "mystery", small_env)
 
+    @pytest.mark.parametrize("n_trials,n_seeds", [(0, 1), (1, 0)])
+    def test_empty_search_rejected(self, small_env, n_trials, n_seeds):
+        with pytest.raises(ValueError, match="at least 1"):
+            harness.random_search(FAST_SPACE, "erm", small_env, n_trials=n_trials, n_seeds=n_seeds)
+
     def test_infeasible_trials_recorded_and_excluded(self, small_env):
         # Per-class batches of 500 cannot be drawn from 30-per-class domains;
         # such trials carry an error and never win selection.

@@ -1,5 +1,6 @@
 """The in-place training step against a frozen copy of the functional trainer
-it replaced, plus the CLI's exit-2 paths and the benchmark's traced names.
+it replaced, plus the CLI's exit-2 paths, atomic saves and the benchmark's
+traced names.
 
 The oracle below is the earlier trainer: it builds every parameter, moment and
 gradient array afresh on each step, scans the labels for each class on every
@@ -9,6 +10,7 @@ must reproduce it bit for bit, so parameters and per-step (loss, query
 accuracy) traces are compared with ``np.array_equal``.
 """
 import importlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -346,6 +348,17 @@ def _run(capsys, argv):
 SMALL = ["--dataset", "evolcircle", "--num-domains", "5", "--samples", "40", "--seed", "3"]
 
 
+def _assert_every_prefix_raises(path, load, error):
+    """Cut the file at every byte offset: ``load`` must raise ``error`` and
+    nothing else each time."""
+    full = path.read_bytes()
+    for end in range(len(full)):
+        path.write_bytes(full[:end])
+        with pytest.raises(error):
+            load(path)
+    path.write_bytes(full)
+
+
 class TestCliExitTwo:
     @pytest.mark.parametrize("flag", ["--instances", "--decomposition-pairs"])
     def test_zero_certification_counts(self, capsys, tmp_path, flag):
@@ -366,6 +379,7 @@ class TestCliExitTwo:
         argv = ["train", *SMALL, "--steps", "5", "--cache-dir", str(cache), "--out", str(tmp_path / "o")]
         assert _run(capsys, argv)[0] == 0
         [path] = cache.iterdir()
+        _assert_every_prefix_raises(path, data.load_domains, data.IngestionError)
         path.write_bytes(path.read_bytes()[:1000])
         code, events = _run(capsys, argv)
         assert code == 2
@@ -376,6 +390,7 @@ class TestCliExitTwo:
         out = tmp_path / "o"
         assert _run(capsys, ["train", *SMALL, "--steps", "5", "--embed", "4,2", "--out", str(out)])[0] == 0
         ckpt = out / "model.ckpt"
+        _assert_every_prefix_raises(ckpt, nn.load_checkpoint, nn.CheckpointError)
         ckpt.write_bytes(ckpt.read_bytes()[:keep])
         code, events = _run(capsys, ["eval", "--checkpoint", str(ckpt), "--out", str(out)])
         assert code == 2
@@ -403,6 +418,43 @@ class TestCliExitTwo:
     def test_largest_feasible_episode_batch_trains(self, capsys, tmp_path, algo, batch):
         argv = ["train", *SMALL, "--algo", algo, "--batch", str(batch), "--steps", "3", "--out", str(tmp_path)]
         assert _run(capsys, argv)[0] == 0
+
+
+class TestAtomicSaves:
+    """A save that fails partway leaves the earlier file whole and no
+    temporary file behind."""
+
+    SAVES = {
+        "cache": lambda path, seed: data.save_domains(
+            path, data.generate(data.default_spec("rplate", seed=seed, num_domains=3, samples_per_domain=8))
+        ),
+        "checkpoint": lambda path, seed: nn.save_checkpoint(
+            path, [nn.init_mlp((2, 4, 2), np.random.default_rng(seed))]
+        ),
+    }
+
+    @pytest.mark.parametrize("artifact", sorted(SAVES))
+    def test_failed_save_keeps_the_earlier_file(self, monkeypatch, tmp_path, artifact):
+        save, path = self.SAVES[artifact], tmp_path / artifact
+        save(path, 1)
+        earlier = path.read_bytes()
+
+        class HalfWriter(io.FileIO):
+            def write(self, payload):
+                super().write(payload[: len(payload) // 2])
+                raise OSError("disk full")
+
+        real_open = open
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            return HalfWriter(file, "w") if "w" in mode else real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", failing_open)
+        with pytest.raises(OSError, match="disk full"):
+            save(path, 2)
+        monkeypatch.undo()
+        assert path.read_bytes() == earlier
+        assert [p.name for p in tmp_path.iterdir()] == [artifact]
 
 
 # ---------------------------------------------------------------------------
