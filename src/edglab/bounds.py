@@ -222,17 +222,22 @@ def consistency_gap(divergences: Array) -> float:
 @dataclass(frozen=True)
 class ConsistencyReport:
     """Minimax drift map with its per-pair source divergences and their gap,
-    plus the synthetic target g(D_m) and d_JS(g(D_m) || D_t)."""
+    every source pushed through it and d_JS(g(D_m) || D_t)."""
 
     map: MappingFn
     divergences: tuple[float, ...]
     gap: float  # max pairwise spread over source pairs (the observable gap)
-    synthetic: DiscreteJoint
+    pushed: Array  # (m, nx, ny): g(D_1), ..., g(D_m)
     target_divergence: float
 
     def __post_init__(self):
         if self.gap < 0:
             raise ValueError("gap must be non-negative")
+
+    @property
+    def synthetic(self) -> DiscreteJoint:
+        """The synthetic target g(D_m)."""
+        return DiscreteJoint(self.pushed[-1])
 
     @property
     def gap_full(self) -> float:
@@ -245,8 +250,9 @@ def find_minimax_map(env: DiscreteEnv) -> ConsistencyReport:
 
     Ties break toward the earliest candidate. Every source, the last one
     too, goes through every map in one pass, so the report also carries the
-    chosen map's synthetic target and its divergence from the real target;
-    the selection and the reported gap cover source pairs only.
+    chosen map's image of every source and the divergence of the synthetic
+    target from the real one; the selection and the reported gap cover
+    source pairs only.
     """
     if not env.candidate_maps:
         raise ValueError("candidate map family is empty")
@@ -262,7 +268,7 @@ def find_minimax_map(env: DiscreteEnv) -> ConsistencyReport:
         map=env.candidate_maps[best],
         divergences=tuple(float(v) for v in src_divs),
         gap=consistency_gap(src_divs),
-        synthetic=DiscreteJoint(pushed[best, -1]),
+        pushed=pushed[best],
         target_divergence=float(divs[best, -1]),
     )
 
@@ -379,7 +385,7 @@ def verify_decomposed_transfer_bound(env: DiscreteEnv, report: ConsistencyReport
     dominates the target risk and that it dominates the tighter bound."""
     m = env.num_sources
     src = np.stack([d.p for d in env.sources])
-    t1s, t2s, t3s = _decomposed_rows(_pushforward(report.map.table[None], src[:-1])[0], src[1:])
+    t1s, t2s, t3s = _decomposed_rows(report.pushed[:-1], src[1:])
     coeff = h_spec.g_range * np.sqrt(2.0 / (m - 1))
     terms = np.sqrt(np.sum(t1s)) + np.sqrt((m - 1) * report.gap_full) + np.sqrt(np.sum(t2s)) + np.sqrt(np.sum(t3s))
     bound = float(risk(h_spec, report.synthetic) + coeff * terms)

@@ -3,7 +3,9 @@ sweeps, bound certification, and report (re-)emission.
 
 Exit codes: 0 success, 1 experiment failure, 2 configuration/usage error.
 Precedence for settings: explicit flags > --set overrides > --config file >
-built-in defaults. Events are line-delimited JSON unless --quiet.
+built-in defaults. ``SETTINGS`` declares each setting once; every value from
+any of those sources is checked against it. Events are line-delimited JSON
+unless --quiet.
 """
 from __future__ import annotations
 
@@ -48,69 +50,131 @@ def emit(event: str, quiet: bool = False, **fields) -> None:
         print(json.dumps({"event": event, **fields}, sort_keys=True))
 
 
-def _parse_override(text: str):
-    if "=" not in text:
-        raise CliConfigError(f"--set expects key=value, got {text!r}")
-    key, raw = text.split("=", 1)
-    for cast in (int, float):
+# Every setting once: its type, its allowed values (None: any) and its help.
+# Flags, --set and --config values all go through _check. List-valued
+# settings are comma-separated strings, parsed where they are used.
+SETTINGS = {
+    "dataset": (str, data.KINDS, "dataset kind"),
+    "seed": (int, None, "master seed"),
+    "num-domains": (int, None, "number of domains, the target last"),
+    "samples": (int, None, "samples per domain"),
+    "distance": (float, None, "degrees between consecutive domains (rotatedcloud, rmnist)"),
+    "images": (str, None, "IDX image file (rmnist)"),
+    "labels": (str, None, "IDX label file (rmnist)"),
+    "cache-dir": (str, None, f"dataset cache directory (default from ${CACHE_ENV_VAR})"),
+    "workers": (int, None, "worker threads for sweep and interp-study; the other subcommands ignore it"),
+    "algo": (str, harness.ALGORITHMS, "algorithm"),
+    "steps": (int, None, "training steps"),
+    "lr": (float, None, "learning rate"),
+    "batch": (int, None, "samples per class in each training step"),
+    "hidden": (str, None, "comma-separated hidden widths (classifier)"),
+    "embed": (str, None, "comma-separated encoder widths"),
+    "checkpoint": (str, None, "checkpoint file; its .json sidecar pins the training environment"),
+    "axis": (str, ("distance", "count"), "environment axis to sweep"),
+    "values": (str, None, "comma-separated axis values"),
+    "algos": (str, None, "comma-separated algorithm ids"),
+    "trials": (int, None, "random-search trials per cell"),
+    "n-seeds": (int, None, "seeds per trial"),
+    "strategy": (str, tuple(s.value for s in harness.SelectionStrategy), "model selection strategy"),
+    "counts": (str, None, "comma-separated domain counts"),
+    "instances": (int, None, "random environments to certify"),
+    "decomposition-pairs": (int, None, "random joint pairs for the JS decomposition check"),
+    "env-json": (str, None, "also certify one serialized environment"),
+    "raw": (str, None, "directory holding raw/*.json cells"),
+}
+
+# Flags every subcommand takes, whether or not it reads them.
+COMMON_SETTINGS = ("seed", "workers", "cache-dir")
+
+DATASET_DEFAULTS = {"dataset": "evolcircle", "seed": 0, "num-domains": None, "samples": None, "distance": None}
+FILE_DEFAULTS = {"images": None, "labels": None, "cache-dir": None}
+SEARCH_DEFAULTS = {"dataset": "rotatedcloud", "strategy": "oracle_max_query", "workers": 1}
+
+# Each subcommand: its help line and the settings it reads, with defaults.
+COMMANDS = {
+    "gen-data": ("generate (or ingest) a dataset and cache it", {**DATASET_DEFAULTS, **FILE_DEFAULTS}),
+    "train": (
+        "train one algorithm on one dataset",
+        {**DATASET_DEFAULTS, **FILE_DEFAULTS, "algo": "dpnets", "steps": 1000, "lr": 0.01,
+         "batch": 16, "hidden": "", "embed": ""},
+    ),
+    "eval": (
+        "evaluate a saved checkpoint on a dataset's target domain",
+        {**DATASET_DEFAULTS, **FILE_DEFAULTS, "dataset": None, "seed": None, "checkpoint": None},
+    ),
+    "sweep": (
+        "axis sweep (domain distance or count) over algorithms",
+        {**DATASET_DEFAULTS, **SEARCH_DEFAULTS, "axis": "distance", "values": "3,5,7,10,15,20",
+         "algos": "dpnets,erm", "trials": 20, "n-seeds": 5},
+    ),
+    "interp-study": (
+        "extrapolation vs interpolation across domain counts",
+        {"seed": 0, "samples": None, "distance": None, **SEARCH_DEFAULTS,
+         "counts": "5,7,9,11", "trials": 3, "n-seeds": 3},
+    ),
+    "verify-bounds": (
+        "randomized certification of the divergence bounds",
+        {"instances": 1000, "decomposition-pairs": 10000, "seed": 0, "env-json": None},
+    ),
+    "report": ("re-emit tables from raw per-cell JSON", {"raw": None}),
+}
+
+
+def _check(key: str, value):
+    """``value`` as the type SETTINGS gives ``key``; strings from flags and
+    --set are parsed. Bools are rejected, and so are floats for an int."""
+    kind, allowed, _ = SETTINGS[key]
+    if isinstance(value, str) and kind is not str:
         try:
-            return key, cast(raw)
+            value = kind(value)
         except ValueError:
-            continue
-    if raw.lower() in ("true", "false"):
-        return key, raw.lower() == "true"
-    return key, raw
+            pass  # reported as the wrong type below
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise CliConfigError(f"--{key} expects {kind.__name__}, got {value!r}")
+    if allowed is not None and value not in allowed:
+        raise CliConfigError(f"--{key} must be one of {', '.join(allowed)}, got {value!r}")
+    return kind(value)
 
 
 def resolve_settings(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults <- config file <- --set overrides <- explicit flags."""
-    settings = dict(defaults)
-    if getattr(args, "config", None):
+    """defaults <- config file <- --set overrides <- explicit flags.
+
+    Returns exactly the keys of ``defaults``, the settings the command reads;
+    other keys are dropped. Every value read and every flag given is checked.
+    """
+    given = {}
+    if args.config:
         path = Path(args.config)
         if not path.exists():
             raise CliConfigError(f"config file not found: {path}")
-        settings.update(_read_json_object(path, "config file", CliConfigError))
-    for item in getattr(args, "set", None) or []:
-        key, value = _parse_override(item)
-        settings[key] = value
-    for key in defaults:
-        flag = getattr(args, key.replace("-", "_"), None)
-        if flag is not None:
-            settings[key] = flag
-    return settings
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", default="edglab-out", help="output directory for artifacts")
-    parser.add_argument("--seed", type=int, default=None, help="master seed")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker threads for sweep and interp-study; the other subcommands ignore it",
-    )
-    parser.add_argument("--config", default=None, help="JSON config file")
-    parser.add_argument("--set", action="append", metavar="KEY=VALUE", help="override one setting")
-    parser.add_argument("--quiet", action="store_true", help="plain one-line logs instead of JSON")
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help=f"dataset cache directory (default from ${CACHE_ENV_VAR})",
-    )
+        given.update(_read_json_object(path, "config file", CliConfigError))
+    for item in args.set or []:
+        key, eq, value = item.partition("=")
+        if not eq:
+            raise CliConfigError(f"--set expects key=value, got {item!r}")
+        given[key] = value
+    flags = {key: getattr(args, key.replace("-", "_"), None) for key in SETTINGS}
+    flags = {key: value for key, value in flags.items() if value is not None}
+    settings = dict(defaults)
+    for key, value in {**given, **flags}.items():
+        if key in defaults or key in flags:
+            settings[key] = _check(key, value)
+    return {key: settings[key] for key in defaults}
 
 
 def _spec_from(settings: dict) -> data.EnvironmentSpec:
-    overrides = {}
-    if settings.get("num-domains") is not None:
-        overrides["num_domains"] = int(settings["num-domains"])
-    if settings.get("samples") is not None:
-        overrides["samples_per_domain"] = int(settings["samples"])
-    if settings.get("distance") is not None:
-        overrides["domain_distance"] = float(settings["distance"])
+    fields = {name: settings[key] for key, name in SPEC_FIELDS.items() if settings.get(key) is not None}
     try:
-        return data.default_spec(settings["dataset"], seed=int(settings["seed"]), **overrides)
+        return data.default_spec(**fields)
     except data.ConfigurationError as exc:
         raise CliConfigError(str(exc))
+
+
+def _generated_spec(settings: dict) -> data.EnvironmentSpec:
+    """The spec of a dataset the command generates itself, which rmnist is not."""
+    if settings["dataset"] == "rmnist":
+        raise CliConfigError("--dataset rmnist is read from IDX files; sweeps and studies generate their datasets")
+    return _spec_from(settings)
 
 
 def _idx_digest(images, labels) -> str:
@@ -128,7 +192,7 @@ def _load_dataset(settings: dict, quiet: bool, source_sha256: str | None = None)
     Without ``--images/--labels``, ``source_sha256`` from a sidecar stands in.
     """
     spec = _spec_from(settings)
-    images, labels = settings.get("images"), settings.get("labels")
+    images, labels = settings["images"], settings["labels"]
     tag = f"{spec.kind}-s{spec.seed}-m{spec.num_domains}-n{spec.samples_per_domain}-d{spec.domain_distance:g}"
     if spec.kind == "rmnist":
         if images and labels:
@@ -136,7 +200,7 @@ def _load_dataset(settings: dict, quiet: bool, source_sha256: str | None = None)
         elif not source_sha256:
             raise CliConfigError("rmnist needs --images and --labels IDX paths")
         tag += f"-x{source_sha256}"
-    cache_dir = settings.get("cache-dir") or os.environ.get(CACHE_ENV_VAR)
+    cache_dir = settings["cache-dir"] or os.environ.get(CACHE_ENV_VAR)
     cache_path = None
     if cache_dir:
         cache_path = Path(cache_dir) / f"{tag}.bin"
@@ -165,20 +229,8 @@ SPEC_FIELDS = {
     "distance": "domain_distance",
 }
 
-DATASET_DEFAULTS = {
-    "dataset": "evolcircle",
-    "seed": 0,
-    "num-domains": None,
-    "samples": None,
-    "distance": None,
-    "images": None,
-    "labels": None,
-    "cache-dir": None,
-}
 
-
-def cmd_gen_data(args) -> int:
-    settings = resolve_settings(args, DATASET_DEFAULTS)
+def cmd_gen_data(args, settings: dict) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     domains, _ = _load_dataset(settings, args.quiet)
@@ -195,33 +247,19 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-TRAIN_DEFAULTS = {
-    **DATASET_DEFAULTS,
-    "algo": "dpnets",
-    "steps": 1000,
-    "lr": 0.01,
-    "batch": 16,
-    "hidden": "",
-    "embed": "",
-}
-
-
 def _parse_widths(text: str) -> tuple[int, ...]:
     if not text:
         return ()
     try:
-        return tuple(int(v) for v in str(text).split(",") if v != "")
+        return tuple(int(v) for v in text.split(",") if v != "")
     except ValueError:
         raise CliConfigError(f"expected comma-separated widths, got {text!r}")
 
 
-def _counts(settings: dict, keys: tuple[str, ...]) -> dict:
-    """The named count settings as ints, each checked to be at least 1."""
-    counts = {key: int(settings[key]) for key in keys}
-    for key, count in counts.items():
-        if count < 1:
-            raise CliConfigError(f"--{key} must be at least 1, got {count}")
-    return counts
+def _at_least_one(settings: dict, *keys: str) -> None:
+    for key in keys:
+        if settings[key] < 1:
+            raise CliConfigError(f"--{key} must be at least 1, got {settings[key]}")
 
 
 def _method(algo):
@@ -230,18 +268,14 @@ def _method(algo):
     return harness.METHODS[algo]
 
 
-def cmd_train(args) -> int:
-    settings = resolve_settings(args, TRAIN_DEFAULTS)
-    algo = settings["algo"]
-    method = _method(algo)
+def cmd_train(args, settings: dict) -> int:
+    algo, seed, batch = settings["algo"], settings["seed"], settings["batch"]
+    method = harness.METHODS[algo]
+    _at_least_one(settings, "batch")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     domains, source_sha256 = _load_dataset(settings, args.quiet)
     sources, target = domains[:-1], domains[-1]
-    seed = int(settings["seed"])
-    batch = int(settings["batch"])
-    if batch < 1:
-        raise CliConfigError(f"--batch must be at least 1, got {batch}")
     need = method.samples_needed(batch)
     fewest = min(len(idx) for d in sources for idx in d.class_index)
     if fewest < need:
@@ -250,8 +284,8 @@ def cmd_train(args) -> int:
             f"for {algo}; the smallest class holds {fewest}"
         )
     hparams = {
-        "steps": int(settings["steps"]),
-        "lr": float(settings["lr"]),
+        "steps": settings["steps"],
+        "lr": settings["lr"],
         "batch": batch,
         "embed": _parse_widths(settings["embed"]) or (sources[0].dim,),
         "hidden": _parse_widths(settings["hidden"]),
@@ -288,12 +322,8 @@ def cmd_train(args) -> int:
     return 0
 
 
-EVAL_DEFAULTS = {**DATASET_DEFAULTS, "dataset": None, "seed": None, "checkpoint": None}
-
-
-def cmd_eval(args) -> int:
-    settings = resolve_settings(args, EVAL_DEFAULTS)
-    ckpt = settings.get("checkpoint")
+def cmd_eval(args, settings: dict) -> int:
+    ckpt = settings["checkpoint"]
     if not ckpt:
         raise CliConfigError("--checkpoint is required")
     sidecar_path = Path(ckpt).with_suffix(".json")
@@ -306,8 +336,11 @@ def cmd_eval(args) -> int:
     method = _method(sidecar["algo"])
     # The sidecar pins the training environment; flags may override any part.
     for key, name in SPEC_FIELDS.items():
-        if settings.get(key) is None:
-            settings[key] = saved[name]
+        if settings[key] is None:
+            try:
+                settings[key] = _check(key, saved[name])
+            except CliConfigError as exc:
+                raise CliInputError(f"checkpoint sidecar {sidecar_path}: {exc}")
     domains, _ = _load_dataset(settings, args.quiet, saved.get("source_sha256"))
     sources, target = domains[:-1], domains[-1]
     try:
@@ -319,45 +352,29 @@ def cmd_eval(args) -> int:
     return 0
 
 
-SWEEP_DEFAULTS = {
-    **DATASET_DEFAULTS,
-    "dataset": "rotatedcloud",
-    "axis": "distance",
-    "values": "3,5,7,10,15,20",
-    "algos": "dpnets,erm",
-    "trials": 20,
-    "n-seeds": 5,
-    "strategy": "oracle_max_query",
-    "workers": 1,
-}
-
-
-def cmd_sweep(args) -> int:
-    settings = resolve_settings(args, SWEEP_DEFAULTS)
-    sizes = _counts(settings, ("trials", "n-seeds"))
-    axis = {"distance": "domain_distance", "count": "domain_count"}.get(settings["axis"])
-    if axis is None:
-        raise CliConfigError(f"--axis must be 'distance' or 'count', got {settings['axis']!r}")
+def cmd_sweep(args, settings: dict) -> int:
+    _at_least_one(settings, "trials", "n-seeds")
+    axis = {"distance": "domain_distance", "count": "domain_count"}[settings["axis"]]
     try:
-        values = tuple(float(v) if axis == "domain_distance" else int(v) for v in str(settings["values"]).split(","))
+        values = tuple(float(v) if axis == "domain_distance" else int(v) for v in settings["values"].split(","))
     except ValueError:
         raise CliConfigError(f"bad --values list {settings['values']!r}")
-    algos = tuple(str(settings["algos"]).split(","))
+    algos = tuple(settings["algos"].split(","))
     for a in algos:
         if a not in harness.ALGORITHMS:
             raise CliConfigError(f"unknown algorithm {a!r}")
-    base_spec = _spec_from(settings)
+    base_spec = _generated_spec(settings)
     try:
         sweep = harness.SweepConfig(axis=axis, values=values, base_spec=base_spec, algorithms=algos)
     except ValueError as exc:
         raise CliConfigError(str(exc))
     cells = harness.run_sweep(
         sweep,
-        n_trials=sizes["trials"],
-        n_seeds=sizes["n-seeds"],
+        n_trials=settings["trials"],
+        n_seeds=settings["n-seeds"],
         strategy=harness.SelectionStrategy(settings["strategy"]),
-        master_seed=int(settings["seed"]),
-        workers=int(settings["workers"]),
+        master_seed=settings["seed"],
+        workers=settings["workers"],
     )
     out = Path(args.out)
     paths = harness.emit_report(cells, out)
@@ -366,35 +383,23 @@ def cmd_sweep(args) -> int:
     return 1 if failed else 0
 
 
-INTERP_DEFAULTS = {
-    **DATASET_DEFAULTS,
-    "dataset": "rotatedcloud",
-    "counts": "5,7,9,11",
-    "trials": 3,
-    "n-seeds": 3,
-    "strategy": "oracle_max_query",
-    "workers": 1,
-}
-
-
-def cmd_interp_study(args) -> int:
-    settings = resolve_settings(args, INTERP_DEFAULTS)
-    sizes = _counts(settings, ("trials", "n-seeds"))
+def cmd_interp_study(args, settings: dict) -> int:
+    _at_least_one(settings, "trials", "n-seeds")
     try:
-        counts = tuple(int(v) for v in str(settings["counts"]).split(","))
+        counts = tuple(int(v) for v in settings["counts"].split(","))
     except ValueError:
         raise CliConfigError(f"bad --counts list {settings['counts']!r}")
-    base_spec = _spec_from(settings)
+    base_spec = _generated_spec(settings)
     for count in counts:  # every study environment is valid before any training
         _spec_from({**settings, "num-domains": count})
     cells = harness.run_interpolation_study(
         base_spec,
         counts,
-        n_trials=sizes["trials"],
-        n_seeds=sizes["n-seeds"],
+        n_trials=settings["trials"],
+        n_seeds=settings["n-seeds"],
         strategy=harness.SelectionStrategy(settings["strategy"]),
-        master_seed=int(settings["seed"]),
-        workers=int(settings["workers"]),
+        master_seed=settings["seed"],
+        workers=settings["workers"],
     )
     out = Path(args.out)
     paths = harness.emit_report(cells, out, name="interpolation")
@@ -402,28 +407,15 @@ def cmd_interp_study(args) -> int:
     return 0
 
 
-BOUNDS_DEFAULTS = {
-    "instances": 1000,
-    "decomposition-pairs": 10000,
-    "seed": 0,
-    "workers": 1,
-    "env-json": None,
-}
-
-
-def cmd_verify_bounds(args) -> int:
-    settings = resolve_settings(args, BOUNDS_DEFAULTS)
-    counts = _counts(settings, ("instances", "decomposition-pairs"))
+def cmd_verify_bounds(args, settings: dict) -> int:
+    _at_least_one(settings, "instances", "decomposition-pairs")
     results = bounds.run_certification(
-        instances=counts["instances"],
-        decomposition_pairs=counts["decomposition-pairs"],
-        seed=int(settings["seed"]),
-        workers=int(settings["workers"]),
+        instances=settings["instances"], decomposition_pairs=settings["decomposition-pairs"], seed=settings["seed"]
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report = {"results": [r.to_dict() for r in results], "all_passed": all(r.passed for r in results)}
-    if settings.get("env-json"):
+    if settings["env-json"]:
         env_path = Path(settings["env-json"])
         if not env_path.exists():
             raise CliConfigError(f"environment file not found: {env_path}")
@@ -452,12 +444,8 @@ def cmd_verify_bounds(args) -> int:
     return 0 if report["all_passed"] else 1
 
 
-REPORT_DEFAULTS = {"raw": None}
-
-
-def cmd_report(args) -> int:
-    settings = resolve_settings(args, REPORT_DEFAULTS)
-    raw_dir = settings.get("raw")
+def cmd_report(args, settings: dict) -> int:
+    raw_dir = settings["raw"]
     if not raw_dir or not Path(raw_dir).is_dir():
         raise CliConfigError(f"--raw must name a directory of per-cell JSON files, got {raw_dir!r}")
     cells = []
@@ -495,81 +483,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Evolving-domain-generalization workbench: data, training, sweeps, bound certification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-data", help="generate (or ingest) a dataset and cache it")
-    p.add_argument("--dataset", choices=data.KINDS, default=None)
-    p.add_argument("--num-domains", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--distance", type=float, default=None)
-    p.add_argument("--images", default=None, help="IDX image file (rmnist)")
-    p.add_argument("--labels", default=None, help="IDX label file (rmnist)")
-    _add_common(p)
-    p.set_defaults(func=cmd_gen_data)
-
-    p = sub.add_parser("train", help="train one algorithm on one dataset")
-    p.add_argument("--algo", default=None, help=f"one of {', '.join(harness.ALGORITHMS)}")
-    p.add_argument("--dataset", choices=data.KINDS, default=None)
-    p.add_argument("--num-domains", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--distance", type=float, default=None)
-    p.add_argument("--images", default=None)
-    p.add_argument("--labels", default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--hidden", default=None, help="comma-separated hidden widths (classifier)")
-    p.add_argument("--embed", default=None, help="comma-separated encoder widths")
-    _add_common(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a saved checkpoint on a dataset's target domain")
-    p.add_argument("--checkpoint", default=None, required=False)
-    p.add_argument("--dataset", choices=data.KINDS, default=None)
-    p.add_argument("--num-domains", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--distance", type=float, default=None)
-    p.add_argument("--images", default=None)
-    p.add_argument("--labels", default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("sweep", help="axis sweep (domain distance or count) over algorithms")
-    p.add_argument("--dataset", choices=data.KINDS, default=None)
-    p.add_argument("--axis", choices=("distance", "count"), default=None)
-    p.add_argument("--values", default=None, help="comma-separated axis values")
-    p.add_argument("--algos", default=None, help="comma-separated algorithm ids")
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--n-seeds", type=int, default=None)
-    p.add_argument("--strategy", choices=[s.value for s in harness.SelectionStrategy], default=None)
-    p.add_argument("--num-domains", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--distance", type=float, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("interp-study", help="extrapolation vs interpolation across domain counts")
-    p.add_argument("--dataset", choices=data.KINDS, default=None)
-    p.add_argument("--counts", default=None, help="comma-separated domain counts")
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--n-seeds", type=int, default=None)
-    p.add_argument("--strategy", choices=[s.value for s in harness.SelectionStrategy], default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--distance", type=float, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_interp_study)
-
-    p = sub.add_parser("verify-bounds", help="randomized certification of the divergence bounds")
-    p.add_argument("--instances", type=int, default=None)
-    p.add_argument("--decomposition-pairs", type=int, default=None)
-    p.add_argument("--env-json", default=None, help="also certify one serialized environment")
-    _add_common(p)
-    p.set_defaults(func=cmd_verify_bounds)
-
-    p = sub.add_parser("report", help="re-emit tables from raw per-cell JSON")
-    p.add_argument("--raw", default=None, help="directory holding raw/*.json cells")
-    _add_common(p)
-    p.set_defaults(func=cmd_report)
-
+    for command, (summary, defaults) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for key in dict.fromkeys([*defaults, *COMMON_SETTINGS]):
+            _, allowed, text = SETTINGS[key]
+            p.add_argument(f"--{key}", help=f"{text}; one of {', '.join(allowed)}" if allowed else text)
+        p.add_argument("--out", default="edglab-out", help="output directory for artifacts")
+        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override one setting")
+        p.add_argument("--quiet", action="store_true", help="plain one-line logs instead of JSON")
+        # Looked up at parse time, so a wrapper installed on the module is used.
+        p.set_defaults(func=globals()["cmd_" + command.replace("-", "_")])
     return parser
 
 
@@ -580,15 +504,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return args.func(args, resolve_settings(args, COMMANDS[args.command][1]))
     except CliConfigError as exc:
-        emit("config-error", getattr(args, "quiet", False), message=str(exc))
+        emit("config-error", args.quiet, message=str(exc))
         return 2
     except (CliInputError, data.IngestionError, nn.CheckpointError, FileNotFoundError) as exc:
-        emit("input-error", getattr(args, "quiet", False), message=str(exc))
+        emit("input-error", args.quiet, message=str(exc))
         return 2
     except RuntimeError as exc:
-        emit("experiment-error", getattr(args, "quiet", False), message=str(exc))
+        emit("experiment-error", args.quiet, message=str(exc))
         return 1
 
 

@@ -200,6 +200,8 @@ def test_instances_match_the_scalar_oracle(seed):
         assert report.map is env.candidate_maps[k]
         synthetic = apply_map(env.sources[-1], report.map)
         assert np.array_equal(report.synthetic.p, synthetic.p), index
+        for source, row in zip(env.sources, report.pushed, strict=True):
+            assert (row == apply_map(source, report.map).p).all(), index
         # Bit for bit what the single-pair kernel gives, so the certified
         # minima cannot move; the oracle's masked sums agree to TOL.
         assert report.target_divergence == bounds.js(synthetic, env.target), index
@@ -230,6 +232,23 @@ def test_one_pushforward_and_target_pair_per_instance(monkeypatch):
     # js: the minimax scoring (target pair included), that bound, and the
     # decomposition's marginals and conditionals.
     assert calls == {"apply_map": n, "js": 4 * n}
+
+
+def test_two_pushforwards_per_instance(monkeypatch):
+    # One stacked pass in find_minimax_map and one apply_map for the
+    # single-pair bound; the decomposition reads the report's rows.
+    calls = collections.Counter()
+    push = bounds._pushforward
+
+    def counted(*args):
+        calls["_pushforward"] += 1
+        return push(*args)
+
+    monkeypatch.setattr(bounds, "_pushforward", counted)
+    n = 50
+    for index in range(n):
+        bounds._instance_slacks(SEEDS[0], index)
+    assert calls["_pushforward"] == 2 * n
 
 
 @pytest.mark.parametrize("seed", SEEDS)

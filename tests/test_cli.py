@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -242,15 +243,18 @@ class TestCorruptJsonInputs:
 
     @pytest.mark.parametrize(
         "text",
-        ['{"algo": "erm"', '["erm"]', '{"algo": "erm"}', None],
-        ids=["truncated", "not-an-object", "no-spec", "no-index-mode"],
+        ['{"algo": "erm"', '["erm"]', '{"algo": "erm"}', None, {"num_domains": "abc"}],
+        ids=["truncated", "not-an-object", "no-spec", "no-index-mode", "bad-spec-value"],
     )
     def test_bad_sidecar_is_input_error(self, capsys, tmp_path, trained, text):
         ckpt = tmp_path / "model.ckpt"
         ckpt.write_bytes((trained / "model.ckpt").read_bytes())
-        if text is None:  # complete apart from one field the erm loader reads
+        if not isinstance(text, str):
             sidecar = json.loads((trained / "model.json").read_text())
-            del sidecar["index_mode"]
+            if text is None:  # complete apart from one field the erm loader reads
+                del sidecar["index_mode"]
+            else:  # complete, with one spec value of the wrong type
+                sidecar["spec"].update(text)
             text = json.dumps(sidecar)
         ckpt.with_suffix(".json").write_text(text)
         capsys.readouterr()
@@ -325,12 +329,106 @@ class TestSweepAndReport:
         assert words in last_event(events, "config-error")["message"]
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command", ["sweep", "interp-study"])
+    def test_rmnist_is_config_error(self, capsys, tmp_path, command):
+        # Both generate their datasets; rmnist comes only from IDX files.
+        code, events = run_cli(capsys, [command, "--dataset", "rmnist", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "rmnist" in last_event(events, "config-error")["message"]
+        assert not (tmp_path / "out").exists()
+
     def test_report_needs_directory(self, capsys, tmp_path):
         code, _ = run_cli(capsys, ["report", "--raw", str(tmp_path / "missing"), "--out", str(tmp_path)])
         assert code == 2
 
 
+# Every typed setting each subcommand reads, with one bad value for it.
+TYPED_SETTINGS = {
+    "gen-data": ("dataset", "seed", "num-domains", "samples", "distance"),
+    "train": ("dataset", "seed", "num-domains", "samples", "distance", "algo", "steps", "lr", "batch"),
+    "eval": ("dataset", "seed", "num-domains", "samples", "distance"),
+    "sweep": (
+        "dataset", "seed", "num-domains", "samples", "distance",
+        "axis", "trials", "n-seeds", "strategy", "workers",
+    ),
+    "interp-study": ("dataset", "seed", "samples", "distance", "trials", "n-seeds", "strategy", "workers"),
+    "verify-bounds": ("instances", "decomposition-pairs", "seed"),
+}
+BAD_VALUES = {
+    "dataset": "bogus", "seed": 1.9, "num-domains": "abc", "samples": True, "distance": "abc",
+    "algo": "mystery", "steps": 2.5, "lr": True, "batch": "abc", "axis": "zigzag", "trials": True,
+    "n-seeds": 1.5, "strategy": "bogus", "workers": "abc", "instances": "abc", "decomposition-pairs": 0.5,
+}
+
+
+class TestSettingsTable:
+    @pytest.mark.parametrize("way", ["flag", "set", "config"])
+    @pytest.mark.parametrize(
+        "command,key", [(command, key) for command, keys in TYPED_SETTINGS.items() for key in keys]
+    )
+    def test_bad_value_is_config_error(self, capsys, tmp_path, command, key, way):
+        value = BAD_VALUES[key]
+        text = value if isinstance(value, str) else json.dumps(value)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        given = {"flag": [f"--{key}", text], "set": ["--set", f"{key}={text}"], "config": ["--config", str(cfg)]}
+        code, events = run_cli(capsys, [command, *given[way], "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"--{key}" in last_event(events, "config-error")["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["report", "--seed", "1.9"], ["train", "--workers", "abc"]])
+    def test_unread_flag_is_still_checked(self, capsys, tmp_path, argv):
+        code, events = run_cli(capsys, [*argv, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert argv[1] in last_event(events, "config-error")["message"]
+
+    def test_unread_set_and_config_keys_are_ignored(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"steps": "abc", "no-such-setting": 1}))
+        code, events = run_cli(
+            capsys,
+            ["gen-data", "--dataset", "rplate", "--num-domains", "4", "--samples", "30",
+             "--config", str(cfg), "--set", "lr=abc", "--out", str(tmp_path / "out")],
+        )
+        assert code == 0 and last_event(events, "gen-data")["domains"] == 4
+
+    def test_numbers_from_set_and_config(self, capsys, tmp_path):
+        # --set values are parsed by the setting's type; a JSON int is a
+        # valid float.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dataset": "rotatedcloud", "distance": 12}))
+        code, events = run_cli(
+            capsys,
+            ["gen-data", "--config", str(cfg), "--set", "num-domains=4", "--set", "samples=30",
+             "--out", str(tmp_path / "out")],
+        )
+        assert code == 0
+        ev = last_event(events, "gen-data")
+        assert (ev["domains"], ev["samples_per_domain"]) == (4, 30)
+
+
+# Each subcommand's flags; building them from the settings table must
+# neither add nor drop one.
+COMMON_FLAGS = {"--help", "--out", "--seed", "--workers", "--config", "--set", "--quiet", "--cache-dir"}
+DATASET_FLAGS = {"--dataset", "--num-domains", "--samples", "--distance"}
+FLAGS = {
+    "gen-data": DATASET_FLAGS | {"--images", "--labels"},
+    "train": DATASET_FLAGS | {"--images", "--labels", "--algo", "--steps", "--lr", "--batch", "--hidden", "--embed"},
+    "eval": DATASET_FLAGS | {"--images", "--labels", "--checkpoint"},
+    "sweep": DATASET_FLAGS | {"--axis", "--values", "--algos", "--trials", "--n-seeds", "--strategy"},
+    "interp-study": {"--dataset", "--samples", "--distance", "--counts", "--trials", "--n-seeds", "--strategy"},
+    "verify-bounds": {"--instances", "--decomposition-pairs", "--env-json"},
+    "report": {"--raw"},
+}
+
+
 class TestHelp:
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_help_lists_exactly_the_flags(self, capsys, command):
+        assert cli.main([command, "--help"]) == 0
+        assert set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) == FLAGS[command] | COMMON_FLAGS
+
     @pytest.mark.parametrize(
         "command",
         ["gen-data", "train", "eval", "sweep", "interp-study", "verify-bounds", "report"],
