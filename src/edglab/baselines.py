@@ -11,7 +11,7 @@ import numpy as np
 
 from . import nn
 from .data import DomainData
-from .nn import MlpParams
+from .nn import MlpParams, OptimizerError
 
 Array = np.ndarray
 
@@ -109,13 +109,19 @@ class ErmConfig:
     hidden: tuple[int, ...] = ()  # empty = single linear layer
 
 
-def train_erm(
+def train_erm_group(
     domains: list[DomainData],
-    config: ErmConfig,
+    configs: list[ErmConfig],
     index_mode: IndexMode = IndexMode.NONE,
     last_k: int | None = None,
-) -> ErmModel:
-    """Mini-batch cross-entropy over pooled source samples.
+) -> list[ErmModel | OptimizerError]:
+    """Mini-batch cross-entropy over pooled source samples, R runs in
+    lockstep (``nn.Lockstep``).
+
+    The configs share ``batch_size``, ``hidden`` and ``optimizer``. Each run
+    keeps its own ``lr``, ``steps`` and seed (its initial weights and its
+    batches), so it ends bit for bit where it would alone. Returns, per run,
+    the model or the error that ended it.
 
     ``last_k`` restricts training to the final k source domains. The one-hot /
     outer-product width always spans all ``len(domains)`` indices so the model
@@ -123,6 +129,9 @@ def train_erm(
     """
     if not domains:
         raise ValueError("need at least one source domain")
+    batch_size, hidden, optimizer = configs[0].batch_size, tuple(configs[0].hidden), configs[0].optimizer
+    if any((c.batch_size, tuple(c.hidden), c.optimizer) != (batch_size, hidden, optimizer) for c in configs):
+        raise ValueError("runs of one lockstep group must share batch_size, hidden and optimizer")
     m = len(domains)
     positions = _positions(index_mode, m)
     used = domains[-last_k:] if last_k else domains
@@ -130,25 +139,41 @@ def train_erm(
     feature_dim = used[0].dim
     xs = np.vstack([augment_with_index(d.x, d.index, index_mode, positions) for d in used])
     ys = np.concatenate([d.y for d in used])
-    rng = np.random.default_rng(config.seed)
-    dims = (xs.shape[1],) + tuple(config.hidden) + (k_classes,)
-    params, [net] = nn.flatten_mlps([nn.init_mlp(dims, rng)])
-    # Zero-start the classifier head: harmless for the convex last layer, and
-    # it keeps never-activated index blocks exactly inert at prediction time.
-    for head in net.layers[-1]:
-        head[...] = 0.0
-    grad = np.empty_like(params)
-    [grads] = nn.mlp_views(grad, [net])
-    opt = nn.Optimizer(config.optimizer, config.lr, params)
+    rngs = [np.random.default_rng(c.seed) for c in configs]
+    dims = (xs.shape[1],) + hidden + (k_classes,)
+    nets = [nn.init_mlp(dims, rng) for rng in rngs]
+    for net in nets:
+        # Zero-start the classifier head: harmless for the convex last layer, and
+        # it keeps never-activated index blocks exactly inert at prediction time.
+        for head in net.layers[-1]:
+            head[...] = 0.0
+    lock = nn.Lockstep([[net] for net in nets], optimizer, [c.lr for c in configs], [c.steps for c in configs])
     n = xs.shape[0]
-    batch = min(config.batch_size, n)
-    for _ in range(config.steps):
-        pick = rng.choice(n, size=batch, replace=False)
-        logits, cache = nn.mlp_forward(net, xs[pick])
-        _, dlogits = nn.softmax_cross_entropy(logits, ys[pick])
+    batch = min(batch_size, n)
+    step = 0
+    while lock.live(step):
+        picks = np.array([rngs[run].choice(n, size=batch, replace=False) for run in lock.ids])
+        [net], [grads] = lock.nets, lock.grads
+        logits, cache = nn.mlp_forward(net, xs[picks])
+        _, dlogits = nn.softmax_cross_entropy(logits, ys[picks])
         nn.mlp_backward(net, cache, dlogits, out=grads)
-        nn.step_mlps(opt, grad)
-    return ErmModel(net=net, index_mode=index_mode, num_domains_seen=m, feature_dim=feature_dim)
+        lock.step()
+        step += 1
+    results = [lock.result(run) for run in range(len(configs))]
+    return [out if isinstance(out, Exception) else ErmModel(out[0], index_mode, m, feature_dim) for out in results]
+
+
+def train_erm(
+    domains: list[DomainData],
+    config: ErmConfig,
+    index_mode: IndexMode = IndexMode.NONE,
+    last_k: int | None = None,
+) -> ErmModel:
+    """One run: ``train_erm_group`` of one, its error raised."""
+    [model] = train_erm_group(domains, [config], index_mode, last_k)
+    if isinstance(model, Exception):
+        raise model
+    return model
 
 
 def predict_erm(model: ErmModel, x: Array, domain_index: int | None = None) -> Array:

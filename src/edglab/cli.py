@@ -262,12 +262,6 @@ def _at_least_one(settings: dict, *keys: str) -> None:
             raise CliConfigError(f"--{key} must be at least 1, got {settings[key]}")
 
 
-def _method(algo):
-    if algo not in harness.METHODS:
-        raise CliConfigError(f"unknown algorithm {algo!r}; choose from {harness.ALGORITHMS}")
-    return harness.METHODS[algo]
-
-
 def cmd_train(args, settings: dict) -> int:
     algo, seed, batch = settings["algo"], settings["seed"], settings["batch"]
     method = harness.METHODS[algo]
@@ -333,7 +327,12 @@ def cmd_eval(args, settings: dict) -> int:
     saved = sidecar.get("spec")
     if "algo" not in sidecar or not isinstance(saved, dict) or not set(SPEC_FIELDS.values()) <= saved.keys():
         raise CliInputError(f"checkpoint sidecar {sidecar_path} lacks the algo or spec fields train writes")
-    method = _method(sidecar["algo"])
+    if sidecar["algo"] not in harness.ALGORITHMS:
+        raise CliInputError(
+            f"checkpoint sidecar {sidecar_path}: unknown algorithm {sidecar['algo']!r}; "
+            f"choose from {harness.ALGORITHMS}"
+        )
+    method = harness.METHODS[sidecar["algo"]]
     # The sidecar pins the training environment; flags may override any part.
     for key, name in SPEC_FIELDS.items():
         if settings[key] is None:
@@ -350,6 +349,15 @@ def cmd_eval(args, settings: dict) -> int:
     acc = harness.evaluate_accuracy(lambda x: method.predict(model, sources, x), target)
     emit("eval", args.quiet, algo=sidecar["algo"], dataset=settings["dataset"], target_accuracy=acc)
     return 0
+
+
+def _emit_failures(cells: list, quiet: bool) -> None:
+    """One event per failed run and per failed cell."""
+    for c in cells:
+        for trial, seed, error in c.failed_runs:
+            emit("run-failed", quiet, row=c.row, algorithm=c.algorithm, trial=trial, seed=seed, error=error)
+        if c.error:
+            emit("cell-failed", quiet, row=c.row, algorithm=c.algorithm, error=c.error)
 
 
 def cmd_sweep(args, settings: dict) -> int:
@@ -378,6 +386,7 @@ def cmd_sweep(args, settings: dict) -> int:
     )
     out = Path(args.out)
     paths = harness.emit_report(cells, out)
+    _emit_failures(cells, args.quiet)
     failed = [c for c in cells if c.error]
     emit("sweep", args.quiet, cells=len(cells), failed=len(failed), **{k: v for k, v in paths.items() if k != "raw"})
     return 1 if failed else 0
@@ -403,19 +412,15 @@ def cmd_interp_study(args, settings: dict) -> int:
     )
     out = Path(args.out)
     paths = harness.emit_report(cells, out, name="interpolation")
+    _emit_failures(cells, args.quiet)
     emit("interp-study", args.quiet, cells=len(cells), **{k: v for k, v in paths.items() if k != "raw"})
     return 0
 
 
 def cmd_verify_bounds(args, settings: dict) -> int:
     _at_least_one(settings, "instances", "decomposition-pairs")
-    results = bounds.run_certification(
-        instances=settings["instances"], decomposition_pairs=settings["decomposition-pairs"], seed=settings["seed"]
-    )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    report = {"results": [r.to_dict() for r in results], "all_passed": all(r.passed for r in results)}
-    if settings["env-json"]:
+    env = None
+    if settings["env-json"]:  # checked before any certification work
         env_path = Path(settings["env-json"])
         if not env_path.exists():
             raise CliConfigError(f"environment file not found: {env_path}")
@@ -424,6 +429,13 @@ def cmd_verify_bounds(args, settings: dict) -> int:
             env = bounds.env_from_dict(payload)
         except (ValueError, KeyError) as exc:
             raise CliConfigError(f"bad environment file {env_path}: {exc}")
+    results = bounds.run_certification(
+        instances=settings["instances"], decomposition_pairs=settings["decomposition-pairs"], seed=settings["seed"]
+    )
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    report = {"results": [r.to_dict() for r in results], "all_passed": all(r.passed for r in results)}
+    if env is not None:
         env_slacks = [s.to_dict() for s in bounds.certify_env(env)]
         report["environment"] = {"path": str(env_path), "slacks": env_slacks}
         report["all_passed"] = report["all_passed"] and all(

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import nn
 from .data import DomainData
-from .nn import Grads, MlpParams
+from .nn import Grads, MlpParams, OptimizerError
 
 Array = np.ndarray
 
@@ -61,27 +61,29 @@ class EpisodeBatch:
 
     Each side is one K × n_per_class × d array, so ``support[k]`` is class k's
     block; a sequence of equal-sized per-class blocks is stacked on entry.
+    R episodes stacked on a leading run axis (R × K × n_per_class × d, one
+    source index per run) form one batch for R stacked encoders.
     """
 
     support: Array
     query: Array
-    source_index: int
+    source_index: int | tuple[int, ...]
 
     def __post_init__(self):
         support = np.asarray(self.support, dtype=np.float64)
         query = np.asarray(self.query, dtype=np.float64)
-        if support.ndim != 3 or 0 in support.shape[:2] or query.shape != support.shape:
+        if support.ndim < 3 or 0 in support.shape[-3:-1] or query.shape != support.shape:
             raise ValueError("support and query must hold one equal-sized, non-empty block per class")
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "query", query)
 
     @property
     def num_classes(self) -> int:
-        return self.support.shape[0]
+        return self.support.shape[-3]
 
     @property
     def n_per_class(self) -> int:
-        return self.support.shape[1]
+        return self.support.shape[-2]
 
 
 def compute_prototypes(model: DPNetModel, support: tuple[Array, ...] | list[Array]) -> Array:
@@ -115,14 +117,16 @@ def episode_loss(
 
     Returns (loss, d2, grads_phi, grads_psi) with d2 the (K·n) × K squared
     query-to-prototype distances. ``grads``, a (phi, psi) pair, receives the
-    gradients in place (see ``nn.mlp_backward``).
+    gradients in place (see ``nn.mlp_backward``). A stacked batch with
+    stacked encoders (leading run axis R) gives R losses and R × (K·n) × K
+    distances, each run's exactly as it would be alone.
     """
-    k_classes, n_b, dim = batch.support.shape
-    zs, cache_s = nn.mlp_forward(model.f_phi, batch.support.reshape(k_classes * n_b, dim))
-    zq, cache_q = nn.mlp_forward(model.f_psi, batch.query.reshape(k_classes * n_b, dim))
+    *runs, k_classes, n_b, dim = batch.support.shape
+    zs, cache_s = nn.mlp_forward(model.f_phi, batch.support.reshape(*runs, k_classes * n_b, dim))
+    zq, cache_q = nn.mlp_forward(model.f_psi, batch.query.reshape(*runs, k_classes * n_b, dim))
     # Means and sums go straight to the ufunc reductions np.mean and
     # ndarray.sum wrap: the same arithmetic with fewer Python calls.
-    protos = np.add.reduce(zs.reshape(k_classes, n_b, -1), axis=1) / n_b
+    protos = np.add.reduce(zs.reshape(*runs, k_classes, n_b, -1), axis=-2) / n_b
 
     d2 = nn.pairwise_sq_dists(zq, protos)  # (K*n_b) × K
     labels = np.repeat(np.arange(k_classes), n_b)
@@ -130,20 +134,21 @@ def episode_loss(
     rows = np.arange(n_q)
     # log sum_k exp(-d2) with max-subtraction, per query row.
     neg = -d2
-    m = np.maximum.reduce(neg, axis=1, keepdims=True)
+    m = np.maximum.reduce(neg, axis=-1, keepdims=True)
     p = np.exp(neg - m)
-    lse = (m + np.log(np.add.reduce(p, axis=1, keepdims=True))).ravel()
-    loss = float(np.add.reduce(d2[rows, labels] + lse) / n_q)
+    total = np.add.reduce(p, axis=-1, keepdims=True)
+    lse = (m + np.log(total))[..., 0]
+    loss = np.add.reduce(d2[..., rows, labels] + lse, axis=-1) / n_q
 
-    p /= np.add.reduce(p, axis=1, keepdims=True)
+    p /= total
     # dJ/d d2[q,k] = (1[k=y_q] - p[q,k]) / n_q
     gd2 = -p
-    gd2[rows, labels] += 1.0
+    gd2[..., rows, labels] += 1.0
     gd2 /= n_q
     # Chain through d2 = |zq - c_k|^2 exactly (no zero-row-sum shortcut).
-    gzq = 2.0 * (zq * np.add.reduce(gd2, axis=1, keepdims=True) - gd2 @ protos)
-    gproto = -2.0 * (gd2.T @ zq - np.add.reduce(gd2, axis=0)[:, None] * protos)
-    gzs = np.repeat(gproto / n_b, n_b, axis=0)
+    gzq = 2.0 * (zq * np.add.reduce(gd2, axis=-1, keepdims=True) - gd2 @ protos)
+    gproto = -2.0 * (gd2.swapaxes(-1, -2) @ zq - np.add.reduce(gd2, axis=-2)[..., None] * protos)
+    gzs = np.repeat(gproto / n_b, n_b, axis=-2)
 
     out_phi, out_psi = grads if grads is not None else (None, None)
     grads_psi = nn.mlp_backward(model.f_psi, cache_q, gzq, out=out_psi)
@@ -209,6 +214,85 @@ class TraceEntry:
     query_accuracy: float
 
 
+def train_group(
+    models: list[DPNetModel],
+    source_domains: list[DomainData],
+    configs: list[TrainConfig],
+    same_domain_episodes: bool = False,
+    progress=None,
+) -> list[tuple[DPNetModel, Array, Array] | OptimizerError | EpisodeError]:
+    """Episodic training of R runs in lockstep (``nn.Lockstep``).
+
+    The models share their architecture and encoder sharing, the configs
+    ``n_per_class`` and ``optimizer``. Each run keeps its own ``lr``,
+    ``steps`` and seed, and draws its episodes from its own generator, so it
+    ends bit for bit where it would alone. Returns, per run, the trained
+    model with its per-step losses and query accuracies (arrays, not
+    ``TraceEntry`` lists: a search keeps every run of a group at once), or
+    the error that ended it. ``progress(step, losses)`` is called after each
+    step with ``{run: loss}`` for the runs that took it.
+    """
+    first, n_per_class, optimizer = models[0], configs[0].n_per_class, configs[0].optimizer
+    shared = first.shared_encoder
+    if any(m.shared_encoder != shared for m in models) or any(
+        (c.n_per_class, c.optimizer) != (n_per_class, optimizer) for c in configs
+    ):
+        raise ValueError("runs of one lockstep group must share encoder sharing, n_per_class and optimizer")
+    # Gradients of both encoders, phi then psi; a shared encoder steps on their sum.
+    lock = nn.Lockstep(
+        [[m.f_phi] if shared else [m.f_phi, m.f_psi] for m in models],
+        optimizer,
+        [c.lr for c in configs],
+        [c.steps for c in configs],
+        grad_like=[first.f_phi, first.f_psi],
+    )
+    width = lock.params.shape[1]
+    rngs = [np.random.default_rng(c.seed) for c in configs]
+    labels = np.repeat(np.arange(first.num_classes), n_per_class)
+    logs = np.empty((2, len(models), max(c.steps for c in configs)))  # loss, query accuracy
+    step = 0
+    while lock.live(step):
+        batches, failed = [], {}
+        for row, run in enumerate(lock.ids):
+            try:
+                batches.append(sample_episode(source_domains, n_per_class, rngs[run], same_domain_episodes))
+            except EpisodeError as exc:
+                failed[row] = exc
+        if failed:
+            lock.drop(failed)  # the episodes drawn line up with the rows kept
+            if not lock.ids:
+                break
+        phi = lock.nets[0]
+        cur = DPNetModel(phi, phi if shared else lock.nets[1], first.embed_dim, first.num_classes)
+        # np.array stacks equal-shaped arrays as np.stack does, with less per-call overhead.
+        batch = EpisodeBatch(
+            np.array([b.support for b in batches]),
+            np.array([b.query for b in batches]),
+            tuple(b.source_index for b in batches),
+        )
+        losses, d2, _, _ = episode_loss(cur, batch, lock.grads)
+        if shared:
+            lock.grad[: len(lock.ids), :width] += lock.grad[: len(lock.ids), width:]
+        # The logged accuracy scores the pre-step encoders, as predict_with_prototypes
+        # would: argmin sends ties to the lowest class index.
+        acc = np.count_nonzero(np.argmin(d2, axis=-1) == labels, axis=-1) / labels.size
+        stepped = list(lock.ids)
+        logs[:, stepped, step] = losses, acc
+        lock.step()
+        if progress is not None and lock.ids:
+            progress(step, {run: float(loss) for run, loss in zip(stepped, losses) if run in lock.ids})
+        step += 1
+    results = []
+    for run, config in enumerate(configs):
+        nets = lock.result(run)
+        if isinstance(nets, Exception):
+            results.append(nets)
+        else:
+            model = DPNetModel(nets[0], nets[-1], first.embed_dim, first.num_classes)
+            results.append((model, logs[0, run, : config.steps], logs[1, run, : config.steps]))
+    return results
+
+
 def train(
     model: DPNetModel,
     source_domains: list[DomainData],
@@ -216,35 +300,17 @@ def train(
     same_domain_episodes: bool = False,
     progress=None,
 ) -> tuple[DPNetModel, list[TraceEntry]]:
-    """Episodic training loop; deterministic given the config seed.
+    """One run: ``train_group`` of one, its error raised.
 
     Returns the trained model and a per-step trace (loss, query accuracy).
     ``progress(step, loss)`` is called after each step when provided.
     """
-    rng = np.random.default_rng(config.seed)
-    shared = model.shared_encoder
-    params, nets = nn.flatten_mlps([model.f_phi] if shared else [model.f_phi, model.f_psi])
-    cur = DPNetModel(nets[0], nets[0] if shared else nets[1], model.embed_dim, model.num_classes)
-    # Gradients of both encoders, phi then psi; a shared encoder steps on their sum.
-    grad = np.empty(2 * params.size if shared else params.size)
-    grads = tuple(nn.mlp_views(grad, [model.f_phi, model.f_psi]))
-    step_grad = grad[: params.size]
-    opt = nn.Optimizer(config.optimizer, config.lr, params)
-    labels = np.repeat(np.arange(model.num_classes), config.n_per_class)
-    trace: list[TraceEntry] = []
-    for step in range(config.steps):
-        batch = sample_episode(source_domains, config.n_per_class, rng, same_domain=same_domain_episodes)
-        loss, d2, _, _ = episode_loss(cur, batch, grads)
-        if shared:
-            step_grad += grad[params.size :]
-        nn.step_mlps(opt, step_grad)
-        # The logged accuracy scores the pre-step encoders, as predict_with_prototypes
-        # would: argmin sends ties to the lowest class index.
-        acc = np.count_nonzero(np.argmin(d2, axis=1) == labels) / labels.size
-        trace.append(TraceEntry(step=step, loss=loss, query_accuracy=acc))
-        if progress is not None:
-            progress(step, loss)
-    return cur, trace
+    report = None if progress is None else lambda step, losses: progress(step, losses[0])
+    [result] = train_group([model], source_domains, [config], same_domain_episodes, report)
+    if isinstance(result, Exception):
+        raise result
+    trained, losses, accs = result
+    return trained, [TraceEntry(s, v, a) for s, (v, a) in enumerate(zip(losses.tolist(), accs.tolist()))]
 
 
 def predict_with_prototypes(model: DPNetModel, prototypes: Array, queries: Array) -> Array:

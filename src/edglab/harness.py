@@ -8,7 +8,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -21,8 +20,6 @@ from .data import DomainData, EnvironmentSpec
 from .files import write_atomic
 from .nn import MlpParams, OptimizerError
 from .seeding import child_rng, child_seed
-
-log = logging.getLogger("edglab")
 
 VAL_RATIO = 0.8
 
@@ -85,12 +82,21 @@ class Episodic:
         query set (2n) from one domain."""
         return 2 * batch if self.shared else batch
 
-    def fit(self, sources: list[DomainData], hparams: dict, seed: int, progress=None) -> dpnet.DPNetModel:
+    def _start(self, sources: list[DomainData], hparams: dict, seed: int):
         dims = (sources[0].dim,) + tuple(hparams["embed"])
         cfg = dpnet.TrainConfig(steps=hparams["steps"], n_per_class=hparams["batch"], lr=hparams["lr"], seed=seed)
-        model = dpnet.init_dpnet(dims, sources[0].num_classes, seed, shared=self.shared)
+        return dpnet.init_dpnet(dims, sources[0].num_classes, seed, shared=self.shared), cfg
+
+    def fit(self, sources: list[DomainData], hparams: dict, seed: int, progress=None) -> dpnet.DPNetModel:
+        model, cfg = self._start(sources, hparams, seed)
         model, _ = dpnet.train(model, sources, cfg, same_domain_episodes=self.shared, progress=progress)
         return model
+
+    def fit_group(self, sources: list[DomainData], runs: list[tuple[dict, int]]) -> list:
+        """One lockstep group: per (hparams, seed) run, its model or the error that ended it."""
+        models, cfgs = zip(*(self._start(sources, hparams, seed) for hparams, seed in runs))
+        results = dpnet.train_group(list(models), sources, list(cfgs), same_domain_episodes=self.shared)
+        return [r if isinstance(r, Exception) else r[0] for r in results]
 
     def predict(self, model: dpnet.DPNetModel, sources: list[DomainData], x, i: int | None = None):
         """Labels for the target (``i=None``) or for held-out data of source i."""
@@ -121,12 +127,20 @@ class Erm:
     def samples_needed(self, batch: int) -> int:
         return 0  # batches are drawn from the pool and capped at its size
 
-    def fit(self, sources: list[DomainData], hparams: dict, seed: int, progress=None) -> baselines.ErmModel:
+    @staticmethod
+    def _config(sources: list[DomainData], hparams: dict, seed: int) -> baselines.ErmConfig:
         batch = hparams["batch"] * sources[0].num_classes
-        cfg = baselines.ErmConfig(
+        return baselines.ErmConfig(
             steps=hparams["steps"], batch_size=batch, lr=hparams["lr"], seed=seed, hidden=tuple(hparams["hidden"])
         )
+
+    def fit(self, sources: list[DomainData], hparams: dict, seed: int, progress=None) -> baselines.ErmModel:
+        cfg = self._config(sources, hparams, seed)
         return baselines.train_erm(sources, cfg, index_mode=self.mode, last_k=self.last_k)
+
+    def fit_group(self, sources: list[DomainData], runs: list[tuple[dict, int]]) -> list:
+        cfgs = [self._config(sources, hparams, seed) for hparams, seed in runs]
+        return baselines.train_erm_group(sources, cfgs, index_mode=self.mode, last_k=self.last_k)
 
     def predict(self, model: baselines.ErmModel, sources: list[DomainData], x, i: int | None = None):
         return baselines.predict_erm(model, x, None if i is None else sources[i].index)
@@ -189,6 +203,39 @@ class Trial:
         return float(np.mean(vals)) if vals else float("nan")
 
 
+def run_group(
+    algorithm: str,
+    train_sources: list[DomainData],
+    val_sources: list[DomainData] | None,
+    target: DomainData,
+    runs: list[tuple[dict, int]],
+) -> list[RunOutcome]:
+    """Train (hparams, seed) runs as one lockstep group, then score each on
+    the target (and validation when given). The runs share every
+    hyperparameter but ``lr`` and ``steps``.
+
+    A diverged optimizer or an episode the domains cannot serve fails that
+    run, not the group or the search: it is recorded and the trial is
+    excluded from selection. Any other error is a bug and raises.
+    """
+    method = METHODS[algorithm]
+    outcomes = []
+    for model in method.fit_group(train_sources, runs):
+        if isinstance(model, (OptimizerError, dpnet.EpisodeError)):
+            outcomes.append(RunOutcome(None, None, error=str(model)))
+            continue
+        target_acc = evaluate_accuracy(lambda x: method.predict(model, train_sources, x), target)
+        val_acc = None
+        if val_sources is not None:
+            accs = [
+                evaluate_accuracy(lambda x: method.predict(model, train_sources, x, i), val_sources[i])
+                for i in method.val_indices(len(val_sources))
+            ]
+            val_acc = float(np.mean(accs))
+        outcomes.append(RunOutcome(target_acc, val_acc))
+    return outcomes
+
+
 def run_single(
     algorithm: str,
     train_sources: list[DomainData],
@@ -197,27 +244,9 @@ def run_single(
     hparams: dict,
     seed: int,
 ) -> RunOutcome:
-    """Train one model and score it on the target (and validation when given).
-
-    A diverged optimizer or an episode the domains cannot serve fails the run,
-    not the search: it is recorded and the trial is excluded from selection.
-    Any other error is a bug and raises.
-    """
-    method = METHODS[algorithm]
-    try:
-        model = method.fit(train_sources, hparams, seed)
-    except (OptimizerError, dpnet.EpisodeError) as exc:
-        log.warning("run failed: algo=%s seed=%d: %s", algorithm, seed, exc)
-        return RunOutcome(None, None, error=str(exc))
-    target_acc = evaluate_accuracy(lambda x: method.predict(model, train_sources, x), target)
-    val_acc = None
-    if val_sources is not None:
-        accs = [
-            evaluate_accuracy(lambda x: method.predict(model, train_sources, x, i), val_sources[i])
-            for i in method.val_indices(len(val_sources))
-        ]
-        val_acc = float(np.mean(accs))
-    return RunOutcome(target_acc, val_acc)
+    """Train one model and score it: ``run_group`` of one."""
+    [outcome] = run_group(algorithm, train_sources, val_sources, target, [(hparams, seed)])
+    return outcome
 
 
 @dataclass
@@ -228,6 +257,7 @@ class SearchResult:
     best_index: int
     mean: float
     std: float
+    failed_runs: tuple[tuple[int, int, str], ...] = ()  # (trial, seed, error), in job order
 
     @property
     def best(self) -> Trial:
@@ -245,7 +275,10 @@ def random_search(
     workers: int = 1,
 ) -> SearchResult:
     """Hyperparameter search: n_trials draws × n_seeds runs each, selected per
-    strategy. Fully deterministic given master_seed, whatever the worker count."""
+    strategy. Fully deterministic given master_seed, whatever the worker count.
+
+    Runs that share every hyperparameter but ``lr`` and ``steps`` train as one
+    lockstep group (``run_group``); ``workers`` threads take one group each."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r} (expected one of {ALGORITHMS})")
     if n_trials < 1 or n_seeds < 1:
@@ -264,17 +297,21 @@ def random_search(
     seeds = {
         (t, s): child_seed(master_seed, "run", t, s) for t in range(n_trials) for s in range(n_seeds)
     }
-    jobs = sorted(seeds)
+    groups: dict[tuple, list[tuple[int, int]]] = {}
+    for t, s in sorted(seeds):
+        shape = tuple(sorted((k, v) for k, v in hparams[t].items() if k not in ("lr", "steps")))
+        groups.setdefault(shape, []).append((t, s))
 
-    def run_job(key):
-        t, s = key
-        return key, run_single(algorithm, train_sources, val_sources, target, hparams[t], seeds[key])
+    def run_job(keys):
+        runs = [(hparams[t], seeds[(t, s)]) for t, s in keys]
+        return list(zip(keys, run_group(algorithm, train_sources, val_sources, target, runs)))
 
     if workers <= 1:
-        outcomes = dict(run_job(k) for k in jobs)
+        done = [run_job(keys) for keys in groups.values()]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = dict(pool.map(run_job, jobs))
+            done = list(pool.map(run_job, groups.values()))
+    outcomes = {key: outcome for pairs in done for key, outcome in pairs}
 
     trials: list[Trial] = []
     for t in range(n_trials):
@@ -306,6 +343,7 @@ def random_search(
         best_index=best_index,
         mean=float(accs.mean()),
         std=std,
+        failed_runs=tuple((t, seeds[(t, s)], o.error) for (t, s), o in sorted(outcomes.items()) if o.error),
     )
 
 
@@ -346,6 +384,8 @@ class CellResult:
     per_seed: tuple[float, ...]
     scheme: str
     error: str | None = None
+    # The search's failed runs as (trial, seed, error); kept out of the reports.
+    failed_runs: tuple[tuple[int, int, str], ...] = ()
 
 
 def run_sweep(
@@ -379,10 +419,17 @@ def run_sweep(
                     workers=workers,
                 )
                 cells.append(
-                    CellResult(row, algorithm, res.mean, res.std, tuple(res.best.target_accs), strategy.value)
+                    CellResult(
+                        row,
+                        algorithm,
+                        res.mean,
+                        res.std,
+                        tuple(res.best.target_accs),
+                        strategy.value,
+                        failed_runs=res.failed_runs,
+                    )
                 )
             except RuntimeError as exc:
-                log.warning("sweep cell failed: %s %s: %s", row, algorithm, exc)
                 cells.append(CellResult(row, algorithm, None, None, (), strategy.value, error=str(exc)))
     return cells
 
@@ -429,7 +476,15 @@ def run_interpolation_study(
                 workers=workers,
             )
             cells.append(
-                CellResult(f"domains={count}", label, res.mean, res.std, tuple(res.best.target_accs), strategy.value)
+                CellResult(
+                    f"domains={count}",
+                    label,
+                    res.mean,
+                    res.std,
+                    tuple(res.best.target_accs),
+                    strategy.value,
+                    failed_runs=res.failed_runs,
+                )
             )
     return cells
 

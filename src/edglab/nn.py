@@ -2,11 +2,13 @@
 
 Matrices are plain row-major ``numpy.ndarray`` of float64. Networks are
 stacks of dense layers with ReLU on hidden layers and an identity output.
-Forward and backward never mutate their inputs (backward may write its
-gradients into caller-supplied arrays). Training packs the networks into one
-flat parameter buffer with per-layer views (``flatten_mlps``), and
-``step_mlps`` updates that buffer in place. All randomness comes from an
-explicit ``numpy.random.Generator``.
+A layer may carry leading run axes: R networks of one shape stacked as
+``(R, out, in)`` weights run through the same kernels, each slice computing
+exactly what it would alone. Forward and backward never mutate their inputs
+(backward may write its gradients into caller-supplied arrays). Training
+stacks the runs' networks into one ``(R, P)`` parameter buffer with
+per-layer views (``Lockstep``), and ``step_mlps`` updates that buffer in
+place. All randomness comes from an explicit ``numpy.random.Generator``.
 """
 from __future__ import annotations
 
@@ -24,7 +26,12 @@ CHECKPOINT_VERSION = 1
 
 
 class OptimizerError(RuntimeError):
-    """Non-finite gradients; the surrounding trial must abort."""
+    """Non-finite gradients; the surrounding trial must abort. ``rows`` lists
+    the offending rows of a stacked step."""
+
+    def __init__(self, message: str, rows: tuple[int, ...] = ()):
+        super().__init__(message)
+        self.rows = rows
 
 
 class CheckpointError(ValueError):
@@ -33,32 +40,35 @@ class CheckpointError(ValueError):
 
 @dataclass
 class MlpParams:
-    """Dense layer stack: ``layers[i] = (weight out×in, bias out)``."""
+    """Dense layer stack: ``layers[i] = (weight out×in, bias out)``, or a
+    stack of R such networks with ``(R, out, in)`` weights and ``(R, out)``
+    biases."""
 
     layers: tuple[tuple[Array, Array], ...]
 
     def __post_init__(self):
         if not self.layers:
             raise ValueError("MlpParams needs at least one layer")
+        lead = self.layers[0][0].shape[:-2]
         prev_out = None
         for li, (w, b) in enumerate(self.layers):
-            if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
+            if w.ndim < 2 or w.shape[:-2] != lead or b.shape != w.shape[:-1]:
                 raise ValueError(f"layer {li}: weight {w.shape} / bias {b.shape} mismatch")
-            if prev_out is not None and w.shape[1] != prev_out:
-                raise ValueError(f"layer {li}: in-dim {w.shape[1]} != previous out-dim {prev_out}")
-            prev_out = w.shape[0]
+            if prev_out is not None and w.shape[-1] != prev_out:
+                raise ValueError(f"layer {li}: in-dim {w.shape[-1]} != previous out-dim {prev_out}")
+            prev_out = w.shape[-2]
 
     @property
     def in_dim(self) -> int:
-        return self.layers[0][0].shape[1]
+        return self.layers[0][0].shape[-1]
 
     @property
     def out_dim(self) -> int:
-        return self.layers[-1][0].shape[0]
+        return self.layers[-1][0].shape[-2]
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return (self.in_dim,) + tuple(w.shape[0] for w, _ in self.layers)
+        return (self.in_dim,) + tuple(w.shape[-2] for w, _ in self.layers)
 
     def arrays(self) -> list[Array]:
         """Flat parameter list [W0, b0, W1, b1, ...] (references, not copies)."""
@@ -99,17 +109,20 @@ class ForwardCache:
 
 
 def mlp_forward(params: MlpParams, batch: Array) -> tuple[Array, ForwardCache]:
+    """Rows of ``batch`` (n × in, or R × n × in for R stacked networks)
+    through the network."""
     batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2:
-        raise ValueError(f"batch must be 2-D, got shape {batch.shape}")
-    if batch.shape[1] != params.in_dim:
-        raise ValueError(f"batch dim {batch.shape[1]} != network in-dim {params.in_dim}")
+    ndim = params.layers[0][0].ndim
+    if batch.ndim != ndim:
+        raise ValueError(f"batch must be {ndim}-D, got shape {batch.shape}")
+    if batch.shape[-1] != params.in_dim:
+        raise ValueError(f"batch dim {batch.shape[-1]} != network in-dim {params.in_dim}")
     n_layers = len(params.layers)
     h = batch
     inputs, pre_acts = [], []
     for li, (w, b) in enumerate(params.layers):
         inputs.append(h)
-        z = h @ w.T + b
+        z = np.matmul(h, w.swapaxes(-1, -2)) + b[..., None, :]
         pre_acts.append(z)
         h = np.maximum(z, 0.0) if li < n_layers - 1 else z
     return h, ForwardCache(inputs=inputs, pre_acts=pre_acts)
@@ -134,41 +147,113 @@ def mlp_backward(
         out = MlpParams(tuple((np.empty_like(w), np.empty_like(b)) for w, b in params.layers))
     for li in reversed(range(n_layers)):
         gw, gb = out.layers[li]
-        np.matmul(g.T, cache.inputs[li], out=gw)
-        np.add.reduce(g, axis=0, out=gb)
+        np.matmul(g.swapaxes(-1, -2), cache.inputs[li], out=gw)
+        np.add.reduce(g, axis=-2, out=gb)
         if li > 0:
-            g = g @ params.layers[li][0]
+            g = np.matmul(g, params.layers[li][0])
             g *= cache.pre_acts[li - 1] > 0.0
     return out
 
 
 def mlp_views(buffer: Array, like: list[MlpParams]) -> list[MlpParams]:
-    """Networks shaped like ``like`` whose layers are consecutive views of ``buffer``."""
+    """Networks shaped like ``like`` whose layers are consecutive views of the
+    last axis of ``buffer``: a flat buffer gives plain networks, an (R, P)
+    buffer R stacked ones."""
+    lead = buffer.shape[:-1]
     nets, pos = [], 0
     for net in like:
         arrays = []
         for a in net.arrays():
-            arrays.append(buffer[pos : pos + a.size].reshape(a.shape))
+            arrays.append(buffer[..., pos : pos + a.size].reshape(lead + a.shape))
             pos += a.size
         nets.append(MlpParams.from_arrays(arrays))
-    if pos != buffer.size:
-        raise ValueError(f"buffer holds {buffer.size} values, networks need {pos}")
+    if pos != buffer.shape[-1]:
+        raise ValueError(f"buffer rows hold {buffer.shape[-1]} values, networks need {pos}")
     return nets
 
 
-def flatten_mlps(nets: list[MlpParams]) -> tuple[Array, list[MlpParams]]:
-    """Copy networks into one flat float64 buffer.
+class Lockstep:
+    """R training runs of one network shape, stepped together.
 
-    Returns the buffer and copies of the networks whose layers are views into
-    it, so an in-place update of the buffer moves every network at once. The
-    input networks are left untouched.
+    Each run's networks are copied into one row of an (R, P) parameter
+    buffer, longest run first, and one ``step_mlps`` call updates the rows
+    still live. A run keeps its own learning rate and step count: once its
+    ``steps`` are done it leaves its row as it is, and a run that fails leaves
+    the group with its error while the others go on. Rows never mix, so every
+    run ends bit for bit where it would alone.
+
+    ``ids`` names the run of each live row (rows ``0..len(ids)-1``), ``nets``
+    and ``grads`` are stacked views of those rows of the parameter and
+    gradient buffers. A gradient row is shaped like ``grad_like`` (default:
+    the networks); its first P values are the step, any further values are
+    the trainer's scratch.
     """
-    buffer = np.empty(sum(a.size for net in nets for a in net.arrays()))
-    views = mlp_views(buffer, nets)
-    for net, view in zip(nets, views):
-        for src, dst in zip(net.arrays(), view.arrays()):
-            dst[...] = src
-    return buffer, views
+
+    def __init__(self, runs: list[list[MlpParams]], kind: str, lrs, steps, grad_like=None):
+        if not runs:
+            raise ValueError("a lockstep group needs at least one run")
+        self.like = runs[0]
+        shapes = [a.shape for net in self.like for a in net.arrays()]
+        if any([a.shape for net in run for a in net.arrays()] != shapes for run in runs):
+            raise ValueError("runs of one lockstep group must share their network shapes")
+        self.steps = list(steps)
+        order = sorted(range(len(runs)), key=lambda i: -self.steps[i])
+        self.params = np.empty((len(runs), sum(a.size for net in self.like for a in net.arrays())))
+        for row, run in enumerate(order):
+            for src, dst in zip(runs[run], mlp_views(self.params[row], self.like)):
+                for a, b in zip(src.arrays(), dst.arrays()):
+                    b[...] = a
+        self.grad_like = grad_like or self.like
+        self.grad = np.empty((len(runs), sum(a.size for net in self.grad_like for a in net.arrays())))
+        self.opt = Optimizer(kind, [lrs[i] for i in order], self.params)
+        self.ids = order
+        self.outcomes: list = [None] * len(runs)  # the run's final row, or its error
+        self._view()
+
+    def _view(self) -> None:
+        live = len(self.ids)
+        self.nets = mlp_views(self.params[:live], self.like)
+        self.grads = mlp_views(self.grad[:live], self.grad_like)
+
+    def live(self, step: int) -> bool:
+        """Retire the runs whose steps are done before ``step``; False once
+        no run is left."""
+        retired = False
+        while self.ids and self.steps[self.ids[-1]] <= step:
+            run = self.ids.pop()
+            self.outcomes[run] = len(self.ids)
+            retired = True
+        if retired:
+            self._view()
+        return bool(self.ids)
+
+    def drop(self, errors: dict[int, Exception]) -> None:
+        """Take the runs at live rows ``errors`` out of the group with their
+        errors and close up the rest."""
+        keep = [row for row in range(len(self.ids)) if row not in errors]
+        for row, exc in errors.items():
+            self.outcomes[self.ids[row]] = exc
+        self.opt.keep(keep)
+        self.grad[: len(keep)] = self.grad[keep]
+        self.ids = [self.ids[row] for row in keep]
+        self._view()
+
+    def step(self) -> None:
+        """One optimizer step of the live rows from their gradient rows. A
+        row with a non-finite gradient fails its run alone, with the error it
+        raises alone."""
+        width = self.params.shape[1]
+        while self.ids:
+            try:
+                step_mlps(self.opt, self.grad[: len(self.ids), :width])
+                return
+            except OptimizerError as exc:
+                self.drop({row: OptimizerError(str(exc)) for row in exc.rows})
+
+    def result(self, run: int):
+        """The run's trained networks (views of its row), or its error."""
+        out = self.outcomes[run]
+        return out if isinstance(out, Exception) else mlp_views(self.params[out], self.like)
 
 
 def sq_euclidean(a: Array, b: Array) -> float:
@@ -181,11 +266,12 @@ def sq_euclidean(a: Array, b: Array) -> float:
 
 
 def pairwise_sq_dists(a: Array, b: Array) -> Array:
-    """Exact squared Euclidean distances between rows of a (n×d) and b (k×d)."""
-    if a.shape[1] != b.shape[1]:
+    """Exact squared Euclidean distances between rows of a (n×d) and b (k×d),
+    per stack entry for leading axes."""
+    if a.shape[-1] != b.shape[-1]:
         raise ValueError(f"dim mismatch: {a.shape} vs {b.shape}")
-    diff = a[:, None, :] - b[None, :, :]
-    return np.einsum("nkd,nkd->nk", diff, diff)
+    diff = a[..., :, None, :] - b[..., None, :, :]
+    return np.einsum("...nkd,...nkd->...nk", diff, diff)
 
 
 def log_softmax(v: Array) -> Array:
@@ -199,79 +285,101 @@ def log_softmax_rows(m: Array) -> Array:
     # The ufunc reductions behind np.max and np.sum, called directly: the
     # same arithmetic with less per-call overhead on training's small batches.
     m = np.asarray(m, dtype=np.float64)
-    shifted = m - np.maximum.reduce(m, axis=1, keepdims=True)
-    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
+    shifted = m - np.maximum.reduce(m, axis=-1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
 
 
-def softmax_cross_entropy(logits: Array, labels: Array) -> tuple[float, Array]:
-    """Mean cross-entropy over a batch and its gradient w.r.t. the logits."""
+def softmax_cross_entropy(logits: Array, labels: Array) -> tuple[Array, Array]:
+    """Mean cross-entropy over a batch and its gradient w.r.t. the logits.
+
+    ``logits`` is n × K with n labels, or R × n × K with R × n labels for R
+    stacked batches; the loss has one value per batch."""
     labels = np.asarray(labels)
-    n = logits.shape[0]
-    rows = np.arange(n)
+    n = logits.shape[-2]
+    picked = (*np.indices(labels.shape, sparse=True), labels)
     logp = log_softmax_rows(logits)
-    loss = -float(np.add.reduce(logp[rows, labels]) / n)
+    loss = -(np.add.reduce(logp[picked], axis=-1) / n)
     grad = np.exp(logp)
-    grad[rows, labels] -= 1.0
+    grad[picked] -= 1.0
     grad /= n
     return loss, grad
 
 
 class Optimizer:
-    """SGD or Adam over one flat float64 parameter buffer, updated in place.
+    """SGD or Adam over a float64 parameter buffer, updated in place.
 
-    Adam keeps its moments in buffers the size of the parameters and works
-    through two scratch buffers, so a step allocates nothing the size of the
-    network.
+    The buffer is flat, or (R, P) with one run per row and ``lr`` one rate
+    per row. Adam keeps its moments in buffers the size of the parameters and
+    works through two scratch buffers, so a step allocates nothing the size
+    of the network.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, kind: str, lr: float, params: Array):
+    def __init__(self, kind: str, lr, params: Array):
         if kind not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer kind {kind!r}")
-        if lr <= 0:
+        if params.ndim not in (1, 2) or params.dtype != np.float64 or not params.flags.c_contiguous:
+            raise ValueError("params must be a flat or (runs, size) contiguous float64 buffer")
+        lr = np.asarray(lr, dtype=np.float64)
+        if lr.shape != params.shape[:-1]:
+            raise ValueError(f"need one lr per parameter row, got shape {lr.shape} for {params.shape}")
+        if np.any(lr <= 0):
             raise ValueError("lr must be positive")
-        if params.ndim != 1 or params.dtype != np.float64 or not params.flags.c_contiguous:
-            raise ValueError("params must be a flat contiguous float64 buffer")
-        self.kind, self.lr, self.params = kind, lr, params
+        # Rows throughout: a flat buffer is one row.
+        self.kind, self.lr, self.params = kind, lr.reshape(-1, 1), params.reshape(-1, params.shape[-1])
         self.t = 0
-        self.scratch = np.empty_like(params)
+        self.scratch = np.empty_like(self.params)
+        self.state = [self.params, self.lr]  # one row per run
         if kind == "adam":
-            self.m = np.zeros_like(params)
-            self.v = np.zeros_like(params)
-            self.scratch2 = np.empty_like(params)
+            self.m = np.zeros_like(self.params)
+            self.v = np.zeros_like(self.params)
+            self.scratch2 = np.empty_like(self.params)
+            self.state += [self.m, self.v]
+
+    def keep(self, rows: list[int]) -> None:
+        """Move ``rows`` of the per-run state to the front, in order."""
+        for buf in self.state:
+            buf[: len(rows)] = buf[rows]
 
 
 def step_mlps(opt: Optimizer, grad: Array) -> None:
-    """One in-place update of ``opt.params`` from the flat gradient buffer.
+    """One in-place update of ``opt.params`` from the gradient buffer.
 
+    ``grad`` is shaped like the parameters, or holds the first r rows of a
+    stacked buffer and steps only those. A non-finite gradient fails the call
+    before any update; ``OptimizerError.rows`` names the rows that hold one.
     Every operation matches the textbook recursion ``m = b1*m + (1-b1)*g``,
     ``v = b2*v + ((1-b2)*g)*g``, ``p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)``
-    in its floating-point order, so results do not depend on the buffering.
+    in its floating-point order, so results do not depend on the buffering
+    or on the other rows.
     """
-    if grad.shape != opt.params.shape:
-        raise ValueError(f"gradient shape {grad.shape} != parameter shape {opt.params.shape}")
-    if not np.isfinite(grad).all():
-        raise OptimizerError("non-finite gradient")
-    p, tmp = opt.params, opt.scratch
+    g = grad.reshape(-1, grad.shape[-1])
+    live = len(g)
+    if g.shape[1] != opt.params.shape[1] or live > len(opt.params):
+        raise ValueError(f"gradient shape {grad.shape} does not fit parameter rows {opt.params.shape}")
+    bad = ~np.isfinite(g).all(axis=1)
+    if bad.any():
+        raise OptimizerError("non-finite gradient", tuple(np.flatnonzero(bad).tolist()))
+    p, tmp, lr = opt.params[:live], opt.scratch[:live], opt.lr[:live]
     if opt.kind == "sgd":
-        np.multiply(grad, opt.lr, out=tmp)
+        np.multiply(g, lr, out=tmp)
         p -= tmp
         return
     opt.t += 1
-    m, v, upd = opt.m, opt.v, opt.scratch2
+    m, v, upd = opt.m[:live], opt.v[:live], opt.scratch2[:live]
     m *= opt.beta1
-    np.multiply(grad, 1 - opt.beta1, out=tmp)
+    np.multiply(g, 1 - opt.beta1, out=tmp)
     m += tmp
     v *= opt.beta2
-    np.multiply(grad, 1 - opt.beta2, out=tmp)
-    tmp *= grad
+    np.multiply(g, 1 - opt.beta2, out=tmp)
+    tmp *= g
     v += tmp
     np.divide(v, 1 - opt.beta2**opt.t, out=tmp)
     np.sqrt(tmp, out=tmp)
     tmp += opt.eps
     np.divide(m, 1 - opt.beta1**opt.t, out=upd)
-    upd *= opt.lr
+    upd *= lr
     upd /= tmp
     p -= upd
 

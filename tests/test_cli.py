@@ -205,6 +205,20 @@ class TestVerifyBounds:
         )
         assert code == 2
 
+    def test_env_json_is_read_before_certifying(self, capsys, tmp_path, monkeypatch):
+        from edglab import bounds
+
+        def refuse(**kwargs):
+            raise AssertionError("certification ran before the environment file was checked")
+
+        monkeypatch.setattr(bounds, "run_certification", refuse)
+        env_path = tmp_path / "env.json"
+        env_path.write_text("{\"domains\": []}")
+        out = tmp_path / "out"
+        code, events = run_cli(capsys, ["verify-bounds", "--env-json", str(env_path), "--out", str(out)])
+        assert code == 2
+        assert str(env_path) in last_event(events, "config-error")["message"]
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "maps", [[], [[0, 1]]], ids=["empty-family", "table-shorter-than-nx"]
@@ -243,8 +257,8 @@ class TestCorruptJsonInputs:
 
     @pytest.mark.parametrize(
         "text",
-        ['{"algo": "erm"', '["erm"]', '{"algo": "erm"}', None, {"num_domains": "abc"}],
-        ids=["truncated", "not-an-object", "no-spec", "no-index-mode", "bad-spec-value"],
+        ['{"algo": "erm"', '["erm"]', '{"algo": "erm"}', None, {"num_domains": "abc"}, {"algo": "mystery"}],
+        ids=["truncated", "not-an-object", "no-spec", "no-index-mode", "bad-spec-value", "unknown-algo"],
     )
     def test_bad_sidecar_is_input_error(self, capsys, tmp_path, trained, text):
         ckpt = tmp_path / "model.ckpt"
@@ -253,6 +267,8 @@ class TestCorruptJsonInputs:
             sidecar = json.loads((trained / "model.json").read_text())
             if text is None:  # complete apart from one field the erm loader reads
                 del sidecar["index_mode"]
+            elif "algo" in text:  # complete, with an algorithm no table entry names
+                sidecar.update(text)
             else:  # complete, with one spec value of the wrong type
                 sidecar["spec"].update(text)
             text = json.dumps(sidecar)
@@ -308,6 +324,47 @@ class TestSweepAndReport:
         )
         assert code == 0
         assert (tmp_path / "rebuilt" / "results.csv").read_text() == csv_text
+
+    @pytest.mark.parametrize("quiet", [False, True])
+    @pytest.mark.parametrize("failing", ["one-run", "every-run"])
+    def test_failures_are_events(self, capsys, tmp_path, monkeypatch, failing, quiet):
+        from edglab import baselines, nn
+
+        train_group, failed = baselines.train_erm_group, []
+
+        def diverge(domains, configs, **kwargs):
+            results = train_group(domains, configs, **kwargs)
+            for i, cfg in enumerate(configs):
+                if failing == "every-run" or not failed:
+                    results[i] = nn.OptimizerError("non-finite gradient")
+                    failed.append(cfg.seed)
+            return results
+
+        monkeypatch.setattr(baselines, "train_erm_group", diverge)
+        argv = [
+            "sweep", "--dataset", "rotatedcloud", "--axis", "distance", "--values", "5,25",
+            "--algos", "erm", "--trials", "2", "--n-seeds", "1", "--samples", "40",
+            "--num-domains", "4", "--seed", "5", "--out", str(tmp_path), *(["--quiet"] if quiet else []),
+        ]
+        code = cli.main(argv)
+        lines = capsys.readouterr().out.splitlines()
+        if quiet:
+            runs = [line for line in lines if line.startswith("run-failed: ")]
+            cells = [line for line in lines if line.startswith("cell-failed: ")]
+            assert all("error=non-finite gradient" in line for line in runs)
+        else:
+            events = [json.loads(line) for line in lines]
+            runs = [e for e in events if e["event"] == "run-failed"]
+            cells = [e for e in events if e["event"] == "cell-failed"]
+            assert all(e["error"] == "non-finite gradient" and e["algorithm"] == "erm" for e in runs)
+            assert all("every trial failed" in e["error"] for e in cells)
+        if failing == "one-run":
+            assert code == 0 and len(runs) == len(failed) == 1 and not cells
+            assert quiet or runs[0]["seed"] == failed[0]
+        else:
+            # Every trial of both cells failed: each cell reports its failure
+            # once, and the cell's search has no runs left to report.
+            assert code == 1 and len(failed) == 4 and not runs and len(cells) == 2
 
     def test_bad_axis_rejected(self, capsys, tmp_path):
         code, _ = run_cli(capsys, ["sweep", "--set", "axis=zigzag", "--out", str(tmp_path)])
