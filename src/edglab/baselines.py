@@ -9,7 +9,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import nn
+from . import nn, seeding
 from .data import DomainData
 from .nn import MlpParams, OptimizerError
 
@@ -114,6 +114,7 @@ def train_erm_group(
     configs: list[ErmConfig],
     index_mode: IndexMode = IndexMode.NONE,
     last_k: int | None = None,
+    progress=None,
 ) -> list[ErmModel | OptimizerError]:
     """Mini-batch cross-entropy over pooled source samples, R runs in
     lockstep (``nn.Lockstep``).
@@ -121,7 +122,8 @@ def train_erm_group(
     The configs share ``batch_size``, ``hidden`` and ``optimizer``. Each run
     keeps its own ``lr``, ``steps`` and seed (its initial weights and its
     batches), so it ends bit for bit where it would alone. Returns, per run,
-    the model or the error that ended it.
+    the model or the error that ended it. ``progress(step, losses)`` is
+    called after each step with ``{run: loss}`` for the runs that took it.
 
     ``last_k`` restricts training to the final k source domains. The one-hot /
     outer-product width always spans all ``len(domains)`` indices so the model
@@ -148,16 +150,27 @@ def train_erm_group(
         for head in net.layers[-1]:
             head[...] = 0.0
     lock = nn.Lockstep([[net] for net in nets], optimizer, [c.lr for c in configs], [c.steps for c in configs])
+    # Each run's batches are rng.choice(n, batch, replace=False) per step,
+    # decoded a chunk of steps at a time for every live run.
+    streams = [seeding.Words(rng) for rng in rngs]
     n = xs.shape[0]
     batch = min(batch_size, n)
-    step = 0
+    step = start = stop = 0
     while lock.live(step):
-        picks = np.array([rngs[run].choice(n, size=batch, replace=False) for run in lock.ids])
+        if step == stop:
+            left = max(configs[run].steps for run in lock.ids) - step
+            start, stop = step, step + seeding.chunk_steps(len(lock.ids), 2 * batch - 1, left)
+            picks = np.empty((len(configs), stop - start, batch), dtype=np.int64)
+            picks[lock.ids] = seeding.choice([streams[run] for run in lock.ids], n, batch, stop - start)
+        rows = picks[lock.ids, step - start]
         [net], [grads] = lock.nets, lock.grads
-        logits, cache = nn.mlp_forward(net, xs[picks])
-        _, dlogits = nn.softmax_cross_entropy(logits, ys[picks])
+        logits, cache = nn.mlp_forward(net, xs[rows])
+        losses, dlogits = nn.softmax_cross_entropy(logits, ys[rows])
         nn.mlp_backward(net, cache, dlogits, out=grads)
+        stepped = list(lock.ids)
         lock.step()
+        if progress is not None and lock.ids:
+            progress(step, {run: float(loss) for run, loss in zip(stepped, losses) if run in lock.ids})
         step += 1
     results = [lock.result(run) for run in range(len(configs))]
     return [out if isinstance(out, Exception) else ErmModel(out[0], index_mode, m, feature_dim) for out in results]
@@ -168,9 +181,12 @@ def train_erm(
     config: ErmConfig,
     index_mode: IndexMode = IndexMode.NONE,
     last_k: int | None = None,
+    progress=None,
 ) -> ErmModel:
-    """One run: ``train_erm_group`` of one, its error raised."""
-    [model] = train_erm_group(domains, [config], index_mode, last_k)
+    """One run: ``train_erm_group`` of one, its error raised.
+    ``progress(step, loss)`` is called after each step when provided."""
+    report = None if progress is None else lambda step, losses: progress(step, losses[0])
+    [model] = train_erm_group(domains, [config], index_mode, last_k, report)
     if isinstance(model, Exception):
         raise model
     return model

@@ -463,6 +463,12 @@ def cmd_report(args, settings: dict) -> int:
     cells = []
     for path in sorted(Path(raw_dir).glob("*.json")):
         payload = _read_json_object(path, "raw cell")
+        # The selected trial's hparams and seeds; files from before they were kept lack them.
+        hparams, seeds = payload.get("hparams"), payload.get("seeds", [])
+        if not isinstance(hparams, (dict, type(None))) or not (
+            isinstance(seeds, list) and all(type(s) is int for s in seeds)
+        ):
+            raise CliInputError(f"raw cell {path}: hparams must be an object and seeds a list of integers")
         try:
             cell = harness.CellResult(
                 row=payload["row"],
@@ -472,6 +478,8 @@ def cmd_report(args, settings: dict) -> int:
                 per_seed=tuple(payload["per_seed"]),
                 scheme=payload["scheme"],
                 error=payload.get("error"),
+                hparams=hparams,
+                seeds=tuple(seeds),
             )
         except KeyError as exc:
             raise CliInputError(f"raw cell {path} lacks {exc}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import nn
+from . import nn, seeding
 from .data import DomainData
 from .nn import Grads, MlpParams, OptimizerError
 
@@ -21,7 +21,12 @@ Array = np.ndarray
 
 
 class EpisodeError(ValueError):
-    """An episode cannot be drawn: some class has too few samples."""
+    """An episode cannot be drawn: some class has too few samples. ``rows``
+    maps the position of each failed run of a stacked draw to its error."""
+
+    def __init__(self, message: str, rows: dict | None = None):
+        super().__init__(message)
+        self.rows = rows or {}
 
 
 @dataclass
@@ -156,46 +161,139 @@ def episode_loss(
     return loss, d2, grads_phi, grads_psi
 
 
-def sample_episode(
-    domains: list[DomainData],
-    n_per_class: int,
-    rng: np.random.Generator,
-    same_domain: bool = False,
-) -> EpisodeBatch:
-    """Draw one episode. Default: support from domain i, query from domain i+1.
+class Episodes:
+    """Where the episodes of R runs come from, and each run's draws.
 
-    ``same_domain=True`` (vanilla prototypical behaviour) draws disjoint
-    support and query sets from one uniformly chosen domain.
+    Holds one stacked source array, the rows of every (domain, class) in it
+    and one word stream per run's generator. ``sample_episode`` decodes a
+    chunk of steps of every live run at once, value for value as the run's
+    own generator would draw them one call at a time: per step
+    ``rng.integers(0, pairs)`` picks the domain i, then per class
+    ``rng.choice(rows, n, replace=False)`` picks n rows of domain i, then n
+    of domain i+1 (``same_domain``: 2n of domain i, the first n the
+    support). ``steps`` (one per run, or one for all) bounds each run's
+    draws; a run that gets through them hands its generator back where the
+    draws left it.
     """
-    if same_domain:
-        if len(domains) < 1:
-            raise ValueError("need at least one source domain")
-        i = int(rng.integers(0, len(domains)))
-        sup_dom = qry_dom = domains[i]
-    else:
-        if len(domains) < 2:
-            raise ValueError("need at least two source domains for consecutive episodes")
-        i = int(rng.integers(0, len(domains) - 1))
-        sup_dom, qry_dom = domains[i], domains[i + 1]
-    # Row indices per class, gathered with one fancy index per side below.
-    s_rows = np.empty((sup_dom.num_classes, n_per_class), dtype=np.int64)
-    q_rows = np.empty_like(s_rows)
-    s_table, q_table = sup_dom.class_index, qry_dom.class_index
-    for k in range(sup_dom.num_classes):
-        if same_domain:
-            idx = s_table[k]
-            if len(idx) < 2 * n_per_class:
-                raise EpisodeError(f"domain {i} class {k}: need {2 * n_per_class} samples, have {len(idx)}")
-            pick = rng.choice(idx, size=2 * n_per_class, replace=False)
-            s_rows[k] = pick[:n_per_class]
-            q_rows[k] = pick[n_per_class:]
-        else:
-            s_idx, q_idx = s_table[k], q_table[k]
-            if len(s_idx) < n_per_class or len(q_idx) < n_per_class:
-                raise EpisodeError(f"episode ({i},{i + 1}) class {k}: insufficient per-class samples")
-            s_rows[k] = rng.choice(s_idx, size=n_per_class, replace=False)
-            q_rows[k] = rng.choice(q_idx, size=n_per_class, replace=False)
-    return EpisodeBatch(support=sup_dom.x[s_rows], query=qry_dom.x[q_rows], source_index=i)
+
+    def __init__(self, domains: list[DomainData], n_per_class: int, rngs, steps=1, same_domain: bool = False):
+        if len(domains) < (1 if same_domain else 2):
+            raise ValueError(
+                "need at least one source domain" if same_domain
+                else "need at least two source domains for consecutive episodes"
+            )
+        if n_per_class < 1:
+            raise ValueError(f"n_per_class must be at least 1, got {n_per_class}")
+        self.streams = [seeding.Words(rng) for rng in rngs]
+        self.steps = np.broadcast_to(np.asarray(steps, dtype=np.int64), len(self.streams))
+        self.x = np.concatenate([d.x for d in domains])
+        k, size = domains[0].num_classes, 2 * n_per_class if same_domain else n_per_class
+        counts = np.array([[len(idx) for idx in d.class_index] for d in domains])
+        offsets = np.cumsum([0] + [d.n for d in domains])
+        self.table = np.concatenate([off + idx for d, off in zip(domains, offsets.tolist()) for idx in d.class_index])
+        firsts = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)
+        # Per domain pair i: the domain of each (class, side), class-major as drawn.
+        pairs = len(domains) - (0 if same_domain else 1)
+        side = np.arange(pairs)[:, None, None] + np.arange(1 if same_domain else 2)
+        classes = np.arange(k)[:, None]
+        self.pops = counts[side, classes]  # P × K × sides
+        self.firsts = firsts[side, classes]
+        self.errors: list[str | None] = []
+        for i in range(pairs):
+            short = np.flatnonzero(self.pops[i].min(axis=1) < size)
+            if not short.size:
+                self.errors.append(None)
+            elif same_domain:
+                self.errors.append(f"domain {i} class {short[0]}: need {size} samples, have {counts[i, short[0]]}")
+            else:
+                self.errors.append(f"episode ({i},{i + 1}) class {short[0]}: insufficient per-class samples")
+        self.ok = np.array([e is None for e in self.errors])
+        self.pops[~self.ok] = size  # a pair that fails a run draws nothing past its index
+        bounds = seeding.choice_bounds(self.pops.ravel(), size).reshape(pairs, -1)
+        bounds[~self.ok] = 0
+        # Slot 0 of a step draws i, from rng.integers(0, pairs); a slot's word
+        # is the step's first plus the words of the live slots before it.
+        self.step_bounds = np.hstack([np.full((pairs, 1), pairs - 1, dtype=np.uint64), bounds]).astype(np.uint32)
+        live = self.step_bounds != 0
+        self.step_words = live.sum(axis=1)
+        last = np.maximum(self.step_words - 1, 0)[:, None]  # a 0 bound reads a word and ignores it
+        self.step_at = np.minimum(np.cumsum(live, axis=1) - live, last).astype(np.int32)
+        self.n, self.size = n_per_class, size
+        self.start = self.stop = 0  # the decoded steps
+        self.row_of = np.full(len(self.streams), -1)
+
+    def decode(self, step: int, runs: list[int]) -> None:
+        """Decode the next chunk of steps, from ``step`` on, for ``runs``."""
+        if step != self.stop:
+            raise ValueError(f"episodes are drawn in step order: step {step} after {self.stop}")
+        left = self.steps[runs] - step
+        n_steps = seeding.chunk_steps(len(runs), self.step_bounds.shape[1], int(left.max()))
+        t, pairs = np.arange(n_steps), np.uint64(len(self.ok))
+
+        def steps_live(pair):
+            """Steps each run takes: up to its last, or the one that fails it."""
+            failed = (t < left[:, None]) & ~self.ok[pair]
+            fail_at = np.where(failed.any(axis=1), failed.argmax(axis=1), n_steps)
+            return (t < left[:, None]) & (t <= fail_at[:, None]), fail_at
+
+        def layout(words):
+            # Where a step starts depends on the pairs drawn before it.
+            rows, at = np.arange(len(runs)), np.zeros(len(runs), dtype=np.int32)
+            begin = np.empty((len(runs), n_steps + 1), dtype=np.int32)
+            pair = np.empty((len(runs), n_steps), dtype=np.int64)
+            drawn_at = np.multiply(words, pairs, dtype=np.uint64) >> np.uint64(32)  # i, if a step began there
+            for s in range(n_steps):
+                begin[:, s] = at
+                pair[:, s] = drawn_at[rows, at]
+                at = at + self.step_words[pair[:, s]]
+            begin[:, n_steps] = at
+            live, _ = steps_live(pair)
+            bounds = self.step_bounds[pair] * live[..., None]
+            at = begin[:, :-1, None] + self.step_at[pair]
+            return bounds.reshape(len(runs), -1), at.reshape(len(runs), -1), begin[rows, live.sum(axis=1)]
+
+        width = max(1, n_steps * int(self.step_words.max()))
+        values = seeding.decode([self.streams[r] for r in runs], width, layout).reshape(len(runs), n_steps, -1)
+        pair = values[:, :, 0]
+        live, fail_at = steps_live(pair)
+        drawn = live & self.ok[pair]  # the steps whose rows a run uses
+        draws = values[:, :, 1:].reshape(*pair.shape, *self.pops.shape[1:], 2 * self.size - 1)
+        picks = seeding.choice_picks(draws, self.pops[pair], self.size) * drawn[..., None, None, None]
+        rows = self.table[self.firsts[pair][..., None] + picks]  # R × T × K × sides × size
+        # Support and query rows of each step and run: T × 2 × R × K × n.
+        k = self.pops.shape[1]
+        self.rows = rows.reshape(len(runs), n_steps, k, 2, self.n).transpose(1, 3, 0, 2, 4).copy()
+        self.pair, self.fail_at = pair, fail_at
+        self.fail_steps = set(fail_at[fail_at < n_steps].tolist())
+        self.row_of[:] = -1
+        self.row_of[runs] = np.arange(len(runs))
+        self.start, self.stop = step, step + n_steps
+        for run, done in zip(runs, (left <= n_steps) & (fail_at >= left)):
+            if done:
+                self.streams[run].sync()
+
+
+def sample_episode(episodes: Episodes, step: int = 0, runs: int | list[int] = 0) -> EpisodeBatch:
+    """The episode of run ``runs`` at ``step`` (an int: K × n × d per side),
+    or of each run of a list, stacked in its order (R × K × n × d). Steps
+    are asked for in order; a run's first step is 0.
+
+    Raises ``EpisodeError`` when the domain pair a run drew cannot serve
+    some class, with the message the run gives alone; ``rows`` maps the
+    position of each such run in ``runs`` to its own error.
+    """
+    if not episodes.start <= step < episodes.stop:
+        episodes.decode(step, np.atleast_1d(runs).tolist())
+    t, row = step - episodes.start, episodes.row_of[runs]
+    if t in episodes.fail_steps:
+        failed = np.flatnonzero(np.atleast_1d(episodes.fail_at[row]) == t).tolist()
+        if failed:
+            pairs = np.atleast_1d(episodes.pair[row, t])
+            errors = {f: EpisodeError(episodes.errors[pairs[f]]) for f in failed}
+            raise EpisodeError(str(errors[failed[0]]), rows=errors)
+    support, query = episodes.x[episodes.rows[t][:, row]]
+    source = episodes.pair[row, t].tolist()
+    return EpisodeBatch(support, query, tuple(source) if isinstance(source, list) else source)
 
 
 @dataclass(frozen=True)
@@ -248,28 +346,20 @@ def train_group(
     )
     width = lock.params.shape[1]
     rngs = [np.random.default_rng(c.seed) for c in configs]
+    episodes = Episodes(source_domains, n_per_class, rngs, [c.steps for c in configs], same_domain_episodes)
     labels = np.repeat(np.arange(first.num_classes), n_per_class)
     logs = np.empty((2, len(models), max(c.steps for c in configs)))  # loss, query accuracy
     step = 0
     while lock.live(step):
-        batches, failed = [], {}
-        for row, run in enumerate(lock.ids):
-            try:
-                batches.append(sample_episode(source_domains, n_per_class, rngs[run], same_domain_episodes))
-            except EpisodeError as exc:
-                failed[row] = exc
-        if failed:
-            lock.drop(failed)  # the episodes drawn line up with the rows kept
+        try:
+            batch = sample_episode(episodes, step, lock.ids)
+        except EpisodeError as exc:
+            lock.drop(exc.rows)
             if not lock.ids:
                 break
+            batch = sample_episode(episodes, step, lock.ids)
         phi = lock.nets[0]
         cur = DPNetModel(phi, phi if shared else lock.nets[1], first.embed_dim, first.num_classes)
-        # np.array stacks equal-shaped arrays as np.stack does, with less per-call overhead.
-        batch = EpisodeBatch(
-            np.array([b.support for b in batches]),
-            np.array([b.query for b in batches]),
-            tuple(b.source_index for b in batches),
-        )
         losses, d2, _, _ = episode_loss(cur, batch, lock.grads)
         if shared:
             lock.grad[: len(lock.ids), :width] += lock.grad[: len(lock.ids), width:]

@@ -136,7 +136,7 @@ class Erm:
 
     def fit(self, sources: list[DomainData], hparams: dict, seed: int, progress=None) -> baselines.ErmModel:
         cfg = self._config(sources, hparams, seed)
-        return baselines.train_erm(sources, cfg, index_mode=self.mode, last_k=self.last_k)
+        return baselines.train_erm(sources, cfg, index_mode=self.mode, last_k=self.last_k, progress=progress)
 
     def fit_group(self, sources: list[DomainData], runs: list[tuple[dict, int]]) -> list:
         cfgs = [self._config(sources, hparams, seed) for hparams, seed in runs]
@@ -386,6 +386,25 @@ class CellResult:
     error: str | None = None
     # The search's failed runs as (trial, seed, error); kept out of the reports.
     failed_runs: tuple[tuple[int, int, str], ...] = ()
+    # The selected trial's hyperparameters and seeds: raw cell JSON only, so
+    # the CSV and Markdown bytes do not depend on them.
+    hparams: dict | None = None
+    seeds: tuple[int, ...] = ()
+
+
+def _cell(row: str, algorithm: str, res: SearchResult) -> CellResult:
+    best = res.best
+    return CellResult(
+        row,
+        algorithm,
+        res.mean,
+        res.std,
+        tuple(best.target_accs),
+        res.strategy.value,
+        failed_runs=res.failed_runs,
+        hparams=best.hparams,
+        seeds=best.seeds,
+    )
 
 
 def run_sweep(
@@ -418,17 +437,7 @@ def run_sweep(
                     master_seed=cell_seed,
                     workers=workers,
                 )
-                cells.append(
-                    CellResult(
-                        row,
-                        algorithm,
-                        res.mean,
-                        res.std,
-                        tuple(res.best.target_accs),
-                        strategy.value,
-                        failed_runs=res.failed_runs,
-                    )
-                )
+                cells.append(_cell(row, algorithm, res))
             except RuntimeError as exc:
                 cells.append(CellResult(row, algorithm, None, None, (), strategy.value, error=str(exc)))
     return cells
@@ -475,17 +484,7 @@ def run_interpolation_study(
                 master_seed=cell_seed,
                 workers=workers,
             )
-            cells.append(
-                CellResult(
-                    f"domains={count}",
-                    label,
-                    res.mean,
-                    res.std,
-                    tuple(res.best.target_accs),
-                    strategy.value,
-                    failed_runs=res.failed_runs,
-                )
-            )
+            cells.append(_cell(f"domains={count}", label, res))
     return cells
 
 
@@ -587,6 +586,8 @@ def emit_report(cells: list[CellResult], out_dir, name: str = "results") -> dict
                         "per_seed": list(c.per_seed),
                         "scheme": c.scheme,
                         "error": c.error,
+                        "hparams": c.hparams,
+                        "seeds": list(c.seeds),
                     },
                     sort_keys=True,
                     indent=1,

@@ -106,6 +106,20 @@ class TestTrain:
         sidecar = json.loads((tmp_path / "erm" / "model.json").read_text())
         assert sidecar["algo"] == "erm-onehot" and sidecar["index_mode"] == "onehot"
 
+    def test_erm_reports_progress(self, capsys, tmp_path):
+        argv = [
+            "train", "--algo", "erm", "--dataset", "evolcircle", "--seed", "7",
+            "--num-domains", "6", "--samples", "40", "--steps", "201",
+        ]
+        code, events = run_cli(capsys, [*argv, "--out", str(tmp_path / "loud")])
+        assert code == 0
+        progress = [e for e in events if e["event"] == "train-step"]
+        assert [e["step"] for e in progress] == [0, 200]
+        assert all(isinstance(e["loss"], float) and e["loss"] > 0 for e in progress)
+        assert cli.main([*argv, "--quiet", "--out", str(tmp_path / "quiet")]) == 0
+        assert not [line for line in capsys.readouterr().out.splitlines() if line.startswith("train-step")]
+        assert (tmp_path / "loud" / "model.ckpt").read_bytes() == (tmp_path / "quiet" / "model.ckpt").read_bytes()
+
     def test_unknown_algo_is_config_error(self, capsys, tmp_path):
         code, events = run_cli(capsys, ["train", "--algo", "mystery", "--out", str(tmp_path)])
         assert code == 2
@@ -289,11 +303,15 @@ class TestCorruptJsonInputs:
         assert cli.main(argv) == 0
         return json.loads(sorted((out / "raw").glob("*.json"))[0].read_text())
 
-    @pytest.mark.parametrize("damage", ["truncated", "not-an-object", "no-per-seed"])
+    @pytest.mark.parametrize("damage", ["truncated", "not-an-object", "no-per-seed", "bad-seeds", "bad-hparams"])
     def test_bad_raw_cell_is_input_error(self, capsys, tmp_path, raw_cells, damage):
         cell = dict(raw_cells)
         if damage == "no-per-seed":
             del cell["per_seed"]
+        elif damage == "bad-seeds":
+            cell["seeds"] = 5
+        elif damage == "bad-hparams":
+            cell["hparams"] = [1, 2]
         text = json.dumps(cell)
         text = {"truncated": text[: len(text) // 2], "not-an-object": "[1, 2]"}.get(damage, text)
         raw = tmp_path / "raw"
@@ -324,6 +342,47 @@ class TestSweepAndReport:
         )
         assert code == 0
         assert (tmp_path / "rebuilt" / "results.csv").read_text() == csv_text
+
+    def test_raw_cells_keep_the_selected_trial(self, capsys, tmp_path, monkeypatch):
+        from edglab import harness
+
+        searches, search = [], harness.random_search
+
+        def recording(*args, **kwargs):
+            searches.append(search(*args, **kwargs))
+            return searches[-1]
+
+        monkeypatch.setattr(harness, "random_search", recording)
+        out = tmp_path / "sweep"
+        argv = [
+            "sweep", "--dataset", "rotatedcloud", "--axis", "distance", "--values", "5,25",
+            "--algos", "dpnets,erm", "--trials", "2", "--n-seeds", "2", "--samples", "40",
+            "--num-domains", "4", "--seed", "5", "--quiet", "--out", str(out),
+        ]
+        assert cli.main(argv) == 0
+        cells = [(f"domain_distance={v}", a) for v in (5.0, 25.0) for a in ("dpnets", "erm")]
+        assert len(searches) == len(cells)
+        raw = {}
+        for path in sorted((out / "raw").glob("*.json")):
+            cell = json.loads(path.read_text())
+            raw[(cell["row"], cell["algorithm"])] = cell
+        for key, res in zip(cells, searches):
+            # JSON turns the width tuples into lists.
+            assert raw[key]["hparams"] == json.loads(json.dumps(res.best.hparams))
+            assert raw[key]["seeds"] == list(res.best.seeds)
+        capsys.readouterr()
+        code, _ = run_cli(capsys, ["report", "--raw", str(out / "raw"), "--out", str(tmp_path / "rebuilt")])
+        assert code == 0
+        for name in ("results.csv", "results.md", *(f"raw/{p.name}" for p in (out / "raw").iterdir())):
+            assert (tmp_path / "rebuilt" / name).read_bytes() == (out / name).read_bytes(), name
+        # Raw cells written before the selection was kept still report.
+        for path in (out / "raw").iterdir():
+            cell = json.loads(path.read_text())
+            del cell["hparams"], cell["seeds"]
+            path.write_text(json.dumps(cell))
+        code, _ = run_cli(capsys, ["report", "--raw", str(out / "raw"), "--out", str(tmp_path / "old")])
+        assert code == 0
+        assert (tmp_path / "old" / "results.csv").read_bytes() == (out / "results.csv").read_bytes()
 
     @pytest.mark.parametrize("quiet", [False, True])
     @pytest.mark.parametrize("failing", ["one-run", "every-run"])

@@ -157,12 +157,12 @@ class TestSampleEpisode:
     def test_two_domains_always_pair_zero_one(self, rng):
         domains = two_class_domains(rng, m=2)
         for _ in range(20):
-            batch = dpnet.sample_episode(domains, 4, rng)
+            batch = dpnet.sample_episode(dpnet.Episodes(domains, 4, [rng]))
             assert batch.source_index == 0
 
     def test_without_replacement_support(self, rng):
         domains = two_class_domains(rng, m=2, n=8)
-        batch = dpnet.sample_episode(domains, 4, rng)  # full class size
+        batch = dpnet.sample_episode(dpnet.Episodes(domains, 4, [rng]))  # full class size
         for k in range(2):
             drawn = batch.support[k]
             original = domains[0].x[domains[0].y == k]
@@ -172,14 +172,14 @@ class TestSampleEpisode:
         domains = two_class_domains(rng, m=5, n=20)
         counts = np.zeros(4)
         for _ in range(10000):
-            counts[dpnet.sample_episode(domains, 2, rng).source_index] += 1
+            counts[dpnet.sample_episode(dpnet.Episodes(domains, 2, [rng])).source_index] += 1
         freqs = counts / 10000
         assert np.max(np.abs(freqs - 0.25)) < 0.02
 
     def test_insufficient_samples_rejected(self, rng):
         domains = two_class_domains(rng, m=2, n=8)
         with pytest.raises(ValueError, match="insufficient"):
-            dpnet.sample_episode(domains, 5, rng)
+            dpnet.sample_episode(dpnet.Episodes(domains, 5, [rng]))
 
 
 class TestTrain:

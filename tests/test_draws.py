@@ -1,0 +1,194 @@
+"""The exact draw layer (``seeding``): bulk decoding of a generator's words
+gives what ``Generator.choice`` and ``Generator.integers`` give call by call,
+and leaves the generator where those calls would.
+
+The references are numpy's own calls, and ``reference_episode`` below draws
+an episode one numpy call at a time, as the bulk decoder must match.
+"""
+import numpy as np
+import pytest
+
+from edglab import baselines, data, dpnet, seeding
+
+
+def state_equal(a, b) -> bool:
+    return a.bit_generator.state == b.bit_generator.state
+
+
+def decode_bounds(rng, bounds):
+    """``seeding.decode`` over one stream for draws with the given bounds."""
+    bounds = np.asarray(bounds, dtype=np.uint64)
+    live = bounds != 0
+    at = np.minimum(np.cumsum(live) - live, max(int(live.sum()) - 1, 0))
+    words = seeding.Words(rng)
+    values = seeding.decode([words], max(int(live.sum()), 1), lambda _: (bounds[None], at[None], int(live.sum())))
+    return values[0], words
+
+
+@pytest.mark.parametrize(
+    "pop,size",
+    [(110, 16), (20, 20), (6380, 64), (12000, 500), (10001, 10001), (10000, 9000), (20000, 400), (20000, 401)],
+)
+def test_choice_matches_generator(pop, size):
+    # (20, 20): Floyd's first bound is 0 and takes no word. (12000, 500),
+    # (10001, 10001) and (20000, 401): numpy shuffles the tail of arange(pop)
+    # instead; (10000, 9000) and (20000, 400) are the last Floyd cases.
+    for seed in range(3):
+        ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = [ref.choice(pop, size, replace=False) for _ in range(2)]
+        words = seeding.Words(rng)
+        got = seeding.choice([words], pop, size, 2)[0]
+        assert all(np.array_equal(a, b) for a, b in zip(want, got))
+        words.sync()
+        assert state_equal(ref, rng)
+        assert np.array_equal(ref.integers(0, 1000, 50), rng.integers(0, 1000, 50))
+
+
+def test_choice_stacks_streams():
+    streams = [seeding.Words(np.random.default_rng(s)) for s in range(3)]
+    got = seeding.choice(streams, 300, 7, 4)
+    for s in range(3):
+        ref = np.random.default_rng(s)
+        assert np.array_equal(got[s], [ref.choice(300, 7, replace=False) for _ in range(4)])
+
+
+def test_lemire_matches_integers_with_rejections():
+    bounds = np.random.default_rng(0).integers(2**31, 2**32 - 1, size=2000, dtype=np.uint64)
+    bounds[::9] = 0  # no word
+    ref, rng = np.random.default_rng(5), np.random.default_rng(5)
+    want = ref.integers(0, bounds.astype(np.int64), endpoint=True)
+    got, words = decode_bounds(rng, bounds)
+    assert np.array_equal(got, want)
+    assert words.used > np.count_nonzero(bounds)  # rejections happened and were redrawn
+    words.sync()
+    assert state_equal(ref, rng)
+
+
+def test_words_start_with_a_buffered_half():
+    ref, rng = np.random.default_rng(9), np.random.default_rng(9)
+    ref.integers(0, 10), rng.integers(0, 10)  # one uint32 of a 64-bit output
+    assert rng.bit_generator.state["has_uint32"] == 1
+    want = ref.choice(50, 5, replace=False)
+    words = seeding.Words(rng)
+    assert np.array_equal(seeding.choice([words], 50, 5, 1)[0, 0], want)
+    words.sync()
+    assert state_equal(ref, rng)
+
+
+def reference_episode(domains, n, rng, same_domain):
+    """One episode the way training drew it call by call: rows of support
+    and query, the pair index, or the EpisodeError message."""
+    i = int(rng.integers(0, len(domains) - (0 if same_domain else 1)))
+    sup, qry = domains[i], domains[i if same_domain else i + 1]
+    s_rows, q_rows = [], []
+    for k in range(sup.num_classes):
+        if same_domain:
+            idx = sup.class_index[k]
+            if len(idx) < 2 * n:
+                return f"domain {i} class {k}: need {2 * n} samples, have {len(idx)}"
+            pick = rng.choice(idx, size=2 * n, replace=False)
+            s_rows.append(pick[:n])
+            q_rows.append(pick[n:])
+        else:
+            s_idx, q_idx = sup.class_index[k], qry.class_index[k]
+            if len(s_idx) < n or len(q_idx) < n:
+                return f"episode ({i},{i + 1}) class {k}: insufficient per-class samples"
+            s_rows.append(rng.choice(s_idx, size=n, replace=False))
+            q_rows.append(rng.choice(q_idx, size=n, replace=False))
+    return sup.x[np.array(s_rows)], qry.x[np.array(q_rows)], i
+
+
+def draw_all(domains, n, seeds, steps, same_domain):
+    """Every episode of a group, asked for as ``train_group`` asks: all live
+    runs each step, a failed run dropped with its error."""
+    episodes = dpnet.Episodes(domains, n, [np.random.default_rng(s) for s in seeds], steps, same_domain)
+    live, out = list(range(len(seeds))), {run: [] for run in range(len(seeds))}
+    for step in range(max(steps)):
+        live = [run for run in live if steps[run] > step]
+        try:
+            batch = dpnet.sample_episode(episodes, step, live)
+        except dpnet.EpisodeError as exc:
+            for row, err in exc.rows.items():
+                out[live[row]].append(str(err))
+            live = [run for row, run in enumerate(live) if row not in exc.rows]
+            if not live:
+                break
+            batch = dpnet.sample_episode(episodes, step, live)
+        for row, run in enumerate(live):
+            out[run].append((batch.support[row], batch.query[row], batch.source_index[row]))
+    return out
+
+
+def reference_all(domains, n, seeds, steps, same_domain):
+    out = {}
+    for run, (seed, count) in enumerate(zip(seeds, steps)):
+        rng, out[run] = np.random.default_rng(seed), []
+        for _ in range(count):
+            out[run].append(reference_episode(domains, n, rng, same_domain))
+            if isinstance(out[run][-1], str):
+                break
+    return out
+
+
+def same_episodes(a, b) -> bool:
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1]) and a[2] == b[2]
+
+
+@pytest.fixture(scope="module")
+def evolcircle():
+    return data.generate(data.default_spec("evolcircle", seed=7, num_domains=8, samples_per_domain=60))[:-1]
+
+
+@pytest.mark.parametrize("same_domain", [False, True], ids=["dpnets", "proto"])
+def test_chunking_does_not_change_episodes(evolcircle, monkeypatch, same_domain):
+    seeds, steps = [3, 4, 5], [70, 45, 70]
+    full = draw_all(evolcircle, 6, seeds, steps, same_domain)
+    monkeypatch.setattr(seeding, "CHUNK_DRAWS", 1)  # one step per chunk
+    assert seeding.chunk_steps(3, 100, 70) == 1
+    single = draw_all(evolcircle, 6, seeds, steps, same_domain)
+    want = reference_all(evolcircle, 6, seeds, steps, same_domain)
+    for run in range(len(seeds)):
+        assert len(full[run]) == len(single[run]) == len(want[run]) == steps[run]
+        assert all(same_episodes(a, b) for a, b in zip(full[run], want[run]))
+        assert all(same_episodes(a, b) for a, b in zip(single[run], want[run]))
+
+
+def test_episode_error_surfaces_at_its_step(evolcircle):
+    # Domain 3 keeps 3 samples of class 1: pairs (2,3) and (3,4) cannot serve n=4.
+    domains = list(evolcircle)
+    d = domains[3]
+    keep = np.concatenate([np.flatnonzero(d.y == 0), np.flatnonzero(d.y == 1)[:3]])
+    domains[3] = data.DomainData(d.index, d.x[keep], d.y[keep], d.num_classes)
+    seeds, steps = list(range(6)), [200] * 6
+    got = draw_all(domains, 4, seeds, steps, False)
+    want = reference_all(domains, 4, seeds, steps, False)
+    failures = 0
+    for run in range(len(seeds)):
+        assert len(got[run]) == len(want[run])
+        assert all(same_episodes(a, b) for a, b in zip(got[run], want[run]))
+        failures += isinstance(want[run][-1], str)
+    assert failures >= 3  # most runs meet a bad pair within 200 steps
+    # The trainer gives each failed run the same error, the others train on.
+    models = [dpnet.init_dpnet((2, 2), 2, seed=s) for s in seeds]
+    configs = [dpnet.TrainConfig(steps=200, n_per_class=4, seed=s) for s in seeds]
+    for run, result in enumerate(dpnet.train_group(models, domains, configs)):
+        if isinstance(want[run][-1], str):
+            assert isinstance(result, dpnet.EpisodeError) and str(result) == want[run][-1]
+        else:
+            assert not isinstance(result, Exception)
+
+
+def test_erm_batches_do_not_depend_on_chunking(evolcircle, monkeypatch):
+    configs = [baselines.ErmConfig(steps=s, batch_size=16, lr=0.05, seed=s) for s in (30, 45)]
+    full = baselines.train_erm_group(evolcircle, configs)
+    monkeypatch.setattr(seeding, "CHUNK_DRAWS", 1)
+    single = baselines.train_erm_group(evolcircle, configs)
+    for a, b in zip(full, single):
+        assert all(np.array_equal(x, y) for x, y in zip(a.net.arrays(), b.net.arrays()))
+
+
+def test_episodes_need_a_sample(evolcircle):
+    with pytest.raises(ValueError, match="n_per_class"):
+        dpnet.Episodes(evolcircle, 0, [np.random.default_rng(0)])

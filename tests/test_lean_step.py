@@ -290,7 +290,7 @@ def test_erm_recent_window_matches_oracle(rplate):
 def test_episodes_match_oracle(evolcircle, same_domain):
     rng, oracle_rng = np.random.default_rng(13), np.random.default_rng(13)
     for _ in range(50):
-        batch = dpnet.sample_episode(evolcircle, 5, rng, same_domain=same_domain)
+        batch = dpnet.sample_episode(dpnet.Episodes(evolcircle, 5, [rng], same_domain=same_domain))
         support, query = _oracle_episode(evolcircle, 5, oracle_rng, same_domain)
         assert np.array_equal(batch.support, np.stack(support))
         assert np.array_equal(batch.query, np.stack(query))
