@@ -274,9 +274,11 @@ def read_idx_labels(path) -> Array:
 
 
 def rotate_image(img: Array, degrees: float) -> Array:
-    """Rotate about the image center, bilinear interpolation, out-of-bounds = 0."""
+    """Rotate an image, or each image of a stack ``(..., h, w)``, about its
+    center: bilinear interpolation, out-of-bounds = 0. The sampling grid and
+    the four bilinear weights are built once for the whole stack."""
     img = np.asarray(img, dtype=np.float64)
-    h, w = img.shape
+    h, w = img.shape[-2:]
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     theta = np.deg2rad(degrees)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
@@ -297,7 +299,7 @@ def rotate_image(img: Array, degrees: float) -> Array:
     ):
         yy, xx = y0 + oy, x0 + ox
         valid = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
-        out[valid] += wgt[valid] * img[yy[valid], xx[valid]]
+        out[..., valid] += wgt[valid] * img[..., yy[valid], xx[valid]]
     return out
 
 
@@ -306,7 +308,8 @@ def load_rmnist(idx_image_path, idx_label_path, spec: EnvironmentSpec) -> list[D
 
     Selects ``num_domains * samples_per_domain`` instances (seeded, default
     2400), splits them into equal disjoint groups, rotates group i by
-    i*domain_distance degrees, and flattens 28×28 to 784 reals in [0, 1].
+    i*domain_distance degrees (one ``rotate_image`` call per group), and
+    flattens 28×28 to 784 reals in [0, 1].
     """
     if spec.kind != "rmnist":
         raise ConfigurationError(f"load_rmnist got spec kind {spec.kind!r}")
@@ -333,10 +336,8 @@ def load_rmnist(idx_image_path, idx_label_path, spec: EnvironmentSpec) -> list[D
     domains = []
     for i, group in enumerate(groups):
         angle = i * spec.domain_distance
-        flat = np.empty((len(group), images.shape[1] * images.shape[2]))
-        for j, idx in enumerate(group):
-            rotated = rotate_image(images[idx], angle) if angle != 0.0 else images[idx].astype(np.float64)
-            flat[j] = rotated.ravel() / 255.0
+        block = rotate_image(images[group], angle) if angle != 0.0 else images[group].astype(np.float64)
+        flat = block.reshape(len(group), -1) / 255.0
         domains.append(DomainData(i, flat, labels[group], num_classes=spec.num_classes))
     return domains
 

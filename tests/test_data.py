@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from edglab import data
+from edglab import data, seeding
 
 
 def write_idx(tmp_path, images, labels, image_name="imgs.idx", label_name="lbls.idx"):
@@ -125,6 +125,55 @@ class TestRotatedCloud:
             assert np.max(np.abs(cur - ref)) < 1e-9
 
 
+def frozen_rotate(img, degrees):
+    """The per-image rotation as it was before stacks, frozen as the oracle."""
+    img = np.asarray(img, dtype=np.float64)
+    h, w = img.shape
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    theta = np.deg2rad(degrees)
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    rr, cc = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    dy, dx = rr - cy, cc - cx
+    src_y = cy + cos_t * dy + sin_t * dx
+    src_x = cx - sin_t * dy + cos_t * dx
+    y0 = np.floor(src_y).astype(np.int64)
+    x0 = np.floor(src_x).astype(np.int64)
+    fy, fx = src_y - y0, src_x - x0
+    out = np.zeros_like(img)
+    for oy, ox, wgt in (
+        (0, 0, (1 - fy) * (1 - fx)),
+        (0, 1, (1 - fy) * fx),
+        (1, 0, fy * (1 - fx)),
+        (1, 1, fy * fx),
+    ):
+        yy, xx = y0 + oy, x0 + ox
+        valid = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
+        out[valid] += wgt[valid] * img[yy[valid], xx[valid]]
+    return out
+
+
+def frozen_load_rmnist(idx_image_path, idx_label_path, spec):
+    """``load_rmnist`` as it was before stacks: one rotation per image."""
+    images = data.read_idx_images(idx_image_path)
+    labels = data.read_idx_labels(idx_label_path)
+    total = spec.num_domains * spec.samples_per_domain
+    rng = seeding.child_rng(spec.seed, "rmnist", "select")
+    for attempt in range(64):
+        chosen = rng.choice(images.shape[0], size=total, replace=False)
+        groups = chosen.reshape(spec.num_domains, spec.samples_per_domain)
+        if all(len(np.unique(labels[g])) == spec.num_classes for g in groups):
+            break
+    out = []
+    for i, group in enumerate(groups):
+        angle = i * spec.domain_distance
+        flat = np.empty((len(group), images.shape[1] * images.shape[2]))
+        for j, idx in enumerate(group):
+            rotated = frozen_rotate(images[idx], angle) if angle != 0.0 else images[idx].astype(np.float64)
+            flat[j] = rotated.ravel() / 255.0
+        out.append((flat, labels[group]))
+    return out
+
+
 class TestRotateImage:
     def test_zero_rotation_identity(self, rng):
         img = rng.random((28, 28))
@@ -134,6 +183,18 @@ class TestRotateImage:
         img = rng.random((28, 28))
         back = data.rotate_image(data.rotate_image(img, 180.0), 180.0)
         assert np.max(np.abs(back - img)) < 1e-6
+
+    @pytest.mark.parametrize("degrees", [10.0, 45.0, 110.0, 180.0, 350.0])
+    @pytest.mark.parametrize("shape", [(28, 28), (20, 28)])
+    def test_stack_equals_each_image(self, degrees, shape):
+        # uint8 glyph-like pixels and arbitrary reals, with a leading stack axis of two.
+        rng = np.random.default_rng(int(degrees))
+        stack = np.stack([rng.integers(0, 256, size=(5,) + shape).astype(np.float64), rng.random((5,) + shape)])
+        rotated = data.rotate_image(stack, degrees)
+        assert rotated.shape == stack.shape
+        for index in np.ndindex(stack.shape[:2]):
+            assert np.array_equal(rotated[index], frozen_rotate(stack[index], degrees))
+            assert np.array_equal(rotated[index], data.rotate_image(stack[index], degrees))
 
     def test_out_of_bounds_is_zero(self):
         img = np.ones((28, 28))
@@ -171,6 +232,15 @@ class TestRmnistLoader:
         for i, d in enumerate(domains):
             expected = data.rotate_image(pattern.astype(float), i * 25.0).ravel() / 255.0
             assert np.max(np.abs(d.x - expected)) < 1e-12
+
+    def test_equals_per_image_loop(self, tmp_path):
+        img, lbl = self.make_dataset(tmp_path, n=300, seed=3)
+        spec = data.EnvironmentSpec(kind="rmnist", num_domains=5, samples_per_domain=40, domain_distance=35.0, seed=6)
+        domains = data.load_rmnist(img, lbl, spec)
+        want = frozen_load_rmnist(img, lbl, spec)
+        assert len(domains) == len(want)
+        for d, (x, y) in zip(domains, want):
+            assert np.array_equal(d.x, x) and np.array_equal(d.y, y)
 
     def test_domain_zero_is_pixel_identical_to_source(self, tmp_path):
         img, lbl = self.make_dataset(tmp_path)

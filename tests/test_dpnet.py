@@ -171,8 +171,9 @@ class TestSampleEpisode:
     def test_source_index_frequencies_uniform(self, rng):
         domains = two_class_domains(rng, m=5, n=20)
         counts = np.zeros(4)
-        for _ in range(10000):
-            counts[dpnet.sample_episode(dpnet.Episodes(domains, 2, [rng])).source_index] += 1
+        episodes = dpnet.Episodes(domains, 2, [rng], steps=10000)
+        for step in range(10000):
+            counts[dpnet.sample_episode(episodes, step).source_index] += 1
         freqs = counts / 10000
         assert np.max(np.abs(freqs - 0.25)) < 0.02
 

@@ -194,6 +194,103 @@ class TestOptimizers:
             nn.Optimizer("sgd", 0.0, np.zeros(1))
 
 
+class FrozenStep:
+    """The untiled ``step_mlps``, frozen as the oracle of the tiled one: each
+    op runs once over all live rows, through full-size scratch buffers."""
+
+    def __init__(self, kind, lrs, params):
+        self.kind, self.t = kind, 0
+        self.lr, self.params = np.array(lrs, dtype=np.float64)[:, None], params
+        self.m, self.v = np.zeros_like(params), np.zeros_like(params)
+
+    def keep(self, rows):
+        for buf in (self.params, self.lr, self.m, self.v):
+            buf[: len(rows)] = buf[rows]
+
+    def step(self, g):
+        live = len(g)
+        bad = ~np.isfinite(g).all(axis=1)
+        if bad.any():
+            raise nn.OptimizerError("non-finite gradient", tuple(np.flatnonzero(bad).tolist()))
+        p, lr, tmp = self.params[:live], self.lr[:live], np.empty_like(g)
+        if self.kind == "sgd":
+            np.multiply(g, lr, out=tmp)
+            p -= tmp
+            return
+        self.t += 1
+        b1, b2, eps = nn.Optimizer.beta1, nn.Optimizer.beta2, nn.Optimizer.eps
+        m, v, upd = self.m[:live], self.v[:live], np.empty_like(g)
+        m *= b1
+        np.multiply(g, 1 - b1, out=tmp)
+        m += tmp
+        v *= b2
+        np.multiply(g, 1 - b2, out=tmp)
+        tmp *= g
+        v += tmp
+        np.divide(v, 1 - b2**self.t, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += eps
+        np.divide(m, 1 - b1**self.t, out=upd)
+        upd *= lr
+        upd /= tmp
+        p -= upd
+
+
+def _same_state(opt, ref):
+    assert np.array_equal(opt.params, ref.params)
+    if opt.kind == "adam":
+        assert opt.t == ref.t
+        assert np.array_equal(opt.m, ref.m) and np.array_equal(opt.v, ref.v)
+
+
+class TestTiledStep:
+    """``step_mlps`` walks the buffer in ``STEP_TILE`` column tiles; every
+    value must equal the untiled step's, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    @pytest.mark.parametrize("runs", [1, 3])
+    @pytest.mark.parametrize("tile", [None, 7])  # the module's tile, then one that splits every row
+    def test_equals_untiled_step(self, kind, runs, tile, monkeypatch):
+        if tile is not None:
+            monkeypatch.setattr(nn, "STEP_TILE", tile)
+        width = 2 * nn.STEP_TILE + 123  # several tiles, the last one ragged
+        assert width % max(1, nn.STEP_TILE // runs) != 0
+        rng = np.random.default_rng(runs)
+        start = rng.standard_normal((runs, width))
+        params, ref_params = start.copy(), start.copy()
+        lrs = [1e-3 * (row + 1) for row in range(runs)]
+        opt, ref = nn.Optimizer(kind, lrs, params), FrozenStep(kind, lrs, ref_params)
+        # Gradient rows as Lockstep keeps them: the first columns of a wider buffer.
+        grad = np.empty((runs, width + 5))
+        live = runs
+        for step in range(6):
+            if step == 3 and runs > 1:  # a run leaves, as Lockstep.drop takes it out
+                opt.keep([0, 2])
+                ref.keep([0, 2])
+                live = 2
+            grad[:live, :width] = rng.standard_normal((live, width)) * 10.0 ** rng.integers(-6, 2, size=(live, 1))
+            nn.step_mlps(opt, grad[:live, :width])
+            ref.step(grad[:live, :width])
+            _same_state(opt, ref)
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_in_last_tile_fails_before_any_update(self, kind, bad_value):
+        runs, width = 3, 2 * nn.STEP_TILE + 123
+        rng = np.random.default_rng(5)
+        opt = nn.Optimizer(kind, [1e-3, 2e-3, 3e-3], rng.standard_normal((runs, width)))
+        for _ in range(2):
+            nn.step_mlps(opt, rng.standard_normal((runs, width)))
+        before = [a.copy() for a in opt.state]
+        t = opt.t
+        grad = rng.standard_normal((runs, width))
+        grad[1, -1] = bad_value
+        with pytest.raises(nn.OptimizerError) as info:
+            nn.step_mlps(opt, grad)
+        assert info.value.rows == (1,)
+        assert opt.t == t
+        assert all(np.array_equal(a, b) for a, b in zip(opt.state, before))
+
 class TestCheckpoint:
     def test_round_trip(self, rng, tmp_path):
         nets = [nn.init_mlp((3, 5, 2), rng), nn.init_mlp((2, 2), rng)]
