@@ -104,7 +104,6 @@ class ErmConfig:
     steps: int = 1000
     batch_size: int = 32
     lr: float = 1e-2
-    optimizer: str = "adam"
     seed: int = 0
     hidden: tuple[int, ...] = ()  # empty = single linear layer
 
@@ -119,11 +118,11 @@ def train_erm_group(
     """Mini-batch cross-entropy over pooled source samples, R runs in
     lockstep (``nn.Lockstep``).
 
-    The configs share ``batch_size``, ``hidden`` and ``optimizer``. Each run
-    keeps its own ``lr``, ``steps`` and seed (its initial weights and its
-    batches), so it ends bit for bit where it would alone. Returns, per run,
-    the model or the error that ended it. ``progress(step, losses)`` is
-    called after each step with ``{run: loss}`` for the runs that took it.
+    The configs share ``batch_size`` and ``hidden``. Each run keeps its own
+    ``lr``, ``steps`` and seed (its initial weights and its batches), so it
+    ends bit for bit where it would alone. Returns, per run, the model or the
+    error that ended it. ``progress(step, losses)`` is called after each step
+    with ``{run: loss}`` for the runs that took it.
 
     ``last_k`` restricts training to the final k source domains. The one-hot /
     outer-product width always spans all ``len(domains)`` indices so the model
@@ -131,9 +130,9 @@ def train_erm_group(
     """
     if not domains:
         raise ValueError("need at least one source domain")
-    batch_size, hidden, optimizer = configs[0].batch_size, tuple(configs[0].hidden), configs[0].optimizer
-    if any((c.batch_size, tuple(c.hidden), c.optimizer) != (batch_size, hidden, optimizer) for c in configs):
-        raise ValueError("runs of one lockstep group must share batch_size, hidden and optimizer")
+    batch_size, hidden = configs[0].batch_size, tuple(configs[0].hidden)
+    if any((c.batch_size, tuple(c.hidden)) != (batch_size, hidden) for c in configs):
+        raise ValueError("runs of one lockstep group must share batch_size and hidden")
     m = len(domains)
     positions = _positions(index_mode, m)
     used = domains[-last_k:] if last_k else domains
@@ -149,7 +148,7 @@ def train_erm_group(
         # it keeps never-activated index blocks exactly inert at prediction time.
         for head in net.layers[-1]:
             head[...] = 0.0
-    lock = nn.Lockstep([[net] for net in nets], optimizer, [c.lr for c in configs], [c.steps for c in configs])
+    lock = nn.Lockstep([[net] for net in nets], [c.lr for c in configs], [c.steps for c in configs])
     # Each run's batches are rng.choice(n, batch, replace=False) per step,
     # decoded a chunk of steps at a time for every live run.
     streams = [seeding.Words(rng) for rng in rngs]

@@ -1,5 +1,5 @@
 """Single command-line entry point: data generation, training, evaluation,
-sweeps, bound certification, and report (re-)emission.
+sweeps and the headline table, bound certification, and report (re-)emission.
 
 Exit codes: 0 success, 1 experiment failure, 2 configuration/usage error.
 Precedence for settings: explicit flags > --set overrides > --config file >
@@ -62,7 +62,7 @@ SETTINGS = {
     "images": (str, None, "IDX image file (rmnist)"),
     "labels": (str, None, "IDX label file (rmnist)"),
     "cache-dir": (str, None, f"dataset cache directory (default from ${CACHE_ENV_VAR})"),
-    "workers": (int, None, "worker threads for sweep and interp-study; the other subcommands ignore it"),
+    "workers": (int, None, "worker threads for sweep, interp-study and headline; the other subcommands ignore it"),
     "algo": (str, harness.ALGORITHMS, "algorithm"),
     "steps": (int, None, "training steps"),
     "lr": (float, None, "learning rate"),
@@ -111,6 +111,11 @@ COMMANDS = {
         "extrapolation vs interpolation across domain counts",
         {"seed": 0, "samples": None, "distance": None, **SEARCH_DEFAULTS,
          "counts": "5,7,9,11", "trials": 3, "n-seeds": 3},
+    ),
+    "headline": (
+        "the headline table: each algorithm on both drifting 2-D benchmarks",
+        {"seed": 0, "strategy": "oracle_max_query", "workers": 1, "algos": ",".join(harness.ALGORITHMS),
+         "trials": 20, "n-seeds": 5},
     ),
     "verify-bounds": (
         "randomized certification of the divergence bounds",
@@ -360,6 +365,33 @@ def _emit_failures(cells: list, quiet: bool) -> None:
             emit("cell-failed", quiet, row=c.row, algorithm=c.algorithm, error=c.error)
 
 
+def _algorithms(settings: dict) -> tuple[str, ...]:
+    algos = tuple(settings["algos"].split(","))
+    for a in algos:
+        if a not in harness.ALGORITHMS:
+            raise CliConfigError(f"unknown algorithm {a!r}")
+    return algos
+
+
+def _search_args(settings: dict) -> dict:
+    return {
+        "n_trials": settings["trials"],
+        "n_seeds": settings["n-seeds"],
+        "strategy": harness.SelectionStrategy(settings["strategy"]),
+        "workers": settings["workers"],
+    }
+
+
+def _emit_grid(args, cells: list, name: str = "results") -> int:
+    """Write a grid's report, then one event per failure and the command's
+    event; exit 1 when any cell failed."""
+    paths = harness.emit_report(cells, Path(args.out), name=name)
+    _emit_failures(cells, args.quiet)
+    failed = sum(1 for c in cells if c.error)
+    emit(args.command, args.quiet, cells=len(cells), failed=failed, csv=paths["csv"], md=paths["md"])
+    return 1 if failed else 0
+
+
 def cmd_sweep(args, settings: dict) -> int:
     _at_least_one(settings, "trials", "n-seeds")
     axis = {"distance": "domain_distance", "count": "domain_count"}[settings["axis"]]
@@ -367,29 +399,13 @@ def cmd_sweep(args, settings: dict) -> int:
         values = tuple(float(v) if axis == "domain_distance" else int(v) for v in settings["values"].split(","))
     except ValueError:
         raise CliConfigError(f"bad --values list {settings['values']!r}")
-    algos = tuple(settings["algos"].split(","))
-    for a in algos:
-        if a not in harness.ALGORITHMS:
-            raise CliConfigError(f"unknown algorithm {a!r}")
+    algos = _algorithms(settings)
     base_spec = _generated_spec(settings)
     try:
         sweep = harness.SweepConfig(axis=axis, values=values, base_spec=base_spec, algorithms=algos)
     except ValueError as exc:
         raise CliConfigError(str(exc))
-    cells = harness.run_sweep(
-        sweep,
-        n_trials=settings["trials"],
-        n_seeds=settings["n-seeds"],
-        strategy=harness.SelectionStrategy(settings["strategy"]),
-        master_seed=settings["seed"],
-        workers=settings["workers"],
-    )
-    out = Path(args.out)
-    paths = harness.emit_report(cells, out)
-    _emit_failures(cells, args.quiet)
-    failed = [c for c in cells if c.error]
-    emit("sweep", args.quiet, cells=len(cells), failed=len(failed), **{k: v for k, v in paths.items() if k != "raw"})
-    return 1 if failed else 0
+    return _emit_grid(args, harness.run_sweep(sweep, master_seed=settings["seed"], **_search_args(settings)))
 
 
 def cmd_interp_study(args, settings: dict) -> int:
@@ -401,20 +417,22 @@ def cmd_interp_study(args, settings: dict) -> int:
     base_spec = _generated_spec(settings)
     for count in counts:  # every study environment is valid before any training
         _spec_from({**settings, "num-domains": count})
-    cells = harness.run_interpolation_study(
-        base_spec,
-        counts,
-        n_trials=settings["trials"],
-        n_seeds=settings["n-seeds"],
-        strategy=harness.SelectionStrategy(settings["strategy"]),
-        master_seed=settings["seed"],
-        workers=settings["workers"],
-    )
-    out = Path(args.out)
-    paths = harness.emit_report(cells, out, name="interpolation")
-    _emit_failures(cells, args.quiet)
-    emit("interp-study", args.quiet, cells=len(cells), **{k: v for k, v in paths.items() if k != "raw"})
-    return 0
+    cells = harness.run_interpolation_study(base_spec, counts, master_seed=settings["seed"], **_search_args(settings))
+    return _emit_grid(args, cells, name="interpolation")
+
+
+def cmd_headline(args, settings: dict) -> int:
+    """Each algorithm searched on evolcircle and rplate, both generated with
+    data seed 7; a cell's master seed is ``child_seed(seed, kind, algo)``."""
+    _at_least_one(settings, "trials", "n-seeds")
+    algos, seed = _algorithms(settings), settings["seed"]
+    cells = []
+    for kind in ("evolcircle", "rplate"):
+        domains = data.generate(data.default_spec(kind, seed=7))
+        cells += [harness.Cell(kind, a, a, domains, harness.child_seed(seed, kind, a)) for a in algos]
+    # Both benchmarks are 2-D, so they share one search space.
+    cells = harness.run_cells(cells, harness.default_space("evolcircle"), **_search_args(settings))
+    return _emit_grid(args, cells)
 
 
 def cmd_verify_bounds(args, settings: dict) -> int:

@@ -301,7 +301,6 @@ class TrainConfig:
     steps: int = 1000
     n_per_class: int = 16
     lr: float = 1e-2
-    optimizer: str = "adam"
     seed: int = 0
 
 
@@ -322,24 +321,20 @@ def train_group(
     """Episodic training of R runs in lockstep (``nn.Lockstep``).
 
     The models share their architecture and encoder sharing, the configs
-    ``n_per_class`` and ``optimizer``. Each run keeps its own ``lr``,
-    ``steps`` and seed, and draws its episodes from its own generator, so it
-    ends bit for bit where it would alone. Returns, per run, the trained
-    model with its per-step losses and query accuracies (arrays, not
-    ``TraceEntry`` lists: a search keeps every run of a group at once), or
-    the error that ended it. ``progress(step, losses)`` is called after each
+    ``n_per_class``. Each run keeps its own ``lr``, ``steps`` and seed, and
+    draws its episodes from its own generator, so it ends bit for bit where
+    it would alone. Returns, per run, the trained model with its per-step
+    losses and query accuracies (arrays, not ``TraceEntry`` lists: a search
+    keeps every run of a group at once), or the error that ended it. ``progress(step, losses)`` is called after each
     step with ``{run: loss}`` for the runs that took it.
     """
-    first, n_per_class, optimizer = models[0], configs[0].n_per_class, configs[0].optimizer
+    first, n_per_class = models[0], configs[0].n_per_class
     shared = first.shared_encoder
-    if any(m.shared_encoder != shared for m in models) or any(
-        (c.n_per_class, c.optimizer) != (n_per_class, optimizer) for c in configs
-    ):
-        raise ValueError("runs of one lockstep group must share encoder sharing, n_per_class and optimizer")
+    if any(m.shared_encoder != shared for m in models) or any(c.n_per_class != n_per_class for c in configs):
+        raise ValueError("runs of one lockstep group must share encoder sharing and n_per_class")
     # Gradients of both encoders, phi then psi; a shared encoder steps on their sum.
     lock = nn.Lockstep(
         [[m.f_phi] if shared else [m.f_phi, m.f_psi] for m in models],
-        optimizer,
         [c.lr for c in configs],
         [c.steps for c in configs],
         grad_like=[first.f_phi, first.f_psi],

@@ -1,7 +1,8 @@
 """Experiment orchestration: random hyperparameter search over multi-seed
-trials, axis sweeps, the interpolation/extrapolation study, and report
-emission. Determinism comes from hashed child seeds, never from execution
-order, so any worker count reproduces identical bytes.
+trials, grids of searches run cell by cell (axis sweeps, the
+interpolation/extrapolation study, the headline table), and report emission.
+Determinism comes from hashed child seeds, never from execution order, so any
+worker count reproduces identical bytes.
 """
 from __future__ import annotations
 
@@ -392,19 +393,44 @@ class CellResult:
     seeds: tuple[int, ...] = ()
 
 
-def _cell(row: str, algorithm: str, res: SearchResult) -> CellResult:
-    best = res.best
-    return CellResult(
-        row,
-        algorithm,
-        res.mean,
-        res.std,
-        tuple(best.target_accs),
-        res.strategy.value,
-        failed_runs=res.failed_runs,
-        hparams=best.hparams,
-        seeds=best.seeds,
-    )
+@dataclass(frozen=True)
+class Cell:
+    """One search of a results grid: its report row and column, the
+    ``METHODS`` key it searches, its domains (target last) and its master
+    seed."""
+
+    row: str
+    column: str
+    algorithm: str
+    domains: list[DomainData]
+    master_seed: int
+
+
+def run_cells(
+    cells: list[Cell],
+    space: HParamSpace,
+    n_trials: int,
+    n_seeds: int,
+    strategy: SelectionStrategy,
+    workers: int,
+) -> list[CellResult]:
+    """One random_search per cell, in list order. A cell whose every trial
+    fails is marked and surfaced rather than aborting the grid."""
+    results = []
+    for c in cells:
+        try:
+            res = random_search(
+                space, c.algorithm, c.domains, n_trials, n_seeds, strategy, master_seed=c.master_seed, workers=workers
+            )
+        except RuntimeError as exc:
+            results.append(CellResult(c.row, c.column, None, None, (), strategy.value, error=str(exc)))
+            continue
+        best = res.best
+        results.append(
+            CellResult(c.row, c.column, res.mean, res.std, tuple(best.target_accs), res.strategy.value,
+                       failed_runs=res.failed_runs, hparams=best.hparams, seeds=best.seeds)
+        )
+    return results
 
 
 def run_sweep(
@@ -416,31 +442,16 @@ def run_sweep(
     master_seed: int = 0,
     workers: int = 1,
 ) -> list[CellResult]:
-    """One random_search per (axis value, algorithm) cell; failed cells are
-    marked and surfaced rather than aborting the grid."""
-    space = space or default_space(sweep.base_spec.kind)
-    cells: list[CellResult] = []
+    """One cell per (axis value, algorithm)."""
+    cells = []
     for value in sweep.values:
-        spec = sweep.spec_for(value)
-        domains = data.generate(spec)
-        for algorithm in sweep.algorithms:
-            cell_seed = child_seed(master_seed, sweep.axis, value, algorithm)
-            row = f"{sweep.axis}={value}"
-            try:
-                res = random_search(
-                    space,
-                    algorithm,
-                    domains,
-                    n_trials=n_trials,
-                    n_seeds=n_seeds,
-                    strategy=strategy,
-                    master_seed=cell_seed,
-                    workers=workers,
-                )
-                cells.append(_cell(row, algorithm, res))
-            except RuntimeError as exc:
-                cells.append(CellResult(row, algorithm, None, None, (), strategy.value, error=str(exc)))
-    return cells
+        domains = data.generate(sweep.spec_for(value))
+        cells += [
+            Cell(f"{sweep.axis}={value}", a, a, domains, child_seed(master_seed, sweep.axis, value, a))
+            for a in sweep.algorithms
+        ]
+    space = space or default_space(sweep.base_spec.kind)
+    return run_cells(cells, space, n_trials, n_seeds, strategy, workers)
 
 
 def middle_index(num_domains: int) -> int:
@@ -460,11 +471,9 @@ def run_interpolation_study(
 ) -> list[CellResult]:
     """Three curves over domain count: the episodic method and plain ERM with
     the target at the far edge, plus ERM with the middle domain held out."""
-    space = space or default_space(base_spec.kind)
-    cells: list[CellResult] = []
+    cells = []
     for count in domain_counts:
-        spec = replace(base_spec, num_domains=int(count))
-        domains = data.generate(spec)
+        domains = data.generate(replace(base_spec, num_domains=int(count)))
         mid = middle_index(len(domains))
         interp_order = [d for i, d in enumerate(domains) if i != mid] + [domains[mid]]
         settings = (
@@ -472,20 +481,12 @@ def run_interpolation_study(
             ("erm-extrapolation", "erm", domains),
             ("erm-interpolation", "erm", interp_order),
         )
-        for label, algorithm, ordered in settings:
-            cell_seed = child_seed(master_seed, "interp", count, label)
-            res = random_search(
-                space,
-                algorithm,
-                ordered,
-                n_trials=n_trials,
-                n_seeds=n_seeds,
-                strategy=strategy,
-                master_seed=cell_seed,
-                workers=workers,
-            )
-            cells.append(_cell(f"domains={count}", label, res))
-    return cells
+        cells += [
+            Cell(f"domains={count}", label, algorithm, ordered, child_seed(master_seed, "interp", count, label))
+            for label, algorithm, ordered in settings
+        ]
+    space = space or default_space(base_spec.kind)
+    return run_cells(cells, space, n_trials, n_seeds, strategy, workers)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Dense float64 network kernel: MLPs, losses, distances, optimizers.
+"""Dense float64 network kernel: MLPs, losses, distances, the Adam step.
 
 Matrices are plain row-major ``numpy.ndarray`` of float64. Networks are
 stacks of dense layers with ReLU on hidden layers and an identity output.
@@ -189,7 +189,7 @@ class Lockstep:
     the trainer's scratch.
     """
 
-    def __init__(self, runs: list[list[MlpParams]], kind: str, lrs, steps, grad_like=None):
+    def __init__(self, runs: list[list[MlpParams]], lrs, steps, grad_like=None):
         if not runs:
             raise ValueError("a lockstep group needs at least one run")
         self.like = runs[0]
@@ -205,7 +205,7 @@ class Lockstep:
                     b[...] = a
         self.grad_like = grad_like or self.like
         self.grad = np.empty((len(runs), sum(a.size for net in self.grad_like for a in net.arrays())))
-        self.opt = Optimizer(kind, [lrs[i] for i in order], self.params)
+        self.opt = Optimizer([lrs[i] for i in order], self.params)
         self.ids = order
         self.outcomes: list = [None] * len(runs)  # the run's final row, or its error
         self._view()
@@ -312,7 +312,7 @@ STEP_TILE = 32768
 
 
 class Optimizer:
-    """SGD or Adam over a float64 parameter buffer, updated in place.
+    """Adam over a float64 parameter buffer, updated in place.
 
     The buffer is flat, or (R, P) with one run per row and ``lr`` one rate
     per row. Adam keeps its moments in buffers the size of the parameters;
@@ -322,9 +322,7 @@ class Optimizer:
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, kind: str, lr, params: Array):
-        if kind not in ("sgd", "adam"):
-            raise ValueError(f"unknown optimizer kind {kind!r}")
+    def __init__(self, lr, params: Array):
         if params.ndim not in (1, 2) or params.dtype != np.float64 or not params.flags.c_contiguous:
             raise ValueError("params must be a flat or (runs, size) contiguous float64 buffer")
         lr = np.asarray(lr, dtype=np.float64)
@@ -333,17 +331,15 @@ class Optimizer:
         if np.any(lr <= 0):
             raise ValueError("lr must be positive")
         # Rows throughout: a flat buffer is one row.
-        self.kind, self.lr, self.params = kind, lr.reshape(-1, 1), params.reshape(-1, params.shape[-1])
+        self.lr, self.params = lr.reshape(-1, 1), params.reshape(-1, params.shape[-1])
         self.t = 0
         # Room for the widest tile of any number of live rows (see ``step_mlps``).
         tile = min(self.params.size, max(len(self.params), STEP_TILE))
         self.scratch = np.empty(tile)
-        self.state = [self.params, self.lr]  # one row per run
-        if kind == "adam":
-            self.m = np.zeros_like(self.params)
-            self.v = np.zeros_like(self.params)
-            self.scratch2 = np.empty(tile)
-            self.state += [self.m, self.v]
+        self.scratch2 = np.empty(tile)
+        self.m = np.zeros_like(self.params)
+        self.v = np.zeros_like(self.params)
+        self.state = [self.params, self.lr, self.m, self.v]  # one row per run
 
     def keep(self, rows: list[int]) -> None:
         """Move ``rows`` of the per-run state to the front, in order."""
@@ -376,14 +372,6 @@ def step_mlps(opt: Optimizer, grad: Array) -> None:
         rows = np.flatnonzero(~np.isfinite(g).all(axis=1))
         raise OptimizerError("non-finite gradient", tuple(rows.tolist()))
     p, lr = opt.params[:live], opt.lr[:live]
-    if opt.kind == "sgd":
-        for c in starts:
-            t = slice(c, c + cols)
-            gt, pt = g[:, t], p[:, t]
-            tmp = opt.scratch[: gt.size].reshape(gt.shape)
-            np.multiply(gt, lr, out=tmp)
-            pt -= tmp
-        return
     opt.t += 1
     b1, b2 = opt.beta1, opt.beta2
     bc1, bc2 = 1 - b1**opt.t, 1 - b2**opt.t

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from edglab import cli, data
+from edglab import cli, data, harness
 
 
 def run_cli(capsys, argv):
@@ -400,30 +400,49 @@ class TestSweepAndReport:
             return results
 
         monkeypatch.setattr(baselines, "train_erm_group", diverge)
-        argv = [
-            "sweep", "--dataset", "rotatedcloud", "--axis", "distance", "--values", "5,25",
-            "--algos", "erm", "--trials", "2", "--n-seeds", "1", "--samples", "40",
-            "--num-domains", "4", "--seed", "5", "--out", str(tmp_path), *(["--quiet"] if quiet else []),
-        ]
-        code = cli.main(argv)
-        lines = capsys.readouterr().out.splitlines()
-        if quiet:
-            runs = [line for line in lines if line.startswith("run-failed: ")]
-            cells = [line for line in lines if line.startswith("cell-failed: ")]
-            assert all("error=non-finite gradient" in line for line in runs)
-        else:
-            events = [json.loads(line) for line in lines]
-            runs = [e for e in events if e["event"] == "run-failed"]
-            cells = [e for e in events if e["event"] == "cell-failed"]
-            assert all(e["error"] == "non-finite gradient" and e["algorithm"] == "erm" for e in runs)
-            assert all("every trial failed" in e["error"] for e in cells)
-        if failing == "one-run":
-            assert code == 0 and len(runs) == len(failed) == 1 and not cells
-            assert quiet or runs[0]["seed"] == failed[0]
-        else:
-            # Every trial of both cells failed: each cell reports its failure
-            # once, and the cell's search has no runs left to report.
-            assert code == 1 and len(failed) == 4 and not runs and len(cells) == 2
+        # Each grid has two erm cells of two trials; no dpnets run fails.
+        grids = {
+            "sweep": (
+                ["--dataset", "rotatedcloud", "--axis", "distance", "--values", "5,25", "--algos", "erm",
+                 "--samples", "40", "--num-domains", "4"],
+                "results.csv",
+                {"erm"},
+            ),
+            "interp-study": (
+                ["--dataset", "rotatedcloud", "--counts", "5", "--samples", "130"],
+                "interpolation.csv",
+                {"erm-extrapolation", "erm-interpolation"},
+            ),
+        }
+        for command, (grid, report, erm_columns) in grids.items():
+            failed.clear()
+            out = tmp_path / command
+            argv = [
+                command, *grid, "--trials", "2", "--n-seeds", "1", "--seed", "5", "--out", str(out),
+                *(["--quiet"] if quiet else []),
+            ]
+            code = cli.main(argv)
+            lines = capsys.readouterr().out.splitlines()
+            if quiet:
+                runs = [line for line in lines if line.startswith("run-failed: ")]
+                cells = [line for line in lines if line.startswith("cell-failed: ")]
+                assert all("error=non-finite gradient" in line for line in runs)
+            else:
+                events = [json.loads(line) for line in lines]
+                runs = [e for e in events if e["event"] == "run-failed"]
+                cells = [e for e in events if e["event"] == "cell-failed"]
+                assert all(e["error"] == "non-finite gradient" and e["algorithm"] in erm_columns for e in runs)
+                assert all("every trial failed" in e["error"] for e in cells)
+                assert {e["algorithm"] for e in cells} <= erm_columns
+            # The report is written whether or not a cell failed.
+            assert (out / report).exists()
+            if failing == "one-run":
+                assert code == 0 and len(runs) == len(failed) == 1 and not cells
+                assert quiet or runs[0]["seed"] == failed[0]
+            else:
+                # Every trial of both cells failed: each cell reports its failure
+                # once, and the cell's search has no runs left to report.
+                assert code == 1 and len(failed) == 4 and not runs and len(cells) == 2
 
     def test_bad_axis_rejected(self, capsys, tmp_path):
         code, _ = run_cli(capsys, ["sweep", "--set", "axis=zigzag", "--out", str(tmp_path)])
@@ -436,8 +455,13 @@ class TestSweepAndReport:
             (["interp-study", "--counts", "2,5"], "num_domains"),
             (["sweep", "--trials", "0"], "--trials"),
             (["sweep", "--n-seeds", "0"], "--n-seeds"),
+            (["headline", "--trials", "0"], "--trials"),
+            (["headline", "--algos", "erm,bogus"], "bogus"),
         ],
-        ids=["sweep-count-2", "interp-count-2", "sweep-trials-0", "sweep-n-seeds-0"],
+        ids=[
+            "sweep-count-2", "interp-count-2", "sweep-trials-0", "sweep-n-seeds-0", "headline-trials-0",
+            "headline-algo",
+        ],
     )
     def test_bad_sizes_are_config_errors(self, capsys, tmp_path, argv, words):
         code, events = run_cli(capsys, [*argv, "--out", str(tmp_path)])
@@ -468,6 +492,7 @@ TYPED_SETTINGS = {
         "axis", "trials", "n-seeds", "strategy", "workers",
     ),
     "interp-study": ("dataset", "seed", "samples", "distance", "trials", "n-seeds", "strategy", "workers"),
+    "headline": ("seed", "trials", "n-seeds", "strategy", "workers"),
     "verify-bounds": ("instances", "decomposition-pairs", "seed"),
 }
 BAD_VALUES = {
@@ -534,6 +559,7 @@ FLAGS = {
     "eval": DATASET_FLAGS | {"--images", "--labels", "--checkpoint"},
     "sweep": DATASET_FLAGS | {"--axis", "--values", "--algos", "--trials", "--n-seeds", "--strategy"},
     "interp-study": {"--dataset", "--samples", "--distance", "--counts", "--trials", "--n-seeds", "--strategy"},
+    "headline": {"--algos", "--trials", "--n-seeds", "--strategy"},
     "verify-bounds": {"--instances", "--decomposition-pairs", "--env-json"},
     "report": {"--raw"},
 }
@@ -547,7 +573,7 @@ class TestHelp:
 
     @pytest.mark.parametrize(
         "command",
-        ["gen-data", "train", "eval", "sweep", "interp-study", "verify-bounds", "report"],
+        ["gen-data", "train", "eval", "sweep", "interp-study", "headline", "verify-bounds", "report"],
     )
     def test_each_subcommand_documents_its_flags(self, capsys, command):
         assert cli.main([command, "--help"]) == 0
@@ -570,3 +596,27 @@ class TestInterpStudyCli:
         text = (tmp_path / "interpolation.csv").read_text()
         for label in ("dpnets-extrapolation", "erm-extrapolation", "erm-interpolation"):
             assert label in text
+
+
+class TestHeadlineCli:
+    def test_raw_cells_keep_the_selection_and_report_back(self, capsys, tmp_path):
+        out = tmp_path / "headline"
+        argv = ["headline", "--algos", "erm", "--trials", "1", "--n-seeds", "2", "--quiet", "--out", str(out)]
+        assert cli.main(argv) == 0
+        raw = sorted((out / "raw").glob("*.json"))
+        assert [p.name for p in raw] == ["evolcircle__erm.json", "rplate__erm.json"]
+        for path in raw:
+            cell = json.loads(path.read_text())
+            assert isinstance(cell["hparams"], dict) and len(cell["seeds"]) == 2
+        # Each cell is the search of master seed child_seed(seed, kind, algo) on data seed 7.
+        cell = json.loads((out / "raw" / "rplate__erm.json").read_text())
+        domains = data.generate(data.default_spec("rplate", seed=7))
+        bare = harness.random_search(
+            harness.default_space("rplate"), "erm", domains, n_trials=1, n_seeds=2,
+            master_seed=harness.child_seed(0, "rplate", "erm"),
+        )
+        assert cell["per_seed"] == list(bare.best.target_accs) and cell["seeds"] == list(bare.best.seeds)
+        capsys.readouterr()
+        code, _ = run_cli(capsys, ["report", "--raw", str(out / "raw"), "--out", str(tmp_path / "rebuilt")])
+        assert code == 0
+        assert (tmp_path / "rebuilt" / "results.csv").read_bytes() == (out / "results.csv").read_bytes()

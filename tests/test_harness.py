@@ -137,8 +137,8 @@ class TestSweep:
             n_seeds=2,
             master_seed=child_seed(6, "domain_distance", 20.0, "erm"),
         )
-        assert cell.mean == bare.mean
-        assert cell.per_seed == tuple(bare.best.target_accs)
+        assert (cell.mean, cell.std, cell.per_seed) == (bare.mean, bare.std, tuple(bare.best.target_accs))
+        assert (cell.hparams, cell.seeds, cell.failed_runs) == (bare.best.hparams, bare.best.seeds, bare.failed_runs)
 
     def test_reproducible_cells(self, small_env):
         spec = data.EnvironmentSpec(kind="rotatedcloud", num_domains=5, samples_per_domain=60, domain_distance=15.0, seed=3)

@@ -73,10 +73,10 @@ def _pairs(arrays):
 
 
 class _OracleOptimizer:
-    """Functional SGD/Adam: every step returns fresh arrays."""
+    """Functional Adam: every step returns fresh arrays."""
 
-    def __init__(self, kind, lr):
-        self.kind, self.lr = kind, lr
+    def __init__(self, lr):
+        self.lr = lr
         self.m = self.v = ()
         self.t = 0
 
@@ -84,8 +84,6 @@ class _OracleOptimizer:
         for g in grads:
             if not np.all(np.isfinite(g)):
                 raise nn.OptimizerError("non-finite gradient")
-        if self.kind == "sgd":
-            return [p - self.lr * g for p, g in zip(arrays, grads)]
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         m = self.m if self.m else tuple(np.zeros_like(p) for p in arrays)
         v = self.v if self.v else tuple(np.zeros_like(p) for p in arrays)
@@ -153,7 +151,7 @@ def _oracle_query_accuracy(phi, psi, support, query):
 
 def oracle_train_dpnet(model, domains, config, same_domain=False):
     rng = np.random.default_rng(config.seed)
-    opt = _OracleOptimizer(config.optimizer, config.lr)
+    opt = _OracleOptimizer(config.lr)
     shared = model.shared_encoder
     phi, psi = list(model.f_phi.layers), list(model.f_psi.layers)
     trace = []
@@ -180,7 +178,7 @@ def oracle_train_erm(domains, config, index_mode, last_k=None):
     rng = np.random.default_rng(config.seed)
     net = nn.init_mlp((xs.shape[1],) + tuple(config.hidden) + (used[0].num_classes,), rng)
     layers = list(net.layers[:-1]) + [tuple(np.zeros_like(a) for a in net.layers[-1])]
-    opt = _OracleOptimizer(config.optimizer, config.lr)
+    opt = _OracleOptimizer(config.lr)
     n = xs.shape[0]
     batch = min(config.batch_size, n)
     for _ in range(config.steps):
@@ -231,10 +229,10 @@ def rplate():
     return data.generate(data.default_spec("rplate", seed=7, num_domains=8, samples_per_domain=80))[:-1]
 
 
-def _check_dpnet(domains, dims, optimizer, seed, steps=80, n=8, lr=0.02):
+def _check_dpnet(domains, dims, seed, steps=80, n=8, lr=0.02):
     model = dpnet.init_dpnet(dims, domains[0].num_classes, seed)
     before = _snapshot(model.f_phi, model.f_psi)
-    config = dpnet.TrainConfig(steps=steps, n_per_class=n, lr=lr, optimizer=optimizer, seed=seed + 100)
+    config = dpnet.TrainConfig(steps=steps, n_per_class=n, lr=lr, seed=seed + 100)
     trained, trace = dpnet.train(model, domains, config)
     phi, psi, want = oracle_train_dpnet(model, domains, config)
     assert _unchanged(before, model.f_phi, model.f_psi)
@@ -244,22 +242,23 @@ def _check_dpnet(domains, dims, optimizer, seed, steps=80, n=8, lr=0.02):
     assert [t.step for t in trace] == list(range(steps))
 
 
-@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+# Adam is the only optimizer; the parameter keeps the cases' names.
+@pytest.mark.parametrize("optimizer", ["adam"])
 class TestDpnetMatchesOracle:
     def test_two_dim_linear_encoders(self, evolcircle, rplate, optimizer):
-        _check_dpnet(evolcircle, (2, 2), optimizer, seed=1)
-        _check_dpnet(rplate, (2, 2), optimizer, seed=2, lr=0.08)
+        _check_dpnet(evolcircle, (2, 2), seed=1)
+        _check_dpnet(rplate, (2, 2), seed=2, lr=0.08)
 
     def test_three_layer_mlp(self, rplate, optimizer):
-        _check_dpnet(rplate, (2, 16, 8, 4), optimizer, seed=3)
+        _check_dpnet(rplate, (2, 16, 8, 4), seed=3)
 
     def test_wide_inputs_three_classes(self, optimizer):
-        _check_dpnet(_blob_domains(20, 3), (20, 32, 8), optimizer, seed=4, n=5, lr=0.002)
+        _check_dpnet(_blob_domains(20, 3), (20, 32, 8), seed=4, n=5, lr=0.002)
 
 
-@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+@pytest.mark.parametrize("optimizer", ["adam"])
 def test_proto_shared_encoder_matches_oracle(evolcircle, optimizer):
-    config = dpnet.TrainConfig(steps=80, n_per_class=6, lr=0.03, optimizer=optimizer, seed=5)
+    config = dpnet.TrainConfig(steps=80, n_per_class=6, lr=0.03, seed=5)
     dims = (2, 8, 2)
     model = dpnet.init_dpnet(dims, 2, config.seed, shared=True)
     trained, trace = dpnet.train(model, evolcircle, config, same_domain_episodes=True)
@@ -269,12 +268,12 @@ def test_proto_shared_encoder_matches_oracle(evolcircle, optimizer):
     assert np.array_equal(np.array([(t.loss, t.query_accuracy) for t in trace]), np.array(want))
 
 
-@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+@pytest.mark.parametrize("optimizer", ["adam"])
 @pytest.mark.parametrize("hidden", [(), (6,)])
 @pytest.mark.parametrize("mode", list(IndexMode))
 def test_erm_matches_oracle(rplate, mode, hidden, optimizer):
     before = [d.x.copy() for d in rplate]
-    config = baselines.ErmConfig(steps=60, batch_size=16, lr=0.05, optimizer=optimizer, seed=6, hidden=hidden)
+    config = baselines.ErmConfig(steps=60, batch_size=16, lr=0.05, seed=6, hidden=hidden)
     model = baselines.train_erm(rplate, config, index_mode=mode)
     assert _layers_equal(model.net, oracle_train_erm(rplate, config, mode))
     assert all(np.array_equal(a, d.x) for a, d in zip(before, rplate))
@@ -316,17 +315,16 @@ def test_shared_input_model_left_untouched(evolcircle):
 class TestNonFiniteGradient:
     def test_step_raises_and_leaves_params(self):
         params = np.array([1.0, -2.0, 3.0])
-        for kind in ("sgd", "adam"):
-            opt = nn.Optimizer(kind, 0.1, params)
-            with pytest.raises(nn.OptimizerError):
-                nn.step_mlps(opt, np.array([0.5, np.nan, 0.0]))
-            with pytest.raises(nn.OptimizerError):
-                nn.step_mlps(opt, np.array([np.inf, 0.0, 0.0]))
-            assert np.array_equal(params, [1.0, -2.0, 3.0])
+        opt = nn.Optimizer(0.1, params)
+        with pytest.raises(nn.OptimizerError):
+            nn.step_mlps(opt, np.array([0.5, np.nan, 0.0]))
+        with pytest.raises(nn.OptimizerError):
+            nn.step_mlps(opt, np.array([np.inf, 0.0, 0.0]))
+        assert np.array_equal(params, [1.0, -2.0, 3.0])
 
     def test_diverging_training_raises_like_oracle(self, evolcircle):
         model = dpnet.init_dpnet((2, 2), 2, seed=9)
-        config = dpnet.TrainConfig(steps=40, n_per_class=4, lr=1e200, optimizer="sgd", seed=9)
+        config = dpnet.TrainConfig(steps=40, n_per_class=4, lr=1e200, seed=9)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(nn.OptimizerError):
                 dpnet.train(model, evolcircle, config)

@@ -158,21 +158,15 @@ class TestDistancesAndSoftmax:
 
 
 class TestOptimizers:
-    def test_sgd_step(self):
-        p = np.array([1.0])
-        nn.step_mlps(nn.Optimizer("sgd", 0.1, p), np.array([2.0]))
-        assert abs(p[0] - 0.8) < 1e-15
-
     def test_zero_gradient_leaves_params(self):
-        for kind in ("sgd", "adam"):
-            p = np.array([1.0, -2.0])
-            nn.step_mlps(nn.Optimizer(kind, 0.5, p), np.zeros(2))
-            assert np.array_equal(p, np.array([1.0, -2.0]))
+        p = np.array([1.0, -2.0])
+        nn.step_mlps(nn.Optimizer(0.5, p), np.zeros(2))
+        assert np.array_equal(p, np.array([1.0, -2.0]))
 
     def test_adam_minimizes_quadratic(self):
         # Oracle: an independent textbook Adam recursion run side by side.
         p = np.array([1.0])
-        opt = nn.Optimizer("adam", 0.1, p)
+        opt = nn.Optimizer(0.1, p)
         m = v = 0.0
         ref = 1.0
         for t in range(1, 101):
@@ -187,19 +181,19 @@ class TestOptimizers:
 
     def test_non_finite_gradient_raises(self):
         with pytest.raises(nn.OptimizerError):
-            nn.step_mlps(nn.Optimizer("sgd", 0.1, np.array([1.0])), np.array([np.nan]))
+            nn.step_mlps(nn.Optimizer(0.1, np.array([1.0])), np.array([np.nan]))
 
     def test_bad_lr_rejected(self):
         with pytest.raises(ValueError):
-            nn.Optimizer("sgd", 0.0, np.zeros(1))
+            nn.Optimizer(0.0, np.zeros(1))
 
 
 class FrozenStep:
     """The untiled ``step_mlps``, frozen as the oracle of the tiled one: each
     op runs once over all live rows, through full-size scratch buffers."""
 
-    def __init__(self, kind, lrs, params):
-        self.kind, self.t = kind, 0
+    def __init__(self, lrs, params):
+        self.t = 0
         self.lr, self.params = np.array(lrs, dtype=np.float64)[:, None], params
         self.m, self.v = np.zeros_like(params), np.zeros_like(params)
 
@@ -213,10 +207,6 @@ class FrozenStep:
         if bad.any():
             raise nn.OptimizerError("non-finite gradient", tuple(np.flatnonzero(bad).tolist()))
         p, lr, tmp = self.params[:live], self.lr[:live], np.empty_like(g)
-        if self.kind == "sgd":
-            np.multiply(g, lr, out=tmp)
-            p -= tmp
-            return
         self.t += 1
         b1, b2, eps = nn.Optimizer.beta1, nn.Optimizer.beta2, nn.Optimizer.eps
         m, v, upd = self.m[:live], self.v[:live], np.empty_like(g)
@@ -238,16 +228,16 @@ class FrozenStep:
 
 def _same_state(opt, ref):
     assert np.array_equal(opt.params, ref.params)
-    if opt.kind == "adam":
-        assert opt.t == ref.t
-        assert np.array_equal(opt.m, ref.m) and np.array_equal(opt.v, ref.v)
+    assert opt.t == ref.t
+    assert np.array_equal(opt.m, ref.m) and np.array_equal(opt.v, ref.v)
 
 
 class TestTiledStep:
     """``step_mlps`` walks the buffer in ``STEP_TILE`` column tiles; every
     value must equal the untiled step's, bit for bit."""
 
-    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    # Adam is the only optimizer; the parameter keeps the cases' names.
+    @pytest.mark.parametrize("kind", ["adam"])
     @pytest.mark.parametrize("runs", [1, 3])
     @pytest.mark.parametrize("tile", [None, 7])  # the module's tile, then one that splits every row
     def test_equals_untiled_step(self, kind, runs, tile, monkeypatch):
@@ -259,7 +249,7 @@ class TestTiledStep:
         start = rng.standard_normal((runs, width))
         params, ref_params = start.copy(), start.copy()
         lrs = [1e-3 * (row + 1) for row in range(runs)]
-        opt, ref = nn.Optimizer(kind, lrs, params), FrozenStep(kind, lrs, ref_params)
+        opt, ref = nn.Optimizer(lrs, params), FrozenStep(lrs, ref_params)
         # Gradient rows as Lockstep keeps them: the first columns of a wider buffer.
         grad = np.empty((runs, width + 5))
         live = runs
@@ -273,12 +263,12 @@ class TestTiledStep:
             ref.step(grad[:live, :width])
             _same_state(opt, ref)
 
-    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    @pytest.mark.parametrize("kind", ["adam"])
     @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
     def test_non_finite_in_last_tile_fails_before_any_update(self, kind, bad_value):
         runs, width = 3, 2 * nn.STEP_TILE + 123
         rng = np.random.default_rng(5)
-        opt = nn.Optimizer(kind, [1e-3, 2e-3, 3e-3], rng.standard_normal((runs, width)))
+        opt = nn.Optimizer([1e-3, 2e-3, 3e-3], rng.standard_normal((runs, width)))
         for _ in range(2):
             nn.step_mlps(opt, rng.standard_normal((runs, width)))
         before = [a.copy() for a in opt.state]
