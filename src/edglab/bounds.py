@@ -577,9 +577,11 @@ def run_certification(
     """Randomized certification of every inequality, deterministic per seed.
 
     Each instance is scored with a few stacked divergence calls; decomposition
-    pairs are scored PAIR_BLOCK at a time. ``workers`` is accepted for callers
-    that pass it and changes nothing: no threads are started.
+    pairs are scored PAIR_BLOCK at a time. ``workers`` must be 1; it is kept
+    for ``perfbench/workloads.py`` and goes when the benchmark drops it.
     """
+    if workers != 1:
+        raise ValueError(f"certification runs serially; workers must be 1, got {workers!r}")
     if instances < 1:
         raise ValueError(f"instances must be at least 1, got {instances}")
     if decomposition_pairs < 1:

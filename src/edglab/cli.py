@@ -62,7 +62,6 @@ SETTINGS = {
     "images": (str, None, "IDX image file (rmnist)"),
     "labels": (str, None, "IDX label file (rmnist)"),
     "cache-dir": (str, None, f"dataset cache directory (default from ${CACHE_ENV_VAR})"),
-    "workers": (int, None, "worker threads for sweep, interp-study and headline; the other subcommands ignore it"),
     "algo": (str, harness.ALGORITHMS, "algorithm"),
     "steps": (int, None, "training steps"),
     "lr": (float, None, "learning rate"),
@@ -84,11 +83,11 @@ SETTINGS = {
 }
 
 # Flags every subcommand takes, whether or not it reads them.
-COMMON_SETTINGS = ("seed", "workers", "cache-dir")
+COMMON_SETTINGS = ("seed", "cache-dir")
 
 DATASET_DEFAULTS = {"dataset": "evolcircle", "seed": 0, "num-domains": None, "samples": None, "distance": None}
 FILE_DEFAULTS = {"images": None, "labels": None, "cache-dir": None}
-SEARCH_DEFAULTS = {"dataset": "rotatedcloud", "strategy": "oracle_max_query", "workers": 1}
+SEARCH_DEFAULTS = {"dataset": "rotatedcloud", "strategy": "oracle_max_query"}
 
 # Each subcommand: its help line and the settings it reads, with defaults.
 COMMANDS = {
@@ -114,8 +113,7 @@ COMMANDS = {
     ),
     "headline": (
         "the headline table: each algorithm on both drifting 2-D benchmarks",
-        {"seed": 0, "strategy": "oracle_max_query", "workers": 1, "algos": ",".join(harness.ALGORITHMS),
-         "trials": 20, "n-seeds": 5},
+        {"seed": 0, "strategy": "oracle_max_query", "algos": ",".join(harness.ALGORITHMS), "trials": 20, "n-seeds": 5},
     ),
     "verify-bounds": (
         "randomized certification of the divergence bounds",
@@ -378,7 +376,6 @@ def _search_args(settings: dict) -> dict:
         "n_trials": settings["trials"],
         "n_seeds": settings["n-seeds"],
         "strategy": harness.SelectionStrategy(settings["strategy"]),
-        "workers": settings["workers"],
     }
 
 

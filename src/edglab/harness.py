@@ -1,15 +1,14 @@
 """Experiment orchestration: random hyperparameter search over multi-seed
 trials, grids of searches run cell by cell (axis sweeps, the
 interpolation/extrapolation study, the headline table), and report emission.
-Determinism comes from hashed child seeds, never from execution order, so any
-worker count reproduces identical bytes.
+Determinism comes from hashed child seeds, never from execution order, so
+every run reproduces identical bytes.
 """
 from __future__ import annotations
 
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -265,6 +264,14 @@ class SearchResult:
         return self.trials[self.best_index]
 
 
+class SearchFailed(RuntimeError):
+    """Every trial of a search failed; ``failed_runs`` as in SearchResult."""
+
+    def __init__(self, message: str, failed_runs: tuple[tuple[int, int, str], ...]):
+        super().__init__(message)
+        self.failed_runs = failed_runs
+
+
 def random_search(
     space: HParamSpace,
     algorithm: str,
@@ -276,10 +283,14 @@ def random_search(
     workers: int = 1,
 ) -> SearchResult:
     """Hyperparameter search: n_trials draws × n_seeds runs each, selected per
-    strategy. Fully deterministic given master_seed, whatever the worker count.
+    strategy. Fully deterministic given master_seed.
 
     Runs that share every hyperparameter but ``lr`` and ``steps`` train as one
-    lockstep group (``run_group``); ``workers`` threads take one group each."""
+    lockstep group (``run_group``), one group after another. Raises
+    ``SearchFailed`` when every trial fails. ``workers`` must be 1; it is kept
+    for ``perfbench/workloads.py`` and goes when the benchmark drops it."""
+    if workers != 1:
+        raise ValueError(f"searches run serially; workers must be 1, got {workers!r}")
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r} (expected one of {ALGORITHMS})")
     if n_trials < 1 or n_seeds < 1:
@@ -302,17 +313,10 @@ def random_search(
     for t, s in sorted(seeds):
         shape = tuple(sorted((k, v) for k, v in hparams[t].items() if k not in ("lr", "steps")))
         groups.setdefault(shape, []).append((t, s))
-
-    def run_job(keys):
+    outcomes: dict[tuple[int, int], RunOutcome] = {}
+    for keys in groups.values():
         runs = [(hparams[t], seeds[(t, s)]) for t, s in keys]
-        return list(zip(keys, run_group(algorithm, train_sources, val_sources, target, runs)))
-
-    if workers <= 1:
-        done = [run_job(keys) for keys in groups.values()]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(run_job, groups.values()))
-    outcomes = {key: outcome for pairs in done for key, outcome in pairs}
+        outcomes.update(zip(keys, run_group(algorithm, train_sources, val_sources, target, runs)))
 
     trials: list[Trial] = []
     for t in range(n_trials):
@@ -328,9 +332,10 @@ def random_search(
                 error="; ".join(errors) if errors else None,
             )
         )
+    failed_runs = tuple((t, seeds[(t, s)], o.error) for (t, s), o in sorted(outcomes.items()) if o.error)
     completed = [(i, tr) for i, tr in enumerate(trials) if tr.error is None]
     if not completed:
-        raise RuntimeError(f"every trial failed for algorithm {algorithm!r}")
+        raise SearchFailed(f"every trial failed for algorithm {algorithm!r}", failed_runs)
     if strategy is SelectionStrategy.TRAINING_DOMAIN_VALIDATION:
         best_index = max(completed, key=lambda it: (it[1].mean_val, -it[0]))[0]
     else:
@@ -344,7 +349,7 @@ def random_search(
         best_index=best_index,
         mean=float(accs.mean()),
         std=std,
-        failed_runs=tuple((t, seeds[(t, s)], o.error) for (t, s), o in sorted(outcomes.items()) if o.error),
+        failed_runs=failed_runs,
     )
 
 
@@ -407,23 +412,17 @@ class Cell:
 
 
 def run_cells(
-    cells: list[Cell],
-    space: HParamSpace,
-    n_trials: int,
-    n_seeds: int,
-    strategy: SelectionStrategy,
-    workers: int,
+    cells: list[Cell], space: HParamSpace, n_trials: int, n_seeds: int, strategy: SelectionStrategy
 ) -> list[CellResult]:
     """One random_search per cell, in list order. A cell whose every trial
-    fails is marked and surfaced rather than aborting the grid."""
+    fails is marked, with its failed runs, rather than aborting the grid;
+    any other error is a bug and raises."""
     results = []
     for c in cells:
         try:
-            res = random_search(
-                space, c.algorithm, c.domains, n_trials, n_seeds, strategy, master_seed=c.master_seed, workers=workers
-            )
-        except RuntimeError as exc:
-            results.append(CellResult(c.row, c.column, None, None, (), strategy.value, error=str(exc)))
+            res = random_search(space, c.algorithm, c.domains, n_trials, n_seeds, strategy, master_seed=c.master_seed)
+        except SearchFailed as exc:
+            results.append(CellResult(c.row, c.column, None, None, (), strategy.value, str(exc), exc.failed_runs))
             continue
         best = res.best
         results.append(
@@ -440,7 +439,6 @@ def run_sweep(
     n_seeds: int = 5,
     strategy: SelectionStrategy = SelectionStrategy.ORACLE_MAX_QUERY,
     master_seed: int = 0,
-    workers: int = 1,
 ) -> list[CellResult]:
     """One cell per (axis value, algorithm)."""
     cells = []
@@ -451,7 +449,7 @@ def run_sweep(
             for a in sweep.algorithms
         ]
     space = space or default_space(sweep.base_spec.kind)
-    return run_cells(cells, space, n_trials, n_seeds, strategy, workers)
+    return run_cells(cells, space, n_trials, n_seeds, strategy)
 
 
 def middle_index(num_domains: int) -> int:
@@ -467,7 +465,6 @@ def run_interpolation_study(
     n_seeds: int = 3,
     strategy: SelectionStrategy = SelectionStrategy.ORACLE_MAX_QUERY,
     master_seed: int = 0,
-    workers: int = 1,
 ) -> list[CellResult]:
     """Three curves over domain count: the episodic method and plain ERM with
     the target at the far edge, plus ERM with the middle domain held out."""
@@ -486,7 +483,7 @@ def run_interpolation_study(
             for label, algorithm, ordered in settings
         ]
     space = space or default_space(base_spec.kind)
-    return run_cells(cells, space, n_trials, n_seeds, strategy, workers)
+    return run_cells(cells, space, n_trials, n_seeds, strategy)
 
 
 # ---------------------------------------------------------------------------

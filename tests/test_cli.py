@@ -441,8 +441,8 @@ class TestSweepAndReport:
                 assert quiet or runs[0]["seed"] == failed[0]
             else:
                 # Every trial of both cells failed: each cell reports its failure
-                # once, and the cell's search has no runs left to report.
-                assert code == 1 and len(failed) == 4 and not runs and len(cells) == 2
+                # once, and each of its runs is reported with its own error.
+                assert code == 1 and len(failed) == len(runs) == 4 and len(cells) == 2
 
     def test_bad_axis_rejected(self, capsys, tmp_path):
         code, _ = run_cli(capsys, ["sweep", "--set", "axis=zigzag", "--out", str(tmp_path)])
@@ -489,16 +489,16 @@ TYPED_SETTINGS = {
     "eval": ("dataset", "seed", "num-domains", "samples", "distance"),
     "sweep": (
         "dataset", "seed", "num-domains", "samples", "distance",
-        "axis", "trials", "n-seeds", "strategy", "workers",
+        "axis", "trials", "n-seeds", "strategy",
     ),
-    "interp-study": ("dataset", "seed", "samples", "distance", "trials", "n-seeds", "strategy", "workers"),
-    "headline": ("seed", "trials", "n-seeds", "strategy", "workers"),
+    "interp-study": ("dataset", "seed", "samples", "distance", "trials", "n-seeds", "strategy"),
+    "headline": ("seed", "trials", "n-seeds", "strategy"),
     "verify-bounds": ("instances", "decomposition-pairs", "seed"),
 }
 BAD_VALUES = {
     "dataset": "bogus", "seed": 1.9, "num-domains": "abc", "samples": True, "distance": "abc",
     "algo": "mystery", "steps": 2.5, "lr": True, "batch": "abc", "axis": "zigzag", "trials": True,
-    "n-seeds": 1.5, "strategy": "bogus", "workers": "abc", "instances": "abc", "decomposition-pairs": 0.5,
+    "n-seeds": 1.5, "strategy": "bogus", "instances": "abc", "decomposition-pairs": 0.5,
 }
 
 
@@ -518,7 +518,7 @@ class TestSettingsTable:
         assert f"--{key}" in last_event(events, "config-error")["message"]
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("argv", [["report", "--seed", "1.9"], ["train", "--workers", "abc"]])
+    @pytest.mark.parametrize("argv", [["report", "--seed", "1.9"]])
     def test_unread_flag_is_still_checked(self, capsys, tmp_path, argv):
         code, events = run_cli(capsys, [*argv, "--out", str(tmp_path / "out")])
         assert code == 2
@@ -551,7 +551,7 @@ class TestSettingsTable:
 
 # Each subcommand's flags; building them from the settings table must
 # neither add nor drop one.
-COMMON_FLAGS = {"--help", "--out", "--seed", "--workers", "--config", "--set", "--quiet", "--cache-dir"}
+COMMON_FLAGS = {"--help", "--out", "--seed", "--config", "--set", "--quiet", "--cache-dir"}
 DATASET_FLAGS = {"--dataset", "--num-domains", "--samples", "--distance"}
 FLAGS = {
     "gen-data": DATASET_FLAGS | {"--images", "--labels"},
@@ -596,6 +596,20 @@ class TestInterpStudyCli:
         text = (tmp_path / "interpolation.csv").read_text()
         for label in ("dpnets-extrapolation", "erm-extrapolation", "erm-interpolation"):
             assert label in text
+
+    def test_failed_cell_names_the_episode(self, capsys, tmp_path):
+        # 40 samples per domain cannot serve the dpnets batch this seed draws,
+        # so the cell fails; its run says why.
+        argv = [
+            "interp-study", "--dataset", "rotatedcloud", "--counts", "5", "--samples", "40", "--trials", "1",
+            "--n-seeds", "1", "--seed", "4", "--out", str(tmp_path),
+        ]
+        code, events = run_cli(capsys, argv)
+        assert code == 1
+        assert last_event(events, "cell-failed")["algorithm"] == "dpnets-extrapolation"
+        runs = [e for e in events if e["event"] == "run-failed"]
+        assert [(e["row"], e["algorithm"]) for e in runs] == [("domains=5", "dpnets-extrapolation")]
+        assert runs[0]["error"].startswith("episode") and "insufficient per-class samples" in runs[0]["error"]
 
 
 class TestHeadlineCli:

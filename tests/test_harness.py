@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from edglab import data, harness
+from edglab import bounds, data, dpnet, harness
 from edglab.harness import HParamSpace, SelectionStrategy
 from edglab.seeding import child_seed
 
@@ -69,9 +69,9 @@ class TestRandomSearch:
         assert abs(res.std - var**0.5) < 1e-15
         assert abs(res.mean - mean) < 1e-15
 
-    def test_deterministic_across_worker_counts(self, small_env):
-        a = harness.random_search(FAST_SPACE, "dpnets", small_env, n_trials=2, n_seeds=2, master_seed=4, workers=1)
-        b = harness.random_search(FAST_SPACE, "dpnets", small_env, n_trials=2, n_seeds=2, master_seed=4, workers=3)
+    def test_deterministic_across_reruns(self, small_env):
+        a = harness.random_search(FAST_SPACE, "dpnets", small_env, n_trials=2, n_seeds=2, master_seed=4)
+        b = harness.random_search(FAST_SPACE, "dpnets", small_env, n_trials=2, n_seeds=2, master_seed=4)
         assert a.mean == b.mean and a.std == b.std
         for ta, tb in zip(a.trials, b.trials):
             assert ta.target_accs == tb.target_accs
@@ -94,6 +94,12 @@ class TestRandomSearch:
         for trial in res.trials:
             if trial.error is None:
                 assert best.mean_val >= trial.mean_val
+
+    def test_more_than_one_worker_rejected(self, small_env):
+        with pytest.raises(ValueError, match="workers must be 1"):
+            harness.random_search(FAST_SPACE, "erm", small_env, workers=2)
+        with pytest.raises(ValueError, match="workers must be 1"):
+            bounds.run_certification(instances=1, decomposition_pairs=1, workers=2)
 
     def test_unknown_algorithm_rejected(self, small_env):
         with pytest.raises(ValueError, match="unknown algorithm"):
@@ -139,6 +145,16 @@ class TestSweep:
         )
         assert (cell.mean, cell.std, cell.per_seed) == (bare.mean, bare.std, tuple(bare.best.target_accs))
         assert (cell.hparams, cell.seeds, cell.failed_runs) == (bare.best.hparams, bare.best.seeds, bare.failed_runs)
+
+    def test_a_bug_is_not_a_failed_cell(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise NotImplementedError("a bug, not a failed run")
+
+        monkeypatch.setattr(dpnet, "train_group", broken)
+        spec = data.EnvironmentSpec(kind="rotatedcloud", num_domains=5, samples_per_domain=60, domain_distance=20.0, seed=3)
+        sweep = harness.SweepConfig(axis="domain_distance", values=(10.0, 20.0), base_spec=spec, algorithms=("dpnets",))
+        with pytest.raises(NotImplementedError, match="a bug"):
+            harness.run_sweep(sweep, space=FAST_SPACE, n_trials=1, n_seeds=1)
 
     def test_reproducible_cells(self, small_env):
         spec = data.EnvironmentSpec(kind="rotatedcloud", num_domains=5, samples_per_domain=60, domain_distance=15.0, seed=3)
