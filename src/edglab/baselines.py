@@ -108,7 +108,7 @@ class ErmConfig:
     hidden: tuple[int, ...] = ()  # empty = single linear layer
 
 
-def train_erm_group(
+def train_erm(
     domains: list[DomainData],
     configs: list[ErmConfig],
     index_mode: IndexMode = IndexMode.NONE,
@@ -154,41 +154,25 @@ def train_erm_group(
     streams = [seeding.Words(rng) for rng in rngs]
     n = xs.shape[0]
     batch = min(batch_size, n)
-    step = start = stop = 0
-    while lock.live(step):
+    start = stop = 0
+    picks = None
+
+    def grads(step):
+        nonlocal start, stop, picks
         if step == stop:
             left = max(configs[run].steps for run in lock.ids) - step
             start, stop = step, step + seeding.chunk_steps(len(lock.ids), 2 * batch - 1, left)
             picks = np.empty((len(configs), stop - start, batch), dtype=np.int64)
             picks[lock.ids] = seeding.choice([streams[run] for run in lock.ids], n, batch, stop - start)
         rows = picks[lock.ids, step - start]
-        [net], [grads] = lock.nets, lock.grads
+        [net], [out] = lock.nets, lock.grads
         logits, cache = nn.mlp_forward(net, xs[rows])
         losses, dlogits = nn.softmax_cross_entropy(logits, ys[rows])
-        nn.mlp_backward(net, cache, dlogits, out=grads)
-        stepped = list(lock.ids)
-        lock.step()
-        if progress is not None and lock.ids:
-            progress(step, {run: float(loss) for run, loss in zip(stepped, losses) if run in lock.ids})
-        step += 1
-    results = [lock.result(run) for run in range(len(configs))]
+        nn.mlp_backward(net, cache, dlogits, out=out)
+        return losses
+
+    results = lock.train(grads, progress)
     return [out if isinstance(out, Exception) else ErmModel(out[0], index_mode, m, feature_dim) for out in results]
-
-
-def train_erm(
-    domains: list[DomainData],
-    config: ErmConfig,
-    index_mode: IndexMode = IndexMode.NONE,
-    last_k: int | None = None,
-    progress=None,
-) -> ErmModel:
-    """One run: ``train_erm_group`` of one, its error raised.
-    ``progress(step, loss)`` is called after each step when provided."""
-    report = None if progress is None else lambda step, losses: progress(step, losses[0])
-    [model] = train_erm_group(domains, [config], index_mode, last_k, report)
-    if isinstance(model, Exception):
-        raise model
-    return model
 
 
 def predict_erm(model: ErmModel, x: Array, domain_index: int | None = None) -> Array:

@@ -287,8 +287,10 @@ def cmd_train(args, settings: dict) -> int:
         "embed": _parse_widths(settings["embed"]) or (sources[0].dim,),
         "hidden": _parse_widths(settings["hidden"]),
     }
-    progress = None if args.quiet else lambda s, l: s % 200 == 0 and emit("train-step", False, step=s, loss=l)
-    model = method.fit(sources, hparams, seed, progress=progress)
+    progress = None if args.quiet else lambda s, l: s % 200 == 0 and emit("train-step", False, step=s, loss=l[0])
+    [model] = method.fit(sources, [(hparams, seed)], progress=progress)
+    if isinstance(model, Exception):
+        raise model
     ckpt_path = out / "model.ckpt"
     nn.save_checkpoint(ckpt_path, method.nets(model))
     spec = _spec_from(settings)
@@ -546,7 +548,7 @@ def main(argv=None) -> int:
     except (CliInputError, data.IngestionError, nn.CheckpointError, FileNotFoundError) as exc:
         emit("input-error", args.quiet, message=str(exc))
         return 2
-    except RuntimeError as exc:
+    except (nn.OptimizerError, harness.ReportError) as exc:
         emit("experiment-error", args.quiet, message=str(exc))
         return 1
 

@@ -8,7 +8,7 @@ never touched during training.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -26,6 +26,12 @@ DATA_MAGIC = b"EDGDATA1"
 # Smallest per-class count a generated domain must provide (prototype support
 # plus a stratified split both need at least two samples per class).
 MIN_CLASS_COUNT = 2
+
+# Geometry of the 2-D generators.
+SIGMA = 0.35  # isotropic noise of the Gaussian classes (evolcircle, rotatedcloud)
+EVOLCIRCLE_RADIUS, EVOLCIRCLE_OFFSET = 2.0, 0.5
+CLOUD_RADIUS = 1.0
+RPLATE_STEP_DEGREES = 12.0
 
 
 class ConfigurationError(ValueError):
@@ -93,7 +99,6 @@ class EnvironmentSpec:
     samples_per_domain: int
     domain_distance: float = 10.0  # degrees; used by rotatedcloud / rmnist
     seed: int = 0
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -145,9 +150,7 @@ def gen_evolcircle(spec: EnvironmentSpec) -> list[DomainData]:
     """
     if spec.kind != "evolcircle":
         raise ConfigurationError(f"gen_evolcircle got spec kind {spec.kind!r}")
-    radius = float(spec.extra.get("radius", 2.0))
-    offset = float(spec.extra.get("offset", 0.5))
-    sigma = float(spec.extra.get("sigma", 0.35))
+    radius, offset, sigma = EVOLCIRCLE_RADIUS, EVOLCIRCLE_OFFSET, SIGMA
     n = spec.samples_per_domain
     n0 = n // 2
     domains = []
@@ -169,19 +172,18 @@ def gen_rplate(spec: EnvironmentSpec) -> list[DomainData]:
     """Fixed standard-normal features; the labeling half-plane rotates.
 
     Domain i labels x as 1 iff w(alpha_i)·x >= 0 with alpha_i = i*step degrees
-    (step defaults to 12, giving boundaries 0..348 over 30 domains). Points
+    (``RPLATE_STEP_DEGREES``, 12, giving boundaries 0..348 over 30 domains). Points
     exactly on the boundary take label 1.
     """
     if spec.kind != "rplate":
         raise ConfigurationError(f"gen_rplate got spec kind {spec.kind!r}")
-    step = float(spec.extra.get("step_degrees", 12.0))
     domains = []
     for i in range(spec.num_domains):
         rng = child_rng(spec.seed, "rplate", i)
         # Redraw (deterministically) in the never-seen case of a one-class draw.
         for attempt in range(64):
             x = rng.standard_normal((spec.samples_per_domain, 2))
-            y = rplate_label(x, i, step)
+            y = rplate_label(x, i)
             if len(np.unique(y)) == 2:
                 break
         else:
@@ -190,9 +192,9 @@ def gen_rplate(spec: EnvironmentSpec) -> list[DomainData]:
     return domains
 
 
-def rplate_label(x: Array, domain_index: int, step_degrees: float = 12.0) -> Array:
+def rplate_label(x: Array, domain_index: int) -> Array:
     """Labeling rule applied independently of generation (re-labeling oracle)."""
-    alpha = np.deg2rad(domain_index * step_degrees)
+    alpha = np.deg2rad(domain_index * RPLATE_STEP_DEGREES)
     w = _unit(alpha)
     return (np.asarray(x) @ w >= 0.0).astype(np.int64)
 
@@ -206,8 +208,7 @@ def gen_rotated_cloud(spec: EnvironmentSpec) -> list[DomainData]:
     """
     if spec.kind != "rotatedcloud":
         raise ConfigurationError(f"gen_rotated_cloud got spec kind {spec.kind!r}")
-    radius = float(spec.extra.get("radius", 1.0))
-    sigma = float(spec.extra.get("sigma", 0.35))
+    radius, sigma = CLOUD_RADIUS, SIGMA
     n = spec.samples_per_domain
     n0 = n // 2
     rng = child_rng(spec.seed, "rotatedcloud", "base")

@@ -304,14 +304,7 @@ class TrainConfig:
     seed: int = 0
 
 
-@dataclass
-class TraceEntry:
-    step: int
-    loss: float
-    query_accuracy: float
-
-
-def train_group(
+def train(
     models: list[DPNetModel],
     source_domains: list[DomainData],
     configs: list[TrainConfig],
@@ -324,9 +317,9 @@ def train_group(
     ``n_per_class``. Each run keeps its own ``lr``, ``steps`` and seed, and
     draws its episodes from its own generator, so it ends bit for bit where
     it would alone. Returns, per run, the trained model with its per-step
-    losses and query accuracies (arrays, not ``TraceEntry`` lists: a search
-    keeps every run of a group at once), or the error that ended it. ``progress(step, losses)`` is called after each
-    step with ``{run: loss}`` for the runs that took it.
+    losses and query accuracies, or the error that ended it.
+    ``progress(step, losses)`` is called after each step with ``{run: loss}``
+    for the runs that took it.
     """
     first, n_per_class = models[0], configs[0].n_per_class
     shared = first.shared_encoder
@@ -344,14 +337,14 @@ def train_group(
     episodes = Episodes(source_domains, n_per_class, rngs, [c.steps for c in configs], same_domain_episodes)
     labels = np.repeat(np.arange(first.num_classes), n_per_class)
     logs = np.empty((2, len(models), max(c.steps for c in configs)))  # loss, query accuracy
-    step = 0
-    while lock.live(step):
+
+    def grads(step):
         try:
             batch = sample_episode(episodes, step, lock.ids)
         except EpisodeError as exc:
             lock.drop(exc.rows)
             if not lock.ids:
-                break
+                return ()
             batch = sample_episode(episodes, step, lock.ids)
         phi = lock.nets[0]
         cur = DPNetModel(phi, phi if shared else lock.nets[1], first.embed_dim, first.num_classes)
@@ -361,41 +354,17 @@ def train_group(
         # The logged accuracy scores the pre-step encoders, as predict_with_prototypes
         # would: argmin sends ties to the lowest class index.
         acc = np.count_nonzero(np.argmin(d2, axis=-1) == labels, axis=-1) / labels.size
-        stepped = list(lock.ids)
-        logs[:, stepped, step] = losses, acc
-        lock.step()
-        if progress is not None and lock.ids:
-            progress(step, {run: float(loss) for run, loss in zip(stepped, losses) if run in lock.ids})
-        step += 1
+        logs[:, lock.ids, step] = losses, acc
+        return losses
+
     results = []
-    for run, config in enumerate(configs):
-        nets = lock.result(run)
+    for run, (nets, config) in enumerate(zip(lock.train(grads, progress), configs)):
         if isinstance(nets, Exception):
             results.append(nets)
         else:
             model = DPNetModel(nets[0], nets[-1], first.embed_dim, first.num_classes)
             results.append((model, logs[0, run, : config.steps], logs[1, run, : config.steps]))
     return results
-
-
-def train(
-    model: DPNetModel,
-    source_domains: list[DomainData],
-    config: TrainConfig,
-    same_domain_episodes: bool = False,
-    progress=None,
-) -> tuple[DPNetModel, list[TraceEntry]]:
-    """One run: ``train_group`` of one, its error raised.
-
-    Returns the trained model and a per-step trace (loss, query accuracy).
-    ``progress(step, loss)`` is called after each step when provided.
-    """
-    report = None if progress is None else lambda step, losses: progress(step, losses[0])
-    [result] = train_group([model], source_domains, [config], same_domain_episodes, report)
-    if isinstance(result, Exception):
-        raise result
-    trained, losses, accs = result
-    return trained, [TraceEntry(s, v, a) for s, (v, a) in enumerate(zip(losses.tolist(), accs.tolist()))]
 
 
 def predict_with_prototypes(model: DPNetModel, prototypes: Array, queries: Array) -> Array:

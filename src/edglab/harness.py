@@ -82,20 +82,14 @@ class Episodic:
         query set (2n) from one domain."""
         return 2 * batch if self.shared else batch
 
-    def _start(self, sources: list[DomainData], hparams: dict, seed: int):
-        dims = (sources[0].dim,) + tuple(hparams["embed"])
-        cfg = dpnet.TrainConfig(steps=hparams["steps"], n_per_class=hparams["batch"], lr=hparams["lr"], seed=seed)
-        return dpnet.init_dpnet(dims, sources[0].num_classes, seed, shared=self.shared), cfg
-
-    def fit(self, sources: list[DomainData], hparams: dict, seed: int, progress=None) -> dpnet.DPNetModel:
-        model, cfg = self._start(sources, hparams, seed)
-        model, _ = dpnet.train(model, sources, cfg, same_domain_episodes=self.shared, progress=progress)
-        return model
-
-    def fit_group(self, sources: list[DomainData], runs: list[tuple[dict, int]]) -> list:
+    def fit(self, sources: list[DomainData], runs: list[tuple[dict, int]], progress=None) -> list:
         """One lockstep group: per (hparams, seed) run, its model or the error that ended it."""
-        models, cfgs = zip(*(self._start(sources, hparams, seed) for hparams, seed in runs))
-        results = dpnet.train_group(list(models), sources, list(cfgs), same_domain_episodes=self.shared)
+        dim, k = sources[0].dim, sources[0].num_classes
+        models = [dpnet.init_dpnet((dim,) + tuple(hp["embed"]), k, seed, self.shared) for hp, seed in runs]
+        cfgs = [
+            dpnet.TrainConfig(steps=hp["steps"], n_per_class=hp["batch"], lr=hp["lr"], seed=seed) for hp, seed in runs
+        ]
+        results = dpnet.train(models, sources, cfgs, same_domain_episodes=self.shared, progress=progress)
         return [r if isinstance(r, Exception) else r[0] for r in results]
 
     def predict(self, model: dpnet.DPNetModel, sources: list[DomainData], x, i: int | None = None):
@@ -127,20 +121,16 @@ class Erm:
     def samples_needed(self, batch: int) -> int:
         return 0  # batches are drawn from the pool and capped at its size
 
-    @staticmethod
-    def _config(sources: list[DomainData], hparams: dict, seed: int) -> baselines.ErmConfig:
-        batch = hparams["batch"] * sources[0].num_classes
-        return baselines.ErmConfig(
-            steps=hparams["steps"], batch_size=batch, lr=hparams["lr"], seed=seed, hidden=tuple(hparams["hidden"])
-        )
-
-    def fit(self, sources: list[DomainData], hparams: dict, seed: int, progress=None) -> baselines.ErmModel:
-        cfg = self._config(sources, hparams, seed)
-        return baselines.train_erm(sources, cfg, index_mode=self.mode, last_k=self.last_k, progress=progress)
-
-    def fit_group(self, sources: list[DomainData], runs: list[tuple[dict, int]]) -> list:
-        cfgs = [self._config(sources, hparams, seed) for hparams, seed in runs]
-        return baselines.train_erm_group(sources, cfgs, index_mode=self.mode, last_k=self.last_k)
+    def fit(self, sources: list[DomainData], runs: list[tuple[dict, int]], progress=None) -> list:
+        """One lockstep group: per (hparams, seed) run, its model or the error that ended it."""
+        k = sources[0].num_classes
+        cfgs = [
+            baselines.ErmConfig(
+                steps=hp["steps"], batch_size=hp["batch"] * k, lr=hp["lr"], seed=seed, hidden=tuple(hp["hidden"])
+            )
+            for hp, seed in runs
+        ]
+        return baselines.train_erm(sources, cfgs, index_mode=self.mode, last_k=self.last_k, progress=progress)
 
     def predict(self, model: baselines.ErmModel, sources: list[DomainData], x, i: int | None = None):
         return baselines.predict_erm(model, x, None if i is None else sources[i].index)
@@ -220,7 +210,7 @@ def run_group(
     """
     method = METHODS[algorithm]
     outcomes = []
-    for model in method.fit_group(train_sources, runs):
+    for model in method.fit(train_sources, runs):
         if isinstance(model, (OptimizerError, dpnet.EpisodeError)):
             outcomes.append(RunOutcome(None, None, error=str(model)))
             continue
@@ -559,6 +549,10 @@ def render_markdown(cells: list[CellResult]) -> str:
     return "\n".join(lines) + "\n"
 
 
+class ReportError(RuntimeError):
+    """A report file cannot be written."""
+
+
 def emit_report(cells: list[CellResult], out_dir, name: str = "results") -> dict:
     """Write <name>.csv, <name>.md and raw/<cell>.json; returns the paths."""
     out = Path(out_dir)
@@ -593,5 +587,5 @@ def emit_report(cells: list[CellResult], out_dir, name: str = "results") -> dict
             )
             raw_paths.append(str(path))
     except OSError as exc:
-        raise RuntimeError(f"cannot write report under {out_dir}: {exc}") from exc
+        raise ReportError(f"cannot write report under {out_dir}: {exc}") from exc
     return {"csv": str(csv_path), "md": str(md_path), "raw": raw_paths}

@@ -180,7 +180,8 @@ class Lockstep:
     still live. A run keeps its own learning rate and step count: once its
     ``steps`` are done it leaves its row as it is, and a run that fails leaves
     the group with its error while the others go on. Rows never mix, so every
-    run ends bit for bit where it would alone.
+    run ends bit for bit where it would alone. ``train`` is the one step
+    loop; a trainer gives it only the gradients of each step.
 
     ``ids`` names the run of each live row (rows ``0..len(ids)-1``), ``nets``
     and ``grads`` are stacked views of those rows of the parameter and
@@ -250,10 +251,25 @@ class Lockstep:
             except OptimizerError as exc:
                 self.drop({row: OptimizerError(str(exc)) for row in exc.rows})
 
-    def result(self, run: int):
-        """The run's trained networks (views of its row), or its error."""
-        out = self.outcomes[run]
-        return out if isinstance(out, Exception) else mlp_views(self.params[out], self.like)
+    def train(self, grads, progress=None) -> list:
+        """Step the group until every run is done or failed.
+
+        ``grads(step)`` writes the gradient rows of the live runs and returns
+        their losses, in ``ids`` order; it may ``drop`` runs first, and
+        returns nothing to step once none is left. ``progress(step, losses)``
+        is called after each step with ``{run: loss}`` for the runs that took
+        it. Returns, per run, its trained networks (views of its row) or the
+        error that ended it.
+        """
+        step = 0
+        while self.live(step):
+            losses = grads(step)
+            stepped = list(self.ids)
+            self.step()
+            if progress is not None and self.ids:
+                progress(step, {run: float(loss) for run, loss in zip(stepped, losses) if run in self.ids})
+            step += 1
+        return [out if isinstance(out, Exception) else mlp_views(self.params[out], self.like) for out in self.outcomes]
 
 
 def sq_euclidean(a: Array, b: Array) -> float:

@@ -11,7 +11,8 @@ from edglab.harness import METHODS, evaluate_accuracy
 def train_proto(sources, seed, steps=2000, batch=16, lr=0.01):
     """The vanilla prototypical net as the method table builds it."""
     hparams = {"steps": steps, "batch": batch, "lr": lr, "embed": (2,)}
-    return METHODS["proto"].fit(sources, hparams, seed)
+    [model] = METHODS["proto"].fit(sources, [(hparams, seed)])
+    return model
 
 
 class TestAugmentation:
@@ -80,7 +81,7 @@ class TestErm:
     def test_separable_iid_sanity(self, rng):
         domains = make_domains(rng, m=3)
         cfg = baselines.ErmConfig(steps=300, batch_size=32, lr=0.05, seed=0)
-        model = baselines.train_erm(domains[:-1], cfg)
+        [model] = baselines.train_erm(domains[:-1], [cfg])
         acc = evaluate_accuracy(lambda x: baselines.predict_erm(model, x), domains[-1])
         assert acc >= 0.99
 
@@ -103,8 +104,8 @@ class TestErm:
             data.DomainData(1, xs[40:], ys[40:], 2),
         ]
         cfg = baselines.ErmConfig(steps=100, batch_size=16, lr=0.05, seed=3)
-        pa = baselines.train_erm(split_a, cfg).net.arrays()
-        pb = baselines.train_erm(split_b, cfg).net.arrays()
+        pa = baselines.train_erm(split_a, [cfg])[0].net.arrays()
+        pb = baselines.train_erm(split_b, [cfg])[0].net.arrays()
         assert all(np.array_equal(a, b) for a, b in zip(pa, pb))
 
     def test_predict_argmax_and_ties(self, rng):
@@ -119,7 +120,7 @@ class TestErm:
     def test_predict_matches_forward_oracle(self, rng):
         domains = make_domains(rng, m=3)
         cfg = baselines.ErmConfig(steps=50, batch_size=16, lr=0.05, seed=1)
-        model = baselines.train_erm(domains[:-1], cfg, index_mode=IndexMode.ONE_HOT_CONCAT)
+        [model] = baselines.train_erm(domains[:-1], [cfg], index_mode=IndexMode.ONE_HOT_CONCAT)
         points = rng.standard_normal((1000, 2))
         preds = baselines.predict_erm(model, points)
         aug = baselines.augment_target(points, IndexMode.ONE_HOT_CONCAT, 2)
@@ -131,9 +132,9 @@ class TestErm:
         # domain ignores the conflict, the pooled model cannot.
         domains = make_domains(rng, m=3, flip_first=True)
         cfg = baselines.ErmConfig(steps=300, batch_size=32, lr=0.05, seed=0)
-        recent = baselines.train_erm(domains[:2], cfg, last_k=1)
+        [recent] = baselines.train_erm(domains[:2], [cfg], last_k=1)
         acc_recent = evaluate_accuracy(lambda x: baselines.predict_erm(recent, x), domains[2])
-        pooled = baselines.train_erm(domains[:2], cfg)
+        [pooled] = baselines.train_erm(domains[:2], [cfg])
         acc_pooled = evaluate_accuracy(lambda x: baselines.predict_erm(pooled, x), domains[2])
         assert acc_recent >= 0.99
         assert acc_pooled <= 0.7
@@ -192,7 +193,7 @@ class TestProtoVanilla:
         for seed in (1, 2, 3):
             cfg = dpnet.TrainConfig(steps=2000, n_per_class=16, lr=0.01, seed=seed)
             model = dpnet.init_dpnet((2, 2), 2, seed)
-            model, _ = dpnet.train(model, sources, cfg)
+            [(model, _, _)] = dpnet.train([model], sources, [cfg])
             directional.append(
                 evaluate_accuracy(lambda x: dpnet.predict_target(model, sources[-1], x), target)
             )

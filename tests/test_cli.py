@@ -2,9 +2,10 @@ import hashlib
 import json
 import re
 
+import numpy as np
 import pytest
 
-from edglab import cli, data, harness
+from edglab import cli, data, dpnet, harness
 
 
 def run_cli(capsys, argv):
@@ -389,17 +390,17 @@ class TestSweepAndReport:
     def test_failures_are_events(self, capsys, tmp_path, monkeypatch, failing, quiet):
         from edglab import baselines, nn
 
-        train_group, failed = baselines.train_erm_group, []
+        train_erm, failed = baselines.train_erm, []
 
         def diverge(domains, configs, **kwargs):
-            results = train_group(domains, configs, **kwargs)
+            results = train_erm(domains, configs, **kwargs)
             for i, cfg in enumerate(configs):
                 if failing == "every-run" or not failed:
                     results[i] = nn.OptimizerError("non-finite gradient")
                     failed.append(cfg.seed)
             return results
 
-        monkeypatch.setattr(baselines, "train_erm_group", diverge)
+        monkeypatch.setattr(baselines, "train_erm", diverge)
         # Each grid has two erm cells of two trials; no dpnets run fails.
         grids = {
             "sweep": (
@@ -480,6 +481,43 @@ class TestSweepAndReport:
     def test_report_needs_directory(self, capsys, tmp_path):
         code, _ = run_cli(capsys, ["report", "--raw", str(tmp_path / "missing"), "--out", str(tmp_path)])
         assert code == 2
+
+
+# A two-cell sweep of one short search each.
+SMALL_SWEEP = [
+    "sweep", "--dataset", "rotatedcloud", "--axis", "distance", "--values", "5,25", "--samples", "40",
+    "--num-domains", "4", "--trials", "1", "--n-seeds", "1",
+]
+
+
+class TestExperimentErrors:
+    """Exit 1 with ``experiment-error`` is kept for the failures an experiment
+    can meet; any other exception is a bug and propagates."""
+
+    def test_diverging_train(self, capsys, tmp_path):
+        argv = [
+            "train", "--algo", "dpnets", "--num-domains", "6", "--samples", "40", "--steps", "50",
+            "--lr", "1e200", "--out", str(tmp_path),
+        ]
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, events = run_cli(capsys, argv)
+        assert code == 1
+        assert last_event(events, "experiment-error")["message"] == "non-finite gradient"
+
+    def test_report_under_a_regular_file(self, capsys, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        code, events = run_cli(capsys, [*SMALL_SWEEP, "--algos", "erm", "--out", str(blocker / "out")])
+        assert code == 1
+        assert "cannot write report" in last_event(events, "experiment-error")["message"]
+
+    def test_a_bug_propagates(self, capsys, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise NotImplementedError("a bug, not a failed run")
+
+        monkeypatch.setattr(dpnet, "train", broken)
+        with pytest.raises(NotImplementedError, match="a bug"):
+            cli.main([*SMALL_SWEEP, "--algos", "dpnets", "--out", str(tmp_path)])
 
 
 # Every typed setting each subcommand reads, with one bad value for it.

@@ -46,10 +46,9 @@ class TestEvolCircle:
             assert d.n == 220 and d.dim == 2
             assert set(np.unique(d.y)) == {0, 1}
 
-    def test_zero_variance_collapses_to_centers(self):
-        spec = data.EnvironmentSpec(
-            kind="evolcircle", num_domains=3, samples_per_domain=4, seed=0, extra={"sigma": 0.0}
-        )
+    def test_zero_variance_collapses_to_centers(self, monkeypatch):
+        monkeypatch.setattr(data, "SIGMA", 0.0)
+        spec = data.EnvironmentSpec(kind="evolcircle", num_domains=3, samples_per_domain=4, seed=0)
         for i, d in enumerate(data.gen_evolcircle(spec)):
             theta = np.pi * i / 2
             center0 = 1.5 * np.array([np.cos(theta), np.sin(theta)])

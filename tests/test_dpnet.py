@@ -188,9 +188,9 @@ class TestTrain:
         domains = two_class_domains(rng)
         model = dpnet.init_dpnet((2, 2), 2, seed=0)
         before = [a.copy() for a in model.f_phi.arrays() + model.f_psi.arrays()]
-        trained, trace = dpnet.train(model, domains, dpnet.TrainConfig(steps=0, seed=1))
+        [(trained, losses, accs)] = dpnet.train([model], domains, [dpnet.TrainConfig(steps=0, seed=1)])
         after = trained.f_phi.arrays() + trained.f_psi.arrays()
-        assert trace == []
+        assert len(losses) == len(accs) == 0
         assert all(np.array_equal(x, y) for x, y in zip(before, after))
 
     def test_fixed_seed_reproduces_parameters(self, rng):
@@ -199,7 +199,7 @@ class TestTrain:
         results = []
         for _ in range(2):
             model = dpnet.init_dpnet((2, 2), 2, seed=5)
-            trained, _ = dpnet.train(model, domains, cfg)
+            [(trained, _, _)] = dpnet.train([model], domains, [cfg])
             results.append(trained.f_phi.arrays() + trained.f_psi.arrays())
         assert all(np.array_equal(a, b) for a, b in zip(*results))
 
@@ -207,21 +207,22 @@ class TestTrain:
         domains = two_class_domains(rng)
         seen = []
         dpnet.train(
-            model=dpnet.init_dpnet((2, 2), 2, seed=0),
+            models=[dpnet.init_dpnet((2, 2), 2, seed=0)],
             source_domains=domains,
-            config=dpnet.TrainConfig(steps=7, n_per_class=4, seed=0),
-            progress=lambda step, loss: seen.append(step),
+            configs=[dpnet.TrainConfig(steps=7, n_per_class=4, seed=0)],
+            progress=lambda step, losses: seen.append(step),
         )
         assert seen == list(range(7))
 
-    def test_separable_environment_reaches_high_query_accuracy(self):
-        spec = data.default_spec("evolcircle", seed=3, extra={"sigma": 0.05})
+    def test_separable_environment_reaches_high_query_accuracy(self, monkeypatch):
+        monkeypatch.setattr(data, "SIGMA", 0.05)
+        spec = data.default_spec("evolcircle", seed=3)
         domains = data.generate(spec)
         model = dpnet.init_dpnet((2, 2), 2, seed=1)
-        _, trace = dpnet.train(
-            model, domains[:-1], dpnet.TrainConfig(steps=1000, n_per_class=16, lr=0.02, seed=1)
+        [(_, _, accs)] = dpnet.train(
+            [model], domains[:-1], [dpnet.TrainConfig(steps=1000, n_per_class=16, lr=0.02, seed=1)]
         )
-        assert np.mean([t.query_accuracy for t in trace[-50:]]) >= 0.99
+        assert np.mean(accs[-50:]) >= 0.99
 
 
 class TestPredictTarget:
@@ -255,7 +256,7 @@ class TestPredictTarget:
         for seed in (1, 2, 3):
             model = dpnet.init_dpnet((2, 2), 2, seed)
             cfg = dpnet.TrainConfig(steps=2000, n_per_class=16, lr=0.01, seed=seed)
-            model, _ = dpnet.train(model, sources, cfg)
+            [(model, _, _)] = dpnet.train([model], sources, [cfg])
             accs.append(
                 evaluate_accuracy(lambda x: dpnet.predict_target(model, sources[-1], x), target)
             )

@@ -99,7 +99,7 @@ def reference_episode(domains, n, rng, same_domain):
 
 
 def draw_all(domains, n, seeds, steps, same_domain):
-    """Every episode of a group, asked for as ``train_group`` asks: all live
+    """Every episode of a group, asked for as ``dpnet.train`` asks: all live
     runs each step, a failed run dropped with its error."""
     episodes = dpnet.Episodes(domains, n, [np.random.default_rng(s) for s in seeds], steps, same_domain)
     live, out = list(range(len(seeds))), {run: [] for run in range(len(seeds))}
@@ -170,21 +170,31 @@ def test_episode_error_surfaces_at_its_step(evolcircle):
         assert all(same_episodes(a, b) for a, b in zip(got[run], want[run]))
         failures += isinstance(want[run][-1], str)
     assert failures >= 3  # most runs meet a bad pair within 200 steps
-    # The trainer gives each failed run the same error, the others train on.
+    # The trainer gives each failed run the same error. The two runs whose bad
+    # pair comes last stop one step short of it: they outlive the groupmates
+    # dropped before them and end exactly as in a group of one.
+    fail_at = {run: len(w) - 1 for run, w in want.items() if isinstance(w[-1], str)}
+    survivors = sorted(fail_at, key=fail_at.get)[-2:]
+    steps = [fail_at[run] if run in survivors else 200 for run in range(len(seeds))]
+    assert min(fail_at.values()) < min(steps[run] for run in survivors)
     models = [dpnet.init_dpnet((2, 2), 2, seed=s) for s in seeds]
-    configs = [dpnet.TrainConfig(steps=200, n_per_class=4, seed=s) for s in seeds]
-    for run, result in enumerate(dpnet.train_group(models, domains, configs)):
-        if isinstance(want[run][-1], str):
+    configs = [dpnet.TrainConfig(steps=n, n_per_class=4, seed=s) for s, n in zip(seeds, steps)]
+    for run, result in enumerate(dpnet.train(models, domains, configs)):
+        if run not in survivors:
             assert isinstance(result, dpnet.EpisodeError) and str(result) == want[run][-1]
-        else:
-            assert not isinstance(result, Exception)
+            continue
+        [(solo, solo_losses, solo_accs)] = dpnet.train([models[run]], domains, [configs[run]])
+        model, losses, accs = result
+        for net, solo_net in ((model.f_phi, solo.f_phi), (model.f_psi, solo.f_psi)):
+            assert all(np.array_equal(a, b) for a, b in zip(net.arrays(), solo_net.arrays()))
+        assert np.array_equal(losses, solo_losses) and np.array_equal(accs, solo_accs)
 
 
 def test_erm_batches_do_not_depend_on_chunking(evolcircle, monkeypatch):
     configs = [baselines.ErmConfig(steps=s, batch_size=16, lr=0.05, seed=s) for s in (30, 45)]
-    full = baselines.train_erm_group(evolcircle, configs)
+    full = baselines.train_erm(evolcircle, configs)
     monkeypatch.setattr(seeding, "CHUNK_DRAWS", 1)
-    single = baselines.train_erm_group(evolcircle, configs)
+    single = baselines.train_erm(evolcircle, configs)
     for a, b in zip(full, single):
         assert all(np.array_equal(x, y) for x, y in zip(a.net.arrays(), b.net.arrays()))
 

@@ -150,7 +150,7 @@ class TestSweep:
         def broken(*args, **kwargs):
             raise NotImplementedError("a bug, not a failed run")
 
-        monkeypatch.setattr(dpnet, "train_group", broken)
+        monkeypatch.setattr(dpnet, "train", broken)
         spec = data.EnvironmentSpec(kind="rotatedcloud", num_domains=5, samples_per_domain=60, domain_distance=20.0, seed=3)
         sweep = harness.SweepConfig(axis="domain_distance", values=(10.0, 20.0), base_spec=spec, algorithms=("dpnets",))
         with pytest.raises(NotImplementedError, match="a bug"):

@@ -1,8 +1,8 @@
 """Lockstep training: R runs stepped together in one stacked buffer must each
 end exactly where they end alone.
 
-The reference for a run is the same run trained by itself (``dpnet.train``,
-``baselines.train_erm``), which ``tests/test_lean_step.py`` in turn pins to
+The reference for a run is the same run trained in a group of one
+(``dpnet.train``, ``baselines.train_erm``), which ``tests/test_lean_step.py`` pins to
 the frozen functional trainer. Parameters and per-step (loss, query accuracy)
 traces are compared with ``np.array_equal``.
 """
@@ -39,11 +39,10 @@ def _arrays(model):
 
 
 def _solo(model, domains, config, shared=False):
-    """``dpnet.train`` alone, its TraceEntry list as the (losses, query
-    accuracies) arrays a group returns."""
-    trained, trace = dpnet.train(model, domains, config, same_domain_episodes=shared)
-    assert [t.step for t in trace] == list(range(config.steps))
-    return trained, np.array([t.loss for t in trace]), np.array([t.query_accuracy for t in trace])
+    """``dpnet.train`` of one run: its model, losses and query accuracies."""
+    [(trained, losses, accs)] = dpnet.train([model], domains, [config], same_domain_episodes=shared)
+    assert len(losses) == len(accs) == config.steps
+    return trained, losses, accs
 
 
 def _same_dpnet(got, want):
@@ -76,7 +75,7 @@ def _same_net(a, b):
 def test_episodic_group_equals_solo_runs(evolcircle, algo, dims, optimizer):
     shared = algo == "proto"
     models, configs = _dpnet_runs(dims, shared)
-    group = dpnet.train_group(models, evolcircle, configs, same_domain_episodes=shared)
+    group = dpnet.train(models, evolcircle, configs, same_domain_episodes=shared)
     for model, config, got in zip(models, configs, group):
         assert len(got[1]) == len(got[2]) == config.steps
         _same_dpnet(got, _solo(model, evolcircle, config, shared))
@@ -86,15 +85,15 @@ def test_episodic_group_equals_solo_runs(evolcircle, algo, dims, optimizer):
 @pytest.mark.parametrize("hidden", [(), (6,)])
 def test_erm_group_equals_solo_runs(evolcircle, hidden, optimizer):
     configs = _erm_configs(hidden)
-    group = baselines.train_erm_group(evolcircle, configs, index_mode=IndexMode.ONE_HOT_CONCAT)
+    group = baselines.train_erm(evolcircle, configs, index_mode=IndexMode.ONE_HOT_CONCAT)
     for config, got in zip(configs, group):
-        want = baselines.train_erm(evolcircle, config, index_mode=IndexMode.ONE_HOT_CONCAT)
+        [want] = baselines.train_erm(evolcircle, [config], index_mode=IndexMode.ONE_HOT_CONCAT)
         assert _same_net(got.net, want.net)
 
 
 def test_group_member_equals_the_frozen_oracle(evolcircle):
     models, configs = _dpnet_runs((2, 4, 2), False)
-    group = dpnet.train_group(models, evolcircle, configs)
+    group = dpnet.train(models, evolcircle, configs)
     for model, config, (trained, losses, accs) in zip(models, configs, group):
         phi, psi, want = oracle_train_dpnet(model, evolcircle, config)
         for net, layers in ((trained.f_phi, phi), (trained.f_psi, psi)):
@@ -109,21 +108,21 @@ def test_group_member_equals_the_frozen_oracle(evolcircle):
 
 def test_run_ignores_groupmates_and_order(evolcircle):
     models, configs = _dpnet_runs((2, 2), False)
-    full = dpnet.train_group(models, evolcircle, configs)
+    full = dpnet.train(models, evolcircle, configs)
     for order in ([3, 2, 1, 0], [2, 0], [1]):
-        part = dpnet.train_group([models[i] for i in order], evolcircle, [configs[i] for i in order])
+        part = dpnet.train([models[i] for i in order], evolcircle, [configs[i] for i in order])
         for i, got in zip(order, part):
             _same_dpnet(got, full[i])
     erm = _erm_configs((4,))
-    full = baselines.train_erm_group(evolcircle, erm)
-    part = baselines.train_erm_group(evolcircle, [erm[2], erm[0]])
+    full = baselines.train_erm(evolcircle, erm)
+    part = baselines.train_erm(evolcircle, [erm[2], erm[0]])
     assert _same_net(part[0].net, full[2].net) and _same_net(part[1].net, full[0].net)
 
 
 def test_inputs_left_untouched(evolcircle):
     models, configs = _dpnet_runs((2, 4, 2), False)
     before = [[a.copy() for a in _arrays(m)] for m in models]
-    dpnet.train_group(models, evolcircle, configs)
+    dpnet.train(models, evolcircle, configs)
     for model, saved in zip(models, before):
         assert all(np.array_equal(a, b) for a, b in zip(_arrays(model), saved))
 
@@ -133,12 +132,6 @@ def test_inputs_left_untouched(evolcircle):
 # ---------------------------------------------------------------------------
 
 
-def _solo_error(fn):
-    with pytest.raises(Exception) as info:
-        fn()
-    return info.value
-
-
 @pytest.mark.parametrize("optimizer", ["adam"])
 def test_diverging_run_fails_alone(evolcircle, optimizer):
     # The longest run takes the first row, so its failure moves the rows after it.
@@ -146,16 +139,16 @@ def test_diverging_run_fails_alone(evolcircle, optimizer):
     models, configs = _dpnet_runs((2, 2), False, runs)
     erm = _erm_configs((4,), runs)
     with np.errstate(over="ignore", invalid="ignore"):
-        group = dpnet.train_group(models, evolcircle, configs)
-        solo = _solo_error(lambda: dpnet.train(models[1], evolcircle, configs[1]))
-        erm_group = baselines.train_erm_group(evolcircle, erm)
-        erm_solo = _solo_error(lambda: baselines.train_erm(evolcircle, erm[1]))
+        group = dpnet.train(models, evolcircle, configs)
+        [solo] = dpnet.train([models[1]], evolcircle, [configs[1]])
+        erm_group = baselines.train_erm(evolcircle, erm)
+        [erm_solo] = baselines.train_erm(evolcircle, [erm[1]])
     assert isinstance(solo, nn.OptimizerError) and isinstance(group[1], nn.OptimizerError)
     assert str(group[1]) == str(solo) == "non-finite gradient"
     assert isinstance(erm_group[1], nn.OptimizerError) and str(erm_group[1]) == str(erm_solo)
     for i in (0, 2):
         _same_dpnet(group[i], _solo(models[i], evolcircle, configs[i]))
-        assert _same_net(erm_group[i].net, baselines.train_erm(evolcircle, erm[i]).net)
+        assert _same_net(erm_group[i].net, baselines.train_erm(evolcircle, [erm[i]])[0].net)
 
 
 def test_progress_reports_the_runs_that_stepped(evolcircle):
@@ -163,10 +156,11 @@ def test_progress_reports_the_runs_that_stepped(evolcircle):
     models, configs = _dpnet_runs((2, 2), False, runs)
     seen, solo_steps = [], []
     with np.errstate(over="ignore", invalid="ignore"):
-        group = dpnet.train_group(models, evolcircle, configs, progress=lambda *call: seen.append(call))
-        with pytest.raises(nn.OptimizerError):  # alone, the run reports each step it takes before failing
-            dpnet.train(models[1], evolcircle, configs[1], progress=lambda step, loss: solo_steps.append(step))
+        group = dpnet.train(models, evolcircle, configs, progress=lambda *call: seen.append(call))
+        # Alone, the run reports each step it takes before failing.
+        [solo] = dpnet.train([models[1]], evolcircle, [configs[1]], progress=lambda step, _: solo_steps.append(step))
     failed_at = len(solo_steps)
+    assert isinstance(solo, nn.OptimizerError)
     assert isinstance(group[1], nn.OptimizerError) and 0 < failed_at < 8
     assert [step for step, _ in seen] == list(range(8))
     for step, losses in seen:
@@ -182,9 +176,9 @@ def test_infeasible_batch_fails_each_run_with_its_solo_message(evolcircle, share
     # 40 samples per class: dpnets fits 40 per class, proto 20.
     n = 30 if shared else 50
     models, configs = _dpnet_runs((2, 2), shared, RUNS[:3], n=n)
-    group = dpnet.train_group(models, evolcircle, configs, same_domain_episodes=shared)
+    group = dpnet.train(models, evolcircle, configs, same_domain_episodes=shared)
     for model, config, got in zip(models, configs, group):
-        solo = _solo_error(lambda: dpnet.train(model, evolcircle, config, same_domain_episodes=shared))
+        [solo] = dpnet.train([model], evolcircle, [config], same_domain_episodes=shared)
         assert isinstance(solo, dpnet.EpisodeError) and isinstance(got, dpnet.EpisodeError)
         assert str(got) == str(solo)
 
@@ -192,11 +186,11 @@ def test_infeasible_batch_fails_each_run_with_its_solo_message(evolcircle, share
 def test_group_settings_must_agree(evolcircle):
     models, configs = _dpnet_runs((2, 2), False, RUNS[:2])
     with pytest.raises(ValueError, match="n_per_class"):
-        dpnet.train_group(models, evolcircle, [configs[0], dpnet.TrainConfig(n_per_class=5)])
+        dpnet.train(models, evolcircle, [configs[0], dpnet.TrainConfig(n_per_class=5)])
     with pytest.raises(ValueError, match="shapes"):
-        dpnet.train_group([models[0], dpnet.init_dpnet((2, 3), 2, seed=0)], evolcircle, configs)
+        dpnet.train([models[0], dpnet.init_dpnet((2, 3), 2, seed=0)], evolcircle, configs)
     with pytest.raises(ValueError, match="batch_size"):
-        baselines.train_erm_group(evolcircle, [baselines.ErmConfig(batch_size=8), baselines.ErmConfig(batch_size=9)])
+        baselines.train_erm(evolcircle, [baselines.ErmConfig(batch_size=8), baselines.ErmConfig(batch_size=9)])
 
 
 # ---------------------------------------------------------------------------
@@ -207,13 +201,13 @@ def test_group_settings_must_agree(evolcircle):
 def test_search_trains_one_group_per_shape_and_scores_as_single_runs(evolcircle, monkeypatch):
     space = harness.HParamSpace(lr_range=(0.005, 0.05), steps_choices=(20, 40), batch_choices=(4, 8, 50))
     domains = evolcircle + [evolcircle[-1]]  # the last domain stands in as the target
-    sizes, train_group = [], dpnet.train_group
+    sizes, train = [], dpnet.train
 
     def counted(models, *args, **kwargs):
         sizes.append(len(models))
-        return train_group(models, *args, **kwargs)
+        return train(models, *args, **kwargs)
 
-    monkeypatch.setattr(dpnet, "train_group", counted)
+    monkeypatch.setattr(dpnet, "train", counted)
     res = harness.random_search(space, "dpnets", domains, n_trials=6, n_seeds=2, master_seed=3)
     monkeypatch.undo()
     # Runs differ only in lr, steps and seed within a group: one group per batch size drawn.

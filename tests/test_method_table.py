@@ -88,7 +88,7 @@ def test_validation_scores_each_family_its_own_way(algo):
     pairs = [data.split_train_val(d, 0.8, seed=5) for d in domains[:-1]]
     train, val = [t for t, _ in pairs], [v for _, v in pairs]
     outcome = harness.run_single(algo, train, val, domains[-1], HPARAMS, seed=3)
-    model = harness.METHODS[algo].fit(train, HPARAMS, seed=3)
+    [model] = harness.METHODS[algo].fit(train, [(HPARAMS, 3)])
     if algo == "erm-scalar":  # every held-out source, with its own domain index
         predict = [lambda x, i=i: baselines.predict_erm(model, x, val[i].index) for i in range(len(val))]
     elif algo == "dpnets":  # each held-out source but the first, its predecessor as support
