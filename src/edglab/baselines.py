@@ -150,24 +150,26 @@ def train_erm(
             head[...] = 0.0
     lock = nn.Lockstep([[net] for net in nets], [c.lr for c in configs], [c.steps for c in configs])
     # Each run's batches are rng.choice(n, batch, replace=False) per step,
-    # decoded a chunk of steps at a time for every live run.
+    # decoded a chunk of steps at a time for every live run: T × R × batch.
     streams = [seeding.Words(rng) for rng in rngs]
     n = xs.shape[0]
     batch = min(batch_size, n)
-    start = stop = 0
-    picks = None
+    start, picks, decoded = 0, np.empty((0,)), []
 
     def grads(step):
-        nonlocal start, stop, picks
-        if step == stop:
+        nonlocal start, picks, decoded
+        if step == start + len(picks):
             left = max(configs[run].steps for run in lock.ids) - step
-            start, stop = step, step + seeding.chunk_steps(len(lock.ids), 2 * batch - 1, left)
-            picks = np.empty((len(configs), stop - start, batch), dtype=np.int64)
-            picks[lock.ids] = seeding.choice([streams[run] for run in lock.ids], n, batch, stop - start)
-        rows = picks[lock.ids, step - start]
+            start, decoded = step, list(lock.ids)
+            count = seeding.chunk_steps(len(decoded), 2 * batch - 1, left)
+            picks = seeding.choice([streams[run] for run in decoded], n, batch, count).swapaxes(0, 1)
+        # Once the shortest runs have finished, the live ones are the first
+        # decoded: a step's rows stay a slice.
+        live = slice(len(lock.ids)) if lock.ids == decoded[: len(lock.ids)] else [decoded.index(r) for r in lock.ids]
+        rows = picks[step - start, live]
         [net], [out] = lock.nets, lock.grads
-        logits, cache = nn.mlp_forward(net, xs[rows])
-        losses, dlogits = nn.softmax_cross_entropy(logits, ys[rows])
+        logits, cache = nn.mlp_forward(net, xs.take(rows, axis=0))
+        losses, dlogits = nn.softmax_cross_entropy(logits, ys.take(rows))
         nn.mlp_backward(net, cache, dlogits, out=out)
         return losses
 

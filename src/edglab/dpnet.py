@@ -10,6 +10,7 @@ prototypes for the unseen target.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -110,6 +111,17 @@ def predictive_distribution(model: DPNetModel, prototypes: Array, x: Array) -> A
     return probs[0] if np.asarray(x).ndim == 1 else probs
 
 
+@lru_cache(maxsize=8)
+def _true_class(runs: tuple[int, ...], k_classes: int, n_b: int) -> Array:
+    """Each query's distance to its own class's prototype, as flat indices
+    into the stacked (K·n) × K distances: shaped ``runs + (K·n,)``."""
+    episodes = int(np.prod(runs, dtype=np.int64))
+    labels = np.tile(np.repeat(np.arange(k_classes), n_b), episodes)
+    true = (nn.row_starts(labels.size, k_classes) + labels).reshape(*runs, -1)
+    true.flags.writeable = False
+    return true
+
+
 def episode_loss(
     model: DPNetModel, batch: EpisodeBatch, grads: tuple[Grads, Grads] | None = None
 ) -> tuple[float, Array, Grads, Grads]:
@@ -134,21 +146,20 @@ def episode_loss(
     protos = np.add.reduce(zs.reshape(*runs, k_classes, n_b, -1), axis=-2) / n_b
 
     d2 = nn.pairwise_sq_dists(zq, protos)  # (K*n_b) × K
-    labels = np.repeat(np.arange(k_classes), n_b)
     n_q = k_classes * n_b
-    rows = np.arange(n_q)
+    true = _true_class(tuple(runs), k_classes, n_b)
     # log sum_k exp(-d2) with max-subtraction, per query row.
     neg = -d2
     m = np.maximum.reduce(neg, axis=-1, keepdims=True)
     p = np.exp(neg - m)
     total = np.add.reduce(p, axis=-1, keepdims=True)
     lse = (m + np.log(total))[..., 0]
-    loss = np.add.reduce(d2[..., rows, labels] + lse, axis=-1) / n_q
+    loss = np.add.reduce(d2.take(true) + lse, axis=-1) / n_q
 
     p /= total
     # dJ/d d2[q,k] = (1[k=y_q] - p[q,k]) / n_q
     gd2 = -p
-    gd2[..., rows, labels] += 1.0
+    gd2.reshape(-1)[true] += 1.0
     gd2 /= n_q
     # Chain through d2 = |zq - c_k|^2 exactly (no zero-row-sum shortcut).
     gzq = 2.0 * (zq * np.add.reduce(gd2, axis=-1, keepdims=True) - gd2 @ protos)
@@ -164,16 +175,15 @@ def episode_loss(
 class Episodes:
     """Where the episodes of R runs come from, and each run's draws.
 
-    Holds one stacked source array, the rows of every (domain, class) in it
-    and one word stream per run's generator. ``sample_episode`` decodes a
-    chunk of steps of every live run at once, value for value as the run's
-    own generator would draw them one call at a time: per step
-    ``rng.integers(0, pairs)`` picks the domain i, then per class
-    ``rng.choice(rows, n, replace=False)`` picks n rows of domain i, then n
-    of domain i+1 (``same_domain``: 2n of domain i, the first n the
-    support). ``steps`` (one per run, or one for all) bounds each run's
-    draws; a run that gets through them hands its generator back where the
-    draws left it.
+    Holds the source rows grouped by (domain, class) and one word stream per
+    run's generator. ``sample_episode`` decodes a chunk of steps of every
+    live run at once, value for value as the run's own generator would draw
+    them one call at a time: per step ``rng.integers(0, pairs)`` picks the
+    domain i, then per class ``rng.choice(rows, n, replace=False)`` picks n
+    rows of domain i, then n of domain i+1 (``same_domain``: 2n of domain i,
+    the first n the support). ``steps`` (one per run, or one for all) bounds
+    each run's draws; a run that gets through them hands its generator back
+    where the draws left it.
     """
 
     def __init__(self, domains: list[DomainData], n_per_class: int, rngs, steps=1, same_domain: bool = False):
@@ -186,12 +196,14 @@ class Episodes:
             raise ValueError(f"n_per_class must be at least 1, got {n_per_class}")
         self.streams = [seeding.Words(rng) for rng in rngs]
         self.steps = np.broadcast_to(np.asarray(steps, dtype=np.int64), len(self.streams))
-        self.x = np.concatenate([d.x for d in domains])
         k, size = domains[0].num_classes, 2 * n_per_class if same_domain else n_per_class
         counts = np.array([[len(idx) for idx in d.class_index] for d in domains])
-        offsets = np.cumsum([0] + [d.n for d in domains])
-        self.table = np.concatenate([off + idx for d, off in zip(domains, offsets.tolist()) for idx in d.class_index])
         firsts = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)
+        # Each (domain, class) block of rows in turn, so a pick offsets its block.
+        self.x = np.empty((int(counts.sum()), domains[0].x.shape[1]), dtype=domains[0].x.dtype)
+        for d, tops in zip(domains, firsts.tolist()):
+            for idx, top in zip(d.class_index, tops):
+                self.x[top : top + len(idx)] = d.x[idx]
         # Per domain pair i: the domain of each (class, side), class-major as drawn.
         pairs = len(domains) - (0 if same_domain else 1)
         side = np.arange(pairs)[:, None, None] + np.arange(1 if same_domain else 2)
@@ -213,21 +225,28 @@ class Episodes:
         bounds[~self.ok] = 0
         # Slot 0 of a step draws i, from rng.integers(0, pairs); a slot's word
         # is the step's first plus the words of the live slots before it.
-        self.step_bounds = np.hstack([np.full((pairs, 1), pairs - 1, dtype=np.uint64), bounds]).astype(np.uint32)
+        self.step_bounds = np.hstack([np.full((pairs, 1), pairs - 1, dtype=np.uint32), bounds])
         live = self.step_bounds != 0
         self.step_words = live.sum(axis=1)
         last = np.maximum(self.step_words - 1, 0)[:, None]  # a 0 bound reads a word and ignores it
         self.step_at = np.minimum(np.cumsum(live, axis=1) - live, last).astype(np.int32)
+        # Usually every slot of a pair that serves takes a word, so step s
+        # begins at word s·W whatever the pairs before it (a failing pair ends
+        # its run after its index).
+        self.uniform = bool(self.ok.any() and live[self.ok].all())
         self.n, self.size = n_per_class, size
         self.start = self.stop = 0  # the decoded steps
+        self.runs: list[int] = []
         self.row_of = np.full(len(self.streams), -1)
 
     def decode(self, step: int, runs: list[int]) -> None:
         """Decode the next chunk of steps, from ``step`` on, for ``runs``."""
         if step != self.stop:
             raise ValueError(f"episodes are drawn in step order: step {step} after {self.stop}")
+        self.rows = None  # this chunk's rows replace the last's
         left = self.steps[runs] - step
-        n_steps = seeding.chunk_steps(len(runs), self.step_bounds.shape[1], int(left.max()))
+        slots = self.step_bounds.shape[1]
+        n_steps = seeding.chunk_steps(len(runs), slots, int(left.max()))
         t, pairs = np.arange(n_steps), np.uint64(len(self.ok))
 
         def steps_live(pair):
@@ -236,35 +255,49 @@ class Episodes:
             fail_at = np.where(failed.any(axis=1), failed.argmax(axis=1), n_steps)
             return (t < left[:, None]) & (t <= fail_at[:, None]), fail_at
 
+        def pair_of(words):
+            """The i a step draws, if it begins at these words."""
+            return (np.multiply(words, pairs, dtype=np.uint64) >> np.uint64(32)).astype(np.intp)
+
         def layout(words):
-            # Where a step starts depends on the pairs drawn before it.
-            rows, at = np.arange(len(runs)), np.zeros(len(runs), dtype=np.int32)
-            begin = np.empty((len(runs), n_steps + 1), dtype=np.int32)
-            pair = np.empty((len(runs), n_steps), dtype=np.int64)
-            drawn_at = np.multiply(words, pairs, dtype=np.uint64) >> np.uint64(32)  # i, if a step began there
-            for s in range(n_steps):
-                begin[:, s] = at
-                pair[:, s] = drawn_at[rows, at]
-                at = at + self.step_words[pair[:, s]]
-            begin[:, n_steps] = at
+            if self.uniform:
+                pair, at = pair_of(words[:, ::slots]), None
+            else:  # where a step begins depends on the pairs drawn before it
+                rows = np.arange(len(runs))
+                begin = np.zeros((len(runs), n_steps + 1), dtype=np.int32)
+                pair = np.empty((len(runs), n_steps), dtype=np.intp)
+                for s in range(n_steps):
+                    pair[:, s] = pair_of(words[rows, begin[:, s]])
+                    begin[:, s + 1] = begin[:, s] + self.step_words[pair[:, s]]
+                at = (begin[:, :-1, None] + self.step_at[pair]).reshape(len(runs), -1)
             live, _ = steps_live(pair)
-            bounds = self.step_bounds[pair] * live[..., None]
-            at = begin[:, :-1, None] + self.step_at[pair]
-            return bounds.reshape(len(runs), -1), at.reshape(len(runs), -1), begin[rows, live.sum(axis=1)]
+            bounds = self.step_bounds[pair]
+            bounds *= live[..., None]
+            used = np.add.reduce(self.step_words[pair] * live, axis=1)
+            return bounds.reshape(len(runs), -1), at, used
 
         width = max(1, n_steps * int(self.step_words.max()))
-        values = seeding.decode([self.streams[r] for r in runs], width, layout).reshape(len(runs), n_steps, -1)
-        pair = values[:, :, 0]
+        values = seeding.decode([self.streams[r] for r in runs], width, layout)
+        values = values.reshape(len(runs), n_steps, slots)
+        pair = values[:, :, 0].astype(np.intp)
         live, fail_at = steps_live(pair)
         drawn = live & self.ok[pair]  # the steps whose rows a run uses
         draws = values[:, :, 1:].reshape(*pair.shape, *self.pops.shape[1:], 2 * self.size - 1)
-        picks = seeding.choice_picks(draws, self.pops[pair], self.size) * drawn[..., None, None, None]
-        rows = self.table[self.firsts[pair][..., None] + picks]  # R × T × K × sides × size
-        # Support and query rows of each step and run: T × 2 × R × K × n.
+        picks = seeding.choice_picks(draws, self.pops[pair], self.size)
+        del values, draws
+        # Rows of x for each step, T × 2 × R × K × n (support, then query);
+        # the steps a run does not draw point at row 0.
+        picks *= drawn[..., None, None, None]
+        first = self.firsts[pair] * drawn[..., None, None]
         k = self.pops.shape[1]
-        self.rows = rows.reshape(len(runs), n_steps, k, 2, self.n).transpose(1, 3, 0, 2, 4).copy()
+        self.rows = np.empty((n_steps, 2, len(runs), k, self.n), dtype=np.intp)
+        order = (1, 3, 0, 2, 4)
+        picks = picks.reshape(len(runs), n_steps, k, 2, self.n).transpose(order)
+        np.add(picks, first[..., None].transpose(order), out=self.rows)
         self.pair, self.fail_at = pair, fail_at
+        self.sources = [tuple(s) for s in pair.T.tolist()]
         self.fail_steps = set(fail_at[fail_at < n_steps].tolist())
+        self.runs = runs
         self.row_of[:] = -1
         self.row_of[runs] = np.arange(len(runs))
         self.start, self.stop = step, step + n_steps
@@ -284,15 +317,19 @@ def sample_episode(episodes: Episodes, step: int = 0, runs: int | list[int] = 0)
     """
     if not episodes.start <= step < episodes.stop:
         episodes.decode(step, np.atleast_1d(runs).tolist())
-    t, row = step - episodes.start, episodes.row_of[runs]
+    t = step - episodes.start
+    # Usually the runs are the decoded ones, or the first of them once the
+    # shortest have finished: their rows are a slice, and a step costs one gather.
+    prefix = isinstance(runs, list) and runs == episodes.runs[: len(runs)]
+    row = slice(len(runs)) if prefix else episodes.row_of[runs]
     if t in episodes.fail_steps:
         failed = np.flatnonzero(np.atleast_1d(episodes.fail_at[row]) == t).tolist()
         if failed:
             pairs = np.atleast_1d(episodes.pair[row, t])
             errors = {f: EpisodeError(episodes.errors[pairs[f]]) for f in failed}
             raise EpisodeError(str(errors[failed[0]]), rows=errors)
-    support, query = episodes.x[episodes.rows[t][:, row]]
-    source = episodes.pair[row, t].tolist()
+    support, query = episodes.x.take(episodes.rows[t][:, row], axis=0)
+    source = episodes.sources[t][row] if prefix else episodes.pair[row, t].tolist()
     return EpisodeBatch(support, query, tuple(source) if isinstance(source, list) else source)
 
 
@@ -353,7 +390,7 @@ def train(
             lock.grad[: len(lock.ids), :width] += lock.grad[: len(lock.ids), width:]
         # The logged accuracy scores the pre-step encoders, as predict_with_prototypes
         # would: argmin sends ties to the lowest class index.
-        acc = np.count_nonzero(np.argmin(d2, axis=-1) == labels, axis=-1) / labels.size
+        acc = np.add.reduce(np.argmin(d2, axis=-1) == labels, axis=-1) / labels.size
         logs[:, lock.ids, step] = losses, acc
         return losses
 

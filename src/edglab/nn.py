@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -305,6 +306,15 @@ def log_softmax_rows(m: Array) -> Array:
     return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
 
 
+@lru_cache(maxsize=8)
+def row_starts(rows: int, width: int) -> Array:
+    """The flat index of each row's first entry in a C-ordered block of
+    ``rows`` × ``width`` (read-only)."""
+    starts = np.arange(0, rows * width, width)
+    starts.flags.writeable = False
+    return starts
+
+
 def softmax_cross_entropy(logits: Array, labels: Array) -> tuple[Array, Array]:
     """Mean cross-entropy over a batch and its gradient w.r.t. the logits.
 
@@ -312,11 +322,12 @@ def softmax_cross_entropy(logits: Array, labels: Array) -> tuple[Array, Array]:
     stacked batches; the loss has one value per batch."""
     labels = np.asarray(labels)
     n = logits.shape[-2]
-    picked = (*np.indices(labels.shape, sparse=True), labels)
+    # Each label's logit as a flat index: one gather, one flat scatter.
+    picked = row_starts(labels.size, logits.shape[-1]).reshape(labels.shape) + labels
     logp = log_softmax_rows(logits)
-    loss = -(np.add.reduce(logp[picked], axis=-1) / n)
+    loss = -(np.add.reduce(logp.take(picked), axis=-1) / n)
     grad = np.exp(logp)
-    grad[picked] -= 1.0
+    grad.reshape(-1)[picked] -= 1.0
     grad /= n
     return loss, grad
 

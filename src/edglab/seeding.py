@@ -7,11 +7,14 @@ from functools import lru_cache
 
 import numpy as np
 
-LOW32 = np.uint64(0xFFFFFFFF)
 TWO32 = np.uint64(1 << 32)
 # Draws decoded at once for all live runs of a group: enough steps to spread
-# the per-call cost, few enough that the temporaries stay well under 1 MB.
-CHUNK_DRAWS = 8192
+# the per-chunk calls. A draw holds about 10 bytes at the decode's peak (its
+# uint32 word, which its value overwrites, its bound, and its share of the
+# picks and sort keys), so a full chunk stays under 0.4 MB.
+CHUNK_DRAWS = 32768
+# Draws per block of ``lemire``'s 64-bit products (and numpy's cast buffer).
+LEMIRE_BLOCK = 4096
 
 
 def child_seed(master: int, *parts) -> int:
@@ -34,8 +37,9 @@ class Words:
     its current state on.
 
     Each 64-bit output gives its low half, then its high half; a half the
-    generator holds over (``has_uint32``) comes first. Words are read ahead
-    in bulk with ``random_raw``, so the generator belongs to the stream until
+    generator holds over (``has_uint32``) comes first. ``decode`` reads words
+    ahead with ``random_raw`` straight into its rows and hands back the ones
+    its draws did not take, so the generator belongs to the stream until
     ``sync`` puts it where the consumed words end.
     """
 
@@ -44,28 +48,38 @@ class Words:
         self.start = self.bitgen.state
         if self.start["bit_generator"] != "PCG64":
             raise TypeError(f"need a PCG64 generator, got {self.start['bit_generator']}")
-        self.buf = np.array([self.start["uinteger"]] if self.start["has_uint32"] else [], dtype=np.uint32)
+        # Words read but not consumed, next in line.
+        self.ahead = np.array([self.start["uinteger"]] if self.start["has_uint32"] else [], dtype=np.uint32)
         self.used = 0  # words consumed since the start, rejected ones included
 
-    def peek(self, count: int) -> np.ndarray:
-        """The next ``count`` words."""
-        if count > self.buf.size:
-            raw = self.bitgen.random_raw(max(count - self.buf.size, 4096) // 2 + 1)
-            fresh = np.empty(2 * raw.size, dtype=np.uint32)
-            fresh[0::2] = raw & LOW32  # masks and shifts, not a view: no byte-order dependence
-            fresh[1::2] = raw >> np.uint64(32)
-            self.buf = np.concatenate([self.buf, fresh])
-        return self.buf[:count]
+    def fill(self, row: np.ndarray) -> None:
+        """Write the next ``row.size`` words into ``row`` (uint32)."""
+        have = min(self.ahead.size, row.size)
+        row[:have] = self.ahead[:have]
+        self.ahead = self.ahead[have:]
+        fresh = row[have:]
+        if fresh.size:
+            # Little-endian outputs split into (low, high) halves on any host.
+            halves = self.bitgen.random_raw((fresh.size + 1) // 2).astype("<u8", copy=False).view("<u4")
+            fresh[:] = halves[: fresh.size]
+            self.ahead = halves[fresh.size :].astype(np.uint32)  # ``ahead`` was empty
 
-    def skip(self, count: int) -> None:
-        self.buf = self.buf[count:]
-        self.used += count
+    def reread(self, row: np.ndarray, dropped: list[int]) -> None:
+        """Fill ``row`` again from where the consumed words end, leaving out
+        the rejected words ``dropped`` words on from there."""
+        self.sync()
+        state = self.bitgen.state
+        self.ahead = np.array([state["uinteger"]] if state["has_uint32"] else [], dtype=np.uint32)
+        words = np.empty(row.size + len(dropped), dtype=np.uint32)
+        self.fill(words)
+        row[:] = np.delete(words, dropped)
 
-    def reject(self, offset: int) -> None:
-        """A draw rejected the word ``offset`` words ahead: it is spent, and
-        every later draw moves on by one word."""
-        self.buf = np.delete(self.buf, offset)
-        self.used += 1
+    def consume(self, row: np.ndarray, count: int, rejected: int) -> None:
+        """The first ``count`` words of ``row`` are spent, and ``rejected``
+        words left out of it; the rest of the row comes next."""
+        self.used += count + rejected
+        if count < row.size:
+            self.ahead = np.concatenate([row[count:], self.ahead])
 
     def sync(self) -> None:
         """Set the generator to where the consumed words end, state for state
@@ -86,21 +100,28 @@ def chunk_steps(runs: int, draws_per_step: int, left: int) -> int:
     return max(1, min(left, CHUNK_DRAWS // (runs * draws_per_step)))
 
 
-def lemire(words: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def lemire(words: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """Lemire's draw in [0, bound] from one word each, as numpy's bounded
-    integer draws make it: the values (uint64) and the flat indices of the
-    words the method rejects (it would draw again)."""
-    m = np.empty(np.broadcast_shapes(words.shape, bounds.shape), dtype=np.uint64)
-    np.add(bounds, 1, out=m, dtype=np.uint64)
-    m *= words
-    # The low half falls below the bound + 1 only rarely; only then can the
-    # word be rejected. (In uint32 a bound of 2**32 - 1 wraps to 0 and never
-    # rejects, as in numpy.)
-    maybe = np.flatnonzero(m.astype(np.uint32) < np.asarray(bounds, dtype=np.uint32) + np.uint32(1))
-    excl = np.broadcast_to(bounds, m.shape).flat[maybe].astype(np.uint64) + np.uint64(1)
-    rejected = maybe[(m.flat[maybe] & LOW32) < (TWO32 - excl) % excl]
-    m >>= np.uint64(32)
-    return m, rejected
+    integer draws make it. The values (uint32) overwrite the words (R × S);
+    returns the flat indices of the words the method rejects (it would draw
+    again). Rows go through in blocks of about ``LEMIRE_BLOCK`` draws, so
+    the 64-bit products never span the whole chunk."""
+    bounds = np.broadcast_to(bounds, words.shape)
+    step = max(1, LEMIRE_BLOCK // max(words.shape[1], 1))
+    rejected = []
+    for top in range(0, len(words), step):
+        w, b = words[top : top + step], bounds[top : top + step]
+        m = np.add(b, 1, dtype=np.uint64)
+        m *= w
+        np.copyto(w, m, casting="unsafe")  # the low half, for now
+        # The low half falls to the bound or below only rarely; only then
+        # can the word be rejected.
+        maybe = np.flatnonzero(w <= b)
+        if maybe.size:
+            excl = b.flat[maybe].astype(np.uint64) + np.uint64(1)
+            rejected.append(maybe[w.flat[maybe] < (TWO32 - excl) % excl] + top * words.shape[1])
+        np.right_shift(m, np.uint64(32), out=w, casting="unsafe")
+    return np.concatenate(rejected) if rejected else np.empty(0, dtype=np.intp)
 
 
 def decode(streams: list[Words], width: int, layout) -> np.ndarray:
@@ -108,29 +129,37 @@ def decode(streams: list[Words], width: int, layout) -> np.ndarray:
     would make them one by one.
 
     ``layout(words)`` gets the next ``width`` words of every stream (R ×
-    width, uint32) and returns, for the draws they serve: their bounds, the word
-    each reads (R × S each, or 1 × S for every stream) and the words each
+    width, uint32) and returns, for the draws they serve: their bounds (R × S,
+    or 1 × S for every stream), the word each reads (``None`` when draw s
+    reads word s; else column indices, R × S or 1 × S) and the words each
     stream's draws take in all. A draw of bound 0 takes no word and gives 0.
     Where a draw rejects its word, that stream drops the word and the layout
     is asked again, since every later word moves by one. The words taken
-    are consumed. Returns the R × S values (int64).
+    are consumed. Returns the R × S values (uint32).
     """
-    offsets = np.arange(0, len(streams) * width, width)[:, None]
+    words = np.empty((len(streams), width), dtype=np.uint32)
+    for stream, row in zip(streams, words):
+        stream.fill(row)
+    dropped: list[list[int]] = [[] for _ in streams]
     while True:
-        words = np.stack([s.peek(width) for s in streams])
         bounds, at, used = layout(words)
-        words = words.ravel().take(offsets + at)  # the word each draw reads
-        values, rejected = lemire(words, bounds)
+        size = bounds.shape[-1]
+        values = words[:, :size] if at is None else np.take_along_axis(words, at, axis=1)
+        rejected = lemire(values, bounds)
         if not rejected.size:
             break
         # Each stream's first rejection, in stream order: later ones move.
-        hit, first = np.unique(rejected // values.shape[1], return_index=True)
-        at = np.broadcast_to(at, values.shape)
+        # The words before it draw as they did, so a stream's rejections come
+        # in order, each offset by the ones dropped before it.
+        at = np.broadcast_to(np.arange(size) if at is None else at, values.shape)
+        hit, first = np.unique(rejected // size, return_index=True)
         for row, flat in zip(hit.tolist(), rejected[first].tolist()):
-            streams[row].reject(int(at.flat[flat]))
-    for stream, count in zip(streams, np.broadcast_to(used, len(streams)).tolist()):
-        stream.skip(count)
-    return values.view(np.int64)
+            dropped[row].append(int(at.flat[flat]) + len(dropped[row]))
+        for stream, row, drop in zip(streams, words, dropped):  # the values overwrote them
+            stream.reread(row, drop)
+    for stream, row, count, drop in zip(streams, words, np.broadcast_to(used, len(streams)).tolist(), dropped):
+        stream.consume(row, count, len(drop))
+    return values
 
 
 def _tail_shuffled(pops: np.ndarray, size: int) -> np.ndarray:
@@ -148,66 +177,76 @@ def choice_bounds(pops, size: int) -> np.ndarray:
     t = np.arange(2 * size - 1)
     floyd = np.where(t < size, pops - size + t, 2 * size - 1 - t)
     tail = np.where(t < np.minimum(size, pops - 1), pops - 1 - t, 0)
-    return np.where(_tail_shuffled(pops, size), tail, floyd).astype(np.uint64)
+    return np.where(_tail_shuffled(pops, size), tail, floyd).astype(np.uint32)
 
 
 def choice_picks(values: np.ndarray, pops, size: int) -> np.ndarray:
     """The samples ``Generator.choice(pop, size, replace=False)`` returns,
     from the values of the draws at ``choice_bounds``: values ``(..., 2·size
-    − 1)`` and pops ``(...)`` give picks ``(..., size)``."""
+    − 1)`` and pops ``(...)`` give picks ``(..., size)`` (uint32)."""
     pops = np.asarray(pops, dtype=np.int64)
-    tail = np.flatnonzero(_tail_shuffled(pops, size))
     picks = _floyd(values, pops, size)
-    rows, flat_picks = values.reshape(-1, 2 * size - 1), picks.reshape(-1, size)
-    for row in tail.tolist():  # rare: their Floyd picks above are discarded
-        flat_picks[row] = _tail_shuffle(rows[row], int(pops.flat[row]), size)
+    for row in np.flatnonzero(_tail_shuffled(pops, size)).tolist():  # rare: their Floyd picks are discarded
+        at = np.unravel_index(row, pops.shape)
+        picks[at] = _tail_shuffle(values[at], int(pops[at]), size)
     return picks
 
 
 def _floyd(values: np.ndarray, pops: np.ndarray, size: int) -> np.ndarray:
     """Floyd's sample, then its Fisher–Yates shuffle. Draw t is kept unless
     an earlier step already holds it; then the step's own top value
-    j_t = pop − size + t goes in instead. (Gathers run on flat indices:
-    ``take`` on a flat array costs a fraction of 2-D fancy indexing.)"""
-    shape = pops.shape + (size,)
-    base = (pops - size)[..., None]
-    drawn = values[..., :size]
-    t = np.arange(size)
-    picks = np.where(_held(drawn, base, size), base + t, drawn).ravel()
-    # Fisher–Yates, last position first: swap i with j_i in every row at
-    # once, as one gather and one scatter of flat indices per i.
-    starts = np.arange(0, picks.size, size, dtype=np.int32)
-    n = starts.size
-    swap = np.empty((size - 1, 2 * n), dtype=np.int32)
-    swap[:, :n] = starts + np.arange(size - 1, 0, -1, dtype=np.int32)[:, None]
-    swap[:, n:] = values[..., size:].reshape(n, size - 1).T + starts
-    for gather, scatter in zip(swap, np.roll(swap, n, axis=1)):
-        picks[scatter] = picks.take(gather)
-    return picks.reshape(shape)
+    j_t = pop − size + t goes in instead."""
+    base = (pops - size).astype(np.uint32).ravel()
+    n = base.size
+    # Position-major, size × N: position i of every sample is one row.
+    picks = np.empty((size, n), dtype=np.uint32)
+    picks.reshape(size, *pops.shape)[...] = np.moveaxis(values[..., :size], -1, 0)
+    held = _held(picks, base, size)
+    flat = picks.reshape(-1)
+    flat[held] = base.take(held % n) + held // n
+    # Fisher–Yates, last position first: swap i with j_i in every sample at
+    # once. Row k of ``swap`` is the flat index of j_i for i = size − 1 − k.
+    swap = np.empty((size - 1, n), dtype=np.int32)
+    swap.reshape(size - 1, *pops.shape)[...] = np.moveaxis(values[..., size:], -1, 0)
+    swap *= n
+    swap += np.arange(n, dtype=np.int32)
+    for i, j in zip(range(size - 1, 0, -1), swap):
+        at_j = flat.take(j)
+        flat[j] = picks[i]
+        picks[i] = at_j
+    return np.moveaxis(picks.reshape(size, *pops.shape), 0, -1)
 
 
 def _held(drawn: np.ndarray, base: np.ndarray, size: int) -> np.ndarray:
-    """Which of Floyd's draws an earlier step already holds (bool, shaped
-    like ``drawn``)."""
-    t = np.arange(size)
+    """The flat indices of Floyd's draws (position-major, size × N) that an
+    earlier step already holds."""
+    n = base.size
     shift = size.bit_length()
     # An earlier draw of the same value (one sort of value-then-step keys
-    # per row) ...
-    keys = np.sort((drawn << shift) | t, axis=-1).ravel()
+    # per sample) ...
+    fits = (int(base.max(initial=0)) + size) << shift <= 1 << 32
+    keys = np.left_shift(drawn.T, shift, dtype=np.uint32 if fits else np.uint64, order="C")
+    keys |= np.arange(size, dtype=np.uint32)
+    keys.sort(axis=-1)
+    keys = keys.reshape(-1)
     value = keys >> shift
-    repeat = np.empty(keys.size, dtype=bool)
-    np.equal(value[1:], value[:-1], out=repeat[1:])
-    repeat[::size] = False  # a row's first key follows the last row's
-    held = np.empty(keys.size, dtype=bool)
-    held[(keys & ((1 << shift) - 1)) + np.arange(0, keys.size, size).repeat(size)] = repeat  # every step once
-    # ... or j_u of an earlier step u that was itself held, which can chain.
-    back = drawn - base
-    hits = np.flatnonzero((back >= 0) & (back < t))
-    source = hits - hits % size + back.ravel().take(hits)
+    repeat = value[1:] == value[:-1]
+    del value
+    repeat[size - 1 :: size] = False  # a sample's first key follows the last sample's
+    later = np.flatnonzero(repeat) + 1
+    steps = (keys.take(later) & ((1 << shift) - 1)).astype(np.intp)
+    del keys, repeat
+    held = np.zeros(drawn.size, dtype=bool)
+    held[steps * n + later // size] = True
+    # ... or j_u = base + u of an earlier step u that was itself held, which
+    # can chain. (Step t's own j_t counts as its source: it never grows.)
+    hits = np.flatnonzero(drawn >= base)
+    rows = hits % n
+    source = rows + (drawn.reshape(-1).take(hits) - base.take(rows)).astype(np.intp) * n
     while True:
         grow = held.take(source) & ~held.take(hits)
         if not grow.any():
-            return held.reshape(drawn.shape)
+            return np.flatnonzero(held)
         held[hits[grow]] = True
 
 
@@ -222,23 +261,26 @@ def _tail_shuffle(values: np.ndarray, pop: int, size: int) -> list[int]:
 
 
 @lru_cache(maxsize=2)  # a trainer's full chunk and its last
-def _choice_layout(pop: int, size: int, count: int) -> tuple[np.ndarray, np.ndarray, int]:
+def _choice_layout(pop: int, size: int, count: int) -> tuple[np.ndarray, np.ndarray | None, int]:
     """Bounds and words of ``count`` successive ``choice(pop, size,
     replace=False)`` (read-only, as ``decode`` wants them), and the words
     they take."""
     one = choice_bounds([pop], size)
     live = one != 0
     per = int(live.sum())  # words per choice
-    at = np.minimum(np.cumsum(live) - live, max(per - 1, 0))  # a 0 bound reads a word and ignores it
-    bounds = np.tile(one.astype(np.uint32), count)
-    at = (at + per * np.arange(count)[:, None]).astype(np.int32).reshape(1, -1)
-    bounds.flags.writeable = at.flags.writeable = False
+    bounds = np.tile(one, count)
+    at = None
+    if not live.all():  # a 0 bound reads a word and ignores it
+        at = np.minimum(np.cumsum(live) - live, max(per - 1, 0))
+        at = (at + per * np.arange(count)[:, None]).astype(np.int32).reshape(1, -1)
+        at.flags.writeable = False
+    bounds.flags.writeable = False
     return bounds, at, per * count
 
 
 def choice(streams: list[Words], pop: int, size: int, count: int) -> np.ndarray:
     """``count`` successive ``choice(pop, size, replace=False)`` of each
-    stream's generator: R × count × size."""
+    stream's generator: R × count × size (uint32)."""
     bounds, at, used = _choice_layout(pop, size, count)
     values = decode(streams, max(used, 1), lambda words: (bounds, at, used))
     return choice_picks(values.reshape(len(streams), count, 2 * size - 1), np.full((len(streams), count), pop), size)

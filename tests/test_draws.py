@@ -5,6 +5,8 @@ and leaves the generator where those calls would.
 The references are numpy's own calls, and ``reference_episode`` below draws
 an episode one numpy call at a time, as the bulk decoder must match.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -141,18 +143,46 @@ def evolcircle():
     return data.generate(data.default_spec("evolcircle", seed=7, num_domains=8, samples_per_domain=60))[:-1]
 
 
+# Chunk budgets: one step per chunk, the default, and one chunk per run. Under
+# the default, the 45-step run ends inside a chunk and hands its generator back.
+BUDGETS = pytest.mark.parametrize("budget", [1, seeding.CHUNK_DRAWS, 10**9], ids=["one-step", "default", "whole-run"])
+
+
+@BUDGETS
 @pytest.mark.parametrize("same_domain", [False, True], ids=["dpnets", "proto"])
-def test_chunking_does_not_change_episodes(evolcircle, monkeypatch, same_domain):
+def test_chunking_does_not_change_episodes(evolcircle, monkeypatch, same_domain, budget):
     seeds, steps = [3, 4, 5], [70, 45, 70]
     full = draw_all(evolcircle, 6, seeds, steps, same_domain)
-    monkeypatch.setattr(seeding, "CHUNK_DRAWS", 1)  # one step per chunk
-    assert seeding.chunk_steps(3, 100, 70) == 1
-    single = draw_all(evolcircle, 6, seeds, steps, same_domain)
+    monkeypatch.setattr(seeding, "CHUNK_DRAWS", budget)
+    if budget == 1:
+        assert seeding.chunk_steps(3, 100, 70) == 1  # one step per chunk
+    if budget == 10**9:
+        assert seeding.chunk_steps(3, 100, 70) == 70  # one chunk per run
+    chunked = draw_all(evolcircle, 6, seeds, steps, same_domain)
     want = reference_all(evolcircle, 6, seeds, steps, same_domain)
     for run in range(len(seeds)):
-        assert len(full[run]) == len(single[run]) == len(want[run]) == steps[run]
+        assert len(full[run]) == len(chunked[run]) == len(want[run]) == steps[run]
         assert all(same_episodes(a, b) for a, b in zip(full[run], want[run]))
-        assert all(same_episodes(a, b) for a, b in zip(single[run], want[run]))
+        assert all(same_episodes(a, b) for a, b in zip(chunked[run], want[run]))
+
+
+@pytest.mark.parametrize("same_domain,n", [(False, 6), (True, 3)], ids=["dpnets", "proto"])
+def test_steps_of_different_word_counts(evolcircle, same_domain, n):
+    # Domain 3 keeps 6 samples of class 1. Where it serves, Floyd's first
+    # draw for that class has bound 0 and takes no word, so those steps take
+    # one word fewer than the others and each step begins where the pairs
+    # drawn before it say.
+    domains = list(evolcircle)
+    d = domains[3]
+    keep = np.concatenate([np.flatnonzero(d.y == 0), np.flatnonzero(d.y == 1)[:6]])
+    domains[3] = data.DomainData(d.index, d.x[keep], d.y[keep], d.num_classes)
+    seeds, steps = [3, 4, 5], [70, 45, 70]
+    assert not dpnet.Episodes(domains, n, [], same_domain=same_domain).uniform
+    got = draw_all(domains, n, seeds, steps, same_domain)
+    want = reference_all(domains, n, seeds, steps, same_domain)
+    for run in range(len(seeds)):
+        assert len(got[run]) == len(want[run]) == steps[run]
+        assert all(same_episodes(a, b) for a, b in zip(got[run], want[run]))
 
 
 def test_episode_error_surfaces_at_its_step(evolcircle):
@@ -190,15 +220,33 @@ def test_episode_error_surfaces_at_its_step(evolcircle):
         assert np.array_equal(losses, solo_losses) and np.array_equal(accs, solo_accs)
 
 
-def test_erm_batches_do_not_depend_on_chunking(evolcircle, monkeypatch):
+@BUDGETS
+def test_erm_batches_do_not_depend_on_chunking(evolcircle, monkeypatch, budget):
     configs = [baselines.ErmConfig(steps=s, batch_size=16, lr=0.05, seed=s) for s in (30, 45)]
     full = baselines.train_erm(evolcircle, configs)
-    monkeypatch.setattr(seeding, "CHUNK_DRAWS", 1)
-    single = baselines.train_erm(evolcircle, configs)
-    for a, b in zip(full, single):
+    monkeypatch.setattr(seeding, "CHUNK_DRAWS", budget)
+    chunked = baselines.train_erm(evolcircle, configs)
+    for a, b in zip(full, chunked):
         assert all(np.array_equal(x, y) for x, y in zip(a.net.arrays(), b.net.arrays()))
 
 
 def test_episodes_need_a_sample(evolcircle):
     with pytest.raises(ValueError, match="n_per_class"):
         dpnet.Episodes(evolcircle, 0, [np.random.default_rng(0)])
+
+
+def test_decode_memory_stays_small():
+    # One decode of 27 runs at n=32 on search-2d's evolcircle (4 steps, 27,324
+    # draws at the default budget) peaks at 0.31 MiB with numpy 2.4. The
+    # bound leaves 45% on that; forming Lemire's 64-bit products over the
+    # whole chunk at once takes it to 0.49 MiB.
+    domains = data.generate(data.default_spec("evolcircle", seed=7))[:-1]
+    episodes = dpnet.Episodes(domains, 32, [np.random.default_rng(s) for s in range(27)], 1000)
+    tracemalloc.start()
+    try:
+        dpnet.sample_episode(episodes, 0, list(range(27)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert episodes.stop == seeding.CHUNK_DRAWS // (27 * 253)
+    assert peak < 0.45 * 2**20
