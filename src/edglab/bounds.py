@@ -453,11 +453,10 @@ def env_from_dict(payload: dict) -> DiscreteEnv:
     return env
 
 
-def certify_env(env: DiscreteEnv, h_spec: LossSpec | None = None) -> list[SlackReport]:
-    """All three transfer-bound slacks for one concrete environment."""
-    if h_spec is None:
-        # Default probe classifier: the target-optimal label per feature value.
-        h_spec = LossSpec(classifier=np.argmax(env.target.p, axis=1), loss=1.0 - np.eye(env.target.ny))
+def certify_env(env: DiscreteEnv) -> list[SlackReport]:
+    """All three transfer-bound slacks for one concrete environment, probed
+    with the target-optimal classifier under 0-1 loss."""
+    h_spec = LossSpec(classifier=np.argmax(env.target.p, axis=1), loss=1.0 - np.eye(env.target.ny))
     report = find_minimax_map(env)
     return [
         verify_synthetic_transfer_bound(env, report.map, h_spec),

@@ -347,10 +347,18 @@ def cmd_eval(args, settings: dict) -> int:
                 raise CliInputError(f"checkpoint sidecar {sidecar_path}: {exc}")
     domains, _ = _load_dataset(settings, args.quiet, saved.get("source_sha256"))
     sources, target = domains[:-1], domains[-1]
+    nets = nn.load_checkpoint(ckpt)
     try:
-        model = method.load(nn.load_checkpoint(ckpt), sidecar)
+        model = method.load(nets, sidecar)
     except KeyError as exc:
         raise CliInputError(f"checkpoint sidecar {sidecar_path} lacks {exc}")
+    except ValueError as exc:
+        raise CliInputError(f"checkpoint sidecar {sidecar_path}: {exc}")
+    if len(method.nets(model)) != len(nets):
+        raise CliInputError(
+            f"checkpoint sidecar {sidecar_path}: algo {sidecar['algo']!r} does not match the "
+            f"{len(nets)}-network checkpoint {ckpt}"
+        )
     acc = harness.evaluate_accuracy(lambda x: method.predict(model, sources, x), target)
     emit("eval", args.quiet, algo=sidecar["algo"], dataset=settings["dataset"], target_accuracy=acc)
     return 0

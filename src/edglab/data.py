@@ -10,7 +10,6 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -242,36 +241,25 @@ def generate(spec: EnvironmentSpec) -> list[DomainData]:
 # IDX ingestion and image rotation
 # ---------------------------------------------------------------------------
 
-IDX_IMAGE_MAGIC = 0x00000803
-IDX_LABEL_MAGIC = 0x00000801
+IDX_IMAGE_MAGIC = b"\x00\x00\x08\x03"  # big-endian 0x803: unsigned bytes, 3 dims
+IDX_LABEL_MAGIC = b"\x00\x00\x08\x01"  # 0x801: unsigned bytes, 1 dim
 
 
 def read_idx_images(path) -> Array:
     """Strict IDX image reader: big-endian magic 0x803, dims, row-major bytes."""
-    data = Path(path).read_bytes()
-    if len(data) < 16:
-        raise IngestionError(f"{path}: truncated header (file ends at offset {len(data)}, need 16)")
-    magic, count, rows, cols = struct.unpack_from(">IIII", data, 0)
-    if magic != IDX_IMAGE_MAGIC:
-        raise IngestionError(f"{path}: bad image magic 0x{magic:08x} at offset 0")
-    expected = 16 + count * rows * cols
-    if len(data) != expected:
-        raise IngestionError(f"{path}: expected {expected} bytes, file ends at offset {len(data)}")
-    pixels = np.frombuffer(data, dtype=np.uint8, offset=16)
-    return pixels.reshape(count, rows, cols).copy()
+    reader = Reader(path, IDX_IMAGE_MAGIC, IngestionError)
+    count, rows, cols = reader.unpack(">III")
+    pixels = reader.array("u1", count * rows * cols)
+    reader.end()
+    return pixels.reshape(count, rows, cols)
 
 
 def read_idx_labels(path) -> Array:
-    data = Path(path).read_bytes()
-    if len(data) < 8:
-        raise IngestionError(f"{path}: truncated header (file ends at offset {len(data)}, need 8)")
-    magic, count = struct.unpack_from(">II", data, 0)
-    if magic != IDX_LABEL_MAGIC:
-        raise IngestionError(f"{path}: bad label magic 0x{magic:08x} at offset 0")
-    expected = 8 + count
-    if len(data) != expected:
-        raise IngestionError(f"{path}: expected {expected} bytes, file ends at offset {len(data)}")
-    return np.frombuffer(data, dtype=np.uint8, offset=8).astype(np.int64)
+    reader = Reader(path, IDX_LABEL_MAGIC, IngestionError)
+    (count,) = reader.unpack(">I")
+    labels = reader.array("u1", count)
+    reader.end()
+    return labels.astype(np.int64)
 
 
 def rotate_image(img: Array, degrees: float) -> Array:

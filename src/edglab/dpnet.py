@@ -35,19 +35,17 @@ class DPNetModel:
     """Two encoders into a shared embedding space.
 
     ``f_phi`` embeds support instances (it carries the one-step-ahead drift),
-    ``f_psi`` embeds queries. Both must share architecture and output dim.
+    ``f_psi`` embeds queries. Both must share architecture, so the embedding
+    dimension is ``f_phi.out_dim``.
     """
 
     f_phi: MlpParams
     f_psi: MlpParams
-    embed_dim: int
     num_classes: int
 
     def __post_init__(self):
         if self.f_phi.dims != self.f_psi.dims:
             raise ValueError(f"encoder architectures differ: {self.f_phi.dims} vs {self.f_psi.dims}")
-        if self.f_phi.out_dim != self.embed_dim:
-            raise ValueError(f"encoder out-dim {self.f_phi.out_dim} != embed_dim {self.embed_dim}")
 
     @property
     def shared_encoder(self) -> bool:
@@ -58,38 +56,7 @@ def init_dpnet(dims: tuple[int, ...], num_classes: int, seed: int, shared: bool 
     rng = np.random.default_rng(seed)
     f_phi = nn.init_mlp(dims, rng)
     f_psi = f_phi if shared else nn.init_mlp(dims, rng)
-    return DPNetModel(f_phi=f_phi, f_psi=f_psi, embed_dim=dims[-1], num_classes=num_classes)
-
-
-@dataclass(frozen=True)
-class EpisodeBatch:
-    """Support (domain i) and query (domain i+1) features, stacked class-major.
-
-    Each side is one K × n_per_class × d array, so ``support[k]`` is class k's
-    block; a sequence of equal-sized per-class blocks is stacked on entry.
-    R episodes stacked on a leading run axis (R × K × n_per_class × d, one
-    source index per run) form one batch for R stacked encoders.
-    """
-
-    support: Array
-    query: Array
-    source_index: int | tuple[int, ...]
-
-    def __post_init__(self):
-        support = np.asarray(self.support, dtype=np.float64)
-        query = np.asarray(self.query, dtype=np.float64)
-        if support.ndim < 3 or 0 in support.shape[-3:-1] or query.shape != support.shape:
-            raise ValueError("support and query must hold one equal-sized, non-empty block per class")
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "query", query)
-
-    @property
-    def num_classes(self) -> int:
-        return self.support.shape[-3]
-
-    @property
-    def n_per_class(self) -> int:
-        return self.support.shape[-2]
+    return DPNetModel(f_phi=f_phi, f_psi=f_psi, num_classes=num_classes)
 
 
 def compute_prototypes(model: DPNetModel, support: tuple[Array, ...] | list[Array]) -> Array:
@@ -123,24 +90,29 @@ def _true_class(runs: tuple[int, ...], k_classes: int, n_b: int) -> Array:
 
 
 def episode_loss(
-    model: DPNetModel, batch: EpisodeBatch, grads: tuple[Grads, Grads] | None = None
+    f_phi: MlpParams, f_psi: MlpParams, support, query, grads: tuple[Grads, Grads] | None = None
 ) -> tuple[float, Array, Grads, Grads]:
     """Episodic loss and exact gradients for both encoders.
 
-    Loss = mean over queries of d(z_q, c_y) + log sum_k exp(-d(z_q, c_k)),
+    ``support`` goes through ``f_phi`` and ``query`` through ``f_psi``. Each
+    is stacked class-major, K × n × d, so ``support[k]`` is class k's block;
+    a sequence of equal-sized per-class blocks is stacked on entry. Loss = mean over queries of d(z_q, c_y) + log sum_k exp(-d(z_q, c_k)),
     i.e. the mean negative log-probability of the true class. Gradients flow
     into the query encoder directly and into the support encoder through the
     prototype means.
 
     Returns (loss, d2, grads_phi, grads_psi) with d2 the (K·n) × K squared
     query-to-prototype distances. ``grads``, a (phi, psi) pair, receives the
-    gradients in place (see ``nn.mlp_backward``). A stacked batch with
-    stacked encoders (leading run axis R) gives R losses and R × (K·n) × K
-    distances, each run's exactly as it would be alone.
+    gradients in place (see ``nn.mlp_backward``). R episodes stacked on a
+    leading run axis (R × K × n × d) with stacked encoders give R losses and
+    R × (K·n) × K distances, each run's exactly as it would be alone.
     """
-    *runs, k_classes, n_b, dim = batch.support.shape
-    zs, cache_s = nn.mlp_forward(model.f_phi, batch.support.reshape(*runs, k_classes * n_b, dim))
-    zq, cache_q = nn.mlp_forward(model.f_psi, batch.query.reshape(*runs, k_classes * n_b, dim))
+    support, query = np.asarray(support, dtype=np.float64), np.asarray(query, dtype=np.float64)
+    if support.ndim < 3 or 0 in support.shape[-3:-1] or query.shape != support.shape:
+        raise ValueError("support and query must hold one equal-sized, non-empty block per class")
+    *runs, k_classes, n_b, dim = support.shape
+    zs, cache_s = nn.mlp_forward(f_phi, support.reshape(*runs, k_classes * n_b, dim))
+    zq, cache_q = nn.mlp_forward(f_psi, query.reshape(*runs, k_classes * n_b, dim))
     # Means and sums go straight to the ufunc reductions np.mean and
     # ndarray.sum wrap: the same arithmetic with fewer Python calls.
     protos = np.add.reduce(zs.reshape(*runs, k_classes, n_b, -1), axis=-2) / n_b
@@ -167,8 +139,8 @@ def episode_loss(
     gzs = np.repeat(gproto / n_b, n_b, axis=-2)
 
     out_phi, out_psi = grads if grads is not None else (None, None)
-    grads_psi = nn.mlp_backward(model.f_psi, cache_q, gzq, out=out_psi)
-    grads_phi = nn.mlp_backward(model.f_phi, cache_s, gzs, out=out_phi)
+    grads_psi = nn.mlp_backward(f_psi, cache_q, gzq, out=out_psi)
+    grads_phi = nn.mlp_backward(f_phi, cache_s, gzs, out=out_phi)
     return loss, d2, grads_phi, grads_psi
 
 
@@ -295,7 +267,6 @@ class Episodes:
         picks = picks.reshape(len(runs), n_steps, k, 2, self.n).transpose(order)
         np.add(picks, first[..., None].transpose(order), out=self.rows)
         self.pair, self.fail_at = pair, fail_at
-        self.sources = [tuple(s) for s in pair.T.tolist()]
         self.fail_steps = set(fail_at[fail_at < n_steps].tolist())
         self.runs = runs
         self.row_of[:] = -1
@@ -306,31 +277,29 @@ class Episodes:
                 self.streams[run].sync()
 
 
-def sample_episode(episodes: Episodes, step: int = 0, runs: int | list[int] = 0) -> EpisodeBatch:
-    """The episode of run ``runs`` at ``step`` (an int: K × n × d per side),
-    or of each run of a list, stacked in its order (R × K × n × d). Steps
-    are asked for in order; a run's first step is 0.
+def sample_episode(episodes: Episodes, step: int, runs: list[int]) -> tuple[Array, Array, Array]:
+    """The episode of each run of ``runs`` at ``step``, stacked in its order:
+    support and query (R × K × n × d) and the domain pair i each run drew.
+    Steps are asked for in order; a run's first step is 0.
 
     Raises ``EpisodeError`` when the domain pair a run drew cannot serve
     some class, with the message the run gives alone; ``rows`` maps the
     position of each such run in ``runs`` to its own error.
     """
     if not episodes.start <= step < episodes.stop:
-        episodes.decode(step, np.atleast_1d(runs).tolist())
+        episodes.decode(step, list(runs))
     t = step - episodes.start
     # Usually the runs are the decoded ones, or the first of them once the
     # shortest have finished: their rows are a slice, and a step costs one gather.
-    prefix = isinstance(runs, list) and runs == episodes.runs[: len(runs)]
-    row = slice(len(runs)) if prefix else episodes.row_of[runs]
+    row = slice(len(runs)) if runs == episodes.runs[: len(runs)] else episodes.row_of[runs]
     if t in episodes.fail_steps:
-        failed = np.flatnonzero(np.atleast_1d(episodes.fail_at[row]) == t).tolist()
+        failed = np.flatnonzero(episodes.fail_at[row] == t).tolist()
         if failed:
-            pairs = np.atleast_1d(episodes.pair[row, t])
+            pairs = episodes.pair[row, t]
             errors = {f: EpisodeError(episodes.errors[pairs[f]]) for f in failed}
             raise EpisodeError(str(errors[failed[0]]), rows=errors)
     support, query = episodes.x.take(episodes.rows[t][:, row], axis=0)
-    source = episodes.sources[t][row] if prefix else episodes.pair[row, t].tolist()
-    return EpisodeBatch(support, query, tuple(source) if isinstance(source, list) else source)
+    return support, query, episodes.pair[row, t]
 
 
 @dataclass(frozen=True)
@@ -345,13 +314,13 @@ def train(
     models: list[DPNetModel],
     source_domains: list[DomainData],
     configs: list[TrainConfig],
-    same_domain_episodes: bool = False,
     progress=None,
 ) -> list[tuple[DPNetModel, Array, Array] | OptimizerError | EpisodeError]:
     """Episodic training of R runs in lockstep (``nn.Lockstep``).
 
     The models share their architecture and encoder sharing, the configs
-    ``n_per_class``. Each run keeps its own ``lr``, ``steps`` and seed, and
+    ``n_per_class``. A shared encoder (proto) draws its support and queries
+    from one domain, two encoders (dpnets) from consecutive domains. Each run keeps its own ``lr``, ``steps`` and seed, and
     draws its episodes from its own generator, so it ends bit for bit where
     it would alone. Returns, per run, the trained model with its per-step
     losses and query accuracies, or the error that ended it.
@@ -371,21 +340,19 @@ def train(
     )
     width = lock.params.shape[1]
     rngs = [np.random.default_rng(c.seed) for c in configs]
-    episodes = Episodes(source_domains, n_per_class, rngs, [c.steps for c in configs], same_domain_episodes)
+    episodes = Episodes(source_domains, n_per_class, rngs, [c.steps for c in configs], shared)
     labels = np.repeat(np.arange(first.num_classes), n_per_class)
     logs = np.empty((2, len(models), max(c.steps for c in configs)))  # loss, query accuracy
 
     def grads(step):
         try:
-            batch = sample_episode(episodes, step, lock.ids)
+            support, query, _ = sample_episode(episodes, step, lock.ids)
         except EpisodeError as exc:
             lock.drop(exc.rows)
             if not lock.ids:
                 return ()
-            batch = sample_episode(episodes, step, lock.ids)
-        phi = lock.nets[0]
-        cur = DPNetModel(phi, phi if shared else lock.nets[1], first.embed_dim, first.num_classes)
-        losses, d2, _, _ = episode_loss(cur, batch, lock.grads)
+            support, query, _ = sample_episode(episodes, step, lock.ids)
+        losses, d2, _, _ = episode_loss(lock.nets[0], lock.nets[-1], support, query, lock.grads)
         if shared:
             lock.grad[: len(lock.ids), :width] += lock.grad[: len(lock.ids), width:]
         # The logged accuracy scores the pre-step encoders, as predict_with_prototypes
@@ -399,7 +366,7 @@ def train(
         if isinstance(nets, Exception):
             results.append(nets)
         else:
-            model = DPNetModel(nets[0], nets[-1], first.embed_dim, first.num_classes)
+            model = DPNetModel(nets[0], nets[-1], first.num_classes)
             results.append((model, logs[0, run, : config.steps], logs[1, run, : config.steps]))
     return results
 

@@ -1,5 +1,6 @@
-"""The one file layer: a strict sequential reader for the binary formats and
-an atomic writer for every artifact the package writes."""
+"""The one file layer: a strict sequential reader for the binary formats (IDX
+inputs, the dataset cache, checkpoints) and an atomic writer for every
+artifact the package writes."""
 from __future__ import annotations
 
 import os
@@ -20,8 +21,9 @@ class Reader:
     def __init__(self, path, magic: bytes, error: type[Exception]):
         self.path, self.error = path, error
         self.data = Path(path).read_bytes()
-        if self.data[: len(magic)] != magic:
-            raise error(f"{path}: bad magic at offset 0")
+        found = self.data[: len(magic)]
+        if found != magic:
+            raise error(f"{path}: bad magic 0x{found.hex()} at offset 0")
         self.pos = len(magic)
 
     def _take(self, nbytes: int) -> int:

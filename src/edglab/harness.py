@@ -89,7 +89,7 @@ class Episodic:
         cfgs = [
             dpnet.TrainConfig(steps=hp["steps"], n_per_class=hp["batch"], lr=hp["lr"], seed=seed) for hp, seed in runs
         ]
-        results = dpnet.train(models, sources, cfgs, same_domain_episodes=self.shared, progress=progress)
+        results = dpnet.train(models, sources, cfgs, progress=progress)
         return [r if isinstance(r, Exception) else r[0] for r in results]
 
     def predict(self, model: dpnet.DPNetModel, sources: list[DomainData], x, i: int | None = None):
@@ -104,10 +104,10 @@ class Episodic:
         return [model.f_phi] if self.shared else [model.f_phi, model.f_psi]
 
     def sidecar(self, model: dpnet.DPNetModel) -> dict:
-        return {"embed_dim": model.embed_dim, "dims": list(model.f_phi.dims)}
+        return {"embed_dim": model.f_phi.out_dim, "dims": list(model.f_phi.dims)}
 
     def load(self, nets: list[MlpParams], sidecar: dict) -> dpnet.DPNetModel:
-        return dpnet.DPNetModel(nets[0], nets[-1], sidecar["embed_dim"], sidecar["num_classes"])
+        return dpnet.DPNetModel(nets[0], nets[-1], _count(sidecar, "num_classes", 1))
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,17 @@ class Erm:
 
     def load(self, nets: list[MlpParams], sidecar: dict) -> baselines.ErmModel:
         mode = baselines.IndexMode(sidecar["index_mode"])
-        return baselines.ErmModel(nets[0], mode, sidecar["num_domains_seen"], sidecar["feature_dim"])
+        seen, dim = _count(sidecar, "num_domains_seen", 2), _count(sidecar, "feature_dim", 1)
+        return baselines.ErmModel(nets[0], mode, seen, dim)
+
+
+def _count(sidecar: dict, key: str, least: int) -> int:
+    """A sidecar's integer field; ``ValueError`` when it is below ``least``
+    or not an integer (``load`` raises ``ValueError`` for every bad field)."""
+    value = sidecar[key]
+    if type(value) is not int or value < least:
+        raise ValueError(f"{key} must be an integer of at least {least}, got {value!r}")
+    return value
 
 
 # The one place an algorithm is defined: search, `edg-lab train` and

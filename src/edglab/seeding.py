@@ -205,11 +205,12 @@ def _floyd(values: np.ndarray, pops: np.ndarray, size: int) -> np.ndarray:
     flat = picks.reshape(-1)
     flat[held] = base.take(held % n) + held // n
     # Fisher–Yates, last position first: swap i with j_i in every sample at
-    # once. Row k of ``swap`` is the flat index of j_i for i = size − 1 − k.
-    swap = np.empty((size - 1, n), dtype=np.int32)
+    # once. Row k of ``swap`` is the flat index of j_i for i = size − 1 − k,
+    # as intp, so ``take`` and the scatter use it without a cast.
+    swap = np.empty((size - 1, n), dtype=np.intp)
     swap.reshape(size - 1, *pops.shape)[...] = np.moveaxis(values[..., size:], -1, 0)
     swap *= n
-    swap += np.arange(n, dtype=np.int32)
+    swap += np.arange(n, dtype=np.intp)
     for i, j in zip(range(size - 1, 0, -1), swap):
         at_j = flat.take(j)
         flat[j] = picks[i]

@@ -100,15 +100,12 @@ def _rel_err(a, b):
 
 
 def _episode_grad_error(dims, num_classes, n_per_class, n_coords, rng):
-    model = dpnet.DPNetModel(
-        nn.init_mlp(dims, rng), nn.init_mlp(dims, rng), dims[-1], num_classes
+    model = dpnet.DPNetModel(nn.init_mlp(dims, rng), nn.init_mlp(dims, rng), num_classes)
+    batch = (
+        tuple(rng.standard_normal((n_per_class, dims[0])) for _ in range(num_classes)),
+        tuple(rng.standard_normal((n_per_class, dims[0])) for _ in range(num_classes)),
     )
-    batch = dpnet.EpisodeBatch(
-        support=tuple(rng.standard_normal((n_per_class, dims[0])) for _ in range(num_classes)),
-        query=tuple(rng.standard_normal((n_per_class, dims[0])) for _ in range(num_classes)),
-        source_index=0,
-    )
-    _, _, g_phi, g_psi = dpnet.episode_loss(model, batch)
+    _, _, g_phi, g_psi = dpnet.episode_loss(model.f_phi, model.f_psi, *batch)
     h = 1e-5
     worst = 0.0
     for net, grads in ((model.f_phi, g_phi), (model.f_psi, g_psi)):
@@ -121,9 +118,9 @@ def _episode_grad_error(dims, num_classes, n_per_class, n_coords, rng):
                     idx = np.unravel_index(fi, arr.shape)
                     orig = arr[idx]
                     arr[idx] = orig + h
-                    hi, _, _, _ = dpnet.episode_loss(model, batch)
+                    hi, _, _, _ = dpnet.episode_loss(model.f_phi, model.f_psi, *batch)
                     arr[idx] = orig - h
-                    lo, _, _, _ = dpnet.episode_loss(model, batch)
+                    lo, _, _, _ = dpnet.episode_loss(model.f_phi, model.f_psi, *batch)
                     arr[idx] = orig
                     worst = max(worst, _rel_err((hi - lo) / (2 * h), g_arr[idx]))
     return worst
@@ -186,19 +183,16 @@ def test_criterion_2_loss_probability_consistency():
     for _ in range(1000):
         k = int(rng.integers(2, 5))
         dims = (3, int(rng.integers(2, 5)))
-        model = dpnet.DPNetModel(nn.init_mlp(dims, rng), nn.init_mlp(dims, rng), dims[-1], k)
+        model = dpnet.DPNetModel(nn.init_mlp(dims, rng), nn.init_mlp(dims, rng), k)
         npc = int(rng.integers(1, 4))
-        batch = dpnet.EpisodeBatch(
-            support=tuple(rng.standard_normal((npc, 3)) for _ in range(k)),
-            query=tuple(rng.standard_normal((npc, 3)) for _ in range(k)),
-            source_index=0,
-        )
-        loss, _, _, _ = dpnet.episode_loss(model, batch)
-        protos = dpnet.compute_prototypes(model, batch.support)
+        support = tuple(rng.standard_normal((npc, 3)) for _ in range(k))
+        query = tuple(rng.standard_normal((npc, 3)) for _ in range(k))
+        loss, _, _, _ = dpnet.episode_loss(model.f_phi, model.f_psi, support, query)
+        protos = dpnet.compute_prototypes(model, support)
         ref = -np.mean(
             [
                 math.log(dpnet.predictive_distribution(model, protos, row)[kk])
-                for kk, block in enumerate(batch.query)
+                for kk, block in enumerate(query)
                 for row in block
             ]
         )

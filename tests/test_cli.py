@@ -272,8 +272,16 @@ class TestCorruptJsonInputs:
 
     @pytest.mark.parametrize(
         "text",
-        ['{"algo": "erm"', '["erm"]', '{"algo": "erm"}', None, {"num_domains": "abc"}, {"algo": "mystery"}],
-        ids=["truncated", "not-an-object", "no-spec", "no-index-mode", "bad-spec-value", "unknown-algo"],
+        [
+            '{"algo": "erm"', '["erm"]', '{"algo": "erm"}', None, {"num_domains": "abc"}, {"algo": "mystery"},
+            {"index_mode": "bogus"}, {"index_mode": 3}, {"feature_dim": 7},
+            {"num_domains_seen": "x"}, {"num_domains_seen": 1}, {"algo": "dpnets"},
+        ],
+        ids=[
+            "truncated", "not-an-object", "no-spec", "no-index-mode", "bad-spec-value", "unknown-algo",
+            "unknown-index-mode", "int-index-mode", "wrong-feature-dim",
+            "text-domains-seen", "one-domain-seen", "algo-of-two-networks",
+        ],
     )
     def test_bad_sidecar_is_input_error(self, capsys, tmp_path, trained, text):
         ckpt = tmp_path / "model.ckpt"
@@ -282,7 +290,7 @@ class TestCorruptJsonInputs:
             sidecar = json.loads((trained / "model.json").read_text())
             if text is None:  # complete apart from one field the erm loader reads
                 del sidecar["index_mode"]
-            elif "algo" in text:  # complete, with an algorithm no table entry names
+            elif text.keys() <= sidecar.keys():  # complete, with one bad value of a field train writes
                 sidecar.update(text)
             else:  # complete, with one spec value of the wrong type
                 sidecar["spec"].update(text)

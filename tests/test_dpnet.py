@@ -10,21 +10,20 @@ from edglab.harness import evaluate_accuracy
 def identity_model(dim=2, num_classes=2):
     ident = nn.MlpParams(((np.eye(dim), np.zeros(dim)),))
     other = nn.MlpParams(((np.eye(dim), np.zeros(dim)),))
-    return dpnet.DPNetModel(ident, other, embed_dim=dim, num_classes=num_classes)
+    return dpnet.DPNetModel(ident, other, num_classes=num_classes)
 
 
 def random_model(rng, dims=(3, 4, 2), num_classes=3):
-    return dpnet.DPNetModel(nn.init_mlp(dims, rng), nn.init_mlp(dims, rng), dims[-1], num_classes)
+    return dpnet.DPNetModel(nn.init_mlp(dims, rng), nn.init_mlp(dims, rng), num_classes)
 
 
-def random_batch(rng, model, n_per_class=4, source_index=0):
+def random_batch(rng, model, n_per_class=4):
+    """Support and query, one n_per_class × d block per class."""
     d = model.f_phi.in_dim
     k = model.num_classes
-    return dpnet.EpisodeBatch(
-        support=tuple(rng.standard_normal((n_per_class, d)) for _ in range(k)),
-        query=tuple(rng.standard_normal((n_per_class, d)) for _ in range(k)),
-        source_index=source_index,
-    )
+    support = tuple(rng.standard_normal((n_per_class, d)) for _ in range(k))
+    query = tuple(rng.standard_normal((n_per_class, d)) for _ in range(k))
+    return support, query
 
 
 class TestPrototypes:
@@ -103,28 +102,41 @@ class TestEpisodeLoss:
         model = identity_model()
         support = (np.array([[1.0, 0.5], [1.0, -0.5]]), np.array([[-1.0, 0.5], [-1.0, -0.5]]))
         query = (np.array([[0.0, 2.0], [0.0, -1.0]]), np.array([[0.0, 0.5], [0.0, 7.0]]))
-        loss, _, _, _ = dpnet.episode_loss(
-            model, dpnet.EpisodeBatch(support=support, query=query, source_index=0)
-        )
+        loss, _, _, _ = dpnet.episode_loss(model.f_phi, model.f_psi, support, query)
         assert abs(loss - math.log(2.0)) < 1e-12
 
     def test_equals_mean_negative_log_probability(self, rng):
         for _ in range(25):
             model = random_model(rng)
-            batch = random_batch(rng, model)
-            loss, _, _, _ = dpnet.episode_loss(model, batch)
-            protos = dpnet.compute_prototypes(model, batch.support)
+            support, query = random_batch(rng, model)
+            loss, _, _, _ = dpnet.episode_loss(model.f_phi, model.f_psi, support, query)
+            protos = dpnet.compute_prototypes(model, support)
             total = 0.0
-            for k, block in enumerate(batch.query):
+            for k, block in enumerate(query):
                 for row in block:
                     probs = dpnet.predictive_distribution(model, protos, row)
                     total -= math.log(probs[k])
-            assert abs(loss - total / (batch.num_classes * batch.n_per_class)) < 1e-10
+            assert abs(loss - total / (len(support) * len(support[0]))) < 1e-10
+
+    def test_malformed_episode_rejected(self, rng):
+        model = random_model(rng)
+        support, query = random_batch(rng, model)
+        for bad_support, bad_query in (
+            (support, query[:2]),  # a class fewer on the query side
+            (support, tuple(block[:3] for block in query)),  # fewer queries per class
+            (np.zeros((3, 0, 3)), np.zeros((3, 0, 3))),  # every class block empty
+            (np.zeros((0, 4, 3)), np.zeros((0, 4, 3))),  # no class at all
+        ):
+            with pytest.raises(ValueError, match="one equal-sized, non-empty block per class"):
+                dpnet.episode_loss(model.f_phi, model.f_psi, bad_support, bad_query)
+        # One empty block among full ones cannot be stacked at all.
+        with pytest.raises(ValueError):
+            dpnet.episode_loss(model.f_phi, model.f_psi, (np.zeros((0, 3)),) + support[1:], query)
 
     def test_gradients_match_finite_differences(self, rng):
         model = random_model(rng, dims=(3, 5, 2))
         batch = random_batch(rng, model, n_per_class=3)
-        _, _, g_phi, g_psi = dpnet.episode_loss(model, batch)
+        _, _, g_phi, g_psi = dpnet.episode_loss(model.f_phi, model.f_psi, *batch)
         h = 1e-5
         for net_name, grads in (("f_phi", g_phi), ("f_psi", g_psi)):
             net = getattr(model, net_name)
@@ -135,9 +147,9 @@ class TestEpisodeLoss:
                         idx = it.multi_index
                         orig = arr[idx]
                         arr[idx] = orig + h
-                        hi, _, _, _ = dpnet.episode_loss(model, batch)
+                        hi, _, _, _ = dpnet.episode_loss(model.f_phi, model.f_psi, *batch)
                         arr[idx] = orig - h
-                        lo, _, _, _ = dpnet.episode_loss(model, batch)
+                        lo, _, _, _ = dpnet.episode_loss(model.f_phi, model.f_psi, *batch)
                         arr[idx] = orig
                         fd = (hi - lo) / (2 * h)
                         denom = max(abs(fd), abs(g_arr[idx]), 1e-8)
@@ -157,14 +169,14 @@ class TestSampleEpisode:
     def test_two_domains_always_pair_zero_one(self, rng):
         domains = two_class_domains(rng, m=2)
         for _ in range(20):
-            batch = dpnet.sample_episode(dpnet.Episodes(domains, 4, [rng]))
-            assert batch.source_index == 0
+            _, _, pairs = dpnet.sample_episode(dpnet.Episodes(domains, 4, [rng]), 0, [0])
+            assert pairs[0] == 0
 
     def test_without_replacement_support(self, rng):
         domains = two_class_domains(rng, m=2, n=8)
-        batch = dpnet.sample_episode(dpnet.Episodes(domains, 4, [rng]))  # full class size
+        support, _, _ = dpnet.sample_episode(dpnet.Episodes(domains, 4, [rng]), 0, [0])  # full class size
         for k in range(2):
-            drawn = batch.support[k]
+            drawn = support[0, k]
             original = domains[0].x[domains[0].y == k]
             assert sorted(map(tuple, drawn)) == sorted(map(tuple, original))
 
@@ -173,14 +185,14 @@ class TestSampleEpisode:
         counts = np.zeros(4)
         episodes = dpnet.Episodes(domains, 2, [rng], steps=10000)
         for step in range(10000):
-            counts[dpnet.sample_episode(episodes, step).source_index] += 1
+            counts[dpnet.sample_episode(episodes, step, [0])[2][0]] += 1
         freqs = counts / 10000
         assert np.max(np.abs(freqs - 0.25)) < 0.02
 
     def test_insufficient_samples_rejected(self, rng):
         domains = two_class_domains(rng, m=2, n=8)
         with pytest.raises(ValueError, match="insufficient"):
-            dpnet.sample_episode(dpnet.Episodes(domains, 5, [rng]))
+            dpnet.sample_episode(dpnet.Episodes(domains, 5, [rng]), 0, [0])
 
 
 class TestTrain:
@@ -265,4 +277,4 @@ class TestPredictTarget:
 
 def test_mismatched_encoders_rejected(rng):
     with pytest.raises(ValueError, match="architectures differ"):
-        dpnet.DPNetModel(nn.init_mlp((2, 2), rng), nn.init_mlp((2, 3), rng), 2, 2)
+        dpnet.DPNetModel(nn.init_mlp((2, 2), rng), nn.init_mlp((2, 3), rng), 2)

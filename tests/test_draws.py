@@ -108,16 +108,16 @@ def draw_all(domains, n, seeds, steps, same_domain):
     for step in range(max(steps)):
         live = [run for run in live if steps[run] > step]
         try:
-            batch = dpnet.sample_episode(episodes, step, live)
+            support, query, pairs = dpnet.sample_episode(episodes, step, live)
         except dpnet.EpisodeError as exc:
             for row, err in exc.rows.items():
                 out[live[row]].append(str(err))
             live = [run for row, run in enumerate(live) if row not in exc.rows]
             if not live:
                 break
-            batch = dpnet.sample_episode(episodes, step, live)
+            support, query, pairs = dpnet.sample_episode(episodes, step, live)
         for row, run in enumerate(live):
-            out[run].append((batch.support[row], batch.query[row], batch.source_index[row]))
+            out[run].append((support[row], query[row], pairs[row]))
     return out
 
 
@@ -237,9 +237,10 @@ def test_episodes_need_a_sample(evolcircle):
 
 def test_decode_memory_stays_small():
     # One decode of 27 runs at n=32 on search-2d's evolcircle (4 steps, 27,324
-    # draws at the default budget) peaks at 0.31 MiB with numpy 2.4. The
-    # bound leaves 45% on that; forming Lemire's 64-bit products over the
-    # whole chunk at once takes it to 0.49 MiB.
+    # draws at the default budget) peaks at 0.35 MiB with numpy 2.4, of which
+    # 0.04 MiB is Floyd's intp swap table over an int32 one. The bound leaves
+    # 28% on that; forming Lemire's 64-bit products over the whole chunk at
+    # once took it to 0.49 MiB with the int32 table.
     domains = data.generate(data.default_spec("evolcircle", seed=7))[:-1]
     episodes = dpnet.Episodes(domains, 32, [np.random.default_rng(s) for s in range(27)], 1000)
     tracemalloc.start()

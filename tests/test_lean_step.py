@@ -261,7 +261,7 @@ def test_proto_shared_encoder_matches_oracle(evolcircle, optimizer):
     config = dpnet.TrainConfig(steps=80, n_per_class=6, lr=0.03, seed=5)
     dims = (2, 8, 2)
     model = dpnet.init_dpnet(dims, 2, config.seed, shared=True)
-    [(trained, losses, accs)] = dpnet.train([model], evolcircle, [config], same_domain_episodes=True)
+    [(trained, losses, accs)] = dpnet.train([model], evolcircle, [config])
     assert trained.shared_encoder
     phi, _, want = oracle_train_dpnet(model, evolcircle, config, same_domain=True)
     assert _layers_equal(trained.f_phi, phi)
@@ -289,10 +289,11 @@ def test_erm_recent_window_matches_oracle(rplate):
 def test_episodes_match_oracle(evolcircle, same_domain):
     rng, oracle_rng = np.random.default_rng(13), np.random.default_rng(13)
     for _ in range(50):
-        batch = dpnet.sample_episode(dpnet.Episodes(evolcircle, 5, [rng], same_domain=same_domain))
+        episodes = dpnet.Episodes(evolcircle, 5, [rng], same_domain=same_domain)
+        got_support, got_query, _ = dpnet.sample_episode(episodes, 0, [0])
         support, query = _oracle_episode(evolcircle, 5, oracle_rng, same_domain)
-        assert np.array_equal(batch.support, np.stack(support))
-        assert np.array_equal(batch.query, np.stack(query))
+        assert np.array_equal(got_support[0], np.stack(support))
+        assert np.array_equal(got_query[0], np.stack(query))
 
 
 def test_cross_entropy_matches_oracle():
@@ -308,7 +309,7 @@ def test_cross_entropy_matches_oracle():
 def test_shared_input_model_left_untouched(evolcircle):
     model = dpnet.init_dpnet((2, 4, 2), 2, seed=8, shared=True)
     before = _snapshot(model.f_phi)
-    dpnet.train([model], evolcircle, [dpnet.TrainConfig(steps=20, n_per_class=4, seed=8)], same_domain_episodes=True)
+    dpnet.train([model], evolcircle, [dpnet.TrainConfig(steps=20, n_per_class=4, seed=8)])
     assert _unchanged(before, model.f_phi)
 
 

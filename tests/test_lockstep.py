@@ -38,9 +38,9 @@ def _arrays(model):
     return [a for net in nets for a in net.arrays()]
 
 
-def _solo(model, domains, config, shared=False):
+def _solo(model, domains, config):
     """``dpnet.train`` of one run: its model, losses and query accuracies."""
-    [(trained, losses, accs)] = dpnet.train([model], domains, [config], same_domain_episodes=shared)
+    [(trained, losses, accs)] = dpnet.train([model], domains, [config])
     assert len(losses) == len(accs) == config.steps
     return trained, losses, accs
 
@@ -75,10 +75,10 @@ def _same_net(a, b):
 def test_episodic_group_equals_solo_runs(evolcircle, algo, dims, optimizer):
     shared = algo == "proto"
     models, configs = _dpnet_runs(dims, shared)
-    group = dpnet.train(models, evolcircle, configs, same_domain_episodes=shared)
+    group = dpnet.train(models, evolcircle, configs)
     for model, config, got in zip(models, configs, group):
         assert len(got[1]) == len(got[2]) == config.steps
-        _same_dpnet(got, _solo(model, evolcircle, config, shared))
+        _same_dpnet(got, _solo(model, evolcircle, config))
 
 
 @pytest.mark.parametrize("optimizer", ["adam"])
@@ -176,9 +176,9 @@ def test_infeasible_batch_fails_each_run_with_its_solo_message(evolcircle, share
     # 40 samples per class: dpnets fits 40 per class, proto 20.
     n = 30 if shared else 50
     models, configs = _dpnet_runs((2, 2), shared, RUNS[:3], n=n)
-    group = dpnet.train(models, evolcircle, configs, same_domain_episodes=shared)
+    group = dpnet.train(models, evolcircle, configs)
     for model, config, got in zip(models, configs, group):
-        [solo] = dpnet.train([model], evolcircle, [config], same_domain_episodes=shared)
+        [solo] = dpnet.train([model], evolcircle, [config])
         assert isinstance(solo, dpnet.EpisodeError) and isinstance(got, dpnet.EpisodeError)
         assert str(got) == str(solo)
 

@@ -118,7 +118,7 @@ class TestRunSingleFailures:
     @pytest.mark.parametrize("same_domain", [False, True])
     def test_sample_episode_raises_episode_error(self, domains, same_domain):
         with pytest.raises(dpnet.EpisodeError):
-            dpnet.sample_episode(dpnet.Episodes(domains, 500, [np.random.default_rng(0)], same_domain=same_domain))
+            dpnet.sample_episode(dpnet.Episodes(domains, 500, [np.random.default_rng(0)], same_domain=same_domain), 0, [0])
 
 
 def idx_flags(directory, seed, n=80):
