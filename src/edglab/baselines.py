@@ -23,64 +23,28 @@ class IndexMode(str, Enum):
     OUTER_PRODUCT = "outer"
 
 
-def _positions(mode: IndexMode, num_sources: int) -> int:
-    """Width of the index encoding. One-hot and outer-product span the whole
-    environment (sources plus the known target position), so the target's own
-    index exists as a basis direction that training never activates."""
-    if mode in (IndexMode.ONE_HOT_CONCAT, IndexMode.OUTER_PRODUCT):
-        return num_sources + 1
-    return num_sources
+def with_index(x: Array, position: int, mode: IndexMode, num_sources: int) -> Array:
+    """Features ``x`` of the domain at ``position`` with its index attached.
+    Of m = ``num_sources`` sources, the unseen target is position m.
 
-
-def augmented_dim(feature_dim: int, mode: IndexMode, num_positions: int) -> int:
+    scalar: append position/(m-1), so the target extrapolates to m/(m-1);
+    onehot: append e_position over m+1 positions; outer: the features land in
+    block ``position`` of m+1 blocks (e_position ⊗ x). One-hot and outer span
+    the target too, a direction that training never activates."""
+    x = np.asarray(x, dtype=np.float64)
     if mode is IndexMode.NONE:
-        return feature_dim
+        return x
+    if not 0 <= position <= num_sources:
+        raise ValueError(f"domain index {position} out of range [0, {num_sources}]")
+    n, d = x.shape
     if mode is IndexMode.SCALAR_CONCAT:
-        return feature_dim + 1
+        return np.hstack([x, np.full((n, 1), position / (num_sources - 1))])
     if mode is IndexMode.ONE_HOT_CONCAT:
-        return feature_dim + num_positions
-    return feature_dim * num_positions
-
-
-def augment_with_index(x: Array, i: int, mode: IndexMode, num_positions: int) -> Array:
-    """Attach domain-index information to a batch (or single vector) of features.
-
-    scalar: append i/(P-1) for P index positions; onehot: append e_i; outer:
-    flatten e_i ⊗ x, i.e. the features land in block i of a P-block vector.
-    """
-    single = np.asarray(x).ndim == 1
-    xb = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if mode is IndexMode.NONE:
-        return xb[0] if single else xb
-    if not 0 <= i < num_positions:
-        raise ValueError(f"domain index {i} out of range [0, {num_positions})")
-    out = _augment(xb, float(i) / (num_positions - 1), i, mode, num_positions)
-    return out[0] if single else out
-
-
-def augment_target(x: Array, mode: IndexMode, num_sources: int) -> Array:
-    """Index policy for the unseen target: scalar extrapolates one step past
-    the sources to m/(m-1); one-hot and outer-product use the target's true
-    position m, whose weights no training batch ever touched."""
-    single = np.asarray(x).ndim == 1
-    xb = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    scalar = num_sources / (num_sources - 1)
-    out = _augment(xb, scalar, num_sources, mode, _positions(mode, num_sources))
-    return out[0] if single else out
-
-
-def _augment(xb: Array, scalar_value: float, hot_index: int, mode: IndexMode, positions: int) -> Array:
-    n, d = xb.shape
-    if mode is IndexMode.NONE:
-        return xb
-    if mode is IndexMode.SCALAR_CONCAT:
-        return np.hstack([xb, np.full((n, 1), scalar_value)])
-    if mode is IndexMode.ONE_HOT_CONCAT:
-        hot = np.zeros((n, positions))
-        hot[:, hot_index] = 1.0
-        return np.hstack([xb, hot])
-    out = np.zeros((n, d * positions))
-    out[:, hot_index * d : (hot_index + 1) * d] = xb
+        hot = np.zeros((n, num_sources + 1))
+        hot[:, position] = 1.0
+        return np.hstack([x, hot])
+    out = np.zeros((n, d * (num_sources + 1)))
+    out[:, position * d : (position + 1) * d] = x
     return out
 
 
@@ -94,7 +58,7 @@ class ErmModel:
     feature_dim: int
 
     def __post_init__(self):
-        want = augmented_dim(self.feature_dim, self.index_mode, _positions(self.index_mode, self.num_domains_seen))
+        want = with_index(np.zeros((1, self.feature_dim)), 0, self.index_mode, self.num_domains_seen).shape[1]
         if self.net.in_dim != want:
             raise ValueError(f"net in-dim {self.net.in_dim} != augmented dim {want}")
 
@@ -124,9 +88,8 @@ def train_erm(
     error that ended it. ``progress(step, losses)`` is called after each step
     with ``{run: loss}`` for the runs that took it.
 
-    ``last_k`` restricts training to the final k source domains. The one-hot /
-    outer-product width always spans all ``len(domains)`` indices so the model
-    stays aware of the full environment length.
+    ``last_k`` restricts training to the final k source domains; the index
+    features still span all ``len(domains)`` of them.
     """
     if not domains:
         raise ValueError("need at least one source domain")
@@ -134,11 +97,10 @@ def train_erm(
     if any((c.batch_size, tuple(c.hidden)) != (batch_size, hidden) for c in configs):
         raise ValueError("runs of one lockstep group must share batch_size and hidden")
     m = len(domains)
-    positions = _positions(index_mode, m)
     used = domains[-last_k:] if last_k else domains
     k_classes = used[0].num_classes
     feature_dim = used[0].dim
-    xs = np.vstack([augment_with_index(d.x, d.index, index_mode, positions) for d in used])
+    xs = np.vstack([with_index(d.x, d.index, index_mode, m) for d in used])
     ys = np.concatenate([d.y for d in used])
     rngs = [np.random.default_rng(c.seed) for c in configs]
     dims = (xs.shape[1],) + hidden + (k_classes,)
@@ -178,17 +140,9 @@ def train_erm(
 
 
 def predict_erm(model: ErmModel, x: Array, domain_index: int | None = None) -> Array:
-    """Argmax of the logits (ties go to the lowest class index).
-
-    ``domain_index=None`` means "the unseen target": the index feature follows
-    the target policy. Pass a concrete index to score held-out source data.
-    """
-    if domain_index is None:
-        aug = augment_target(x, model.index_mode, model.num_domains_seen)
-    else:
-        aug = augment_with_index(
-            x, domain_index, model.index_mode, _positions(model.index_mode, model.num_domains_seen)
-        )
-    logits, _ = nn.mlp_forward(model.net, np.atleast_2d(aug))
+    """Argmax of the logits (ties go to the lowest class index), with the
+    index feature of ``domain_index``; ``None`` is the unseen target."""
+    m = model.num_domains_seen
+    aug = with_index(x, m if domain_index is None else domain_index, model.index_mode, m)
+    logits, _ = nn.mlp_forward(model.net, aug)
     return np.argmax(logits, axis=1)
-

@@ -110,9 +110,6 @@ class DiscreteJoint:
     def ny(self) -> int:
         return self.p.shape[1]
 
-    def marginal_y(self) -> Array:
-        return self.p.sum(axis=0)
-
 
 @dataclass(frozen=True)
 class MappingFn:
@@ -372,13 +369,6 @@ def _decomposed_rows(p: Array, q: Array) -> tuple[Array, Array, Array]:
     return js(py, qy), t2, t3
 
 
-def decomposed_terms(p: DiscreteJoint, q: DiscreteJoint) -> tuple[float, float, float]:
-    """(label-marginal JS, E_{y~p(y)} cond-JS, E_{y~q(y)} cond-JS) for one pair."""
-    if (p.nx, p.ny) != (q.nx, q.ny):
-        raise ValueError("joints must share support")
-    return tuple(float(t) for t in _decomposed_rows(p.p, q.p))
-
-
 def verify_decomposed_transfer_bound(env: DiscreteEnv, report: ConsistencyReport, h_spec: LossSpec) -> SlackReport:
     """Relaxation of the sequential bound: each pair divergence is replaced by
     its label-marginal + conditional decomposition. Checks both that the bound
@@ -430,16 +420,6 @@ def attainment_function(p, q, lam: float) -> Array:
 # ---------------------------------------------------------------------------
 # Environment (de)serialization
 # ---------------------------------------------------------------------------
-
-
-def env_to_dict(env: DiscreteEnv) -> dict:
-    """JSON-ready form: support sizes, per-domain probability matrices, map tables."""
-    return {
-        "nx": env.domains[0].nx,
-        "ny": env.domains[0].ny,
-        "domains": [d.p.tolist() for d in env.domains],
-        "candidate_maps": [g.table.tolist() for g in env.candidate_maps],
-    }
 
 
 def env_from_dict(payload: dict) -> DiscreteEnv:

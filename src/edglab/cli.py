@@ -250,25 +250,30 @@ def cmd_gen_data(args, settings: dict) -> int:
     return 0
 
 
-def _parse_widths(text: str) -> tuple[int, ...]:
-    if not text:
-        return ()
+def _parse_widths(settings: dict, key: str) -> tuple[int, ...]:
     try:
-        return tuple(int(v) for v in text.split(",") if v != "")
+        widths = tuple(int(v) for v in settings[key].split(",") if v != "")
     except ValueError:
-        raise CliConfigError(f"expected comma-separated widths, got {text!r}")
+        raise CliConfigError(f"--{key} expects comma-separated widths, got {settings[key]!r}")
+    if min(widths, default=1) < 1:
+        raise CliConfigError(f"--{key} widths must be at least 1, got {settings[key]!r}")
+    return widths
 
 
-def _at_least_one(settings: dict, *keys: str) -> None:
+def _at_least(least: int, settings: dict, *keys: str) -> None:
     for key in keys:
-        if settings[key] < 1:
-            raise CliConfigError(f"--{key} must be at least 1, got {settings[key]}")
+        if settings[key] < least:
+            raise CliConfigError(f"--{key} must be at least {least}, got {settings[key]}")
 
 
 def cmd_train(args, settings: dict) -> int:
     algo, seed, batch = settings["algo"], settings["seed"], settings["batch"]
     method = harness.METHODS[algo]
-    _at_least_one(settings, "batch")
+    _at_least(1, settings, "batch")
+    _at_least(0, settings, "steps")
+    if not 0.0 < settings["lr"] < np.inf:
+        raise CliConfigError(f"--lr must be a positive finite number, got {settings['lr']}")
+    embed, hidden = _parse_widths(settings, "embed"), _parse_widths(settings, "hidden")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     domains, source_sha256 = _load_dataset(settings, args.quiet)
@@ -284,8 +289,8 @@ def cmd_train(args, settings: dict) -> int:
         "steps": settings["steps"],
         "lr": settings["lr"],
         "batch": batch,
-        "embed": _parse_widths(settings["embed"]) or (sources[0].dim,),
-        "hidden": _parse_widths(settings["hidden"]),
+        "embed": embed or (sources[0].dim,),
+        "hidden": hidden,
     }
     progress = None if args.quiet else lambda s, l: s % 200 == 0 and emit("train-step", False, step=s, loss=l[0])
     [model] = method.fit(sources, [(hparams, seed)], progress=progress)
@@ -359,6 +364,9 @@ def cmd_eval(args, settings: dict) -> int:
             f"checkpoint sidecar {sidecar_path}: algo {sidecar['algo']!r} does not match the "
             f"{len(nets)}-network checkpoint {ckpt}"
         )
+    for key, value in (("feature_dim", sources[0].dim), ("num_classes", sources[0].num_classes)):
+        if sidecar.get(key, value) != value:
+            raise CliConfigError(f"checkpoint {ckpt} was trained with {key} {sidecar[key]}, the dataset has {value}")
     acc = harness.evaluate_accuracy(lambda x: method.predict(model, sources, x), target)
     emit("eval", args.quiet, algo=sidecar["algo"], dataset=settings["dataset"], target_accuracy=acc)
     return 0
@@ -400,7 +408,7 @@ def _emit_grid(args, cells: list, name: str = "results") -> int:
 
 
 def cmd_sweep(args, settings: dict) -> int:
-    _at_least_one(settings, "trials", "n-seeds")
+    _at_least(1, settings, "trials", "n-seeds")
     axis = {"distance": "domain_distance", "count": "domain_count"}[settings["axis"]]
     try:
         values = tuple(float(v) if axis == "domain_distance" else int(v) for v in settings["values"].split(","))
@@ -416,7 +424,7 @@ def cmd_sweep(args, settings: dict) -> int:
 
 
 def cmd_interp_study(args, settings: dict) -> int:
-    _at_least_one(settings, "trials", "n-seeds")
+    _at_least(1, settings, "trials", "n-seeds")
     try:
         counts = tuple(int(v) for v in settings["counts"].split(","))
     except ValueError:
@@ -431,7 +439,7 @@ def cmd_interp_study(args, settings: dict) -> int:
 def cmd_headline(args, settings: dict) -> int:
     """Each algorithm searched on evolcircle and rplate, both generated with
     data seed 7; a cell's master seed is ``child_seed(seed, kind, algo)``."""
-    _at_least_one(settings, "trials", "n-seeds")
+    _at_least(1, settings, "trials", "n-seeds")
     algos, seed = _algorithms(settings), settings["seed"]
     cells = []
     for kind in ("evolcircle", "rplate"):
@@ -443,7 +451,7 @@ def cmd_headline(args, settings: dict) -> int:
 
 
 def cmd_verify_bounds(args, settings: dict) -> int:
-    _at_least_one(settings, "instances", "decomposition-pairs")
+    _at_least(1, settings, "instances", "decomposition-pairs")
     env = None
     if settings["env-json"]:  # checked before any certification work
         env_path = Path(settings["env-json"])
@@ -481,33 +489,39 @@ def cmd_verify_bounds(args, settings: dict) -> int:
     return 0 if report["all_passed"] else 1
 
 
+# The JSON values each raw cell field may hold; older files lack hparams and seeds.
+RAW_FIELDS = {
+    **dict.fromkeys(("row", "algorithm", "scheme"), lambda v: type(v) is str),
+    **dict.fromkeys(("mean", "std"), lambda v: type(v) in (int, float, type(None))),
+    "per_seed": lambda v: type(v) is list and all(type(a) in (int, float) for a in v),
+    "hparams": lambda v: type(v) in (dict, type(None)),
+    "seeds": lambda v: type(v) is list and all(type(s) is int for s in v),
+}
+
+
 def cmd_report(args, settings: dict) -> int:
     raw_dir = settings["raw"]
     if not raw_dir or not Path(raw_dir).is_dir():
         raise CliConfigError(f"--raw must name a directory of per-cell JSON files, got {raw_dir!r}")
     cells = []
     for path in sorted(Path(raw_dir).glob("*.json")):
-        payload = _read_json_object(path, "raw cell")
-        # The selected trial's hparams and seeds; files from before they were kept lack them.
-        hparams, seeds = payload.get("hparams"), payload.get("seeds", [])
-        if not isinstance(hparams, (dict, type(None))) or not (
-            isinstance(seeds, list) and all(type(s) is int for s in seeds)
-        ):
-            raise CliInputError(f"raw cell {path}: hparams must be an object and seeds a list of integers")
-        try:
-            cell = harness.CellResult(
-                row=payload["row"],
-                algorithm=payload["algorithm"],
-                mean=payload["mean"],
-                std=payload["std"],
-                per_seed=tuple(payload["per_seed"]),
-                scheme=payload["scheme"],
-                error=payload.get("error"),
-                hparams=hparams,
-                seeds=tuple(seeds),
-            )
-        except KeyError as exc:
-            raise CliInputError(f"raw cell {path} lacks {exc}")
+        payload = {"hparams": None, "seeds": [], **_read_json_object(path, "raw cell")}
+        for key, fits in RAW_FIELDS.items():
+            if key not in payload:
+                raise CliInputError(f"raw cell {path} lacks {key!r}")
+            if not fits(payload[key]):
+                raise CliInputError(f"raw cell {path}: {key} cannot be {payload[key]!r}")
+        cell = harness.CellResult(
+            row=payload["row"],
+            algorithm=payload["algorithm"],
+            mean=payload["mean"],
+            std=payload["std"],
+            per_seed=tuple(payload["per_seed"]),
+            scheme=payload["scheme"],
+            error=payload.get("error"),
+            hparams=payload["hparams"],
+            seeds=tuple(payload["seeds"]),
+        )
         if cell.per_seed:
             mean = float(np.mean(cell.per_seed))
             std = float(np.std(cell.per_seed, ddof=1)) if len(cell.per_seed) > 1 else 0.0

@@ -70,14 +70,6 @@ def compute_prototypes(model: DPNetModel, support: tuple[Array, ...] | list[Arra
     return np.vstack(protos)
 
 
-def predictive_distribution(model: DPNetModel, prototypes: Array, x: Array) -> Array:
-    """Probability over classes: softmax of negative squared distances."""
-    z, _ = nn.mlp_forward(model.f_psi, np.atleast_2d(x))
-    d2 = nn.pairwise_sq_dists(z, prototypes)
-    probs = np.exp(nn.log_softmax_rows(-d2))
-    return probs[0] if np.asarray(x).ndim == 1 else probs
-
-
 @lru_cache(maxsize=8)
 def _true_class(runs: tuple[int, ...], k_classes: int, n_b: int) -> Array:
     """Each query's distance to its own class's prototype, as flat indices

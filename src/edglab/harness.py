@@ -186,7 +186,6 @@ class RunOutcome:
 class Trial:
     """One hyperparameter draw evaluated over several seeds."""
 
-    algorithm: str
     hparams: dict
     seeds: tuple[int, ...]
     target_accs: tuple[float, ...] = ()
@@ -324,7 +323,6 @@ def random_search(
         errors = [o.error for o in per_seed if o.error]
         trials.append(
             Trial(
-                algorithm=algorithm,
                 hparams=hparams[t],
                 seeds=tuple(seeds[(t, s)] for s in range(n_seeds)),
                 target_accs=tuple(o.target_acc for o in per_seed if o.error is None),
@@ -524,15 +522,6 @@ def render_csv(cells: list[CellResult]) -> str:
             ]
         )
     return buf.getvalue()
-
-
-def parse_csv(text: str) -> list[dict]:
-    rows = list(csv.DictReader(io.StringIO(text)))
-    for r in rows:
-        r["mean"] = float(r["mean"]) if r["mean"] else None
-        r["std"] = float(r["std"]) if r["std"] else None
-        r["n_seeds"] = int(r["n_seeds"])
-    return rows
 
 
 def render_markdown(cells: list[CellResult]) -> str:

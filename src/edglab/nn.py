@@ -273,15 +273,6 @@ class Lockstep:
         return [out if isinstance(out, Exception) else mlp_views(self.params[out], self.like) for out in self.outcomes]
 
 
-def sq_euclidean(a: Array, b: Array) -> float:
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    d = a - b
-    return float(d @ d)
-
-
 def pairwise_sq_dists(a: Array, b: Array) -> Array:
     """Exact squared Euclidean distances between rows of a (n×d) and b (k×d),
     per stack entry for leading axes."""
@@ -289,13 +280,6 @@ def pairwise_sq_dists(a: Array, b: Array) -> Array:
         raise ValueError(f"dim mismatch: {a.shape} vs {b.shape}")
     diff = a[..., :, None, :] - b[..., None, :, :]
     return np.einsum("...nkd,...nkd->...nk", diff, diff)
-
-
-def log_softmax(v: Array) -> Array:
-    """Numerically stable log-softmax of a vector (max-subtraction)."""
-    v = np.asarray(v, dtype=np.float64)
-    shifted = v - np.max(v)
-    return shifted - np.log(np.sum(np.exp(shifted)))
 
 
 def log_softmax_rows(m: Array) -> Array:

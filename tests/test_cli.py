@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from edglab import cli, data, dpnet, harness
+from test_batched_bounds import env_to_dict
+from test_data import write_idx
 
 
 def run_cli(capsys, argv):
@@ -96,6 +98,39 @@ class TestTrain:
         )
         assert code == 0
         assert last_event(ev2, "eval")["target_accuracy"] == pytest.approx(train_ev["target_accuracy"])
+
+    @pytest.mark.parametrize("algo", ["dpnets", "erm"])
+    @pytest.mark.parametrize(
+        "image,field,trained,found",
+        [((2, 2), "feature_dim", 2, 4), ((1, 2), "num_classes", 2, 10)],
+        ids=["feature-dim", "num-classes"],
+    )
+    def test_eval_on_a_dataset_that_does_not_fit_is_config_error(
+        self, capsys, tmp_path, algo, image, field, trained, found
+    ):
+        # 2-D evolcircle weights cannot score rmnist's 4 features; 1×2 images
+        # give 2 features but 10 classes.
+        argv = ["train", "--algo", algo, "--num-domains", "4", "--samples", "20", "--steps", "5", "--batch", "4"]
+        assert cli.main([*argv, "--out", str(tmp_path / "t")]) == 0
+        img, lbl = write_idx(tmp_path, np.zeros((60, *image)), np.tile(np.arange(10), 6))
+        code, events = run_cli(
+            capsys,
+            [
+                "eval", "--checkpoint", str(tmp_path / "t" / "model.ckpt"), "--dataset", "rmnist",
+                "--num-domains", "3", "--samples", "20", "--images", str(img), "--labels", str(lbl),
+                "--out", str(tmp_path / "e"),
+            ],
+        )
+        assert code == 2
+        message = last_event(events, "config-error")["message"]
+        assert f"{field} {trained}," in message and message.endswith(f"has {found}")
+        assert not [e for e in events if e["event"] == "eval"]
+
+    def test_zero_steps_saves_the_initial_model(self, capsys, tmp_path):
+        argv = ["train", "--num-domains", "4", "--samples", "20", "--batch", "4", "--steps", "0"]
+        code, events = run_cli(capsys, [*argv, "--out", str(tmp_path)])
+        assert code == 0
+        assert (tmp_path / "model.ckpt").exists() and last_event(events, "train")["target_accuracy"] >= 0.0
 
     def test_erm_train_roundtrip(self, capsys, tmp_path):
         argv = [
@@ -197,7 +232,7 @@ class TestVerifyBounds:
 
         env = bounds.random_env(np.random.default_rng(2), 3, 2, 3, n_maps=4)
         env_path = tmp_path / "env.json"
-        env_path.write_text(json.dumps(bounds.env_to_dict(env)))
+        env_path.write_text(json.dumps(env_to_dict(env)))
         code, events = run_cli(
             capsys,
             [
@@ -243,7 +278,7 @@ class TestVerifyBounds:
 
         from edglab import bounds
 
-        payload = bounds.env_to_dict(bounds.random_env(np.random.default_rng(2), 3, 2, 3, n_maps=2))
+        payload = env_to_dict(bounds.random_env(np.random.default_rng(2), 3, 2, 3, n_maps=2))
         payload["candidate_maps"] = maps
         env_path = tmp_path / "env.json"
         env_path.write_text(json.dumps(payload))
@@ -312,15 +347,24 @@ class TestCorruptJsonInputs:
         assert cli.main(argv) == 0
         return json.loads(sorted((out / "raw").glob("*.json"))[0].read_text())
 
-    @pytest.mark.parametrize("damage", ["truncated", "not-an-object", "no-per-seed", "bad-seeds", "bad-hparams"])
+    # A field of the wrong type, as (field, value).
+    WRONG_TYPE = {
+        "bad-seeds": ("seeds", 5),
+        "bad-hparams": ("hparams", [1, 2]),
+        "per-seed-string": ("per_seed", "ab"),
+        "per-seed-number": ("per_seed", 5),
+        "mean-string": ("mean", "x"),
+        "row-number": ("row", 5),
+    }
+
+    @pytest.mark.parametrize("damage", ["truncated", "not-an-object", "no-per-seed", *WRONG_TYPE])
     def test_bad_raw_cell_is_input_error(self, capsys, tmp_path, raw_cells, damage):
         cell = dict(raw_cells)
         if damage == "no-per-seed":
             del cell["per_seed"]
-        elif damage == "bad-seeds":
-            cell["seeds"] = 5
-        elif damage == "bad-hparams":
-            cell["hparams"] = [1, 2]
+        elif damage in self.WRONG_TYPE:
+            key, value = self.WRONG_TYPE[damage]
+            cell[key] = value
         text = json.dumps(cell)
         text = {"truncated": text[: len(text) // 2], "not-an-object": "[1, 2]"}.get(damage, text)
         raw = tmp_path / "raw"
@@ -466,10 +510,20 @@ class TestSweepAndReport:
             (["sweep", "--n-seeds", "0"], "--n-seeds"),
             (["headline", "--trials", "0"], "--trials"),
             (["headline", "--algos", "erm,bogus"], "bogus"),
+            (["train", "--embed", "-1"], "--embed"),
+            (["train", "--embed", "0"], "--embed"),
+            (["train", "--hidden", "-3"], "--hidden"),
+            (["train", "--hidden", "4,0"], "--hidden"),
+            (["train", "--steps", "-5"], "--steps"),
+            (["train", "--lr", "0"], "--lr"),
+            (["train", "--lr", "-1"], "--lr"),
+            (["train", "--lr", "nan"], "--lr"),
+            (["train", "--lr", "inf"], "--lr"),
         ],
         ids=[
             "sweep-count-2", "interp-count-2", "sweep-trials-0", "sweep-n-seeds-0", "headline-trials-0",
-            "headline-algo",
+            "headline-algo", "train-embed-negative", "train-embed-0", "train-hidden-negative", "train-hidden-0",
+            "train-steps-negative", "train-lr-0", "train-lr-negative", "train-lr-nan", "train-lr-inf",
         ],
     )
     def test_bad_sizes_are_config_errors(self, capsys, tmp_path, argv, words):

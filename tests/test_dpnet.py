@@ -17,6 +17,13 @@ def random_model(rng, dims=(3, 4, 2), num_classes=3):
     return dpnet.DPNetModel(nn.init_mlp(dims, rng), nn.init_mlp(dims, rng), num_classes)
 
 
+def predictive_distribution(model, prototypes, x):
+    """Probability over classes for one row x: softmax of negative squared
+    distances to the prototypes under the query encoder."""
+    z, _ = nn.mlp_forward(model.f_psi, x[None])
+    return np.exp(nn.log_softmax_rows(-nn.pairwise_sq_dists(z, prototypes)))[0]
+
+
 def random_batch(rng, model, n_per_class=4):
     """Support and query, one n_per_class × d block per class."""
     d = model.f_phi.in_dim
@@ -62,14 +69,14 @@ class TestPredictiveDistribution:
     def test_equidistant_gives_uniform(self):
         model = identity_model()
         protos = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        probs = dpnet.predictive_distribution(model, protos, np.array([0.0, 3.0]))
+        probs = predictive_distribution(model, protos, np.array([0.0, 3.0]))
         assert np.max(np.abs(probs - 0.5)) < 1e-12
 
     def test_hand_derived_quarter_split(self):
         # d(x, c0) = 0 and d(x, c1) = ln 3 give softmax(0, -ln 3) = (3/4, 1/4).
         model = identity_model()
         protos = np.array([[0.0, 0.0], [math.sqrt(math.log(3.0)), 0.0]])
-        probs = dpnet.predictive_distribution(model, protos, np.zeros(2))
+        probs = predictive_distribution(model, protos, np.zeros(2))
         assert abs(probs[0] - 0.75) < 1e-12
         assert abs(probs[1] - 0.25) < 1e-12
 
@@ -78,9 +85,9 @@ class TestPredictiveDistribution:
         protos = rng.standard_normal((3, 2))
         for _ in range(200):
             x = rng.standard_normal(3)
-            probs = dpnet.predictive_distribution(model, protos, x)
+            probs = predictive_distribution(model, protos, x)
             z, _ = nn.mlp_forward(model.f_psi, x[None])
-            dists = [nn.sq_euclidean(z[0], c) for c in protos]
+            dists = [(z[0] - c) @ (z[0] - c) for c in protos]
             assert int(np.argmax(probs)) == int(np.argmin(dists))
 
     def test_shift_invariance_of_distance_softmax(self, rng):
@@ -88,10 +95,10 @@ class TestPredictiveDistribution:
         model = random_model(rng)
         protos = rng.standard_normal((3, 2))
         x = rng.standard_normal(3)
-        probs = dpnet.predictive_distribution(model, protos, x)
+        probs = predictive_distribution(model, protos, x)
         z, _ = nn.mlp_forward(model.f_psi, x[None])
-        d2 = np.array([nn.sq_euclidean(z[0], c) for c in protos])
-        shifted = np.exp(nn.log_softmax(-(d2 + 123.456)))
+        d2 = np.array([(z[0] - c) @ (z[0] - c) for c in protos])
+        shifted = np.exp(nn.log_softmax_rows(-(d2 + 123.456)))
         assert np.max(np.abs(probs - shifted)) < 1e-12
 
 
@@ -114,7 +121,7 @@ class TestEpisodeLoss:
             total = 0.0
             for k, block in enumerate(query):
                 for row in block:
-                    probs = dpnet.predictive_distribution(model, protos, row)
+                    probs = predictive_distribution(model, protos, row)
                     total -= math.log(probs[k])
             assert abs(loss - total / (len(support) * len(support[0]))) < 1e-10
 
@@ -256,7 +263,7 @@ class TestPredictTarget:
         predicted = dpnet.predict_target(model, support, queries)
         protos = dpnet.compute_prototypes(model, [support.x[support.y == k] for k in range(2)])
         zq, _ = nn.mlp_forward(model.f_psi, queries)
-        oracle = np.array([int(np.argmin([nn.sq_euclidean(z, c) for c in protos])) for z in zq])
+        oracle = np.array([int(np.argmin([(z - c) @ (z - c) for c in protos])) for z in zq])
         assert np.array_equal(predicted, oracle)
 
     def test_evolcircle_headline_accuracy_window(self):

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -212,11 +215,13 @@ class TestReports:
 
     def test_csv_round_trips_exactly(self):
         cells = self.make_cells()
-        parsed = harness.parse_csv(harness.render_csv(cells))
+        parsed = csv.DictReader(io.StringIO(harness.render_csv(cells)))
         by_key = {(r["row"], r["algorithm"]): r for r in parsed}
         for c in cells:
             row = by_key[(c.row, c.algorithm)]
-            assert row["mean"] == c.mean and row["std"] == c.std
+            assert (float(row["mean"]) if row["mean"] else None) == c.mean
+            assert (float(row["std"]) if row["std"] else None) == c.std
+            assert int(row["n_seeds"]) == len(c.per_seed)
 
     def test_emit_report_files_and_raw_consistency(self, tmp_path):
         paths = harness.emit_report(self.make_cells(), tmp_path)

@@ -169,11 +169,25 @@ def oracle_train_dpnet(model, domains, config, same_domain=False):
     return phi, psi, trace
 
 
+def _oracle_index_features(x, i, mode, m):
+    """Domain i's features with its index attached, for m sources: scalar
+    i/(m-1), or e_i over the m+1 positions that include the target."""
+    if mode is IndexMode.NONE:
+        return x
+    if mode is IndexMode.SCALAR_CONCAT:
+        return np.column_stack([x, np.full(len(x), i / (m - 1))])
+    hot = np.zeros((len(x), m + 1))
+    hot[:, i] = 1.0
+    if mode is IndexMode.ONE_HOT_CONCAT:
+        return np.column_stack([x, hot])
+    blocks = [x if j == i else np.zeros_like(x) for j in range(m + 1)]
+    return np.column_stack(blocks)
+
+
 def oracle_train_erm(domains, config, index_mode, last_k=None):
     m = len(domains)
-    positions = m + 1 if index_mode in (IndexMode.ONE_HOT_CONCAT, IndexMode.OUTER_PRODUCT) else m
     used = domains[-last_k:] if last_k else domains
-    xs = np.vstack([baselines.augment_with_index(d.x, d.index, index_mode, positions) for d in used])
+    xs = np.vstack([_oracle_index_features(d.x, d.index, index_mode, m) for d in used])
     ys = np.concatenate([d.y for d in used])
     rng = np.random.default_rng(config.seed)
     net = nn.init_mlp((xs.shape[1],) + tuple(config.hidden) + (used[0].num_classes,), rng)

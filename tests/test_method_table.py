@@ -187,8 +187,8 @@ def test_js_decomposition_gap_folds_the_terms(monkeypatch):
         # Every label's conditional JS in one stacked call, then the label marginals and the joint.
         assert shapes == [(ny, nx), (ny,), (nx * ny,)]
         # The pre-fold formula on the scalar oracle: each weighted conditional term added in turn.
-        rhs = oracle.js(p.marginal_y(), q.marginal_y())
-        for weights in (p.marginal_y(), q.marginal_y()):
+        rhs = oracle.js(p.p.sum(axis=0), q.p.sum(axis=0))
+        for weights in (p.p.sum(axis=0), q.p.sum(axis=0)):
             rhs += sum(weights[y] * oracle._conditional_js(p, q, y) for y in range(ny) if weights[y] > 0)
         assert abs(gap - (rhs - oracle.js(p, q))) <= 1e-15
         assert gap >= -1e-12

@@ -105,35 +105,22 @@ class TestBackward:
 
 
 class TestDistancesAndSoftmax:
-    def test_sq_euclidean_zero_for_equal(self, rng):
-        a = rng.standard_normal(5)
-        assert nn.sq_euclidean(a, a) == 0.0
-
-    def test_sq_euclidean_three_four_five(self):
-        assert nn.sq_euclidean(np.zeros(2), np.array([3.0, 4.0])) == 25.0
-
-    def test_sq_euclidean_matches_loop(self, rng):
-        a, b = rng.standard_normal(9), rng.standard_normal(9)
-        manual = sum((float(x) - float(y)) ** 2 for x, y in zip(a, b))
-        assert abs(nn.sq_euclidean(a, b) - manual) < 1e-12
-
-    def test_sq_euclidean_length_mismatch(self):
-        with pytest.raises(ValueError):
-            nn.sq_euclidean(np.zeros(2), np.zeros(3))
-
     def test_pairwise_matches_sq_euclidean(self, rng):
         a, b = rng.standard_normal((4, 3)), rng.standard_normal((2, 3))
         d = nn.pairwise_sq_dists(a, b)
         for i in range(4):
             for j in range(2):
-                assert abs(d[i, j] - nn.sq_euclidean(a[i], b[j])) < 1e-12
+                diff = a[i] - b[j]
+                assert abs(d[i, j] - diff @ diff) < 1e-12
+        with pytest.raises(ValueError, match="dim mismatch"):
+            nn.pairwise_sq_dists(a, np.zeros((2, 4)))
 
     def test_log_softmax_uniform(self):
-        out = nn.log_softmax(np.full(4, 2.5))
+        out = nn.log_softmax_rows(np.full((1, 4), 2.5))
         assert np.max(np.abs(out - math.log(0.25))) < 1e-12
 
     def test_log_softmax_extreme_inputs_stable(self):
-        out = nn.log_softmax(np.array([0.0, -1000.0]))
+        out = nn.log_softmax_rows(np.array([[0.0, -1000.0]]))[0]
         probs = np.exp(out)
         assert np.all(np.isfinite(out))
         assert abs(probs[0] - 1.0) < 1e-12 and probs[1] < 1e-300
@@ -141,11 +128,11 @@ class TestDistancesAndSoftmax:
     def test_log_softmax_matches_naive(self, rng):
         v = rng.standard_normal(5)
         naive = np.log(np.exp(v) / np.sum(np.exp(v)))
-        assert np.max(np.abs(nn.log_softmax(v) - naive)) < 1e-10
+        assert np.max(np.abs(nn.log_softmax_rows(v[None])[0] - naive)) < 1e-10
 
     @given(st.lists(st.floats(-50, 50), min_size=2, max_size=8))
     def test_log_softmax_exponentiates_to_probability_vector(self, values):
-        probs = np.exp(nn.log_softmax(np.array(values)))
+        probs = np.exp(nn.log_softmax_rows(np.array([values])))
         assert abs(probs.sum() - 1.0) <= 1e-12
         assert np.all(probs > 0.0) and np.all(probs <= 1.0)
 
