@@ -61,7 +61,9 @@ def _kl_rows(pa: Array, qa: Array) -> Array:
         raise AbsoluteContinuityError("Q is zero on part of P's support")
     ratio = np.ones(mask.shape)
     np.divide(pa, qa, out=ratio, where=mask)
-    return (pa * np.log(ratio)).sum(axis=-1)
+    np.log(ratio, out=ratio)
+    ratio *= pa
+    return ratio.sum(axis=-1)
 
 
 def _scalar(values: Array):
@@ -82,8 +84,29 @@ def js(p, q):
     (attained on disjoint supports).
     """
     pa, qa = _as_dists(p, q)
-    both = _kl_rows(np.stack((pa, qa)), 0.5 * (pa + qa))
-    return _scalar(0.5 * both[0] + 0.5 * both[1])
+    mix = pa + qa  # in place, and no stacked copy of P and Q: certification passes large stacks
+    mix *= 0.5
+    return _scalar(0.5 * _kl_rows(pa, mix) + 0.5 * _kl_rows(qa, mix))
+
+
+def _check_joints(p: Array) -> None:
+    """Each (nx, ny) joint of a stack is finite, non-negative and sums to 1 ± 1e-12."""
+    if not np.isfinite(p).all():
+        raise ValueError("non-finite probability mass")
+    if (p < 0.0).any():
+        raise ValueError("negative probability mass")
+    sums = p.reshape(p.shape[:-2] + (-1,)).sum(axis=-1)
+    off = np.abs(sums - 1.0) > 1e-12
+    if off.any():
+        raise ValueError(f"mass sums to {float(sums[off][0])!r}, not 1")
+
+
+def _check_losses(classifier: Array, loss: Array) -> None:
+    """Stacks of classifier tables (..., nx) and loss matrices (..., ny, ny)."""
+    if not np.isfinite(loss).all():
+        raise ValueError("loss values must be finite")
+    if classifier.min() < 0 or classifier.max() >= loss.shape[-1]:
+        raise ValueError("classifier outputs outside the label set")
 
 
 @dataclass(frozen=True)
@@ -97,10 +120,7 @@ class DiscreteJoint:
         object.__setattr__(self, "p", arr)
         if arr.ndim != 2:
             raise ValueError("joint must be an nx × ny matrix")
-        if (arr < 0.0).any():
-            raise ValueError("negative probability mass")
-        if abs(arr.sum() - 1.0) > 1e-12:
-            raise ValueError(f"mass sums to {arr.sum()!r}, not 1")
+        _check_joints(arr)
 
     @property
     def nx(self) -> int:
@@ -127,12 +147,12 @@ class MappingFn:
 
 
 def _pushforward(tables: Array, joints: Array) -> Array:
-    """Every joint pushed through every map: (k, nx) tables and (m, nx, ny)
-    joints give (k, m, nx, ny). Mass reaches each cell in ascending x."""
-    k, m, nx = len(tables), len(joints), joints.shape[1]
-    out = np.zeros((k,) + joints.shape)
-    index = (np.arange(k).reshape(k, 1, 1), np.arange(m).reshape(1, m, 1), tables.reshape(k, 1, nx))
-    np.add.at(out, index, joints)
+    """Every joint through every map, per environment: (G, k, nx) tables and
+    (G, m, nx, ny) joints give (G, k, m, nx, ny). Mass reaches each cell in ascending x."""
+    g, k, _ = tables.shape
+    out = np.zeros((g, k) + joints.shape[1:])
+    env, cand, src = (a[..., None] for a in np.ogrid[:g, :k, : joints.shape[1]])
+    np.add.at(out, (env, cand, src, tables[:, :, None]), joints[:, None])
     return out
 
 
@@ -140,7 +160,7 @@ def apply_map(d: DiscreteJoint, g: MappingFn) -> DiscreteJoint:
     """Pushforward on features, labels untouched: p'[x', y] = sum_{g(x)=x'} p[x, y]."""
     if g.table.size != d.nx:
         raise ValueError(f"map over {g.table.size} points, joint has nx={d.nx}")
-    return DiscreteJoint(_pushforward(g.table[None], d.p[None])[0, 0])
+    return DiscreteJoint(_pushforward(g.table[None, None], d.p[None, None])[0, 0, 0])
 
 
 @dataclass(frozen=True)
@@ -160,10 +180,6 @@ class DiscreteEnv:
         for g in self.candidate_maps:
             if g.table.size != nx:
                 raise ValueError(f"candidate map over {g.table.size} points, domains have nx={nx}")
-
-    @property
-    def num_sources(self) -> int:
-        return len(self.domains) - 1
 
     @property
     def sources(self) -> tuple[DiscreteJoint, ...]:
@@ -188,21 +204,23 @@ class LossSpec:
         object.__setattr__(self, "loss", l)
         if l.ndim != 2 or l.shape[0] != l.shape[1]:
             raise ValueError("loss must be a square ny × ny matrix")
-        if not np.all(np.isfinite(l)):
-            raise ValueError("loss values must be finite")
-        if c.min() < 0 or c.max() >= l.shape[0]:
-            raise ValueError("classifier outputs outside the label set")
+        _check_losses(c, l)
 
     @property
     def g_range(self) -> float:
         return float(self.loss.max() - self.loss.min())
 
 
+def _risks(classifier: Array, loss: Array, joints: Array) -> Array:
+    """Stacked risks: classifiers (..., nx), losses (..., ny, ny), joints (..., nx, ny)."""
+    return (joints * np.take_along_axis(loss, classifier[..., None], axis=-2)).sum(axis=(-2, -1))
+
+
 def risk(h_spec: LossSpec, d: DiscreteJoint) -> float:
     """Expected loss of the classifier under the joint: sum p[x,y] loss[h(x), y]."""
     if h_spec.classifier.size != d.nx:
         raise ValueError("classifier not total on X")
-    return float(np.sum(d.p * h_spec.loss[h_spec.classifier, :]))
+    return float(_risks(h_spec.classifier, h_spec.loss, d.p))
 
 
 # ---------------------------------------------------------------------------
@@ -242,31 +260,36 @@ class ConsistencyReport:
         return consistency_gap(np.append(np.asarray(self.divergences), self.target_divergence))
 
 
+def _minimax(tables: Array, doms: Array) -> tuple[Array, Array, Array]:
+    """Tables (G, k, nx) and domains (G, m + 1, nx, ny) give every source through every map (G, k, m, nx, ny),
+    divs d_JS(g_k(D_j) || D_{j+1}) (G, k, m), the last column against the target, and the map minimizing
+    the worst source pair, the first of any tied."""
+    pushed = _pushforward(tables, doms[:, :-1])
+    flat = pushed.reshape(pushed.shape[:3] + (-1,))
+    divs = js(flat, np.broadcast_to(doms[:, None, 1:].reshape(flat.shape[:1] + (1,) + flat.shape[2:]), flat.shape))
+    return pushed, divs, np.argmin(divs[..., :-1].max(axis=-1), axis=-1)
+
+
 def find_minimax_map(env: DiscreteEnv) -> ConsistencyReport:
     """Candidate map minimizing the worst consecutive-pair source divergence.
 
-    Ties break toward the earliest candidate. Every source, the last one
-    too, goes through every map in one pass, so the report also carries the
+    Ties break toward the earliest candidate. The report also carries the
     chosen map's image of every source and the divergence of the synthetic
     target from the real one; the selection and the reported gap cover
     source pairs only.
     """
     if not env.candidate_maps:
         raise ValueError("candidate map family is empty")
-    doms = np.stack([d.p for d in env.domains])
-    pushed = _pushforward(np.stack([g.table for g in env.candidate_maps]), doms[:-1])
-    # divs[k, j] = d_JS(g_k(D_j) || D_{j+1}) for every map and consecutive
-    # pair; the last column pairs g_k(D_m) with the target.
-    flat = pushed.reshape(pushed.shape[:2] + (-1,))
-    divs = js(flat, np.broadcast_to(doms[1:].reshape(len(doms) - 1, -1), flat.shape))
-    best = int(np.argmin(divs[:, :-1].max(axis=1)))  # the first of any tied maps
-    src_divs = divs[best, :-1]
+    tables, doms = np.stack([g.table for g in env.candidate_maps]), np.stack([d.p for d in env.domains])
+    pushed, divs, best = _minimax(tables[None], doms[None])
+    best = int(best[0])
+    src_divs = divs[0, best, :-1]
     return ConsistencyReport(
         map=env.candidate_maps[best],
         divergences=tuple(float(v) for v in src_divs),
         gap=consistency_gap(src_divs),
-        pushed=pushed[best],
-        target_divergence=float(divs[best, -1]),
+        pushed=pushed[0, best],
+        target_divergence=float(divs[0, best, -1]),
     )
 
 
@@ -291,14 +314,28 @@ class SlackReport:
         return {**out, **self.details}
 
 
-def transfer_penalty(g_range: float, divergence: float) -> float:
+def transfer_penalty(g_range, divergence):
     """Worst extra risk a G-range loss can pick up across a JS gap: sqrt(2)·G·sqrt(d).
 
     The change-of-measure route (sub-Gaussian parameter G/2, optimized
     tilting) gives exactly this constant, and no smaller one works: disjoint
     supports with a 0-1 loss realize a risk gap of G at d = ln 2.
     """
-    return float(np.sqrt(2.0) * g_range * np.sqrt(max(divergence, 0.0)))
+    return _scalar(np.sqrt(2.0) * g_range * np.sqrt(np.maximum(divergence, 0.0)))
+
+
+def _sequential_bound(synthetic_risk, g_range, divs: Array, decomposed=None):
+    """divs (..., m): source-pair divergences, then the target pair's. As d_t <= mean(d_i) + gap and
+    sqrt(a+b) <= sqrt(a)+sqrt(b), the penalty gives sqrt(2/(m-1))·G·(sqrt(sum d_i) + sqrt((m-1)·gap));
+    the relaxation splits sqrt(sum d_i) over the three ``decomposed`` term sums."""
+    m = divs.shape[-1]
+    gap_term = np.sqrt((m - 1) * (divs.max(axis=-1) - divs.min(axis=-1)))
+    if decomposed is None:
+        terms = np.sqrt(divs[..., :-1].sum(axis=-1)) + gap_term
+    else:
+        t1, t2, t3 = (np.sqrt(t.sum(axis=-1)) for t in decomposed)
+        terms = t1 + gap_term + t2 + t3
+    return synthetic_risk + g_range * np.sqrt(2.0 / (m - 1)) * terms
 
 
 def verify_synthetic_transfer_bound(env: DiscreteEnv, g: MappingFn, h_spec: LossSpec) -> SlackReport:
@@ -312,16 +349,9 @@ def verify_synthetic_transfer_bound(env: DiscreteEnv, g: MappingFn, h_spec: Loss
 
 def sequential_bound_value(env: DiscreteEnv, report: ConsistencyReport, h_spec: LossSpec) -> float:
     """Multi-domain bound value: synthetic-target risk plus the averaged
-    source-divergence term and the consistency-gap term.
-
-    The target-pair divergence is at most mean(source divergences) + gap, and
-    sqrt(a+b) <= sqrt(a)+sqrt(b), so with the transfer penalty this yields the
-    coefficient sqrt(2/(m-1))·G on (sqrt(sum d_i) + sqrt((m-1)·gap)).
-    """
-    m = env.num_sources
-    divs = np.asarray(report.divergences)
-    coeff = h_spec.g_range * np.sqrt(2.0 / (m - 1))
-    return float(risk(h_spec, report.synthetic) + coeff * (np.sqrt(divs.sum()) + np.sqrt((m - 1) * report.gap_full)))
+    source-divergence term and the consistency-gap term."""
+    divs = np.append(report.divergences, report.target_divergence)
+    return float(_sequential_bound(risk(h_spec, report.synthetic), h_spec.g_range, divs))
 
 
 def verify_sequential_transfer_bound(env: DiscreteEnv, report: ConsistencyReport, h_spec: LossSpec) -> SlackReport:
@@ -373,48 +403,46 @@ def verify_decomposed_transfer_bound(env: DiscreteEnv, report: ConsistencyReport
     """Relaxation of the sequential bound: each pair divergence is replaced by
     its label-marginal + conditional decomposition. Checks both that the bound
     dominates the target risk and that it dominates the tighter bound."""
-    m = env.num_sources
     src = np.stack([d.p for d in env.sources])
     t1s, t2s, t3s = _decomposed_rows(report.pushed[:-1], src[1:])
-    coeff = h_spec.g_range * np.sqrt(2.0 / (m - 1))
-    terms = np.sqrt(np.sum(t1s)) + np.sqrt((m - 1) * report.gap_full) + np.sqrt(np.sum(t2s)) + np.sqrt(np.sum(t3s))
-    bound = float(risk(h_spec, report.synthetic) + coeff * terms)
+    divs = np.append(report.divergences, report.target_divergence)
+    bound = float(_sequential_bound(risk(h_spec, report.synthetic), h_spec.g_range, divs, (t1s, t2s, t3s)))
     tighter = sequential_bound_value(env, report, h_spec)
     details = {"label_terms": [float(v) for v in t1s], "tighter_bound": tighter, "relaxation_margin": bound - tighter}
     return SlackReport("decomposed_transfer", bound, risk(h_spec, env.target), details)
 
 
-def verify_change_of_measure(p, q, f: Array, lam: float) -> float:
+def verify_change_of_measure(p, q, f, lam):
     """Slack of the change-of-measure inequality
     lam (E_Q f - E_P f) <= KL(Q||P) + log E_P exp(lam (f - E_P f)).
 
     Returns the right side minus the left side (non-negative). The slack is
     invariant to adding constants to f; it vanishes at f = (1/lam) log(q/p)
-    when P and Q are mutually absolutely continuous.
+    when P and Q are mutually absolutely continuous. Stacks (..., s) take lam (...).
     """
     pa, qa = _as_dists(p, q)
-    fa = np.asarray(f, dtype=np.float64).ravel()
-    if pa.ndim != 1 or fa.shape != pa.shape:
+    fa, lam = np.asarray(f, dtype=np.float64), np.asarray(lam, dtype=np.float64)
+    if pa.ndim == 0 or fa.shape != pa.shape or lam.shape != pa.shape[:-1]:
         raise ValueError("P, Q and f must share one support")
     div = kl(qa, pa)  # raises if Q is not absolutely continuous w.r.t. P
-    ep_f = float(pa @ fa)
-    centered = lam * (fa - ep_f)
-    support = pa > 0
-    shift = centered[support].max()
-    log_mgf = shift + np.log(np.sum(pa[support] * np.exp(centered[support] - shift)))
-    lhs = lam * (float(qa @ fa) - ep_f)
-    return float(div + log_mgf - lhs)
+    ep_f = (pa[..., None, :] @ fa[..., :, None])[..., 0, 0]
+    centered = np.where(pa > 0, lam[..., None] * (fa - ep_f[..., None]), -np.inf)
+    shift = centered.max(axis=-1)
+    log_mgf = shift + np.log((pa * np.exp(centered - shift[..., None])).sum(axis=-1))
+    lhs = lam * ((qa[..., None, :] @ fa[..., :, None])[..., 0, 0] - ep_f)
+    return _scalar(div + log_mgf - lhs)
 
 
-def attainment_function(p, q, lam: float) -> Array:
+def attainment_function(p, q, lam) -> Array:
     """The f that makes the change-of-measure inequality tight (up to an
     additive constant): (1/lam) log(q/p). Needs mutual absolute continuity."""
     pa, qa = _as_dists(p, q)
     if np.any(pa == 0.0) or np.any(qa == 0.0):
         raise AbsoluteContinuityError("attainment case needs strictly positive P and Q")
-    if lam == 0.0:
+    lam = np.asarray(lam, dtype=np.float64)
+    if np.any(lam == 0.0):
         raise ValueError("lam must be nonzero")
-    return np.log(qa / pa) / lam
+    return np.log(qa / pa) / lam[..., None]
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +451,12 @@ def attainment_function(p, q, lam: float) -> Array:
 
 
 def env_from_dict(payload: dict) -> DiscreteEnv:
+    if type(payload["domains"]) is not list or type(payload["candidate_maps"]) is not list:
+        raise ValueError("domains and candidate_maps must be lists")
     domains = tuple(DiscreteJoint(np.asarray(p, dtype=np.float64)) for p in payload["domains"])
+    for t in payload["candidate_maps"]:  # 0.9 or true would be cast to a feature value
+        if type(t) is not list or any(type(v) is not int or not 0 <= v < len(t) for v in t):
+            raise ValueError(f"map table {t!r} must be a list of integers in [0, nx)")
     maps = tuple(MappingFn(np.asarray(t, dtype=np.int64)) for t in payload["candidate_maps"])
     if not maps:
         raise ValueError("candidate map family is empty")
@@ -450,36 +483,6 @@ def certify_env(env: DiscreteEnv) -> list[SlackReport]:
 # ---------------------------------------------------------------------------
 
 
-def random_joint(rng: np.random.Generator, nx: int, ny: int, strictly_positive: bool = False) -> DiscreteJoint:
-    raw = rng.random((nx, ny))
-    if strictly_positive:
-        raw += 0.05
-    else:
-        raw[rng.random((nx, ny)) < 0.15] = 0.0
-        if raw.sum() == 0.0:
-            raw[0, 0] = 1.0
-    return DiscreteJoint(raw / raw.sum())
-
-
-def random_map(rng: np.random.Generator, nx: int) -> MappingFn:
-    return MappingFn(rng.integers(0, nx, size=nx))
-
-
-def random_loss_spec(rng: np.random.Generator, nx: int, ny: int) -> LossSpec:
-    classifier = rng.integers(0, ny, size=nx)
-    if rng.random() < 0.5:
-        loss = 1.0 - np.eye(ny)
-    else:
-        loss = rng.random((ny, ny)) * float(rng.uniform(0.5, 3.0))
-    return LossSpec(classifier=classifier, loss=loss)
-
-
-def random_env(rng: np.random.Generator, nx: int, ny: int, m_sources: int, n_maps: int) -> DiscreteEnv:
-    domains = tuple(random_joint(rng, nx, ny) for _ in range(m_sources + 1))
-    maps = tuple(random_map(rng, nx) for _ in range(n_maps))
-    return DiscreteEnv(domains=domains, candidate_maps=maps)
-
-
 @dataclass
 class CertificationResult:
     name: str
@@ -503,51 +506,88 @@ class CertificationResult:
         return out
 
 
-def _instance_slacks(seed: int, index: int) -> dict:
-    """All per-instance certification quantities for one random draw."""
-    rng = child_rng(seed, "cert", index)
-    nx = int(rng.integers(2, MAX_NX + 1))
-    ny = int(rng.integers(2, MAX_NY + 1))
-    m_sources = int(rng.integers(2, 5))
-    env = random_env(rng, nx, ny, m_sources, n_maps=int(rng.integers(1, 17)))
-    h_spec = random_loss_spec(rng, nx, ny)
-    g = env.candidate_maps[0]
-    report = find_minimax_map(env)
-    single = verify_synthetic_transfer_bound(env, g, h_spec)
-    seq = verify_sequential_transfer_bound(env, report, h_spec)
-    dec = verify_decomposed_transfer_bound(env, report, h_spec)
-
-    # Change of measure over strictly positive distributions on a flat support.
-    size = int(rng.integers(2, 9))
-    pv = rng.random(size) + 0.05
-    pv /= pv.sum()
-    qv = rng.random(size) + 0.05
-    qv /= qv.sum()
-    fv = rng.normal(size=size) * 2.0
-    lam = float(rng.uniform(0.1, 2.0)) * (1.0 if rng.random() < 0.5 else -1.0)
-    com = verify_change_of_measure(pv, qv, fv, lam)
-    attain = verify_change_of_measure(pv, qv, attainment_function(pv, qv, lam), lam)
-    return {
-        "synthetic_transfer": single.slack,
-        "sequential_transfer": seq.slack,
-        "decomposed_transfer": dec.slack,
-        "relaxation_margin": dec.details["relaxation_margin"],
-        "change_of_measure": com,
-        "attainment_abs": abs(attain),
-    }
+def _joints(cells: Array, mask: Array) -> Array:
+    """Joints from uniform cells (..., nx, ny), zeroed where the mask draw is
+    below 0.15; a joint left all zero becomes a point mass on (0, 0)."""
+    cells = np.where(mask < 0.15, 0.0, cells)
+    flat = cells.reshape(cells.shape[:-2] + (-1,))
+    flat[flat.sum(axis=-1) == 0.0, 0] = 1.0
+    joints = cells / flat.sum(axis=-1)[..., None, None]
+    _check_joints(joints)
+    return joints
 
 
-def _random_pairs(seed: int, indices: range) -> Array:
-    """The random joint pairs ``indices`` of the decomposition check as one
-    (2, len(indices), MAX_NX, MAX_NY) stack, zero-padded."""
-    joints = np.zeros((2, len(indices), MAX_NX, MAX_NY))
+def _score_envs(raw: Array, tables: tuple[Array, ...], classifier: Array, loss: Array) -> dict[str, Array]:
+    """Chosen map and transfer-bound slacks of G environments of one shape from domain draws
+    (G, m + 1, 2, nx, ny), map families, classifiers and losses; the single-pair bound uses map 0."""
+    joints = _joints(raw[:, :, 0], raw[:, :, 1])
+    # Families padded by repeating their first map, which cannot win: argmin gives ties to the first.
+    counts = np.array([len(t) for t in tables])
+    first = (np.cumsum(counts) - counts)[:, None]
+    k = np.arange(counts.max())
+    tables = np.concatenate(tables)[np.where(k < counts[:, None], first + k, first)]
+    if tables.min() < 0 or tables.max() >= joints.shape[-2]:
+        raise ValueError("map table must be total on X")
+    _check_losses(classifier, loss)
+    pushed, divs, best = _minimax(tables, joints)
+    chosen, chosen_divs = (a[np.arange(len(best)), best] for a in (pushed, divs))
+    # Risks on the first and on the chosen map's g(D_m), and on the target.
+    on = np.stack((pushed[:, 0, -1], chosen[:, -1], joints[:, -1]), axis=1)
+    first_risk, synthetic_risk, target_risk = _risks(classifier[:, None], loss[:, None], on).T
+    g_range = loss.max(axis=(1, 2)) - loss.min(axis=(1, 2))
+    tighter = _sequential_bound(synthetic_risk, g_range, chosen_divs)
+    bound = _sequential_bound(synthetic_risk, g_range, chosen_divs, _decomposed_rows(chosen[:, :-1], joints[:, 1:-1]))
+    single = first_risk + transfer_penalty(g_range, divs[:, 0, -1])
+    return {"map": best, "synthetic_transfer": single - target_risk, "sequential_transfer": tighter - target_risk,
+            "decomposed_transfer": bound - target_risk, "relaxation_margin": bound - tighter}
+
+
+def _instance_rows(seed: int, indices: range):
+    """Each instance draws from its own stream an environment, a loss spec and a change-of-measure
+    case on s points; environments of one (nx, ny, m), and cases of one s, are scored as one
+    stack. Yields each group's instance indices and per-instance quantities."""
+    envs, cases = {}, {}
+    for i in indices:
+        rng = child_rng(seed, "cert", i)
+        nx, ny = int(rng.integers(2, MAX_NX + 1)), int(rng.integers(2, MAX_NY + 1))
+        m, n_maps = int(rng.integers(2, 5)), int(rng.integers(1, 17))
+        # Each domain's cells, then its mask; the maps; the classifier; the loss.
+        envs.setdefault((nx, ny, m), []).append((
+            i, rng.random((m + 1, 2, nx, ny)), rng.integers(0, nx, size=(n_maps, nx)), rng.integers(0, ny, size=nx),
+            1.0 - np.eye(ny) if rng.random() < 0.5 else rng.random((ny, ny)) * float(rng.uniform(0.5, 3.0)),
+        ))
+        size = int(rng.integers(2, 9))
+        cases.setdefault(size, []).append((
+            i, rng.random((2, size)) + 0.05, rng.normal(size=size) * 2.0,
+            float(rng.uniform(0.1, 2.0)) * (1.0 if rng.random() < 0.5 else -1.0),
+        ))
+    for group in envs.values():
+        index, raw, tables, classifier, loss = zip(*group)
+        yield np.array(index), _score_envs(np.array(raw), tables, np.array(classifier), np.array(loss))
+    for group in cases.values():
+        index, pq, f, lam = zip(*group)
+        pq = np.stack(pq, axis=1)  # P then Q, each (G, s)
+        pq /= pq.sum(axis=-1, keepdims=True)
+        (p, q), f, lam = pq, np.array(f), np.array(lam)
+        attained = verify_change_of_measure(p, q, attainment_function(p, q, lam), lam)
+        slacks = verify_change_of_measure(p, q, f, lam)
+        yield np.array(index), {"change_of_measure": slacks, "attainment_abs": np.abs(attained)}
+
+
+def _pair_block(seed: int, indices: range) -> Array:
+    """The random joint pairs ``indices`` of the decomposition check as one zero-padded
+    (2, len(indices), MAX_NX, MAX_NY) stack; the pairs of one shape are normalized together."""
+    rows, draws = {}, {}
     for row, i in enumerate(indices):
         rng = child_rng(seed, "jsdec", i)
-        nx = int(rng.integers(2, MAX_NX + 1))
-        ny = int(rng.integers(2, MAX_NY + 1))
-        joints[0, row, :nx, :ny] = random_joint(rng, nx, ny).p
-        joints[1, row, :nx, :ny] = random_joint(rng, nx, ny).p
-    return joints
+        shape = int(rng.integers(2, MAX_NX + 1)), int(rng.integers(2, MAX_NY + 1))
+        rows.setdefault(shape, []).append(row)
+        draws.setdefault(shape, []).append(rng.random((2, 2) + shape))  # each joint's cells, then its mask
+    out = np.zeros((2, len(indices), MAX_NX, MAX_NY))
+    for (nx, ny), raw in draws.items():
+        raw = np.array(raw)
+        out[:, rows[nx, ny], :nx, :ny] = np.swapaxes(_joints(raw[:, :, 0], raw[:, :, 1]), 0, 1)
+    return out
 
 
 def run_certification(
@@ -555,9 +595,9 @@ def run_certification(
 ) -> list[CertificationResult]:
     """Randomized certification of every inequality, deterministic per seed.
 
-    Each instance is scored with a few stacked divergence calls; decomposition
-    pairs are scored PAIR_BLOCK at a time. ``workers`` must be 1; it is kept
-    for ``perfbench/workloads.py`` and goes when the benchmark drops it.
+    Instances and decomposition pairs are drawn and scored PAIR_BLOCK at a
+    time. ``workers`` must be 1; it is kept for ``perfbench/workloads.py``
+    and goes when the benchmark drops it.
     """
     if workers != 1:
         raise ValueError(f"certification runs serially; workers must be 1, got {workers!r}")
@@ -565,25 +605,25 @@ def run_certification(
         raise ValueError(f"instances must be at least 1, got {instances}")
     if decomposition_pairs < 1:
         raise ValueError(f"decomposition_pairs must be at least 1, got {decomposition_pairs}")
-    rows = [_instance_slacks(seed, i) for i in range(instances)]
-
-    def collect(key: str) -> float:
-        return float(min(row[key] for row in rows))
-
+    names = "synthetic_transfer", "sequential_transfer", "decomposed_transfer", "relaxation_margin", "change_of_measure"
+    low, attainment = dict.fromkeys(names, np.inf), 0.0
+    for lo in range(0, instances, PAIR_BLOCK):
+        for _, values in _instance_rows(seed, range(lo, min(lo + PAIR_BLOCK, instances))):
+            for key in values.keys() & low.keys():
+                low[key] = min(low[key], float(values[key].min()))
+            if "attainment_abs" in values:
+                attainment = max(attainment, float(values["attainment_abs"].max()))
     min_gap = min(
-        float(js_decomposition_gap(*_random_pairs(seed, range(lo, min(lo + PAIR_BLOCK, decomposition_pairs)))).min())
+        float(js_decomposition_gap(*_pair_block(seed, range(lo, min(lo + PAIR_BLOCK, decomposition_pairs)))).min())
         for lo in range(0, decomposition_pairs, PAIR_BLOCK)
     )
     return [
-        CertificationResult("synthetic_transfer", instances, collect("synthetic_transfer")),
-        CertificationResult("sequential_transfer", instances, collect("sequential_transfer")),
+        CertificationResult("synthetic_transfer", instances, low["synthetic_transfer"]),
+        CertificationResult("sequential_transfer", instances, low["sequential_transfer"]),
         CertificationResult(
-            "decomposed_transfer", instances, collect("decomposed_transfer"),
-            extras={"min_relaxation_margin": collect("relaxation_margin")},
+            "decomposed_transfer", instances, low["decomposed_transfer"],
+            extras={"min_relaxation_margin": low["relaxation_margin"]},
         ),
-        CertificationResult(
-            "change_of_measure", instances, collect("change_of_measure"),
-            max_abs_attainment=float(max(row["attainment_abs"] for row in rows)),
-        ),
+        CertificationResult("change_of_measure", instances, low["change_of_measure"], max_abs_attainment=attainment),
         CertificationResult("js_decomposition", decomposition_pairs, min_gap),
     ]

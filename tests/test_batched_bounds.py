@@ -1,13 +1,17 @@
-"""The stacked divergence kernels of ``edglab.bounds`` against a frozen copy of
-the scalar code they replaced, plus their stacking properties and a memory
-guard on the blocked certification.
+"""The stacked divergence kernels of ``edglab.bounds`` against frozen copies of
+the code they replaced, plus their stacking properties and a memory guard on
+the blocked certification.
 
-The oracle below is the earlier per-pair path: every ``kl``/``js`` call
+The scalar oracle below is the earlier per-pair path: every ``kl``/``js`` call
 validates one flattened distribution, the minimax map is found by pushing the
 sources through one candidate at a time, and the decomposition computes one
 conditional JS per label. The stacked kernels sum the same terms with zero
-padding in between, so results may differ from the oracle in the last bits
-only; the comparisons use 1e-12.
+padding in between, so results may differ from it in the last bits only; those
+comparisons use 1e-12.
+
+The frozen certification after it scores one random instance at a time with
+the single-environment kernels the shape-stacked certification replaced. The
+two must agree bit for bit, so those comparisons use ``==``.
 """
 import collections
 import functools
@@ -25,6 +29,11 @@ from edglab.seeding import child_rng
 # Criterion 7's master seed (also the benchmark's), and verify-bounds' default.
 SEEDS = (2024, 0)
 TOL = 1e-12
+# The per-instance quantities of the certification.
+SLACKS = (
+    "synthetic_transfer", "sequential_transfer", "decomposed_transfer", "relaxation_margin",
+    "change_of_measure", "attainment_abs",
+)
 
 # ---------------------------------------------------------------------------
 # Frozen oracle: the scalar laboratory, kept only here
@@ -81,7 +90,7 @@ def gap_with_target(env, g, divs):
 
 
 def sequential_bound_value(env, g, divs, h_spec, gap_full):
-    m = env.num_sources
+    m = len(env.sources)
     synthetic = apply_map(env.sources[-1], g)
     coeff = h_spec.g_range * np.sqrt(2.0 / (m - 1))
     return float(bounds.risk(h_spec, synthetic) + coeff * (np.sqrt(divs.sum()) + np.sqrt((m - 1) * gap_full)))
@@ -132,7 +141,7 @@ def verify_all(env, h_spec, g0=None):
     )
     gap_full = gap_with_target(env, g, divs)
     tighter = sequential_bound_value(env, g, divs, h_spec, gap_full)
-    src, m = env.sources, env.num_sources
+    src, m = env.sources, len(env.sources)
     terms = [decomposed_terms(apply_map(src[j - 1], g), src[j]) for j in range(1, len(src))]
     t1s, t2s, t3s = zip(*terms)
     coeff = h_spec.g_range * np.sqrt(2.0 / (m - 1))
@@ -167,8 +176,8 @@ def instance(seed, index):
     and every per-instance quantity, from the same draws as the package."""
     rng = child_rng(seed, "cert", index)
     nx, ny, m_sources = int(rng.integers(2, 7)), int(rng.integers(2, 4)), int(rng.integers(2, 5))
-    env = bounds.random_env(rng, nx, ny, m_sources, n_maps=int(rng.integers(1, 17)))
-    h_spec = bounds.random_loss_spec(rng, nx, ny)
+    env = random_env(rng, nx, ny, m_sources, n_maps=int(rng.integers(1, 17)))
+    h_spec = random_loss_spec(rng, nx, ny)
     k, values = verify_all(env, h_spec, env.candidate_maps[0])
     size = int(rng.integers(2, 9))
     pv = rng.random(size) + 0.05
@@ -186,11 +195,166 @@ def instance(seed, index):
 def pair_gap(seed, index):
     rng = child_rng(seed, "jsdec", index)
     nx, ny = int(rng.integers(2, 7)), int(rng.integers(2, 4))
-    return js_decomposition_gap(bounds.random_joint(rng, nx, ny), bounds.random_joint(rng, nx, ny))
+    return js_decomposition_gap(random_joint(rng, nx, ny), random_joint(rng, nx, ny))
 
 
 # ---------------------------------------------------------------------------
-# Differential tests against the oracle
+# Frozen certification: one instance at a time, as before shape stacking
+# ---------------------------------------------------------------------------
+
+
+def random_joint(rng, nx, ny, strictly_positive=False):
+    raw = rng.random((nx, ny))
+    if strictly_positive:
+        raw += 0.05
+    else:
+        raw[rng.random((nx, ny)) < 0.15] = 0.0
+        if raw.sum() == 0.0:
+            raw[0, 0] = 1.0
+    return DiscreteJoint(raw / raw.sum())
+
+
+def random_map(rng, nx):
+    return bounds.MappingFn(rng.integers(0, nx, size=nx))
+
+
+def random_loss_spec(rng, nx, ny):
+    classifier = rng.integers(0, ny, size=nx)
+    if rng.random() < 0.5:
+        loss = 1.0 - np.eye(ny)
+    else:
+        loss = rng.random((ny, ny)) * float(rng.uniform(0.5, 3.0))
+    return LossSpec(classifier=classifier, loss=loss)
+
+
+def random_env(rng, nx, ny, m_sources, n_maps):
+    domains = tuple(random_joint(rng, nx, ny) for _ in range(m_sources + 1))
+    maps = tuple(random_map(rng, nx) for _ in range(n_maps))
+    return bounds.DiscreteEnv(domains=domains, candidate_maps=maps)
+
+
+def _kl_rows(pa, qa):
+    mask = pa > 0.0
+    ratio = np.ones(mask.shape)
+    np.divide(pa, qa, out=ratio, where=mask)
+    return (pa * np.log(ratio)).sum(axis=-1)
+
+
+def _js_rows(pa, qa):
+    both = _kl_rows(np.stack((pa, qa)), 0.5 * (pa + qa))
+    return 0.5 * both[0] + 0.5 * both[1]
+
+
+def _pushforward(tables, joints):
+    k, m, nx = len(tables), len(joints), joints.shape[1]
+    out = np.zeros((k,) + joints.shape)
+    np.add.at(out, (np.arange(k).reshape(k, 1, 1), np.arange(m).reshape(1, m, 1), tables.reshape(k, 1, nx)), joints)
+    return out
+
+
+def _risk(h_spec, joint):
+    return float(np.sum(joint * h_spec.loss[h_spec.classifier, :]))
+
+
+def _decomposed_rows(p, q):
+    py, qy = p.sum(axis=-2), q.sum(axis=-2)
+    live = ((py > 0.0) & (qy > 0.0))[..., None]
+    point = np.eye(p.shape[-2])[0]
+    pc, qc = (
+        np.where(live, np.swapaxes(a, -1, -2) / np.where(live, ay[..., None], 1.0), point)
+        for a, ay in ((p, py), (q, qy))
+    )
+    cond = _js_rows(pc, qc)
+    t2 = np.where(py > 0.0, py * cond, 0.0).sum(axis=-1)
+    t3 = np.where(qy > 0.0, qy * cond, 0.0).sum(axis=-1)
+    return _js_rows(py, qy), t2, t3
+
+
+def _change_of_measure(pa, qa, fa, lam):
+    ep_f = float(pa @ fa)
+    centered = lam * (fa - ep_f)
+    shift = centered.max()
+    log_mgf = shift + np.log(np.sum(pa * np.exp(centered - shift)))
+    return float(float(_kl_rows(qa, pa)) + log_mgf - lam * (float(qa @ fa) - ep_f))
+
+
+def _instance_slacks(seed, index):
+    """Every per-instance certification quantity and the chosen map's index."""
+    rng = child_rng(seed, "cert", index)
+    nx, ny, m = int(rng.integers(2, 7)), int(rng.integers(2, 4)), int(rng.integers(2, 5))
+    env = random_env(rng, nx, ny, m, n_maps=int(rng.integers(1, 17)))
+    h_spec = random_loss_spec(rng, nx, ny)
+    doms = np.stack([d.p for d in env.domains])
+    pushed = _pushforward(np.stack([g.table for g in env.candidate_maps]), doms[:-1])
+    flat = pushed.reshape(pushed.shape[:2] + (-1,))
+    divs = _js_rows(flat, np.broadcast_to(doms[1:].reshape(m, -1), flat.shape))
+    best = int(np.argmin(divs[:, :-1].max(axis=1)))
+    target_risk = _risk(h_spec, doms[-1])
+    synthetic0 = _pushforward(env.candidate_maps[0].table[None], doms[-2][None])[0, 0]
+    div0 = float(_js_rows(synthetic0.ravel(), doms[-1].ravel()))
+    single = float(_risk(h_spec, synthetic0) + float(np.sqrt(2.0) * h_spec.g_range * np.sqrt(max(div0, 0.0))))
+    src_divs = np.asarray(tuple(float(v) for v in divs[best, :-1]))
+    full = np.append(src_divs, float(divs[best, -1]))
+    gap_full = float(full.max() - full.min())
+    coeff = h_spec.g_range * np.sqrt(2.0 / (m - 1))
+    synthetic_risk = _risk(h_spec, pushed[best, -1])
+    tighter = float(synthetic_risk + coeff * (np.sqrt(src_divs.sum()) + np.sqrt((m - 1) * gap_full)))
+    t1s, t2s, t3s = _decomposed_rows(pushed[best, :-1], doms[1:-1])
+    terms = np.sqrt(np.sum(t1s)) + np.sqrt((m - 1) * gap_full) + np.sqrt(np.sum(t2s)) + np.sqrt(np.sum(t3s))
+    bound = float(synthetic_risk + coeff * terms)
+
+    size = int(rng.integers(2, 9))
+    pv = rng.random(size) + 0.05
+    pv /= pv.sum()
+    qv = rng.random(size) + 0.05
+    qv /= qv.sum()
+    fv = rng.normal(size=size) * 2.0
+    lam = float(rng.uniform(0.1, 2.0)) * (1.0 if rng.random() < 0.5 else -1.0)
+    return {
+        "map": best,
+        "synthetic_transfer": single - target_risk,
+        "sequential_transfer": tighter - target_risk,
+        "decomposed_transfer": bound - target_risk,
+        "relaxation_margin": bound - tighter,
+        "change_of_measure": _change_of_measure(pv, qv, fv, lam),
+        "attainment_abs": abs(_change_of_measure(pv, qv, np.log(qv / pv) / lam, lam)),
+    }
+
+
+def _random_pairs(seed, indices):
+    joints = np.zeros((2, len(indices), bounds.MAX_NX, bounds.MAX_NY))
+    for row, i in enumerate(indices):
+        rng = child_rng(seed, "jsdec", i)
+        nx, ny = int(rng.integers(2, 7)), int(rng.integers(2, 4))
+        joints[0, row, :nx, :ny] = random_joint(rng, nx, ny).p
+        joints[1, row, :nx, :ny] = random_joint(rng, nx, ny).p
+    return joints
+
+
+def _frozen_gaps(seed, n):
+    """The decomposition gaps of pairs 0..n-1, in the blocks the package uses."""
+    out = []
+    for lo in range(0, n, bounds.PAIR_BLOCK):
+        p, q = _random_pairs(seed, range(lo, min(lo + bounds.PAIR_BLOCK, n)))
+        t1, t2, t3 = _decomposed_rows(p, q)
+        flat = p.shape[:-2] + (-1,)
+        out.append(t1 + t2 + t3 - _js_rows(p.reshape(flat), q.reshape(flat)))
+    return np.concatenate(out)
+
+
+def batched_instances(seed, n):
+    """{quantity: per-instance array} from the shape-stacked path, drawn in
+    the instance blocks ``run_certification`` uses."""
+    out = {}
+    for lo in range(0, n, bounds.PAIR_BLOCK):
+        for index, values in bounds._instance_rows(seed, range(lo, min(lo + bounds.PAIR_BLOCK, n))):
+            for key, v in values.items():
+                out.setdefault(key, np.full(n, np.nan))[index] = v
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against the oracles
 # ---------------------------------------------------------------------------
 
 
@@ -206,6 +370,7 @@ def oracle_gaps(seed, n=2000):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_instances_match_the_scalar_oracle(seed):
+    batched = batched_instances(seed, len(oracle_instances(seed)))
     for index, (env, k, want) in enumerate(oracle_instances(seed)):
         report = bounds.find_minimax_map(env)
         assert report.map is env.candidate_maps[k]
@@ -217,56 +382,99 @@ def test_instances_match_the_scalar_oracle(seed):
         # minima cannot move; the oracle's masked sums agree to TOL.
         assert report.target_divergence == bounds.js(synthetic, env.target), index
         assert abs(report.target_divergence - js(synthetic, env.target)) <= TOL, index
-        got = bounds._instance_slacks(seed, index)
-        for key, value in got.items():
-            assert abs(value - want[key]) <= TOL, (index, key)
+        assert batched["map"][index] == k, index
+        for key in SLACKS:
+            assert abs(batched[key][index] - want[key]) <= TOL, (index, key)
 
 
-def test_one_pushforward_and_target_pair_per_instance(monkeypatch):
+@pytest.mark.parametrize("seed", SEEDS)
+def test_instances_equal_the_frozen_certification(seed):
+    n = 600
+    got = batched_instances(seed, n)
+    assert sorted(got) == sorted(_instance_slacks(seed, 0))
+    for index in range(n):
+        for key, value in _instance_slacks(seed, index).items():
+            assert got[key][index] == value, (index, key)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_pair_blocks_equal_the_frozen_draws(seed):
+    for lo, hi in ((0, 256), (256, 512), (700, 1900), (5, 6)):
+        assert np.array_equal(bounds._pair_block(seed, range(lo, hi)), _random_pairs(seed, range(lo, hi)))
+
+
+def test_run_certification_equals_the_frozen_certification():
+    seed, n, pairs = SEEDS[0], 1000, 10000
+    rows = [_instance_slacks(seed, i) for i in range(n)]
+    low = {key: min(row[key] for row in rows) for key in SLACKS}
+    want = [
+        {"name": "synthetic_transfer", "instances": n, "min_slack": low["synthetic_transfer"]},
+        {"name": "sequential_transfer", "instances": n, "min_slack": low["sequential_transfer"]},
+        {
+            "name": "decomposed_transfer", "instances": n, "min_slack": low["decomposed_transfer"],
+            "min_relaxation_margin": low["relaxation_margin"],
+        },
+        {
+            "name": "change_of_measure", "instances": n, "min_slack": low["change_of_measure"],
+            "max_abs_attainment": max(row["attainment_abs"] for row in rows),
+        },
+        {"name": "js_decomposition", "instances": pairs, "min_slack": float(_frozen_gaps(seed, pairs).min())},
+    ]
+    results = bounds.run_certification(instances=n, decomposition_pairs=pairs, seed=seed)
+    assert [r.to_dict() for r in results] == [{**w, "passed": True} for w in want]
+
+
+def _counted(monkeypatch, names):
     calls = collections.Counter()
-
-    def counted(name):
+    for name in names:
         fn = getattr(bounds, name)
 
-        def wrapper(*args):
+        def wrapper(*args, fn=fn, name=name):
             calls[name] += 1
             return fn(*args)
 
-        return wrapper
-
-    for name in ("apply_map", "js"):
-        monkeypatch.setattr(bounds, name, counted(name))
-    n = 50
-    for index in range(n):
-        bounds._instance_slacks(SEEDS[0], index)
-    # apply_map: the single-pair bound under the first candidate only.
-    # js: the minimax scoring (target pair included), that bound, and the
-    # decomposition's marginals and conditionals.
-    assert calls == {"apply_map": n, "js": 4 * n}
+        monkeypatch.setattr(bounds, name, wrapper)
+    return calls
 
 
-def test_two_pushforwards_per_instance(monkeypatch):
-    # One stacked pass in find_minimax_map and one apply_map for the
-    # single-pair bound; the decomposition reads the report's rows.
-    calls = collections.Counter()
-    push = bounds._pushforward
+def _groups(n):
+    """The environment groups and the change-of-measure groups of instances
+    0..n-1 drawn as one block; each instance is in one of each."""
+    groups = list(bounds._instance_rows(SEEDS[0], range(n)))
+    envs = [index for index, values in groups if "map" in values]
+    cases = [index for index, values in groups if "map" not in values]
+    for kind in (envs, cases):
+        assert sorted(np.concatenate(kind)) == list(range(n))
+    # At most one group per (nx, ny, m) and one per support size.
+    assert len(envs) <= 5 * 2 * 3 and len(cases) <= 7
+    return len(envs), len(cases)
 
-    def counted(*args):
-        calls["_pushforward"] += 1
-        return push(*args)
 
-    monkeypatch.setattr(bounds, "_pushforward", counted)
-    n = 50
-    for index in range(n):
-        bounds._instance_slacks(SEEDS[0], index)
-    assert calls["_pushforward"] == 2 * n
+@pytest.mark.parametrize("n", [50, 256])
+def test_one_pushforward_per_shape_group(monkeypatch, n):
+    # All maps of all environments of one (nx, ny, m) in one pass; the
+    # single-pair bound and the decomposition read its rows.
+    calls = _counted(monkeypatch, ("_pushforward",))
+    envs, _ = _groups(n)
+    assert calls == {"_pushforward": envs}
+
+
+@pytest.mark.parametrize("n", [50, 256])
+def test_divergence_calls_per_shape_group(monkeypatch, n):
+    calls = _counted(monkeypatch, ("js", "kl", "apply_map"))
+    envs, cases = _groups(n)
+    # js per environment group: the minimax scoring (the target pair and the
+    # first map's single-pair bound included), then the decomposition's
+    # conditionals and label marginals. kl per support size: the cases and
+    # their attainment functions. No joint is pushed one at a time.
+    assert calls == {"js": 3 * envs, "kl": 2 * cases}
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_pair_gaps_match_the_scalar_oracle(seed):
     want = oracle_gaps(seed)
     n, block = len(want), bounds.PAIR_BLOCK
-    blocks = [bounds._random_pairs(seed, range(lo, min(lo + block, n))) for lo in range(0, n, block)]
+    blocks = [bounds._pair_block(seed, range(lo, min(lo + block, n))) for lo in range(0, n, block)]
     got = np.concatenate([bounds.js_decomposition_gap(p, q) for p, q in blocks])
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= TOL
@@ -291,7 +499,7 @@ def test_certify_env_matches_the_oracle():
     rng = np.random.default_rng(11)
     for trial in range(60):
         nx, ny = int(rng.integers(2, 8)), int(rng.integers(2, 5))
-        env = bounds.random_env(rng, nx, ny, int(rng.integers(2, 6)), n_maps=int(rng.integers(1, 12)))
+        env = random_env(rng, nx, ny, int(rng.integers(2, 6)), n_maps=int(rng.integers(1, 12)))
         if trial % 3 == 0:  # repeated candidates: ties must go to the first
             env = bounds.DiscreteEnv(env.domains, env.candidate_maps + env.candidate_maps)
         env = bounds.env_from_dict(env_to_dict(env))
@@ -393,7 +601,7 @@ def test_one_bad_row_raises_like_the_scalar_call(case, kind, pick):
 
 def test_single_pairs_return_python_floats(rng):
     p, q = random_stack(1, (5,)), random_stack(2, (5,), zeros=0.0)
-    joints = bounds.random_joint(rng, 3, 2), bounds.random_joint(rng, 3, 2, strictly_positive=True)
+    joints = random_joint(rng, 3, 2), random_joint(rng, 3, 2, strictly_positive=True)
     for fn in (bounds.js, bounds.kl):
         assert type(fn(p, q)) is float
         assert type(fn(list(p), list(q))) is float
@@ -403,14 +611,14 @@ def test_single_pairs_return_python_floats(rng):
 
 
 # ---------------------------------------------------------------------------
-# Memory: pairs are scored in fixed blocks
+# Memory: instances and pairs are scored in fixed blocks
 # ---------------------------------------------------------------------------
 
 
-def _peak_bytes(pairs):
+def _peak_bytes(pairs, instances=1):
     tracemalloc.start()
     try:
-        bounds.run_certification(instances=1, decomposition_pairs=pairs, seed=5)
+        bounds.run_certification(instances=instances, decomposition_pairs=pairs, seed=5)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -420,9 +628,14 @@ def test_certification_memory_does_not_grow_with_the_pair_count():
     assert _peak_bytes(20000) - _peak_bytes(2000) < 1 << 20
 
 
+def test_certification_memory_does_not_grow_with_the_instance_count():
+    # Instances are drawn and scored in blocks, keeping only running extremes.
+    assert _peak_bytes(1, instances=2000) - _peak_bytes(1, instances=250) < 1 << 19
+
+
 def test_environment_rejects_maps_over_another_support(rng):
     # The stacked pushforward needs every candidate table to cover X exactly.
-    domains = tuple(bounds.random_joint(rng, 3, 2) for _ in range(3))
+    domains = tuple(random_joint(rng, 3, 2) for _ in range(3))
     for table in ([0, 1], [0, 1, 2, 3]):
         with pytest.raises(ValueError, match="candidate map over"):
             bounds.DiscreteEnv(domains, (bounds.MappingFn(np.arange(3)), bounds.MappingFn(np.array(table))))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from edglab import bounds
 from edglab.bounds import DiscreteEnv, DiscreteJoint, LossSpec, MappingFn
-from test_batched_bounds import decomposed_terms, env_to_dict
+from test_batched_bounds import decomposed_terms, env_to_dict, random_env, random_joint, random_loss_spec, random_map
 
 prob_vectors = st.lists(st.floats(0.01, 1.0), min_size=2, max_size=6).map(
     lambda vals: np.array(vals) / np.sum(vals)
@@ -20,7 +20,7 @@ def uniform_joint(nx, ny):
 
 class TestKl:
     def test_self_divergence_zero(self, rng):
-        p = bounds.random_joint(rng, 3, 2)
+        p = random_joint(rng, 3, 2)
         assert bounds.kl(p, p) == 0.0
 
     def test_two_point_frozen_value(self):
@@ -39,7 +39,7 @@ class TestKl:
 
 class TestJs:
     def test_self_divergence_zero(self, rng):
-        p = bounds.random_joint(rng, 4, 3)
+        p = random_joint(rng, 4, 3)
         assert bounds.js(p, p) == 0.0
 
     def test_disjoint_supports_reach_ln2(self):
@@ -69,12 +69,12 @@ class TestJs:
 
 class TestApplyMap:
     def test_identity_map(self, rng):
-        d = bounds.random_joint(rng, 4, 2)
+        d = random_joint(rng, 4, 2)
         out = bounds.apply_map(d, MappingFn(np.arange(4)))
         assert np.array_equal(out.p, d.p)
 
     def test_constant_map_concentrates_mass(self, rng):
-        d = bounds.random_joint(rng, 4, 3)
+        d = random_joint(rng, 4, 3)
         out = bounds.apply_map(d, MappingFn(np.zeros(4, dtype=int)))
         assert np.all(out.p[1:] == 0.0)
         assert np.max(np.abs(out.p.sum(axis=0) - d.p.sum(axis=0))) < 1e-15
@@ -82,8 +82,8 @@ class TestApplyMap:
     @given(st.integers(0, 10**9))
     def test_pushforward_preserves_label_marginal(self, seed):
         rng = np.random.default_rng(seed)
-        d = bounds.random_joint(rng, 5, 3)
-        g = bounds.random_map(rng, 5)
+        d = random_joint(rng, 5, 3)
+        g = random_map(rng, 5)
         out = bounds.apply_map(d, g)
         assert np.max(np.abs(out.p.sum(axis=0) - d.p.sum(axis=0))) < 1e-15
 
@@ -105,7 +105,7 @@ class TestMinimaxMap:
         assert all(v == 0.0 for v in report.divergences)
 
     def test_single_candidate_selected(self, rng):
-        env = bounds.random_env(rng, 3, 2, 3, n_maps=1)
+        env = random_env(rng, 3, 2, 3, n_maps=1)
         assert bounds.find_minimax_map(env).map is env.candidate_maps[0]
 
     def test_cyclic_shift_environment_has_zero_gap(self):
@@ -123,7 +123,7 @@ class TestMinimaxMap:
 
     def test_empty_family_rejected(self, rng):
         env = DiscreteEnv(
-            domains=tuple(bounds.random_joint(rng, 2, 2) for _ in range(3)), candidate_maps=()
+            domains=tuple(random_joint(rng, 2, 2) for _ in range(3)), candidate_maps=()
         )
         with pytest.raises(ValueError, match="empty"):
             bounds.find_minimax_map(env)
@@ -142,8 +142,8 @@ class TestRisk:
             assert abs(bounds.risk(spec, joint) - 0.5) < 1e-15
 
     def test_matches_monte_carlo(self, rng):
-        joint = bounds.random_joint(rng, 4, 3, strictly_positive=True)
-        spec = bounds.random_loss_spec(rng, 4, 3)
+        joint = random_joint(rng, 4, 3, strictly_positive=True)
+        spec = random_loss_spec(rng, 4, 3)
         exact = bounds.risk(spec, joint)
         n = 10**6
         flat = joint.p.ravel()
@@ -157,27 +157,27 @@ class TestRisk:
 
 class TestSyntheticTransferBound:
     def test_exact_map_gives_zero_slack(self, rng):
-        src = bounds.random_joint(rng, 3, 2)
-        g = bounds.random_map(rng, 3)
+        src = random_joint(rng, 3, 2)
+        g = random_map(rng, 3)
         target = bounds.apply_map(src, g)
         env = DiscreteEnv(domains=(src, src, target), candidate_maps=(g,))
-        spec = bounds.random_loss_spec(rng, 3, 2)
+        spec = random_loss_spec(rng, 3, 2)
         report = bounds.verify_synthetic_transfer_bound(env, g, spec)
         assert abs(report.slack) < 1e-12
         assert report.details["target_pair_js"] < 1e-15
 
     def test_identity_on_iid_environment(self, rng):
-        d = bounds.random_joint(rng, 3, 2)
+        d = random_joint(rng, 3, 2)
         env = DiscreteEnv(domains=(d, d, d), candidate_maps=(MappingFn(np.arange(3)),))
-        spec = bounds.random_loss_spec(rng, 3, 2)
+        spec = random_loss_spec(rng, 3, 2)
         assert abs(bounds.verify_synthetic_transfer_bound(env, env.candidate_maps[0], spec).slack) < 1e-12
 
     def test_randomized_instances_nonnegative(self, rng):
         worst = math.inf
         for _ in range(300):
             nx, ny = int(rng.integers(2, 7)), int(rng.integers(2, 4))
-            env = bounds.random_env(rng, nx, ny, int(rng.integers(2, 5)), n_maps=1)
-            spec = bounds.random_loss_spec(rng, nx, ny)
+            env = random_env(rng, nx, ny, int(rng.integers(2, 5)), n_maps=1)
+            spec = random_loss_spec(rng, nx, ny)
             worst = min(worst, bounds.verify_synthetic_transfer_bound(env, env.candidate_maps[0], spec).slack)
         assert worst >= -1e-9
 
@@ -195,19 +195,19 @@ class TestSyntheticTransferBound:
 
 class TestSequentialTransferBound:
     def test_zero_divergence_environment(self, rng):
-        d = bounds.random_joint(rng, 3, 2)
+        d = random_joint(rng, 3, 2)
         env = DiscreteEnv(domains=(d, d, d, d), candidate_maps=(MappingFn(np.arange(3)),))
         report = bounds.find_minimax_map(env)
-        spec = bounds.random_loss_spec(rng, 3, 2)
+        spec = random_loss_spec(rng, 3, 2)
         out = bounds.verify_sequential_transfer_bound(env, report, spec)
         assert out.details["gap_full"] == 0.0
         assert abs(out.slack) < 1e-12
 
     def test_two_source_reduction_matches_single_pair_formula(self, rng):
         for _ in range(50):
-            env = bounds.random_env(rng, 3, 2, 2, n_maps=4)
+            env = random_env(rng, 3, 2, 2, n_maps=4)
             report = bounds.find_minimax_map(env)
-            spec = bounds.random_loss_spec(rng, 3, 2)
+            spec = random_loss_spec(rng, 3, 2)
             out = bounds.verify_sequential_transfer_bound(env, report, spec)
             # m=2: coefficient is sqrt(2)·G, one source-pair term plus the gap term.
             d2 = report.divergences[0]
@@ -222,18 +222,18 @@ class TestSequentialTransferBound:
         worst = math.inf
         for _ in range(300):
             nx, ny = int(rng.integers(2, 6)), int(rng.integers(2, 4))
-            env = bounds.random_env(rng, nx, ny, int(rng.integers(2, 5)), n_maps=8)
+            env = random_env(rng, nx, ny, int(rng.integers(2, 5)), n_maps=8)
             report = bounds.find_minimax_map(env)
-            spec = bounds.random_loss_spec(rng, nx, ny)
+            spec = random_loss_spec(rng, nx, ny)
             worst = min(worst, bounds.verify_sequential_transfer_bound(env, report, spec).slack)
         assert worst >= -1e-9
 
     def test_bound_non_increasing_in_source_count(self, rng):
         # Alternating A,B,... chains keep every consecutive divergence equal
         # and the full gap at zero, isolating the m-dependence of the bound.
-        a = bounds.random_joint(rng, 3, 2, strictly_positive=True)
-        b = bounds.random_joint(rng, 3, 2, strictly_positive=True)
-        spec = bounds.random_loss_spec(rng, 3, 2)
+        a = random_joint(rng, 3, 2, strictly_positive=True)
+        b = random_joint(rng, 3, 2, strictly_positive=True)
+        spec = random_loss_spec(rng, 3, 2)
         ident = MappingFn(np.arange(3))
         values = []
         for m in (2, 3, 5, 9):
@@ -247,7 +247,7 @@ class TestSequentialTransferBound:
 
 class TestJsDecomposition:
     def test_identical_joints_zero_gap(self, rng):
-        p = bounds.random_joint(rng, 4, 3)
+        p = random_joint(rng, 4, 3)
         assert abs(bounds.js_decomposition_gap(p, p)) < 1e-15
 
     def test_equal_label_marginals_simplified_form(self, rng):
@@ -271,17 +271,17 @@ class TestJsDecomposition:
             nx, ny = int(rng.integers(2, 7)), int(rng.integers(2, 4))
             worst = min(
                 worst,
-                bounds.js_decomposition_gap(bounds.random_joint(rng, nx, ny), bounds.random_joint(rng, nx, ny)),
+                bounds.js_decomposition_gap(random_joint(rng, nx, ny), random_joint(rng, nx, ny)),
             )
         assert worst >= -1e-9
 
 
 class TestDecomposedTransferBound:
     def test_zero_divergence_environment_has_zero_terms(self, rng):
-        d = bounds.random_joint(rng, 3, 2)
+        d = random_joint(rng, 3, 2)
         env = DiscreteEnv(domains=(d, d, d, d), candidate_maps=(MappingFn(np.arange(3)),))
         report = bounds.find_minimax_map(env)
-        spec = bounds.random_loss_spec(rng, 3, 2)
+        spec = random_loss_spec(rng, 3, 2)
         out = bounds.verify_decomposed_transfer_bound(env, report, spec)
         assert all(v == 0.0 for v in out.details["label_terms"])
         assert abs(out.slack) < 1e-12
@@ -296,18 +296,18 @@ class TestDecomposedTransferBound:
             return DiscreteJoint(cols * marg)
         env = DiscreteEnv(
             domains=tuple(joint() for _ in range(4)),
-            candidate_maps=tuple(bounds.random_map(rng, 3) for _ in range(4)),
+            candidate_maps=tuple(random_map(rng, 3) for _ in range(4)),
         )
         report = bounds.find_minimax_map(env)
-        out = bounds.verify_decomposed_transfer_bound(env, report, bounds.random_loss_spec(rng, 3, 2))
+        out = bounds.verify_decomposed_transfer_bound(env, report, random_loss_spec(rng, 3, 2))
         assert all(abs(v) < 1e-14 for v in out.details["label_terms"])
 
     def test_relaxation_dominates_tighter_bound(self, rng):
         for _ in range(200):
             nx, ny = int(rng.integers(2, 6)), int(rng.integers(2, 4))
-            env = bounds.random_env(rng, nx, ny, int(rng.integers(2, 5)), n_maps=8)
+            env = random_env(rng, nx, ny, int(rng.integers(2, 5)), n_maps=8)
             report = bounds.find_minimax_map(env)
-            spec = bounds.random_loss_spec(rng, nx, ny)
+            spec = random_loss_spec(rng, nx, ny)
             out = bounds.verify_decomposed_transfer_bound(env, report, spec)
             assert out.slack >= -1e-9
             assert out.details["relaxation_margin"] >= -1e-12
@@ -353,7 +353,7 @@ class TestChangeOfMeasure:
 
 class TestEnvSerialization:
     def test_round_trip(self, rng):
-        env = bounds.random_env(rng, 4, 3, 3, n_maps=5)
+        env = random_env(rng, 4, 3, 3, n_maps=5)
         back = bounds.env_from_dict(env_to_dict(env))
         assert len(back.domains) == len(env.domains)
         for a, b in zip(env.domains, back.domains):
@@ -362,13 +362,13 @@ class TestEnvSerialization:
             assert np.array_equal(a.table, b.table)
 
     def test_declared_sizes_checked(self, rng):
-        payload = env_to_dict(bounds.random_env(rng, 3, 2, 2, n_maps=1))
+        payload = env_to_dict(random_env(rng, 3, 2, 2, n_maps=1))
         payload["nx"] = 7
         with pytest.raises(ValueError, match="nx/ny"):
             bounds.env_from_dict(payload)
 
     def test_certify_env_produces_three_nonnegative_slacks(self, rng):
-        env = bounds.random_env(rng, 4, 2, 3, n_maps=6)
+        env = random_env(rng, 4, 2, 3, n_maps=6)
         slacks = bounds.certify_env(env)
         assert [s.name for s in slacks] == [
             "synthetic_transfer", "sequential_transfer", "decomposed_transfer",
@@ -390,3 +390,6 @@ def test_joint_validation():
         DiscreteJoint(np.array([[0.5, 0.1], [0.1, 0.1]]))
     with pytest.raises(ValueError, match="negative"):
         DiscreteJoint(np.array([[1.1, -0.1], [0.0, 0.0]]))
+    for bad in (np.nan, np.inf):  # a NaN cell slips past the sum check on its own
+        with pytest.raises(ValueError, match="non-finite"):
+            DiscreteJoint(np.array([[bad, 0.5], [0.25, 0.25]]))

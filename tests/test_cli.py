@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from edglab import cli, data, dpnet, harness
-from test_batched_bounds import env_to_dict
+from test_batched_bounds import env_to_dict, random_env
 from test_data import write_idx
 
 
@@ -226,11 +226,7 @@ class TestVerifyBounds:
         assert (tmp_path / "slack_summary.md").exists()
 
     def test_env_json_certification(self, capsys, tmp_path):
-        import numpy as np
-
-        from edglab import bounds
-
-        env = bounds.random_env(np.random.default_rng(2), 3, 2, 3, n_maps=4)
+        env = random_env(np.random.default_rng(2), 3, 2, 3, n_maps=4)
         env_path = tmp_path / "env.json"
         env_path.write_text(json.dumps(env_to_dict(env)))
         code, events = run_cli(
@@ -274,11 +270,7 @@ class TestVerifyBounds:
         "maps", [[], [[0, 1]]], ids=["empty-family", "table-shorter-than-nx"]
     )
     def test_malformed_map_family_is_config_error(self, capsys, tmp_path, maps):
-        import numpy as np
-
-        from edglab import bounds
-
-        payload = env_to_dict(bounds.random_env(np.random.default_rng(2), 3, 2, 3, n_maps=2))
+        payload = env_to_dict(random_env(np.random.default_rng(2), 3, 2, 3, n_maps=2))
         payload["candidate_maps"] = maps
         env_path = tmp_path / "env.json"
         env_path.write_text(json.dumps(payload))
@@ -289,6 +281,46 @@ class TestVerifyBounds:
         )
         assert code == 2
         assert "map" in last_event(events, "config-error")["message"]
+
+    @pytest.mark.parametrize(
+        "where, value, words",
+        [
+            ("cell", float("nan"), "non-finite"),
+            ("cell", float("inf"), "non-finite"),
+            ("cell", 0.75, "sums to"),
+            ("table", [0.9, 1.7, 0.0], "integers"),
+            ("table", [True, False, True], "integers"),
+            ("table", [2**70, 0, 1], "integers"),
+            ("domains", 5, "lists"),
+        ],
+        ids=[
+            "nan-mass", "infinite-mass", "mass-off-one", "fractional-table", "boolean-table",
+            "huge-table-entry", "domains-not-a-list",
+        ],
+    )
+    def test_bad_env_values_are_config_errors(self, capsys, tmp_path, where, value, words):
+        # A NaN cell used to pass and write a bare NaN into the report; a
+        # fractional or boolean table was truncated to integers and certified;
+        # the last two raised OverflowError and TypeError.
+        payload = env_to_dict(random_env(np.random.default_rng(2), 3, 2, 3, n_maps=2))
+        if where == "cell":
+            payload["domains"][1][0][0] = value
+        elif where == "table":
+            payload["candidate_maps"][0] = value
+        else:
+            payload[where] = value
+        env_path = tmp_path / "env.json"
+        env_path.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        code, events = run_cli(
+            capsys,
+            ["verify-bounds", "--instances", "2", "--decomposition-pairs", "2",
+             "--env-json", str(env_path), "--out", str(out)],
+        )
+        assert code == 2
+        message = last_event(events, "config-error")["message"]
+        assert words in message and "np." not in message
+        assert not out.exists()
 
 
 class TestCorruptJsonInputs:

@@ -181,7 +181,7 @@ def test_js_decomposition_gap_folds_the_terms(monkeypatch):
     monkeypatch.setattr(bounds, "js", lambda p, q: shapes.append(np.shape(getattr(p, "p", p))) or js(p, q))
     for _ in range(200):
         nx, ny = int(rng.integers(2, 7)), int(rng.integers(2, 4))
-        p, q = bounds.random_joint(rng, nx, ny), bounds.random_joint(rng, nx, ny)
+        p, q = oracle.random_joint(rng, nx, ny), oracle.random_joint(rng, nx, ny)
         shapes.clear()
         gap = bounds.js_decomposition_gap(p, q)
         # Every label's conditional JS in one stacked call, then the label marginals and the joint.
