@@ -250,11 +250,6 @@ class ConsistencyReport:
             raise ValueError("gap must be non-negative")
 
     @property
-    def synthetic(self) -> DiscreteJoint:
-        """The synthetic target g(D_m)."""
-        return DiscreteJoint(self.pushed[-1])
-
-    @property
     def gap_full(self) -> float:
         """Pairwise-divergence gap including the (unobservable) target pair."""
         return consistency_gap(np.append(np.asarray(self.divergences), self.target_divergence))
@@ -294,24 +289,8 @@ def find_minimax_map(env: DiscreteEnv) -> ConsistencyReport:
 
 
 # ---------------------------------------------------------------------------
-# Bound verifiers
+# Transfer bounds
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SlackReport:
-    name: str
-    bound: float
-    target_risk: float
-    details: dict = field(default_factory=dict)
-
-    @property
-    def slack(self) -> float:
-        return self.bound - self.target_risk
-
-    def to_dict(self) -> dict:
-        out = {"name": self.name, "bound": self.bound, "target_risk": self.target_risk, "slack": self.slack}
-        return {**out, **self.details}
 
 
 def transfer_penalty(g_range, divergence):
@@ -338,29 +317,25 @@ def _sequential_bound(synthetic_risk, g_range, divs: Array, decomposed=None):
     return synthetic_risk + g_range * np.sqrt(2.0 / (m - 1)) * terms
 
 
-def verify_synthetic_transfer_bound(env: DiscreteEnv, g: MappingFn, h_spec: LossSpec) -> SlackReport:
-    """Single-pair bound: risk on the real target is at most the risk on the
-    synthetic target g(D_m) plus the JS transfer penalty of their gap."""
-    synthetic = apply_map(env.sources[-1], g)
-    div = js(synthetic, env.target)
-    bound = risk(h_spec, synthetic) + transfer_penalty(h_spec.g_range, div)
-    return SlackReport("synthetic_transfer", float(bound), risk(h_spec, env.target), {"target_pair_js": float(div)})
-
-
-def sequential_bound_value(env: DiscreteEnv, report: ConsistencyReport, h_spec: LossSpec) -> float:
-    """Multi-domain bound value: synthetic-target risk plus the averaged
-    source-divergence term and the consistency-gap term."""
-    divs = np.append(report.divergences, report.target_divergence)
-    return float(_sequential_bound(risk(h_spec, report.synthetic), h_spec.g_range, divs))
-
-
-def verify_sequential_transfer_bound(env: DiscreteEnv, report: ConsistencyReport, h_spec: LossSpec) -> SlackReport:
-    """Bound the target risk using only consecutive-pair source divergences
-    plus the pairwise gap. Uses the gap including the target pair, so its
-    premise holds by construction and the slack must be non-negative."""
-    bound = sequential_bound_value(env, report, h_spec)
-    details = {"gap_source": report.gap, "gap_full": report.gap_full}
-    return SlackReport("sequential_transfer", bound, risk(h_spec, env.target), details)
+def transfer_bounds(tables: Array, joints: Array, classifier: Array, loss: Array) -> dict[str, Array]:
+    """The three transfer bounds of G environments of one shape: map tables (G, k, nx), domains
+    (G, m + 1, nx, ny) with the target last, classifiers (G, nx) and losses (G, ny, ny). The
+    single-pair bound holds for any map, so ``single`` has one per candidate (G, k); the rest is at
+    the minimax map ``map`` (first of any tie): the sequential bound, its decomposed relaxation, the
+    target risk, the m divergences with the target pair's last, and the label terms (G, m - 1)."""
+    if tables.min() < 0 or tables.max() >= joints.shape[-2]:
+        raise ValueError("map table must be total on X")
+    _check_losses(classifier, loss)
+    pushed, divs, best = _minimax(tables, joints)
+    rows = np.arange(len(best))
+    risks = _risks(classifier[:, None], loss[:, None], pushed[:, :, -1])  # on each map's g(D_m)
+    chosen, chosen_divs, synthetic_risk = pushed[rows, best], divs[rows, best], risks[rows, best]
+    g_range = loss.max(axis=(1, 2)) - loss.min(axis=(1, 2))
+    terms = _decomposed_rows(chosen[:, :-1], joints[:, 1:-1])
+    return {"map": best, "single": risks + transfer_penalty(g_range[:, None], divs[..., -1]),
+            "sequential": _sequential_bound(synthetic_risk, g_range, chosen_divs),
+            "decomposed": _sequential_bound(synthetic_risk, g_range, chosen_divs, terms),
+            "target_risk": _risks(classifier, loss, joints[:, -1]), "divergences": chosen_divs, "label_terms": terms[0]}
 
 
 def js_decomposition_gap(p, q):
@@ -397,19 +372,6 @@ def _decomposed_rows(p: Array, q: Array) -> tuple[Array, Array, Array]:
     t2 = np.where(py > 0.0, py * cond, 0.0).sum(axis=-1)
     t3 = np.where(qy > 0.0, qy * cond, 0.0).sum(axis=-1)
     return js(py, qy), t2, t3
-
-
-def verify_decomposed_transfer_bound(env: DiscreteEnv, report: ConsistencyReport, h_spec: LossSpec) -> SlackReport:
-    """Relaxation of the sequential bound: each pair divergence is replaced by
-    its label-marginal + conditional decomposition. Checks both that the bound
-    dominates the target risk and that it dominates the tighter bound."""
-    src = np.stack([d.p for d in env.sources])
-    t1s, t2s, t3s = _decomposed_rows(report.pushed[:-1], src[1:])
-    divs = np.append(report.divergences, report.target_divergence)
-    bound = float(_sequential_bound(risk(h_spec, report.synthetic), h_spec.g_range, divs, (t1s, t2s, t3s)))
-    tighter = sequential_bound_value(env, report, h_spec)
-    details = {"label_terms": [float(v) for v in t1s], "tighter_bound": tighter, "relaxation_margin": bound - tighter}
-    return SlackReport("decomposed_transfer", bound, risk(h_spec, env.target), details)
 
 
 def verify_change_of_measure(p, q, f, lam):
@@ -453,6 +415,9 @@ def attainment_function(p, q, lam) -> Array:
 def env_from_dict(payload: dict) -> DiscreteEnv:
     if type(payload["domains"]) is not list or type(payload["candidate_maps"]) is not list:
         raise ValueError("domains and candidate_maps must be lists")
+    for p in payload["domains"]:  # true or "0.25" would be cast to a probability
+        if type(p) is not list or any(type(r) is not list or any(type(v) not in (int, float) for v in r) for r in p):
+            raise ValueError(f"domain {p!r} must be a list of lists of numbers")
     domains = tuple(DiscreteJoint(np.asarray(p, dtype=np.float64)) for p in payload["domains"])
     for t in payload["candidate_maps"]:  # 0.9 or true would be cast to a feature value
         if type(t) is not list or any(type(v) is not int or not 0 <= v < len(t) for v in t):
@@ -466,16 +431,22 @@ def env_from_dict(payload: dict) -> DiscreteEnv:
     return env
 
 
-def certify_env(env: DiscreteEnv) -> list[SlackReport]:
-    """All three transfer-bound slacks for one concrete environment, probed
-    with the target-optimal classifier under 0-1 loss."""
-    h_spec = LossSpec(classifier=np.argmax(env.target.p, axis=1), loss=1.0 - np.eye(env.target.ny))
-    report = find_minimax_map(env)
-    return [
-        verify_synthetic_transfer_bound(env, report.map, h_spec),
-        verify_sequential_transfer_bound(env, report, h_spec),
-        verify_decomposed_transfer_bound(env, report, h_spec),
-    ]
+def certify_env(env: DiscreteEnv) -> list[dict]:
+    """The report of each transfer bound for one concrete environment, probed with the
+    target-optimal classifier under 0-1 loss; the single-pair bound is at the minimax map."""
+    tables, doms = np.stack([g.table for g in env.candidate_maps]), np.stack([d.p for d in env.domains])
+    stack = transfer_bounds(tables[None], doms[None], doms[None, -1].argmax(-1), (1.0 - np.eye(doms.shape[-1]))[None])
+    out = {key: value[0] for key, value in stack.items()}
+    divs, tighter, bound = out["divergences"], float(out["sequential"]), float(out["decomposed"])
+    reports = (
+        ("synthetic_transfer", float(out["single"][out["map"]]), {"target_pair_js": float(divs[-1])}),
+        ("sequential_transfer", tighter, {"gap_source": consistency_gap(divs[:-1]), "gap_full": consistency_gap(divs)}),
+        ("decomposed_transfer", bound, {"label_terms": [float(v) for v in out["label_terms"]],
+                                        "tighter_bound": tighter, "relaxation_margin": bound - tighter}),
+    )
+    target_risk = float(out["target_risk"])
+    return [{"name": name, "bound": value, "target_risk": target_risk, "slack": value - target_risk, **details}
+            for name, value, details in reports]
 
 
 # ---------------------------------------------------------------------------
@@ -526,20 +497,11 @@ def _score_envs(raw: Array, tables: tuple[Array, ...], classifier: Array, loss: 
     first = (np.cumsum(counts) - counts)[:, None]
     k = np.arange(counts.max())
     tables = np.concatenate(tables)[np.where(k < counts[:, None], first + k, first)]
-    if tables.min() < 0 or tables.max() >= joints.shape[-2]:
-        raise ValueError("map table must be total on X")
-    _check_losses(classifier, loss)
-    pushed, divs, best = _minimax(tables, joints)
-    chosen, chosen_divs = (a[np.arange(len(best)), best] for a in (pushed, divs))
-    # Risks on the first and on the chosen map's g(D_m), and on the target.
-    on = np.stack((pushed[:, 0, -1], chosen[:, -1], joints[:, -1]), axis=1)
-    first_risk, synthetic_risk, target_risk = _risks(classifier[:, None], loss[:, None], on).T
-    g_range = loss.max(axis=(1, 2)) - loss.min(axis=(1, 2))
-    tighter = _sequential_bound(synthetic_risk, g_range, chosen_divs)
-    bound = _sequential_bound(synthetic_risk, g_range, chosen_divs, _decomposed_rows(chosen[:, :-1], joints[:, 1:-1]))
-    single = first_risk + transfer_penalty(g_range, divs[:, 0, -1])
-    return {"map": best, "synthetic_transfer": single - target_risk, "sequential_transfer": tighter - target_risk,
-            "decomposed_transfer": bound - target_risk, "relaxation_margin": bound - tighter}
+    out = transfer_bounds(tables, joints, classifier, loss)
+    target_risk, tighter, bound = out["target_risk"], out["sequential"], out["decomposed"]
+    return {"map": out["map"], "synthetic_transfer": out["single"][:, 0] - target_risk,
+            "sequential_transfer": tighter - target_risk, "decomposed_transfer": bound - target_risk,
+            "relaxation_margin": bound - tighter}
 
 
 def _instance_rows(seed: int, indices: range):

@@ -469,7 +469,7 @@ def cmd_verify_bounds(args, settings: dict) -> int:
     out.mkdir(parents=True, exist_ok=True)
     report = {"results": [r.to_dict() for r in results], "all_passed": all(r.passed for r in results)}
     if env is not None:
-        env_slacks = [s.to_dict() for s in bounds.certify_env(env)]
+        env_slacks = bounds.certify_env(env)
         report["environment"] = {"path": str(env_path), "slacks": env_slacks}
         report["all_passed"] = report["all_passed"] and all(
             s["slack"] >= -bounds.SLACK_TOL for s in env_slacks
@@ -489,13 +489,14 @@ def cmd_verify_bounds(args, settings: dict) -> int:
     return 0 if report["all_passed"] else 1
 
 
-# The JSON values each raw cell field may hold; older files lack hparams and seeds.
+# The JSON values each raw cell field may hold; a file may omit hparams, seeds and error.
 RAW_FIELDS = {
     **dict.fromkeys(("row", "algorithm", "scheme"), lambda v: type(v) is str),
     **dict.fromkeys(("mean", "std"), lambda v: type(v) in (int, float, type(None))),
     "per_seed": lambda v: type(v) is list and all(type(a) in (int, float) for a in v),
     "hparams": lambda v: type(v) in (dict, type(None)),
     "seeds": lambda v: type(v) is list and all(type(s) is int for s in v),
+    "error": lambda v: type(v) in (str, type(None)),
 }
 
 
@@ -505,7 +506,7 @@ def cmd_report(args, settings: dict) -> int:
         raise CliConfigError(f"--raw must name a directory of per-cell JSON files, got {raw_dir!r}")
     cells = []
     for path in sorted(Path(raw_dir).glob("*.json")):
-        payload = {"hparams": None, "seeds": [], **_read_json_object(path, "raw cell")}
+        payload = {"hparams": None, "seeds": [], "error": None, **_read_json_object(path, "raw cell")}
         for key, fits in RAW_FIELDS.items():
             if key not in payload:
                 raise CliInputError(f"raw cell {path} lacks {key!r}")
@@ -518,7 +519,7 @@ def cmd_report(args, settings: dict) -> int:
             std=payload["std"],
             per_seed=tuple(payload["per_seed"]),
             scheme=payload["scheme"],
-            error=payload.get("error"),
+            error=payload["error"],
             hparams=payload["hparams"],
             seeds=tuple(payload["seeds"]),
         )

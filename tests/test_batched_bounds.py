@@ -375,7 +375,7 @@ def test_instances_match_the_scalar_oracle(seed):
         report = bounds.find_minimax_map(env)
         assert report.map is env.candidate_maps[k]
         synthetic = apply_map(env.sources[-1], report.map)
-        assert np.array_equal(report.synthetic.p, synthetic.p), index
+        assert np.array_equal(report.pushed[-1], synthetic.p), index
         for source, row in zip(env.sources, report.pushed, strict=True):
             assert (row == apply_map(source, report.map).p).all(), index
         # Bit for bit what the single-pair kernel gives, so the certified
@@ -507,12 +507,34 @@ def test_certify_env_matches_the_oracle():
         k, want = verify_all(env, h_spec)
         single, seq, dec = bounds.certify_env(env)
         assert bounds.find_minimax_map(env).map is env.candidate_maps[k]
-        assert abs(single.slack - want["synthetic_transfer"]) <= TOL
-        assert abs(seq.slack - want["sequential_transfer"]) <= TOL
-        assert abs(seq.details["gap_full"] - want["gap_full"]) <= TOL
-        assert abs(dec.slack - want["decomposed_transfer"]) <= TOL
-        assert abs(dec.details["relaxation_margin"] - want["relaxation_margin"]) <= TOL
-        assert np.max(np.abs(np.subtract(dec.details["label_terms"], want["label_terms"]))) <= TOL
+        assert abs(single["slack"] - want["synthetic_transfer"]) <= TOL
+        assert abs(seq["slack"] - want["sequential_transfer"]) <= TOL
+        assert abs(seq["gap_full"] - want["gap_full"]) <= TOL
+        assert abs(dec["slack"] - want["decomposed_transfer"]) <= TOL
+        assert abs(dec["relaxation_margin"] - want["relaxation_margin"]) <= TOL
+        assert np.max(np.abs(np.subtract(dec["label_terms"], want["label_terms"]))) <= TOL
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_stack_scores_each_environment_as_a_stack_of_one(seed):
+    # G environments of one shape, every third with its family repeated so
+    # the minimax map ties; each output must equal its stack-of-one output.
+    rng = np.random.default_rng(seed)
+    g, nx, ny, m, k = 9, int(rng.integers(2, 7)), int(rng.integers(2, 4)), int(rng.integers(2, 5)), 6
+    envs = [random_env(rng, nx, ny, m, n_maps=k // 2) for _ in range(g)]
+    tables = np.stack([[t.table for t in e.candidate_maps * 2] for e in envs])
+    fresh = np.arange(g) % 3 != 0
+    tables[fresh, k // 2 :] = rng.integers(0, nx, size=(fresh.sum(), k // 2, nx))
+    joints = np.stack([[d.p for d in e.domains] for e in envs])
+    specs = [random_loss_spec(rng, nx, ny) for _ in range(g)]
+    classifier, loss = np.stack([s.classifier for s in specs]), np.stack([s.loss for s in specs])
+    stacked = bounds.transfer_bounds(tables, joints, classifier, loss)
+    assert stacked["single"].shape == (g, k) and stacked["divergences"].shape == (g, m)
+    for i in range(g):
+        alone = bounds.transfer_bounds(tables[i : i + 1], joints[i : i + 1], classifier[i : i + 1], loss[i : i + 1])
+        for key, value in alone.items():
+            assert np.array_equal(stacked[key][i], value[0]), (i, key)
+    assert (stacked["map"][0::3] < k // 2).all()  # a repeated map never beats its first copy
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,6 +242,19 @@ class TestVerifyBounds:
         assert report["environment"]["path"] == str(env_path)
         assert len(report["environment"]["slacks"]) == 3
 
+    def test_env_json_fixture_report_bytes(self, capsys, tmp_path, monkeypatch):
+        # The fixture's family repeats the winning map, so the tie must go to
+        # the first copy; the report is pinned byte for byte.
+        monkeypatch.chdir(Path(__file__).resolve().parents[1])
+        code, _ = run_cli(
+            capsys,
+            ["verify-bounds", "--instances", "20", "--decomposition-pairs", "20",
+             "--env-json", "tests/fixtures/env.json", "--out", str(tmp_path)],
+        )
+        assert code == 0
+        digest = hashlib.sha256((tmp_path / "slack_report.json").read_bytes()).hexdigest()
+        assert digest == "6fc7a8a414ae978fb6b0f6f52250c6104661301f37749da68c52d5e0adf56bac"
+
     def test_bad_env_json_is_config_error(self, capsys, tmp_path):
         env_path = tmp_path / "env.json"
         env_path.write_text("{\"domains\": []}")
@@ -288,23 +302,29 @@ class TestVerifyBounds:
             ("cell", float("nan"), "non-finite"),
             ("cell", float("inf"), "non-finite"),
             ("cell", 0.75, "sums to"),
+            ("cell", True, "numbers"),
+            ("cell", "0.25", "numbers"),
+            ("domain", {"a": 1}, "numbers"),
             ("table", [0.9, 1.7, 0.0], "integers"),
             ("table", [True, False, True], "integers"),
             ("table", [2**70, 0, 1], "integers"),
             ("domains", 5, "lists"),
         ],
         ids=[
-            "nan-mass", "infinite-mass", "mass-off-one", "fractional-table", "boolean-table",
-            "huge-table-entry", "domains-not-a-list",
+            "nan-mass", "infinite-mass", "mass-off-one", "bool-cell", "string-cell", "object-domain",
+            "fractional-table", "boolean-table", "huge-table-entry", "domains-not-a-list",
         ],
     )
     def test_bad_env_values_are_config_errors(self, capsys, tmp_path, where, value, words):
         # A NaN cell used to pass and write a bare NaN into the report; a
         # fractional or boolean table was truncated to integers and certified;
-        # the last two raised OverflowError and TypeError.
+        # the last two raised OverflowError and TypeError. A boolean or string
+        # cell was cast to a probability and certified; an object domain raised TypeError.
         payload = env_to_dict(random_env(np.random.default_rng(2), 3, 2, 3, n_maps=2))
         if where == "cell":
             payload["domains"][1][0][0] = value
+        elif where == "domain":
+            payload["domains"][1] = value
         elif where == "table":
             payload["candidate_maps"][0] = value
         else:
@@ -387,6 +407,7 @@ class TestCorruptJsonInputs:
         "per-seed-number": ("per_seed", 5),
         "mean-string": ("mean", "x"),
         "row-number": ("row", 5),
+        "error-list": ("error", ["boom"]),
     }
 
     @pytest.mark.parametrize("damage", ["truncated", "not-an-object", "no-per-seed", *WRONG_TYPE])
