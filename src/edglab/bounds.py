@@ -39,9 +39,8 @@ class AbsoluteContinuityError(ValueError):
 
 def _as_dists(p, q) -> tuple[Array, Array]:
     """Both arguments as float64 stacks of one shape whose last axis is a
-    distribution (a DiscreteJoint is one flattened distribution); every row
-    must be non-negative and sum to 1 within 1e-9."""
-    pa, qa = (np.asarray(a.p.ravel() if isinstance(a, DiscreteJoint) else a, dtype=np.float64) for a in (p, q))
+    distribution; every row must be non-negative and sum to 1 within 1e-9."""
+    pa, qa = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
     if pa.shape != qa.shape:
         raise ValueError(f"support size mismatch: {pa.shape} vs {qa.shape}")
     for arr in (pa, qa):
@@ -109,44 +108,7 @@ def _check_losses(classifier: Array, loss: Array) -> None:
         raise ValueError("classifier outputs outside the label set")
 
 
-@dataclass(frozen=True)
-class DiscreteJoint:
-    """Exact joint distribution p[x, y] over nx feature values and ny labels."""
-
-    p: Array
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(self.p, dtype=np.float64)
-        object.__setattr__(self, "p", arr)
-        if arr.ndim != 2:
-            raise ValueError("joint must be an nx × ny matrix")
-        _check_joints(arr)
-
-    @property
-    def nx(self) -> int:
-        return self.p.shape[0]
-
-    @property
-    def ny(self) -> int:
-        return self.p.shape[1]
-
-
-@dataclass(frozen=True)
-class MappingFn:
-    """Deterministic feature map X -> X as a lookup table."""
-
-    table: Array
-
-    def __post_init__(self):
-        t = np.ascontiguousarray(self.table, dtype=np.int64)
-        object.__setattr__(self, "table", t)
-        if t.ndim != 1 or t.size == 0:
-            raise ValueError("map table must be a non-empty vector")
-        if t.min() < 0 or t.max() >= t.size:
-            raise ValueError("map table must be total on X")
-
-
-def _pushforward(tables: Array, joints: Array) -> Array:
+def apply_map(tables: Array, joints: Array) -> Array:
     """Every joint through every map, per environment: (G, k, nx) tables and
     (G, m, nx, ny) joints give (G, k, m, nx, ny). Mass reaches each cell in ascending x."""
     g, k, _ = tables.shape
@@ -156,76 +118,9 @@ def _pushforward(tables: Array, joints: Array) -> Array:
     return out
 
 
-def apply_map(d: DiscreteJoint, g: MappingFn) -> DiscreteJoint:
-    """Pushforward on features, labels untouched: p'[x', y] = sum_{g(x)=x'} p[x, y]."""
-    if g.table.size != d.nx:
-        raise ValueError(f"map over {g.table.size} points, joint has nx={d.nx}")
-    return DiscreteJoint(_pushforward(g.table[None, None], d.p[None, None])[0, 0, 0])
-
-
-@dataclass(frozen=True)
-class DiscreteEnv:
-    """Ordered domains (m sources then one target) plus candidate feature maps."""
-
-    domains: tuple[DiscreteJoint, ...]
-    candidate_maps: tuple[MappingFn, ...]
-
-    def __post_init__(self):
-        if len(self.domains) < 3:
-            raise ValueError("need at least two sources and a target")
-        nx, ny = self.domains[0].nx, self.domains[0].ny
-        for d in self.domains:
-            if (d.nx, d.ny) != (nx, ny):
-                raise ValueError("all domains must share nx and ny")
-        for g in self.candidate_maps:
-            if g.table.size != nx:
-                raise ValueError(f"candidate map over {g.table.size} points, domains have nx={nx}")
-
-    @property
-    def sources(self) -> tuple[DiscreteJoint, ...]:
-        return self.domains[:-1]
-
-    @property
-    def target(self) -> DiscreteJoint:
-        return self.domains[-1]
-
-
-@dataclass(frozen=True)
-class LossSpec:
-    """Deterministic classifier table plus a bounded loss matrix loss[pred, true]."""
-
-    classifier: Array  # X -> Y
-    loss: Array  # ny × ny
-
-    def __post_init__(self):
-        c = np.ascontiguousarray(self.classifier, dtype=np.int64)
-        l = np.ascontiguousarray(self.loss, dtype=np.float64)
-        object.__setattr__(self, "classifier", c)
-        object.__setattr__(self, "loss", l)
-        if l.ndim != 2 or l.shape[0] != l.shape[1]:
-            raise ValueError("loss must be a square ny × ny matrix")
-        _check_losses(c, l)
-
-    @property
-    def g_range(self) -> float:
-        return float(self.loss.max() - self.loss.min())
-
-
 def _risks(classifier: Array, loss: Array, joints: Array) -> Array:
     """Stacked risks: classifiers (..., nx), losses (..., ny, ny), joints (..., nx, ny)."""
     return (joints * np.take_along_axis(loss, classifier[..., None], axis=-2)).sum(axis=(-2, -1))
-
-
-def risk(h_spec: LossSpec, d: DiscreteJoint) -> float:
-    """Expected loss of the classifier under the joint: sum p[x,y] loss[h(x), y]."""
-    if h_spec.classifier.size != d.nx:
-        raise ValueError("classifier not total on X")
-    return float(_risks(h_spec.classifier, h_spec.loss, d.p))
-
-
-# ---------------------------------------------------------------------------
-# Consistency of a drift map over an environment
-# ---------------------------------------------------------------------------
 
 
 def consistency_gap(divergences: Array) -> float:
@@ -234,58 +129,14 @@ def consistency_gap(divergences: Array) -> float:
     return float(d.max() - d.min()) if d.size else 0.0
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
-    """Minimax drift map with its per-pair source divergences and their gap,
-    every source pushed through it and d_JS(g(D_m) || D_t)."""
-
-    map: MappingFn
-    divergences: tuple[float, ...]
-    gap: float  # max pairwise spread over source pairs (the observable gap)
-    pushed: Array  # (m, nx, ny): g(D_1), ..., g(D_m)
-    target_divergence: float
-
-    def __post_init__(self):
-        if self.gap < 0:
-            raise ValueError("gap must be non-negative")
-
-    @property
-    def gap_full(self) -> float:
-        """Pairwise-divergence gap including the (unobservable) target pair."""
-        return consistency_gap(np.append(np.asarray(self.divergences), self.target_divergence))
-
-
-def _minimax(tables: Array, doms: Array) -> tuple[Array, Array, Array]:
+def find_minimax_map(tables: Array, joints: Array) -> tuple[Array, Array, Array]:
     """Tables (G, k, nx) and domains (G, m + 1, nx, ny) give every source through every map (G, k, m, nx, ny),
     divs d_JS(g_k(D_j) || D_{j+1}) (G, k, m), the last column against the target, and the map minimizing
     the worst source pair, the first of any tied."""
-    pushed = _pushforward(tables, doms[:, :-1])
+    pushed = apply_map(tables, joints[:, :-1])
     flat = pushed.reshape(pushed.shape[:3] + (-1,))
-    divs = js(flat, np.broadcast_to(doms[:, None, 1:].reshape(flat.shape[:1] + (1,) + flat.shape[2:]), flat.shape))
+    divs = js(flat, np.broadcast_to(joints[:, None, 1:].reshape(flat.shape[:1] + (1,) + flat.shape[2:]), flat.shape))
     return pushed, divs, np.argmin(divs[..., :-1].max(axis=-1), axis=-1)
-
-
-def find_minimax_map(env: DiscreteEnv) -> ConsistencyReport:
-    """Candidate map minimizing the worst consecutive-pair source divergence.
-
-    Ties break toward the earliest candidate. The report also carries the
-    chosen map's image of every source and the divergence of the synthetic
-    target from the real one; the selection and the reported gap cover
-    source pairs only.
-    """
-    if not env.candidate_maps:
-        raise ValueError("candidate map family is empty")
-    tables, doms = np.stack([g.table for g in env.candidate_maps]), np.stack([d.p for d in env.domains])
-    pushed, divs, best = _minimax(tables[None], doms[None])
-    best = int(best[0])
-    src_divs = divs[0, best, :-1]
-    return ConsistencyReport(
-        map=env.candidate_maps[best],
-        divergences=tuple(float(v) for v in src_divs),
-        gap=consistency_gap(src_divs),
-        pushed=pushed[0, best],
-        target_divergence=float(divs[0, best, -1]),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +177,7 @@ def transfer_bounds(tables: Array, joints: Array, classifier: Array, loss: Array
     if tables.min() < 0 or tables.max() >= joints.shape[-2]:
         raise ValueError("map table must be total on X")
     _check_losses(classifier, loss)
-    pushed, divs, best = _minimax(tables, joints)
+    pushed, divs, best = find_minimax_map(tables, joints)
     rows = np.arange(len(best))
     risks = _risks(classifier[:, None], loss[:, None], pushed[:, :, -1])  # on each map's g(D_m)
     chosen, chosen_divs, synthetic_risk = pushed[rows, best], divs[rows, best], risks[rows, best]
@@ -342,10 +193,10 @@ def js_decomposition_gap(p, q):
     """RHS minus LHS of the joint-JS decomposition into a label-marginal term
     plus both label-weighted conditional expectations. Non-negative.
 
-    Takes two joints, or two same-shape stacks of joint matrices (..., nx, ny)
+    Takes two joint matrices, or two same-shape stacks of them (..., nx, ny)
     (zero padding is exact), and returns a float or an array of gaps.
     """
-    pa, qa = (np.asarray(a.p if isinstance(a, DiscreteJoint) else a, dtype=np.float64) for a in (p, q))
+    pa, qa = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
     if pa.shape != qa.shape:
         raise ValueError("joints must share support")
     t1, t2, t3 = _decomposed_rows(pa, qa)
@@ -412,30 +263,36 @@ def attainment_function(p, q, lam) -> Array:
 # ---------------------------------------------------------------------------
 
 
-def env_from_dict(payload: dict) -> DiscreteEnv:
-    if type(payload["domains"]) is not list or type(payload["candidate_maps"]) is not list:
+def env_from_dict(payload: dict) -> tuple[Array, Array]:
+    """The (k, nx) int64 map tables and (m + 1, nx, ny) float64 joints, the target last, of a
+    serialized environment: declared ``nx`` and ``ny``, ``domains`` and ``candidate_maps``."""
+    domains, maps, nx, ny = payload["domains"], payload["candidate_maps"], payload["nx"], payload["ny"]
+    if type(domains) is not list or type(maps) is not list:
         raise ValueError("domains and candidate_maps must be lists")
-    for p in payload["domains"]:  # true or "0.25" would be cast to a probability
+    for p in domains:  # true or "0.25" would be cast to a probability
         if type(p) is not list or any(type(r) is not list or any(type(v) not in (int, float) for v in r) for r in p):
             raise ValueError(f"domain {p!r} must be a list of lists of numbers")
-    domains = tuple(DiscreteJoint(np.asarray(p, dtype=np.float64)) for p in payload["domains"])
-    for t in payload["candidate_maps"]:  # 0.9 or true would be cast to a feature value
-        if type(t) is not list or any(type(v) is not int or not 0 <= v < len(t) for v in t):
+    if len(domains) < 3:
+        raise ValueError("need at least two sources and a target")
+    if any(len(p) != nx or any(len(r) != ny for r in p) for p in domains):
+        raise ValueError("domain shapes do not match the declared nx/ny")
+    joints = np.array(domains, dtype=np.float64)
+    _check_joints(joints)
+    for t in maps:  # 0.9 or true would be cast to a feature value
+        if type(t) is list and len(t) != nx:
+            raise ValueError(f"candidate map over {len(t)} points, domains have nx={nx}")
+        if type(t) is not list or any(type(v) is not int or not 0 <= v < nx for v in t):
             raise ValueError(f"map table {t!r} must be a list of integers in [0, nx)")
-    maps = tuple(MappingFn(np.asarray(t, dtype=np.int64)) for t in payload["candidate_maps"])
     if not maps:
         raise ValueError("candidate map family is empty")
-    env = DiscreteEnv(domains=domains, candidate_maps=maps)
-    if (env.domains[0].nx, env.domains[0].ny) != (payload["nx"], payload["ny"]):
-        raise ValueError("declared nx/ny do not match the domain matrices")
-    return env
+    return np.array(maps, dtype=np.int64), joints
 
 
-def certify_env(env: DiscreteEnv) -> list[dict]:
-    """The report of each transfer bound for one concrete environment, probed with the
-    target-optimal classifier under 0-1 loss; the single-pair bound is at the minimax map."""
-    tables, doms = np.stack([g.table for g in env.candidate_maps]), np.stack([d.p for d in env.domains])
-    stack = transfer_bounds(tables[None], doms[None], doms[None, -1].argmax(-1), (1.0 - np.eye(doms.shape[-1]))[None])
+def certify_env(tables: Array, joints: Array) -> list[dict]:
+    """The report of each transfer bound for one environment, map tables (k, nx) and joints
+    (m + 1, nx, ny), probed with the target-optimal classifier under 0-1 loss; the single-pair
+    bound is at the minimax map."""
+    stack = transfer_bounds(tables[None], joints[None], joints[None, -1].argmax(-1), (1.0 - np.eye(joints.shape[-1]))[None])
     out = {key: value[0] for key, value in stack.items()}
     divs, tighter, bound = out["divergences"], float(out["sequential"]), float(out["decomposed"])
     reports = (

@@ -469,7 +469,7 @@ def cmd_verify_bounds(args, settings: dict) -> int:
     out.mkdir(parents=True, exist_ok=True)
     report = {"results": [r.to_dict() for r in results], "all_passed": all(r.passed for r in results)}
     if env is not None:
-        env_slacks = bounds.certify_env(env)
+        env_slacks = bounds.certify_env(*env)
         report["environment"] = {"path": str(env_path), "slacks": env_slacks}
         report["all_passed"] = report["all_passed"] and all(
             s["slack"] >= -bounds.SLACK_TOL for s in env_slacks

@@ -5,7 +5,10 @@ the blocked certification.
 The scalar oracle below is the earlier per-pair path: every ``kl``/``js`` call
 validates one flattened distribution, the minimax map is found by pushing the
 sources through one candidate at a time, and the decomposition computes one
-conditional JS per label. The stacked kernels sum the same terms with zero
+conditional JS per label. An environment is a pair of arrays, the (k, nx) map
+tables and the (m + 1, nx, ny) joints with the target last, as
+``bounds.env_from_dict`` returns it; a loss spec is a classifier table (nx,)
+and a loss matrix (ny, ny). The stacked kernels sum the same terms with zero
 padding in between, so results may differ from it in the last bits only; those
 comparisons use 1e-12.
 
@@ -23,7 +26,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from edglab import bounds
-from edglab.bounds import DiscreteJoint, LossSpec
 from edglab.seeding import child_rng
 
 # Criterion 7's master seed (also the benchmark's), and verify-bounds' default.
@@ -41,7 +43,7 @@ SLACKS = (
 
 
 def _as_dist(p):
-    arr = np.asarray(p.p if isinstance(p, DiscreteJoint) else p, dtype=np.float64).ravel()
+    arr = np.asarray(p, dtype=np.float64).ravel()
     if np.any(arr < 0.0):
         raise ValueError("negative probability mass")
     if abs(arr.sum() - 1.0) > 1e-9:
@@ -68,85 +70,82 @@ def js(p, q):
 
 
 def apply_map(d, g):
-    out = np.zeros_like(d.p)
-    np.add.at(out, g.table, d.p)
-    return DiscreteJoint(out)
+    out = np.zeros_like(d)
+    np.add.at(out, g, d)
+    return out
 
 
-def find_minimax_map(env):
+def find_minimax_map(tables, joints):
     """(index of the chosen candidate, its source-pair divergences)."""
-    src = env.sources
+    src = joints[:-1]
     best = None
-    for k, g in enumerate(env.candidate_maps):
+    for k, g in enumerate(tables):
         divs = np.array([js(apply_map(src[j - 1], g), src[j]) for j in range(1, len(src))])
         if best is None or divs.max() < best[0]:
             best = (divs.max(), k, divs)
     return best[1], best[2]
 
 
-def gap_with_target(env, g, divs):
-    all_divs = np.append(divs, js(apply_map(env.sources[-1], g), env.target))
+def gap_with_target(joints, g, divs):
+    all_divs = np.append(divs, js(apply_map(joints[-2], g), joints[-1]))
     return float(all_divs.max() - all_divs.min())
 
 
-def sequential_bound_value(env, g, divs, h_spec, gap_full):
-    m = len(env.sources)
-    synthetic = apply_map(env.sources[-1], g)
-    coeff = h_spec.g_range * np.sqrt(2.0 / (m - 1))
-    return float(bounds.risk(h_spec, synthetic) + coeff * (np.sqrt(divs.sum()) + np.sqrt((m - 1) * gap_full)))
+def sequential_bound_value(joints, g, divs, spec, gap_full):
+    (classifier, loss), m = spec, len(joints) - 1
+    synthetic = apply_map(joints[-2], g)
+    coeff = (loss.max() - loss.min()) * np.sqrt(2.0 / (m - 1))
+    return float(_risk(classifier, loss, synthetic) + coeff * (np.sqrt(divs.sum()) + np.sqrt((m - 1) * gap_full)))
 
 
 def _conditional_js(p, q, y):
-    pmass, qmass = p.p[:, y].sum(), q.p[:, y].sum()
+    pmass, qmass = p[:, y].sum(), q[:, y].sum()
     if pmass <= 0.0 or qmass <= 0.0:
         return 0.0
-    return js(p.p[:, y] / pmass, q.p[:, y] / qmass)
+    return js(p[:, y] / pmass, q[:, y] / qmass)
 
 
 def decomposed_terms(p, q):
-    py, qy = p.p.sum(axis=0), q.p.sum(axis=0)
-    cond = [_conditional_js(p, q, y) for y in range(p.ny)]
-    t2 = sum(py[y] * cond[y] for y in range(p.ny) if py[y] > 0)
-    t3 = sum(qy[y] * cond[y] for y in range(p.ny) if qy[y] > 0)
+    py, qy, ny = p.sum(axis=0), q.sum(axis=0), p.shape[1]
+    cond = [_conditional_js(p, q, y) for y in range(ny)]
+    t2 = sum(py[y] * cond[y] for y in range(ny) if py[y] > 0)
+    t3 = sum(qy[y] * cond[y] for y in range(ny) if qy[y] > 0)
     return float(js(py, qy)), float(t2), float(t3)
 
 
-def env_to_dict(env):
+def env_to_dict(tables, joints):
     """The ``--env-json`` form ``bounds.env_from_dict`` reads: support sizes,
     per-domain probability matrices and map tables."""
-    return {
-        "nx": env.domains[0].nx,
-        "ny": env.domains[0].ny,
-        "domains": [d.p.tolist() for d in env.domains],
-        "candidate_maps": [g.table.tolist() for g in env.candidate_maps],
-    }
+    return {"nx": joints.shape[1], "ny": joints.shape[2], "domains": joints.tolist(), "candidate_maps": tables.tolist()}
 
 
 def js_decomposition_gap(p, q):
     return float(sum(decomposed_terms(p, q)) - js(p, q))
 
 
-def verify_all(env, h_spec, g0=None):
+def verify_all(env, spec, g0=None):
     """(chosen map index, {quantity: value}) for the three transfer bounds,
     the single-pair one taken under ``g0`` (default: the chosen map)."""
-    k, divs = find_minimax_map(env)
-    g = env.candidate_maps[k]
+    (tables, joints), (classifier, loss) = env, spec
+    k, divs = find_minimax_map(tables, joints)
+    g = tables[k]
     g0 = g if g0 is None else g0
-    target_risk = bounds.risk(h_spec, env.target)
-    synthetic0 = apply_map(env.sources[-1], g0)
+    g_range = loss.max() - loss.min()
+    target_risk = _risk(classifier, loss, joints[-1])
+    synthetic0 = apply_map(joints[-2], g0)
     single = (
-        bounds.risk(h_spec, synthetic0)
-        + bounds.transfer_penalty(h_spec.g_range, js(synthetic0, env.target))
+        _risk(classifier, loss, synthetic0)
+        + bounds.transfer_penalty(g_range, js(synthetic0, joints[-1]))
         - target_risk
     )
-    gap_full = gap_with_target(env, g, divs)
-    tighter = sequential_bound_value(env, g, divs, h_spec, gap_full)
-    src, m = env.sources, len(env.sources)
+    gap_full = gap_with_target(joints, g, divs)
+    tighter = sequential_bound_value(joints, g, divs, spec, gap_full)
+    src, m = joints[:-1], len(joints) - 1
     terms = [decomposed_terms(apply_map(src[j - 1], g), src[j]) for j in range(1, len(src))]
     t1s, t2s, t3s = zip(*terms)
-    coeff = h_spec.g_range * np.sqrt(2.0 / (m - 1))
+    coeff = g_range * np.sqrt(2.0 / (m - 1))
     bound = float(
-        bounds.risk(h_spec, apply_map(src[-1], g))
+        _risk(classifier, loss, apply_map(src[-1], g))
         + coeff * (np.sqrt(np.sum(t1s)) + np.sqrt((m - 1) * gap_full) + np.sqrt(np.sum(t2s)) + np.sqrt(np.sum(t3s)))
     )
     return k, {
@@ -177,8 +176,7 @@ def instance(seed, index):
     rng = child_rng(seed, "cert", index)
     nx, ny, m_sources = int(rng.integers(2, 7)), int(rng.integers(2, 4)), int(rng.integers(2, 5))
     env = random_env(rng, nx, ny, m_sources, n_maps=int(rng.integers(1, 17)))
-    h_spec = random_loss_spec(rng, nx, ny)
-    k, values = verify_all(env, h_spec, env.candidate_maps[0])
+    k, values = verify_all(env, random_loss_spec(rng, nx, ny), env[0][0])
     size = int(rng.integers(2, 9))
     pv = rng.random(size) + 0.05
     pv /= pv.sum()
@@ -211,11 +209,11 @@ def random_joint(rng, nx, ny, strictly_positive=False):
         raw[rng.random((nx, ny)) < 0.15] = 0.0
         if raw.sum() == 0.0:
             raw[0, 0] = 1.0
-    return DiscreteJoint(raw / raw.sum())
+    return raw / raw.sum()
 
 
 def random_map(rng, nx):
-    return bounds.MappingFn(rng.integers(0, nx, size=nx))
+    return rng.integers(0, nx, size=nx)
 
 
 def random_loss_spec(rng, nx, ny):
@@ -224,13 +222,13 @@ def random_loss_spec(rng, nx, ny):
         loss = 1.0 - np.eye(ny)
     else:
         loss = rng.random((ny, ny)) * float(rng.uniform(0.5, 3.0))
-    return LossSpec(classifier=classifier, loss=loss)
+    return classifier, loss
 
 
 def random_env(rng, nx, ny, m_sources, n_maps):
-    domains = tuple(random_joint(rng, nx, ny) for _ in range(m_sources + 1))
-    maps = tuple(random_map(rng, nx) for _ in range(n_maps))
-    return bounds.DiscreteEnv(domains=domains, candidate_maps=maps)
+    """(tables, joints): the domains are drawn before the maps."""
+    joints = np.stack([random_joint(rng, nx, ny) for _ in range(m_sources + 1)])
+    return np.stack([random_map(rng, nx) for _ in range(n_maps)]), joints
 
 
 def _kl_rows(pa, qa):
@@ -252,8 +250,8 @@ def _pushforward(tables, joints):
     return out
 
 
-def _risk(h_spec, joint):
-    return float(np.sum(joint * h_spec.loss[h_spec.classifier, :]))
+def _risk(classifier, loss, joint):
+    return float(np.sum(joint * loss[classifier, :]))
 
 
 def _decomposed_rows(p, q):
@@ -282,22 +280,22 @@ def _instance_slacks(seed, index):
     """Every per-instance certification quantity and the chosen map's index."""
     rng = child_rng(seed, "cert", index)
     nx, ny, m = int(rng.integers(2, 7)), int(rng.integers(2, 4)), int(rng.integers(2, 5))
-    env = random_env(rng, nx, ny, m, n_maps=int(rng.integers(1, 17)))
-    h_spec = random_loss_spec(rng, nx, ny)
-    doms = np.stack([d.p for d in env.domains])
-    pushed = _pushforward(np.stack([g.table for g in env.candidate_maps]), doms[:-1])
+    tables, doms = random_env(rng, nx, ny, m, n_maps=int(rng.integers(1, 17)))
+    classifier, loss = random_loss_spec(rng, nx, ny)
+    g_range = float(loss.max() - loss.min())
+    pushed = _pushforward(tables, doms[:-1])
     flat = pushed.reshape(pushed.shape[:2] + (-1,))
     divs = _js_rows(flat, np.broadcast_to(doms[1:].reshape(m, -1), flat.shape))
     best = int(np.argmin(divs[:, :-1].max(axis=1)))
-    target_risk = _risk(h_spec, doms[-1])
-    synthetic0 = _pushforward(env.candidate_maps[0].table[None], doms[-2][None])[0, 0]
+    target_risk = _risk(classifier, loss, doms[-1])
+    synthetic0 = _pushforward(tables[0][None], doms[-2][None])[0, 0]
     div0 = float(_js_rows(synthetic0.ravel(), doms[-1].ravel()))
-    single = float(_risk(h_spec, synthetic0) + float(np.sqrt(2.0) * h_spec.g_range * np.sqrt(max(div0, 0.0))))
+    single = float(_risk(classifier, loss, synthetic0) + float(np.sqrt(2.0) * g_range * np.sqrt(max(div0, 0.0))))
     src_divs = np.asarray(tuple(float(v) for v in divs[best, :-1]))
     full = np.append(src_divs, float(divs[best, -1]))
     gap_full = float(full.max() - full.min())
-    coeff = h_spec.g_range * np.sqrt(2.0 / (m - 1))
-    synthetic_risk = _risk(h_spec, pushed[best, -1])
+    coeff = g_range * np.sqrt(2.0 / (m - 1))
+    synthetic_risk = _risk(classifier, loss, pushed[best, -1])
     tighter = float(synthetic_risk + coeff * (np.sqrt(src_divs.sum()) + np.sqrt((m - 1) * gap_full)))
     t1s, t2s, t3s = _decomposed_rows(pushed[best, :-1], doms[1:-1])
     terms = np.sqrt(np.sum(t1s)) + np.sqrt((m - 1) * gap_full) + np.sqrt(np.sum(t2s)) + np.sqrt(np.sum(t3s))
@@ -326,8 +324,8 @@ def _random_pairs(seed, indices):
     for row, i in enumerate(indices):
         rng = child_rng(seed, "jsdec", i)
         nx, ny = int(rng.integers(2, 7)), int(rng.integers(2, 4))
-        joints[0, row, :nx, :ny] = random_joint(rng, nx, ny).p
-        joints[1, row, :nx, :ny] = random_joint(rng, nx, ny).p
+        joints[0, row, :nx, :ny] = random_joint(rng, nx, ny)
+        joints[1, row, :nx, :ny] = random_joint(rng, nx, ny)
     return joints
 
 
@@ -371,17 +369,17 @@ def oracle_gaps(seed, n=2000):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_instances_match_the_scalar_oracle(seed):
     batched = batched_instances(seed, len(oracle_instances(seed)))
-    for index, (env, k, want) in enumerate(oracle_instances(seed)):
-        report = bounds.find_minimax_map(env)
-        assert report.map is env.candidate_maps[k]
-        synthetic = apply_map(env.sources[-1], report.map)
-        assert np.array_equal(report.pushed[-1], synthetic.p), index
-        for source, row in zip(env.sources, report.pushed, strict=True):
-            assert (row == apply_map(source, report.map).p).all(), index
+    for index, ((tables, joints), k, want) in enumerate(oracle_instances(seed)):
+        pushed, divs, best = bounds.find_minimax_map(tables[None], joints[None])
+        assert best.tolist() == [k], index
+        synthetic = apply_map(joints[-2], tables[k])
+        assert np.array_equal(pushed[0, k, -1], synthetic), index
+        for source, row in zip(joints[:-1], pushed[0, k], strict=True):
+            assert (row == apply_map(source, tables[k])).all(), index
         # Bit for bit what the single-pair kernel gives, so the certified
         # minima cannot move; the oracle's masked sums agree to TOL.
-        assert report.target_divergence == bounds.js(synthetic, env.target), index
-        assert abs(report.target_divergence - js(synthetic, env.target)) <= TOL, index
+        assert divs[0, k, -1] == bounds.js(synthetic.ravel(), joints[-1].ravel()), index
+        assert abs(divs[0, k, -1] - js(synthetic, joints[-1])) <= TOL, index
         assert batched["map"][index] == k, index
         for key in SLACKS:
             assert abs(batched[key][index] - want[key]) <= TOL, (index, key)
@@ -454,9 +452,9 @@ def _groups(n):
 def test_one_pushforward_per_shape_group(monkeypatch, n):
     # All maps of all environments of one (nx, ny, m) in one pass; the
     # single-pair bound and the decomposition read its rows.
-    calls = _counted(monkeypatch, ("_pushforward",))
+    calls = _counted(monkeypatch, ("apply_map",))
     envs, _ = _groups(n)
-    assert calls == {"_pushforward": envs}
+    assert calls == {"apply_map": envs}
 
 
 @pytest.mark.parametrize("n", [50, 256])
@@ -467,7 +465,7 @@ def test_divergence_calls_per_shape_group(monkeypatch, n):
     # first map's single-pair bound included), then the decomposition's
     # conditionals and label marginals. kl per support size: the cases and
     # their attainment functions. No joint is pushed one at a time.
-    assert calls == {"js": 3 * envs, "kl": 2 * cases}
+    assert calls == {"js": 3 * envs, "kl": 2 * cases, "apply_map": envs}
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -499,14 +497,13 @@ def test_certify_env_matches_the_oracle():
     rng = np.random.default_rng(11)
     for trial in range(60):
         nx, ny = int(rng.integers(2, 8)), int(rng.integers(2, 5))
-        env = random_env(rng, nx, ny, int(rng.integers(2, 6)), n_maps=int(rng.integers(1, 12)))
+        tables, joints = random_env(rng, nx, ny, int(rng.integers(2, 6)), n_maps=int(rng.integers(1, 12)))
         if trial % 3 == 0:  # repeated candidates: ties must go to the first
-            env = bounds.DiscreteEnv(env.domains, env.candidate_maps + env.candidate_maps)
-        env = bounds.env_from_dict(env_to_dict(env))
-        h_spec = LossSpec(np.argmax(env.target.p, axis=1), 1.0 - np.eye(ny))
-        k, want = verify_all(env, h_spec)
-        single, seq, dec = bounds.certify_env(env)
-        assert bounds.find_minimax_map(env).map is env.candidate_maps[k]
+            tables = np.concatenate([tables, tables])
+        tables, joints = bounds.env_from_dict(env_to_dict(tables, joints))
+        k, want = verify_all((tables, joints), (np.argmax(joints[-1], axis=1), 1.0 - np.eye(ny)))
+        single, seq, dec = bounds.certify_env(tables, joints)
+        assert bounds.find_minimax_map(tables[None], joints[None])[2].tolist() == [k]
         assert abs(single["slack"] - want["synthetic_transfer"]) <= TOL
         assert abs(seq["slack"] - want["sequential_transfer"]) <= TOL
         assert abs(seq["gap_full"] - want["gap_full"]) <= TOL
@@ -522,12 +519,11 @@ def test_a_stack_scores_each_environment_as_a_stack_of_one(seed):
     rng = np.random.default_rng(seed)
     g, nx, ny, m, k = 9, int(rng.integers(2, 7)), int(rng.integers(2, 4)), int(rng.integers(2, 5)), 6
     envs = [random_env(rng, nx, ny, m, n_maps=k // 2) for _ in range(g)]
-    tables = np.stack([[t.table for t in e.candidate_maps * 2] for e in envs])
+    tables = np.stack([np.concatenate([t, t]) for t, _ in envs])
     fresh = np.arange(g) % 3 != 0
     tables[fresh, k // 2 :] = rng.integers(0, nx, size=(fresh.sum(), k // 2, nx))
-    joints = np.stack([[d.p for d in e.domains] for e in envs])
-    specs = [random_loss_spec(rng, nx, ny) for _ in range(g)]
-    classifier, loss = np.stack([s.classifier for s in specs]), np.stack([s.loss for s in specs])
+    joints = np.stack([j for _, j in envs])
+    classifier, loss = (np.stack(a) for a in zip(*[random_loss_spec(rng, nx, ny) for _ in range(g)]))
     stacked = bounds.transfer_bounds(tables, joints, classifier, loss)
     assert stacked["single"].shape == (g, k) and stacked["divergences"].shape == (g, m)
     for i in range(g):
@@ -627,7 +623,7 @@ def test_single_pairs_return_python_floats(rng):
     for fn in (bounds.js, bounds.kl):
         assert type(fn(p, q)) is float
         assert type(fn(list(p), list(q))) is float
-        assert type(fn(*joints)) is float
+        assert type(fn(*(j.ravel() for j in joints))) is float
         assert fn(p[None], q[None]).shape == (1,)
     assert type(bounds.js_decomposition_gap(*joints)) is float
 
@@ -657,9 +653,9 @@ def test_certification_memory_does_not_grow_with_the_instance_count():
 
 def test_environment_rejects_maps_over_another_support(rng):
     # The stacked pushforward needs every candidate table to cover X exactly.
-    domains = tuple(random_joint(rng, 3, 2) for _ in range(3))
+    payload = env_to_dict(np.arange(3)[None], np.stack([random_joint(rng, 3, 2) for _ in range(3)]))
     for table in ([0, 1], [0, 1, 2, 3]):
         with pytest.raises(ValueError, match="candidate map over"):
-            bounds.DiscreteEnv(domains, (bounds.MappingFn(np.arange(3)), bounds.MappingFn(np.array(table))))
+            bounds.env_from_dict({**payload, "candidate_maps": payload["candidate_maps"] + [table]})
     with pytest.raises(ValueError, match="empty"):
-        bounds.env_from_dict({"nx": 3, "ny": 2, "domains": [d.p.tolist() for d in domains], "candidate_maps": []})
+        bounds.env_from_dict({**payload, "candidate_maps": []})

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from edglab import bounds
-from edglab.bounds import DiscreteEnv, DiscreteJoint, LossSpec, MappingFn
 from test_batched_bounds import decomposed_terms, env_to_dict, random_env, random_joint, random_loss_spec, random_map
 
 prob_vectors = st.lists(st.floats(0.01, 1.0), min_size=2, max_size=6).map(
@@ -15,14 +14,27 @@ prob_vectors = st.lists(st.floats(0.01, 1.0), min_size=2, max_size=6).map(
 
 
 def uniform_joint(nx, ny):
-    return DiscreteJoint(np.full((nx, ny), 1.0 / (nx * ny)))
+    return np.full((nx, ny), 1.0 / (nx * ny))
+
+
+def push(joint, table):
+    """``bounds.apply_map`` on one joint and one map table."""
+    return bounds.apply_map(table[None, None], joint[None, None])[0, 0, 0]
+
+
+def minimax(tables, joints):
+    """``bounds.find_minimax_map`` on one environment: the chosen map's index, its
+    source-pair divergences and the target pair's."""
+    _, divs, best = bounds.find_minimax_map(tables[None], joints[None])
+    k = int(best[0])
+    return k, divs[0, k, :-1], divs[0, k, -1]
 
 
 def transfer(env, spec):
-    """``bounds.transfer_bounds`` on one environment: every output of its stack of one,
-    with the single-pair bound taken at the minimax map."""
-    tables, doms = np.stack([g.table for g in env.candidate_maps]), np.stack([d.p for d in env.domains])
-    stack = bounds.transfer_bounds(tables[None], doms[None], spec.classifier[None], spec.loss[None])
+    """``bounds.transfer_bounds`` on one environment (tables, joints) and loss spec
+    (classifier, loss): every output of its stack of one, with the single-pair bound
+    taken at the minimax map."""
+    stack = bounds.transfer_bounds(*(a[None] for a in env + spec))
     out = {key: value[0] for key, value in stack.items()}
     out["single"] = out["single"][out["map"]]
     return out
@@ -30,7 +42,7 @@ def transfer(env, spec):
 
 class TestKl:
     def test_self_divergence_zero(self, rng):
-        p = random_joint(rng, 3, 2)
+        p = random_joint(rng, 3, 2).ravel()
         assert bounds.kl(p, p) == 0.0
 
     def test_two_point_frozen_value(self):
@@ -49,7 +61,7 @@ class TestKl:
 
 class TestJs:
     def test_self_divergence_zero(self, rng):
-        p = random_joint(rng, 4, 3)
+        p = random_joint(rng, 4, 3).ravel()
         assert bounds.js(p, p) == 0.0
 
     def test_disjoint_supports_reach_ln2(self):
@@ -80,86 +92,79 @@ class TestJs:
 class TestApplyMap:
     def test_identity_map(self, rng):
         d = random_joint(rng, 4, 2)
-        out = bounds.apply_map(d, MappingFn(np.arange(4)))
-        assert np.array_equal(out.p, d.p)
+        out = push(d, np.arange(4))
+        assert np.array_equal(out, d)
 
     def test_constant_map_concentrates_mass(self, rng):
         d = random_joint(rng, 4, 3)
-        out = bounds.apply_map(d, MappingFn(np.zeros(4, dtype=int)))
-        assert np.all(out.p[1:] == 0.0)
-        assert np.max(np.abs(out.p.sum(axis=0) - d.p.sum(axis=0))) < 1e-15
+        out = push(d, np.zeros(4, dtype=int))
+        assert np.all(out[1:] == 0.0)
+        assert np.max(np.abs(out.sum(axis=0) - d.sum(axis=0))) < 1e-15
 
     @given(st.integers(0, 10**9))
     def test_pushforward_preserves_label_marginal(self, seed):
         rng = np.random.default_rng(seed)
         d = random_joint(rng, 5, 3)
         g = random_map(rng, 5)
-        out = bounds.apply_map(d, g)
-        assert np.max(np.abs(out.p.sum(axis=0) - d.p.sum(axis=0))) < 1e-15
+        out = push(d, g)
+        assert np.max(np.abs(out.sum(axis=0) - d.sum(axis=0))) < 1e-15
 
-    def test_map_validation(self):
+    def test_map_validation(self, rng):
+        payload = env_to_dict(*random_env(rng, 2, 2, 2, n_maps=1))
         with pytest.raises(ValueError):
-            MappingFn(np.array([0, 5]))
+            bounds.env_from_dict({**payload, "candidate_maps": [[0, 5]]})
 
 
 class TestMinimaxMap:
     def test_identical_domains_pick_identity_with_zero_gap(self):
-        d = DiscreteJoint(np.array([[0.3, 0.1], [0.2, 0.4]]))
-        env = DiscreteEnv(
-            domains=(d, d, d),
-            candidate_maps=(MappingFn(np.array([0, 1])), MappingFn(np.array([1, 0]))),
-        )
-        report = bounds.find_minimax_map(env)
-        assert np.array_equal(report.map.table, np.array([0, 1]))
-        assert report.gap == 0.0
-        assert all(v == 0.0 for v in report.divergences)
+        d = np.array([[0.3, 0.1], [0.2, 0.4]])
+        tables = np.array([[0, 1], [1, 0]])
+        k, divs, _ = minimax(tables, np.stack([d, d, d]))
+        assert np.array_equal(tables[k], np.array([0, 1]))
+        assert bounds.consistency_gap(divs) == 0.0
+        assert all(v == 0.0 for v in divs)
 
     def test_single_candidate_selected(self, rng):
         env = random_env(rng, 3, 2, 3, n_maps=1)
-        assert bounds.find_minimax_map(env).map is env.candidate_maps[0]
+        assert minimax(*env)[0] == 0
 
     def test_cyclic_shift_environment_has_zero_gap(self):
         # Two-state feature alternation: the swap map reproduces each next
         # domain exactly, so every consecutive-pair divergence vanishes.
-        a = DiscreteJoint(np.array([[0.6, 0.1], [0.2, 0.1]]))
-        b = DiscreteJoint(a.p[::-1].copy())
-        swap = MappingFn(np.array([1, 0]))
-        env = DiscreteEnv(domains=(a, b, a, b), candidate_maps=(MappingFn(np.array([0, 1])), swap))
-        report = bounds.find_minimax_map(env)
-        assert np.array_equal(report.map.table, swap.table)
-        assert report.divergences == (0.0, 0.0)
-        assert report.gap == 0.0
-        assert report.target_divergence == 0.0
+        a = np.array([[0.6, 0.1], [0.2, 0.1]])
+        b = a[::-1].copy()
+        tables = np.array([[0, 1], [1, 0]])
+        k, divs, target_divergence = minimax(tables, np.stack([a, b, a, b]))
+        assert np.array_equal(tables[k], np.array([1, 0]))
+        assert divs.tolist() == [0.0, 0.0]
+        assert bounds.consistency_gap(divs) == 0.0
+        assert target_divergence == 0.0
 
     def test_empty_family_rejected(self, rng):
-        env = DiscreteEnv(
-            domains=tuple(random_joint(rng, 2, 2) for _ in range(3)), candidate_maps=()
-        )
+        joints = np.stack([random_joint(rng, 2, 2) for _ in range(3)])
         with pytest.raises(ValueError, match="empty"):
-            bounds.find_minimax_map(env)
+            bounds.env_from_dict(env_to_dict(np.zeros((0, 2), dtype=np.int64), joints))
 
 
 class TestRisk:
     def test_perfect_classifier_zero_risk(self):
-        joint = DiscreteJoint(np.array([[0.5, 0.0], [0.0, 0.5]]))
-        spec = LossSpec(classifier=np.array([0, 1]), loss=1.0 - np.eye(2))
-        assert bounds.risk(spec, joint) == 0.0
+        joint = np.array([[0.5, 0.0], [0.0, 0.5]])
+        assert bounds._risks(np.array([0, 1]), 1.0 - np.eye(2), joint) == 0.0
 
     def test_uniform_labels_give_half(self, rng):
         joint = uniform_joint(3, 2)
         for _ in range(5):
-            spec = LossSpec(classifier=rng.integers(0, 2, size=3), loss=1.0 - np.eye(2))
-            assert abs(bounds.risk(spec, joint) - 0.5) < 1e-15
+            assert abs(bounds._risks(rng.integers(0, 2, size=3), 1.0 - np.eye(2), joint) - 0.5) < 1e-15
 
     def test_matches_monte_carlo(self, rng):
         joint = random_joint(rng, 4, 3, strictly_positive=True)
-        spec = random_loss_spec(rng, 4, 3)
-        exact = bounds.risk(spec, joint)
+        classifier, loss = random_loss_spec(rng, 4, 3)
+        exact = bounds._risks(classifier, loss, joint)
         n = 10**6
-        flat = joint.p.ravel()
+        flat = joint.ravel()
         draws = rng.choice(flat.size, size=n, p=flat)
-        xs, ys = np.unravel_index(draws, joint.p.shape)
-        samples = spec.loss[spec.classifier[xs], ys]
+        xs, ys = np.unravel_index(draws, joint.shape)
+        samples = loss[classifier[xs], ys]
         mc = samples.mean()
         sigma = samples.std(ddof=1) / math.sqrt(n)
         assert abs(mc - exact) < 3.0 * sigma + 1e-12
@@ -169,8 +174,8 @@ class TestSyntheticTransferBound:
     def test_exact_map_gives_zero_slack(self, rng):
         src = random_joint(rng, 3, 2)
         g = random_map(rng, 3)
-        target = bounds.apply_map(src, g)
-        env = DiscreteEnv(domains=(src, src, target), candidate_maps=(g,))
+        target = push(src, g)
+        env = g[None], np.stack([src, src, target])
         spec = random_loss_spec(rng, 3, 2)
         out = transfer(env, spec)
         assert abs(out["single"] - out["target_risk"]) < 1e-12
@@ -178,7 +183,7 @@ class TestSyntheticTransferBound:
 
     def test_identity_on_iid_environment(self, rng):
         d = random_joint(rng, 3, 2)
-        env = DiscreteEnv(domains=(d, d, d), candidate_maps=(MappingFn(np.arange(3)),))
+        env = np.arange(3)[None], np.stack([d, d, d])
         spec = random_loss_spec(rng, 3, 2)
         out = transfer(env, spec)
         assert abs(out["single"] - out["target_risk"]) < 1e-12
@@ -195,10 +200,10 @@ class TestSyntheticTransferBound:
 
     def test_disjoint_support_case_shows_constant_is_minimal(self):
         # Risk gap G at JS = ln 2: any penalty below sqrt(2)·G·sqrt(ln 2) fails.
-        src = DiscreteJoint(np.array([[1.0, 0.0], [0.0, 0.0]]))
-        target = DiscreteJoint(np.array([[0.0, 0.0], [0.0, 1.0]]))
-        env = DiscreteEnv(domains=(src, src, target), candidate_maps=(MappingFn(np.array([0, 1])),))
-        spec = LossSpec(classifier=np.array([0, 0]), loss=1.0 - np.eye(2))
+        src = np.array([[1.0, 0.0], [0.0, 0.0]])
+        target = np.array([[0.0, 0.0], [0.0, 1.0]])
+        env = np.array([[0, 1]]), np.stack([src, src, target])
+        spec = np.array([0, 0]), 1.0 - np.eye(2)
         out = transfer(env, spec)
         assert out["target_risk"] == 1.0
         assert abs(out["single"] - math.sqrt(2.0 * math.log(2.0))) < 1e-12
@@ -208,7 +213,7 @@ class TestSyntheticTransferBound:
 class TestSequentialTransferBound:
     def test_zero_divergence_environment(self, rng):
         d = random_joint(rng, 3, 2)
-        env = DiscreteEnv(domains=(d, d, d, d), candidate_maps=(MappingFn(np.arange(3)),))
+        env = np.arange(3)[None], np.stack([d, d, d, d])
         spec = random_loss_spec(rng, 3, 2)
         out = transfer(env, spec)
         assert bounds.consistency_gap(out["divergences"]) == 0.0
@@ -217,14 +222,15 @@ class TestSequentialTransferBound:
     def test_two_source_reduction_matches_single_pair_formula(self, rng):
         for _ in range(50):
             env = random_env(rng, 3, 2, 2, n_maps=4)
-            report = bounds.find_minimax_map(env)
+            k, divs, target_divergence = minimax(*env)
             spec = random_loss_spec(rng, 3, 2)
             out = transfer(env, spec)
             # m=2: coefficient is sqrt(2)·G, one source-pair term plus the gap term.
-            d2 = report.divergences[0]
-            gap = report.gap_full
-            synthetic = bounds.apply_map(env.sources[-1], report.map)
-            expected = bounds.risk(spec, synthetic) + math.sqrt(2.0) * spec.g_range * (
+            d2 = divs[0]
+            gap = bounds.consistency_gap(np.append(divs, target_divergence))
+            (tables, joints), (classifier, loss) = env, spec
+            synthetic = push(joints[-2], tables[k])
+            expected = bounds._risks(classifier, loss, synthetic) + math.sqrt(2.0) * (loss.max() - loss.min()) * (
                 math.sqrt(d2) + math.sqrt(gap)
             )
             assert abs(out["sequential"] - expected) < 1e-12
@@ -245,12 +251,10 @@ class TestSequentialTransferBound:
         a = random_joint(rng, 3, 2, strictly_positive=True)
         b = random_joint(rng, 3, 2, strictly_positive=True)
         spec = random_loss_spec(rng, 3, 2)
-        ident = MappingFn(np.arange(3))
         values = []
         for m in (2, 3, 5, 9):
-            chain = tuple(a if i % 2 == 0 else b for i in range(m + 1))
-            env = DiscreteEnv(domains=chain, candidate_maps=(ident,))
-            values.append(transfer(env, spec)["sequential"])
+            chain = np.stack([a if i % 2 == 0 else b for i in range(m + 1)])
+            values.append(transfer((np.arange(3)[None], chain), spec)["sequential"])
         for lo, hi in zip(values[1:], values[:-1]):
             assert lo <= hi + 1e-12
 
@@ -269,11 +273,11 @@ class TestJsDecomposition:
             def joint():
                 cols = rng.random((4, 3)) + 0.05
                 cols /= cols.sum(axis=0, keepdims=True)
-                return DiscreteJoint(cols * marg)
+                return cols * marg
             p, q = joint(), joint()
             t1, t2, t3 = decomposed_terms(p, q)
             assert abs(t1) < 1e-14
-            assert bounds.js(p, q) <= t2 + t3 + 1e-12
+            assert bounds.js(p.ravel(), q.ravel()) <= t2 + t3 + 1e-12
 
     def test_randomized_gap_nonnegative(self, rng):
         worst = math.inf
@@ -289,7 +293,7 @@ class TestJsDecomposition:
 class TestDecomposedTransferBound:
     def test_zero_divergence_environment_has_zero_terms(self, rng):
         d = random_joint(rng, 3, 2)
-        env = DiscreteEnv(domains=(d, d, d, d), candidate_maps=(MappingFn(np.arange(3)),))
+        env = np.arange(3)[None], np.stack([d, d, d, d])
         spec = random_loss_spec(rng, 3, 2)
         out = transfer(env, spec)
         assert all(v == 0.0 for v in out["label_terms"])
@@ -302,11 +306,9 @@ class TestDecomposedTransferBound:
         def joint():
             cols = rng.random((3, 2)) + 0.05
             cols /= cols.sum(axis=0, keepdims=True)
-            return DiscreteJoint(cols * marg)
-        env = DiscreteEnv(
-            domains=tuple(joint() for _ in range(4)),
-            candidate_maps=tuple(random_map(rng, 3) for _ in range(4)),
-        )
+            return cols * marg
+        joints = np.stack([joint() for _ in range(4)])
+        env = np.stack([random_map(rng, 3) for _ in range(4)]), joints
         out = transfer(env, random_loss_spec(rng, 3, 2))
         assert all(abs(v) < 1e-14 for v in out["label_terms"])
 
@@ -360,23 +362,20 @@ class TestChangeOfMeasure:
 
 class TestEnvSerialization:
     def test_round_trip(self, rng):
-        env = random_env(rng, 4, 3, 3, n_maps=5)
-        back = bounds.env_from_dict(env_to_dict(env))
-        assert len(back.domains) == len(env.domains)
-        for a, b in zip(env.domains, back.domains):
-            assert np.array_equal(a.p, b.p)
-        for a, b in zip(env.candidate_maps, back.candidate_maps):
-            assert np.array_equal(a.table, b.table)
+        tables, joints = random_env(rng, 4, 3, 3, n_maps=5)
+        back_tables, back_joints = bounds.env_from_dict(env_to_dict(tables, joints))
+        assert back_tables.dtype == np.int64 and back_joints.dtype == np.float64
+        assert np.array_equal(back_joints, joints)
+        assert np.array_equal(back_tables, tables)
 
     def test_declared_sizes_checked(self, rng):
-        payload = env_to_dict(random_env(rng, 3, 2, 2, n_maps=1))
+        payload = env_to_dict(*random_env(rng, 3, 2, 2, n_maps=1))
         payload["nx"] = 7
         with pytest.raises(ValueError, match="nx/ny"):
             bounds.env_from_dict(payload)
 
     def test_certify_env_produces_three_nonnegative_slacks(self, rng):
-        env = random_env(rng, 4, 2, 3, n_maps=6)
-        slacks = bounds.certify_env(env)
+        slacks = bounds.certify_env(*random_env(rng, 4, 2, 3, n_maps=6))
         assert [s["name"] for s in slacks] == [
             "synthetic_transfer", "sequential_transfer", "decomposed_transfer",
         ]
@@ -394,9 +393,9 @@ class TestCertificationDriver:
 
 def test_joint_validation():
     with pytest.raises(ValueError, match="sums"):
-        DiscreteJoint(np.array([[0.5, 0.1], [0.1, 0.1]]))
+        bounds._check_joints(np.array([[0.5, 0.1], [0.1, 0.1]]))
     with pytest.raises(ValueError, match="negative"):
-        DiscreteJoint(np.array([[1.1, -0.1], [0.0, 0.0]]))
+        bounds._check_joints(np.array([[1.1, -0.1], [0.0, 0.0]]))
     for bad in (np.nan, np.inf):  # a NaN cell slips past the sum check on its own
         with pytest.raises(ValueError, match="non-finite"):
-            DiscreteJoint(np.array([[bad, 0.5], [0.25, 0.25]]))
+            bounds._check_joints(np.array([[bad, 0.5], [0.25, 0.25]]))

@@ -229,7 +229,7 @@ class TestVerifyBounds:
     def test_env_json_certification(self, capsys, tmp_path):
         env = random_env(np.random.default_rng(2), 3, 2, 3, n_maps=4)
         env_path = tmp_path / "env.json"
-        env_path.write_text(json.dumps(env_to_dict(env)))
+        env_path.write_text(json.dumps(env_to_dict(*env)))
         code, events = run_cli(
             capsys,
             [
@@ -281,20 +281,23 @@ class TestVerifyBounds:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "maps", [[], [[0, 1]]], ids=["empty-family", "table-shorter-than-nx"]
+        "maps", [[], [[0, 1]], [[0, 1, 2, 0]], [[]]],
+        ids=["empty-family", "table-shorter-than-nx", "table-longer-than-nx", "empty-table"],
     )
     def test_malformed_map_family_is_config_error(self, capsys, tmp_path, maps):
-        payload = env_to_dict(random_env(np.random.default_rng(2), 3, 2, 3, n_maps=2))
+        payload = env_to_dict(*random_env(np.random.default_rng(2), 3, 2, 3, n_maps=2))
         payload["candidate_maps"] = maps
         env_path = tmp_path / "env.json"
         env_path.write_text(json.dumps(payload))
+        out = tmp_path / "out"
         code, events = run_cli(
             capsys,
             ["verify-bounds", "--instances", "2", "--decomposition-pairs", "2",
-             "--env-json", str(env_path), "--out", str(tmp_path)],
+             "--env-json", str(env_path), "--out", str(out)],
         )
         assert code == 2
         assert "map" in last_event(events, "config-error")["message"]
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "where, value, words",
@@ -309,10 +312,16 @@ class TestVerifyBounds:
             ("table", [True, False, True], "integers"),
             ("table", [2**70, 0, 1], "integers"),
             ("domains", 5, "lists"),
+            ("domains", [[[0.5, 0.0], [0.25, 0.0], [0.25, 0.0]]] * 2, "two sources"),
+            ("domain", [[0.5, 0.0], [0.25, 0.25]], "nx"),
+            ("domain", [[0.5, 0.0], [0.25], [0.25, 0.0]], "shape"),
+            ("cell", -0.25, "negative"),
+            ("domain", [], "nx"),
         ],
         ids=[
             "nan-mass", "infinite-mass", "mass-off-one", "bool-cell", "string-cell", "object-domain",
             "fractional-table", "boolean-table", "huge-table-entry", "domains-not-a-list",
+            "two-domains", "two-shapes", "ragged-domain", "negative-cell", "empty-domain",
         ],
     )
     def test_bad_env_values_are_config_errors(self, capsys, tmp_path, where, value, words):
@@ -320,7 +329,7 @@ class TestVerifyBounds:
         # fractional or boolean table was truncated to integers and certified;
         # the last two raised OverflowError and TypeError. A boolean or string
         # cell was cast to a probability and certified; an object domain raised TypeError.
-        payload = env_to_dict(random_env(np.random.default_rng(2), 3, 2, 3, n_maps=2))
+        payload = env_to_dict(*random_env(np.random.default_rng(2), 3, 2, 3, n_maps=2))
         if where == "cell":
             payload["domains"][1][0][0] = value
         elif where == "domain":

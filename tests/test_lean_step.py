@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edglab import baselines, cli, data, dpnet, nn
+from edglab import baselines, bounds, cli, data, dpnet, nn
 from edglab.baselines import IndexMode
 
 # ---------------------------------------------------------------------------
@@ -511,3 +511,18 @@ def test_tracer_attributes_training_calls(tracing, evolcircle):
     assert layers["nn.mlp_forward.calls"] == 2 * 6 + 4
     assert layers["nn.mlp_backward.calls"] == 2 * 6 + 4
     assert dpnet.train.__module__ == "edglab.dpnet"  # uninstalled
+
+
+def test_tracer_attributes_certification_calls(tracing):
+    # The traced bounds names are the stacked kernels: one pushforward and one
+    # minimax pass per environment shape group of the instance block.
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        bounds.run_certification(instances=40, decomposition_pairs=10, seed=3)
+    finally:
+        tracer.uninstall()
+    layers = tracer.layer_metrics()
+    groups = sum("map" in values for _, values in bounds._instance_rows(3, range(40)))
+    assert layers["bounds.apply_map.calls"] == layers["bounds.find_minimax_map.calls"] == groups > 0
+    assert bounds.apply_map.__name__ == "apply_map"  # uninstalled

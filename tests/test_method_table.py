@@ -178,7 +178,7 @@ def test_js_decomposition_gap_folds_the_terms(monkeypatch):
     rng = np.random.default_rng(3)
     shapes = []
     js = bounds.js
-    monkeypatch.setattr(bounds, "js", lambda p, q: shapes.append(np.shape(getattr(p, "p", p))) or js(p, q))
+    monkeypatch.setattr(bounds, "js", lambda p, q: shapes.append(np.shape(p)) or js(p, q))
     for _ in range(200):
         nx, ny = int(rng.integers(2, 7)), int(rng.integers(2, 4))
         p, q = oracle.random_joint(rng, nx, ny), oracle.random_joint(rng, nx, ny)
@@ -187,8 +187,8 @@ def test_js_decomposition_gap_folds_the_terms(monkeypatch):
         # Every label's conditional JS in one stacked call, then the label marginals and the joint.
         assert shapes == [(ny, nx), (ny,), (nx * ny,)]
         # The pre-fold formula on the scalar oracle: each weighted conditional term added in turn.
-        rhs = oracle.js(p.p.sum(axis=0), q.p.sum(axis=0))
-        for weights in (p.p.sum(axis=0), q.p.sum(axis=0)):
+        rhs = oracle.js(p.sum(axis=0), q.sum(axis=0))
+        for weights in (p.sum(axis=0), q.sum(axis=0)):
             rhs += sum(weights[y] * oracle._conditional_js(p, q, y) for y in range(ny) if weights[y] > 0)
         assert abs(gap - (rhs - oracle.js(p, q))) <= 1e-15
         assert gap >= -1e-12
