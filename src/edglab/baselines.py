@@ -63,65 +63,61 @@ class ErmModel:
             raise ValueError(f"net in-dim {self.net.in_dim} != augmented dim {want}")
 
 
-@dataclass(frozen=True)
-class ErmConfig:
-    steps: int = 1000
-    batch_size: int = 32
-    lr: float = 1e-2
-    seed: int = 0
-    hidden: tuple[int, ...] = ()  # empty = single linear layer
+# Runs that differ on one of these train in separate lockstep groups.
+GROUP_KEYS = ("batch", "hidden")
 
 
 def train_erm(
     domains: list[DomainData],
-    configs: list[ErmConfig],
+    runs: list[tuple[dict, int]],
     index_mode: IndexMode = IndexMode.NONE,
     last_k: int | None = None,
     progress=None,
 ) -> list[ErmModel | OptimizerError]:
-    """Mini-batch cross-entropy over pooled source samples, R runs in
-    lockstep (``nn.Lockstep``).
+    """Mini-batch cross-entropy over pooled source samples, R (hparams, seed)
+    runs in lockstep (``nn.Lockstep``).
 
-    The configs share ``batch_size`` and ``hidden``. Each run keeps its own
-    ``lr``, ``steps`` and seed (its initial weights and its batches), so it
-    ends bit for bit where it would alone. Returns, per run, the model or the
-    error that ended it. ``progress(step, losses)`` is called after each step
-    with ``{run: loss}`` for the runs that took it.
+    A run's hparams give its ``lr``, ``steps``, ``batch`` (samples per class:
+    a step draws ``batch`` · K pooled samples, at most the pool) and
+    ``hidden`` (classifier hidden widths; none is a single linear layer); the
+    runs agree on ``GROUP_KEYS``. Its seed draws its initial weights, then its
+    batches, so it ends bit for bit where it would alone. Returns, per run,
+    the model or the error that ended it. ``progress(step, losses)`` is called
+    after each step with ``{run: loss}`` for the runs that took it.
 
     ``last_k`` restricts training to the final k source domains; the index
     features still span all ``len(domains)`` of them.
     """
     if not domains:
         raise ValueError("need at least one source domain")
-    batch_size, hidden = configs[0].batch_size, tuple(configs[0].hidden)
-    if any((c.batch_size, tuple(c.hidden)) != (batch_size, hidden) for c in configs):
-        raise ValueError("runs of one lockstep group must share batch_size and hidden")
+    per_class, hidden = nn.group_values(runs, GROUP_KEYS)
     m = len(domains)
     used = domains[-last_k:] if last_k else domains
     k_classes = used[0].num_classes
     feature_dim = used[0].dim
     xs = np.vstack([with_index(d.x, d.index, index_mode, m) for d in used])
     ys = np.concatenate([d.y for d in used])
-    rngs = [np.random.default_rng(c.seed) for c in configs]
-    dims = (xs.shape[1],) + hidden + (k_classes,)
+    rngs = [np.random.default_rng(seed) for _, seed in runs]
+    dims = (xs.shape[1],) + tuple(hidden) + (k_classes,)
     nets = [nn.init_mlp(dims, rng) for rng in rngs]
     for net in nets:
         # Zero-start the classifier head: harmless for the convex last layer, and
         # it keeps never-activated index blocks exactly inert at prediction time.
         for head in net.layers[-1]:
             head[...] = 0.0
-    lock = nn.Lockstep([[net] for net in nets], [c.lr for c in configs], [c.steps for c in configs])
+    steps = [hp["steps"] for hp, _ in runs]
+    lock = nn.Lockstep([[net] for net in nets], [hp["lr"] for hp, _ in runs], steps)
     # Each run's batches are rng.choice(n, batch, replace=False) per step,
     # decoded a chunk of steps at a time for every live run: T × R × batch.
     streams = [seeding.Words(rng) for rng in rngs]
     n = xs.shape[0]
-    batch = min(batch_size, n)
+    batch = min(per_class * k_classes, n)
     start, picks, decoded = 0, np.empty((0,)), []
 
     def grads(step):
         nonlocal start, picks, decoded
         if step == start + len(picks):
-            left = max(configs[run].steps for run in lock.ids) - step
+            left = max(steps[run] for run in lock.ids) - step
             start, decoded = step, list(lock.ids)
             count = seeding.chunk_steps(len(decoded), 2 * batch - 1, left)
             picks = seeding.choice([streams[run] for run in decoded], n, batch, count).swapaxes(0, 1)

@@ -269,6 +269,8 @@ def env_from_dict(payload: dict) -> tuple[Array, Array]:
     domains, maps, nx, ny = payload["domains"], payload["candidate_maps"], payload["nx"], payload["ny"]
     if type(domains) is not list or type(maps) is not list:
         raise ValueError("domains and candidate_maps must be lists")
+    if type(nx) is not int or type(ny) is not int:  # true or 2.0 would pass a size comparison
+        raise ValueError(f"nx and ny must be integers, got {nx!r} and {ny!r}")
     for p in domains:  # true or "0.25" would be cast to a probability
         if type(p) is not list or any(type(r) is not list or any(type(v) not in (int, float) for v in r) for r in p):
             raise ValueError(f"domain {p!r} must be a list of lists of numbers")

@@ -35,8 +35,9 @@ class DPNetModel:
     """Two encoders into a shared embedding space.
 
     ``f_phi`` embeds support instances (it carries the one-step-ahead drift),
-    ``f_psi`` embeds queries. Both must share architecture, so the embedding
-    dimension is ``f_phi.out_dim``.
+    ``f_psi`` embeds queries; a shared encoder (proto) is one object in both
+    fields. Both must share architecture, so the embedding dimension is
+    ``f_phi.out_dim``.
     """
 
     f_phi: MlpParams
@@ -46,10 +47,6 @@ class DPNetModel:
     def __post_init__(self):
         if self.f_phi.dims != self.f_psi.dims:
             raise ValueError(f"encoder architectures differ: {self.f_phi.dims} vs {self.f_psi.dims}")
-
-    @property
-    def shared_encoder(self) -> bool:
-        return self.f_phi is self.f_psi
 
 
 def init_dpnet(dims: tuple[int, ...], num_classes: int, seed: int, shared: bool = False) -> DPNetModel:
@@ -294,47 +291,45 @@ def sample_episode(episodes: Episodes, step: int, runs: list[int]) -> tuple[Arra
     return support, query, episodes.pair[row, t]
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    steps: int = 1000
-    n_per_class: int = 16
-    lr: float = 1e-2
-    seed: int = 0
+# Runs that differ on one of these train in separate lockstep groups.
+GROUP_KEYS = ("batch", "embed")
 
 
 def train(
-    models: list[DPNetModel],
     source_domains: list[DomainData],
-    configs: list[TrainConfig],
+    runs: list[tuple[dict, int]],
+    shared: bool = False,
     progress=None,
 ) -> list[tuple[DPNetModel, Array, Array] | OptimizerError | EpisodeError]:
-    """Episodic training of R runs in lockstep (``nn.Lockstep``).
+    """Episodic training of R (hparams, seed) runs in lockstep (``nn.Lockstep``).
 
-    The models share their architecture and encoder sharing, the configs
-    ``n_per_class``. A shared encoder (proto) draws its support and queries
-    from one domain, two encoders (dpnets) from consecutive domains. Each run keeps its own ``lr``, ``steps`` and seed, and
-    draws its episodes from its own generator, so it ends bit for bit where
-    it would alone. Returns, per run, the trained model with its per-step
-    losses and query accuracies, or the error that ended it.
-    ``progress(step, losses)`` is called after each step with ``{run: loss}``
-    for the runs that took it.
+    A run's hparams give its ``lr``, ``steps``, ``batch`` (samples per class
+    on each side of an episode) and ``embed`` (encoder widths after the
+    input); the runs agree on ``GROUP_KEYS``. Its encoders are
+    ``init_dpnet((dim,) + embed, K, seed, shared)``, and it draws its episodes
+    from a second generator of the same seed, so it ends bit for bit where it
+    would alone. A shared encoder (proto) draws its support and queries from
+    one domain, two encoders (dpnets) from consecutive domains. Returns, per
+    run, the trained model with its per-step losses and query accuracies, or
+    the error that ended it. ``progress(step, losses)`` is called after each
+    step with ``{run: loss}`` for the runs that took it.
     """
-    first, n_per_class = models[0], configs[0].n_per_class
-    shared = first.shared_encoder
-    if any(m.shared_encoder != shared for m in models) or any(c.n_per_class != n_per_class for c in configs):
-        raise ValueError("runs of one lockstep group must share encoder sharing and n_per_class")
+    n_per_class, embed = nn.group_values(runs, GROUP_KEYS)
+    dims, k_classes = (source_domains[0].dim,) + tuple(embed), source_domains[0].num_classes
+    models = [init_dpnet(dims, k_classes, seed, shared) for _, seed in runs]
+    steps = [hp["steps"] for hp, _ in runs]
     # Gradients of both encoders, phi then psi; a shared encoder steps on their sum.
     lock = nn.Lockstep(
         [[m.f_phi] if shared else [m.f_phi, m.f_psi] for m in models],
-        [c.lr for c in configs],
-        [c.steps for c in configs],
-        grad_like=[first.f_phi, first.f_psi],
+        [hp["lr"] for hp, _ in runs],
+        steps,
+        grad_like=[models[0].f_phi, models[0].f_psi],
     )
     width = lock.params.shape[1]
-    rngs = [np.random.default_rng(c.seed) for c in configs]
-    episodes = Episodes(source_domains, n_per_class, rngs, [c.steps for c in configs], shared)
-    labels = np.repeat(np.arange(first.num_classes), n_per_class)
-    logs = np.empty((2, len(models), max(c.steps for c in configs)))  # loss, query accuracy
+    rngs = [np.random.default_rng(seed) for _, seed in runs]
+    episodes = Episodes(source_domains, n_per_class, rngs, steps, shared)
+    labels = np.repeat(np.arange(k_classes), n_per_class)
+    logs = np.empty((2, len(runs), max(steps)))  # loss, query accuracy
 
     def grads(step):
         try:
@@ -354,12 +349,12 @@ def train(
         return losses
 
     results = []
-    for run, (nets, config) in enumerate(zip(lock.train(grads, progress), configs)):
+    for run, nets in enumerate(lock.train(grads, progress)):
         if isinstance(nets, Exception):
             results.append(nets)
         else:
-            model = DPNetModel(nets[0], nets[-1], first.num_classes)
-            results.append((model, logs[0, run, : config.steps], logs[1, run, : config.steps]))
+            model = DPNetModel(nets[0], nets[-1], k_classes)
+            results.append((model, logs[0, run, : steps[run]], logs[1, run, : steps[run]]))
     return results
 
 

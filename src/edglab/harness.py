@@ -41,7 +41,7 @@ class HParamSpace:
 
     lr_range: tuple[float, float] = (1e-4, 1e-1)
     steps_choices: tuple[int, ...] = (500, 1000, 2000)
-    batch_choices: tuple[int, ...] = (8, 16, 32)  # per class for episodic methods
+    batch_choices: tuple[int, ...] = (8, 16, 32)  # samples per class in each step
     embed_choices: tuple[tuple[int, ...], ...] = ((2,),)  # encoder widths after input
     hidden_choices: tuple[tuple[int, ...], ...] = ((),)  # classifier hidden widths
 
@@ -75,6 +75,7 @@ class Episodic:
     proto (``shared=True``): one encoder, support and queries from one domain."""
 
     shared: bool
+    group_keys = dpnet.GROUP_KEYS
 
     def samples_needed(self, batch: int) -> int:
         """Samples per class every source domain must hold for one episode:
@@ -84,12 +85,7 @@ class Episodic:
 
     def fit(self, sources: list[DomainData], runs: list[tuple[dict, int]], progress=None) -> list:
         """One lockstep group: per (hparams, seed) run, its model or the error that ended it."""
-        dim, k = sources[0].dim, sources[0].num_classes
-        models = [dpnet.init_dpnet((dim,) + tuple(hp["embed"]), k, seed, self.shared) for hp, seed in runs]
-        cfgs = [
-            dpnet.TrainConfig(steps=hp["steps"], n_per_class=hp["batch"], lr=hp["lr"], seed=seed) for hp, seed in runs
-        ]
-        results = dpnet.train(models, sources, cfgs, progress=progress)
+        results = dpnet.train(sources, runs, self.shared, progress)
         return [r if isinstance(r, Exception) else r[0] for r in results]
 
     def predict(self, model: dpnet.DPNetModel, sources: list[DomainData], x, i: int | None = None):
@@ -107,6 +103,9 @@ class Episodic:
         return {"embed_dim": model.f_phi.out_dim, "dims": list(model.f_phi.dims)}
 
     def load(self, nets: list[MlpParams], sidecar: dict) -> dpnet.DPNetModel:
+        dim = _count(sidecar, "feature_dim", 1)
+        if nets[0].in_dim != dim:
+            raise ValueError(f"the networks take {nets[0].in_dim} features, feature_dim is {dim}")
         return dpnet.DPNetModel(nets[0], nets[-1], _count(sidecar, "num_classes", 1))
 
 
@@ -117,20 +116,14 @@ class Erm:
 
     mode: baselines.IndexMode = baselines.IndexMode.NONE
     last_k: int | None = None
+    group_keys = baselines.GROUP_KEYS
 
     def samples_needed(self, batch: int) -> int:
         return 0  # batches are drawn from the pool and capped at its size
 
     def fit(self, sources: list[DomainData], runs: list[tuple[dict, int]], progress=None) -> list:
         """One lockstep group: per (hparams, seed) run, its model or the error that ended it."""
-        k = sources[0].num_classes
-        cfgs = [
-            baselines.ErmConfig(
-                steps=hp["steps"], batch_size=hp["batch"] * k, lr=hp["lr"], seed=seed, hidden=tuple(hp["hidden"])
-            )
-            for hp, seed in runs
-        ]
-        return baselines.train_erm(sources, cfgs, index_mode=self.mode, last_k=self.last_k, progress=progress)
+        return baselines.train_erm(sources, runs, self.mode, self.last_k, progress)
 
     def predict(self, model: baselines.ErmModel, sources: list[DomainData], x, i: int | None = None):
         return baselines.predict_erm(model, x, None if i is None else sources[i].index)
@@ -210,8 +203,8 @@ def run_group(
     runs: list[tuple[dict, int]],
 ) -> list[RunOutcome]:
     """Train (hparams, seed) runs as one lockstep group, then score each on
-    the target (and validation when given). The runs share every
-    hyperparameter but ``lr`` and ``steps``.
+    the target (and validation when given). The runs agree on the method's
+    ``group_keys``, the trainer's ``GROUP_KEYS``.
 
     A diverged optimizer or an episode the domains cannot serve fails that
     run, not the group or the search: it is recorded and the trial is
@@ -284,10 +277,11 @@ def random_search(
     """Hyperparameter search: n_trials draws × n_seeds runs each, selected per
     strategy. Fully deterministic given master_seed.
 
-    Runs that share every hyperparameter but ``lr`` and ``steps`` train as one
-    lockstep group (``run_group``), one group after another. Raises
-    ``SearchFailed`` when every trial fails. ``workers`` must be 1; it is kept
-    for ``perfbench/workloads.py`` and goes when the benchmark drops it."""
+    Runs that agree on the method's ``group_keys`` (the trainer's
+    ``GROUP_KEYS``) train as one lockstep group (``run_group``), one group
+    after another. Raises ``SearchFailed`` when every trial fails.
+    ``workers`` must be 1; it is kept for ``perfbench/workloads.py`` and goes
+    when the benchmark drops it."""
     if workers != 1:
         raise ValueError(f"searches run serially; workers must be 1, got {workers!r}")
     if algorithm not in ALGORITHMS:
@@ -310,8 +304,7 @@ def random_search(
     }
     groups: dict[tuple, list[tuple[int, int]]] = {}
     for t, s in sorted(seeds):
-        shape = tuple(sorted((k, v) for k, v in hparams[t].items() if k not in ("lr", "steps")))
-        groups.setdefault(shape, []).append((t, s))
+        groups.setdefault(tuple(hparams[t][k] for k in METHODS[algorithm].group_keys), []).append((t, s))
     outcomes: dict[tuple[int, int], RunOutcome] = {}
     for keys in groups.values():
         runs = [(hparams[t], seeds[(t, s)]) for t, s in keys]

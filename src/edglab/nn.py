@@ -173,6 +173,18 @@ def mlp_views(buffer: Array, like: list[MlpParams]) -> list[MlpParams]:
     return nets
 
 
+def group_values(runs: list[tuple[dict, int]], keys: tuple[str, ...]) -> list:
+    """The values of ``keys`` that the (hparams, seed) runs of one lockstep
+    group share, in order; ``ValueError`` when there is no run or two differ.
+    A trainer's ``GROUP_KEYS`` fix its network and batch shapes."""
+    if not runs:
+        raise ValueError("a lockstep group needs at least one run")
+    first = runs[0][0]
+    if any(hp[key] != first[key] for hp, _ in runs for key in keys):
+        raise ValueError(f"runs of one lockstep group must agree on {', '.join(keys)}")
+    return [first[key] for key in keys]
+
+
 class Lockstep:
     """R training runs of one network shape, stepped together.
 
@@ -192,12 +204,7 @@ class Lockstep:
     """
 
     def __init__(self, runs: list[list[MlpParams]], lrs, steps, grad_like=None):
-        if not runs:
-            raise ValueError("a lockstep group needs at least one run")
         self.like = runs[0]
-        shapes = [a.shape for net in self.like for a in net.arrays()]
-        if any([a.shape for net in run for a in net.arrays()] != shapes for run in runs):
-            raise ValueError("runs of one lockstep group must share their network shapes")
         self.steps = list(steps)
         order = sorted(range(len(runs)), key=lambda i: -self.steps[i])
         self.params = np.empty((len(runs), sum(a.size for net in self.like for a in net.arrays())))

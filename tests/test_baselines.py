@@ -86,8 +86,8 @@ def make_domains(rng, m=3, n=60, gap=3.0, flip_first=False):
 class TestErm:
     def test_separable_iid_sanity(self, rng):
         domains = make_domains(rng, m=3)
-        cfg = baselines.ErmConfig(steps=300, batch_size=32, lr=0.05, seed=0)
-        [model] = baselines.train_erm(domains[:-1], [cfg])
+        run = ({"steps": 300, "batch": 16, "lr": 0.05, "hidden": ()}, 0)
+        [model] = baselines.train_erm(domains[:-1], [run])
         acc = evaluate_accuracy(lambda x: baselines.predict_erm(model, x), domains[-1])
         assert acc >= 0.99
 
@@ -109,9 +109,9 @@ class TestErm:
             data.DomainData(0, xs[:40], ys[:40], 2),
             data.DomainData(1, xs[40:], ys[40:], 2),
         ]
-        cfg = baselines.ErmConfig(steps=100, batch_size=16, lr=0.05, seed=3)
-        pa = baselines.train_erm(split_a, [cfg])[0].net.arrays()
-        pb = baselines.train_erm(split_b, [cfg])[0].net.arrays()
+        run = ({"steps": 100, "batch": 8, "lr": 0.05, "hidden": ()}, 3)
+        pa = baselines.train_erm(split_a, [run])[0].net.arrays()
+        pb = baselines.train_erm(split_b, [run])[0].net.arrays()
         assert all(np.array_equal(a, b) for a, b in zip(pa, pb))
 
     def test_predict_argmax_and_ties(self, rng):
@@ -125,8 +125,8 @@ class TestErm:
 
     def test_predict_matches_forward_oracle(self, rng):
         domains = make_domains(rng, m=3)
-        cfg = baselines.ErmConfig(steps=50, batch_size=16, lr=0.05, seed=1)
-        [model] = baselines.train_erm(domains[:-1], [cfg], index_mode=IndexMode.ONE_HOT_CONCAT)
+        run = ({"steps": 50, "batch": 8, "lr": 0.05, "hidden": ()}, 1)
+        [model] = baselines.train_erm(domains[:-1], [run], index_mode=IndexMode.ONE_HOT_CONCAT)
         points = rng.standard_normal((1000, 2))
         preds = baselines.predict_erm(model, points)
         aug = baselines.with_index(points, 2, IndexMode.ONE_HOT_CONCAT, 2)
@@ -137,10 +137,10 @@ class TestErm:
         # Domain 0 carries flipped labels; a model trained only on the final
         # domain ignores the conflict, the pooled model cannot.
         domains = make_domains(rng, m=3, flip_first=True)
-        cfg = baselines.ErmConfig(steps=300, batch_size=32, lr=0.05, seed=0)
-        [recent] = baselines.train_erm(domains[:2], [cfg], last_k=1)
+        run = ({"steps": 300, "batch": 16, "lr": 0.05, "hidden": ()}, 0)
+        [recent] = baselines.train_erm(domains[:2], [run], last_k=1)
         acc_recent = evaluate_accuracy(lambda x: baselines.predict_erm(recent, x), domains[2])
-        [pooled] = baselines.train_erm(domains[:2], [cfg])
+        [pooled] = baselines.train_erm(domains[:2], [run])
         acc_pooled = evaluate_accuracy(lambda x: baselines.predict_erm(pooled, x), domains[2])
         assert acc_recent >= 0.99
         assert acc_pooled <= 0.7
@@ -197,9 +197,8 @@ class TestProtoVanilla:
         sources, target = domains[:-1], domains[-1]
         directional, vanilla = [], []
         for seed in (1, 2, 3):
-            cfg = dpnet.TrainConfig(steps=2000, n_per_class=16, lr=0.01, seed=seed)
-            model = dpnet.init_dpnet((2, 2), 2, seed)
-            [(model, _, _)] = dpnet.train([model], sources, [cfg])
+            hparams = {"steps": 2000, "batch": 16, "lr": 0.01, "embed": (2,)}
+            [(model, _, _)] = dpnet.train(sources, [(hparams, seed)])
             directional.append(
                 evaluate_accuracy(lambda x: dpnet.predict_target(model, sources[-1], x), target)
             )

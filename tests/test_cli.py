@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edglab import cli, data, dpnet, harness
+from edglab import cli, data, dpnet, harness, nn
 from test_batched_bounds import env_to_dict, random_env
 from test_data import write_idx
 
@@ -317,11 +317,16 @@ class TestVerifyBounds:
             ("domain", [[0.5, 0.0], [0.25], [0.25, 0.0]], "shape"),
             ("cell", -0.25, "negative"),
             ("domain", [], "nx"),
+            ("nx", True, "integers"),
+            ("nx", 3.0, "integers"),
+            ("ny", True, "integers"),
+            ("ny", 2.0, "integers"),
         ],
         ids=[
             "nan-mass", "infinite-mass", "mass-off-one", "bool-cell", "string-cell", "object-domain",
             "fractional-table", "boolean-table", "huge-table-entry", "domains-not-a-list",
             "two-domains", "two-shapes", "ragged-domain", "negative-cell", "empty-domain",
+            "bool-nx", "float-nx", "bool-ny", "float-ny",
         ],
     )
     def test_bad_env_values_are_config_errors(self, capsys, tmp_path, where, value, words):
@@ -329,6 +334,7 @@ class TestVerifyBounds:
         # fractional or boolean table was truncated to integers and certified;
         # the last two raised OverflowError and TypeError. A boolean or string
         # cell was cast to a probability and certified; an object domain raised TypeError.
+        # A float size equal to the true one (ny 2.0) was certified too.
         payload = env_to_dict(*random_env(np.random.default_rng(2), 3, 2, 3, n_maps=2))
         if where == "cell":
             payload["domains"][1][0][0] = value
@@ -396,6 +402,26 @@ class TestCorruptJsonInputs:
         code, events = run_cli(capsys, ["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "e")])
         assert code == 2
         assert "sidecar" in last_event(events, "input-error")["message"]
+
+    @pytest.mark.parametrize("algo", ["dpnets", "proto"])
+    @pytest.mark.parametrize("tamper", ["networks", "feature-dim"])
+    def test_episodic_checkpoint_that_disagrees_with_its_sidecar_is_input_error(self, capsys, tmp_path, algo, tamper):
+        # Networks over 3 features under a sidecar of feature_dim 2 raised
+        # ValueError from the forward pass; a feature_dim of 7 blamed the dataset.
+        out = tmp_path / "t"
+        argv = ["train", "--algo", algo, "--num-domains", "4", "--samples", "20", "--steps", "5", "--batch", "4"]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        ckpt, sidecar_path = out / "model.ckpt", out / "model.json"
+        if tamper == "networks":
+            nn.save_checkpoint(ckpt, [nn.init_mlp((3, 2), np.random.default_rng(0)) for _ in nn.load_checkpoint(ckpt)])
+        else:
+            sidecar_path.write_text(json.dumps({**json.loads(sidecar_path.read_text()), "feature_dim": 7}))
+        capsys.readouterr()
+        code, events = run_cli(capsys, ["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "e")])
+        assert code == 2
+        message = last_event(events, "input-error")["message"]
+        assert "sidecar" in message and "feature_dim is" in message
+        assert not [e for e in events if e["event"] == "eval"]
 
     @pytest.fixture(scope="class")
     def raw_cells(self, tmp_path_factory):
@@ -506,12 +532,12 @@ class TestSweepAndReport:
 
         train_erm, failed = baselines.train_erm, []
 
-        def diverge(domains, configs, **kwargs):
-            results = train_erm(domains, configs, **kwargs)
-            for i, cfg in enumerate(configs):
+        def diverge(domains, runs, *args, **kwargs):
+            results = train_erm(domains, runs, *args, **kwargs)
+            for i, (_, seed) in enumerate(runs):
                 if failing == "every-run" or not failed:
                     results[i] = nn.OptimizerError("non-finite gradient")
-                    failed.append(cfg.seed)
+                    failed.append(seed)
             return results
 
         monkeypatch.setattr(baselines, "train_erm", diverge)

@@ -205,20 +205,20 @@ class TestSampleEpisode:
 class TestTrain:
     def test_zero_steps_leaves_model(self, rng):
         domains = two_class_domains(rng)
-        model = dpnet.init_dpnet((2, 2), 2, seed=0)
+        model = dpnet.init_dpnet((2, 2), 2, seed=1)
         before = [a.copy() for a in model.f_phi.arrays() + model.f_psi.arrays()]
-        [(trained, losses, accs)] = dpnet.train([model], domains, [dpnet.TrainConfig(steps=0, seed=1)])
+        hparams = {"steps": 0, "batch": 16, "lr": 0.01, "embed": (2,)}
+        [(trained, losses, accs)] = dpnet.train(domains, [(hparams, 1)])
         after = trained.f_phi.arrays() + trained.f_psi.arrays()
         assert len(losses) == len(accs) == 0
         assert all(np.array_equal(x, y) for x, y in zip(before, after))
 
     def test_fixed_seed_reproduces_parameters(self, rng):
         domains = two_class_domains(rng)
-        cfg = dpnet.TrainConfig(steps=40, n_per_class=4, lr=0.02, seed=9)
+        run = ({"steps": 40, "batch": 4, "lr": 0.02, "embed": (2,)}, 9)
         results = []
         for _ in range(2):
-            model = dpnet.init_dpnet((2, 2), 2, seed=5)
-            [(trained, _, _)] = dpnet.train([model], domains, [cfg])
+            [(trained, _, _)] = dpnet.train(domains, [run])
             results.append(trained.f_phi.arrays() + trained.f_psi.arrays())
         assert all(np.array_equal(a, b) for a, b in zip(*results))
 
@@ -226,9 +226,8 @@ class TestTrain:
         domains = two_class_domains(rng)
         seen = []
         dpnet.train(
-            models=[dpnet.init_dpnet((2, 2), 2, seed=0)],
             source_domains=domains,
-            configs=[dpnet.TrainConfig(steps=7, n_per_class=4, seed=0)],
+            runs=[({"steps": 7, "batch": 4, "lr": 0.01, "embed": (2,)}, 0)],
             progress=lambda step, losses: seen.append(step),
         )
         assert seen == list(range(7))
@@ -237,10 +236,8 @@ class TestTrain:
         monkeypatch.setattr(data, "SIGMA", 0.05)
         spec = data.default_spec("evolcircle", seed=3)
         domains = data.generate(spec)
-        model = dpnet.init_dpnet((2, 2), 2, seed=1)
-        [(_, _, accs)] = dpnet.train(
-            [model], domains[:-1], [dpnet.TrainConfig(steps=1000, n_per_class=16, lr=0.02, seed=1)]
-        )
+        hparams = {"steps": 1000, "batch": 16, "lr": 0.02, "embed": (2,)}
+        [(_, _, accs)] = dpnet.train(domains[:-1], [(hparams, 1)])
         assert np.mean(accs[-50:]) >= 0.99
 
 
@@ -273,9 +270,8 @@ class TestPredictTarget:
         sources, target = domains[:-1], domains[-1]
         accs = []
         for seed in (1, 2, 3):
-            model = dpnet.init_dpnet((2, 2), 2, seed)
-            cfg = dpnet.TrainConfig(steps=2000, n_per_class=16, lr=0.01, seed=seed)
-            [(model, _, _)] = dpnet.train([model], sources, [cfg])
+            hparams = {"steps": 2000, "batch": 16, "lr": 0.01, "embed": (2,)}
+            [(model, _, _)] = dpnet.train(sources, [(hparams, seed)])
             accs.append(
                 evaluate_accuracy(lambda x: dpnet.predict_target(model, sources[-1], x), target)
             )

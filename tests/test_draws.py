@@ -207,13 +207,12 @@ def test_episode_error_surfaces_at_its_step(evolcircle):
     survivors = sorted(fail_at, key=fail_at.get)[-2:]
     steps = [fail_at[run] if run in survivors else 200 for run in range(len(seeds))]
     assert min(fail_at.values()) < min(steps[run] for run in survivors)
-    models = [dpnet.init_dpnet((2, 2), 2, seed=s) for s in seeds]
-    configs = [dpnet.TrainConfig(steps=n, n_per_class=4, seed=s) for s, n in zip(seeds, steps)]
-    for run, result in enumerate(dpnet.train(models, domains, configs)):
+    runs = [({"steps": n, "batch": 4, "lr": 0.01, "embed": (2,)}, s) for s, n in zip(seeds, steps)]
+    for run, result in enumerate(dpnet.train(domains, runs)):
         if run not in survivors:
             assert isinstance(result, dpnet.EpisodeError) and str(result) == want[run][-1]
             continue
-        [(solo, solo_losses, solo_accs)] = dpnet.train([models[run]], domains, [configs[run]])
+        [(solo, solo_losses, solo_accs)] = dpnet.train(domains, [runs[run]])
         model, losses, accs = result
         for net, solo_net in ((model.f_phi, solo.f_phi), (model.f_psi, solo.f_psi)):
             assert all(np.array_equal(a, b) for a, b in zip(net.arrays(), solo_net.arrays()))
@@ -222,10 +221,10 @@ def test_episode_error_surfaces_at_its_step(evolcircle):
 
 @BUDGETS
 def test_erm_batches_do_not_depend_on_chunking(evolcircle, monkeypatch, budget):
-    configs = [baselines.ErmConfig(steps=s, batch_size=16, lr=0.05, seed=s) for s in (30, 45)]
-    full = baselines.train_erm(evolcircle, configs)
+    runs = [({"steps": s, "batch": 8, "lr": 0.05, "hidden": ()}, s) for s in (30, 45)]
+    full = baselines.train_erm(evolcircle, runs)
     monkeypatch.setattr(seeding, "CHUNK_DRAWS", budget)
-    chunked = baselines.train_erm(evolcircle, configs)
+    chunked = baselines.train_erm(evolcircle, runs)
     for a, b in zip(full, chunked):
         assert all(np.array_equal(x, y) for x, y in zip(a.net.arrays(), b.net.arrays()))
 

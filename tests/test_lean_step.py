@@ -149,14 +149,17 @@ def _oracle_query_accuracy(phi, psi, support, query):
     return float(np.mean(preds == labels))
 
 
-def oracle_train_dpnet(model, domains, config, same_domain=False):
-    rng = np.random.default_rng(config.seed)
-    opt = _OracleOptimizer(config.lr)
-    shared = model.shared_encoder
+def oracle_train_dpnet(domains, hparams, seed, shared=False):
+    """One (hparams, seed) run: encoders from ``init_dpnet`` of the seed,
+    episodes from a second generator of it (same-domain when shared)."""
+    dims = (domains[0].dim,) + tuple(hparams["embed"])
+    model = dpnet.init_dpnet(dims, domains[0].num_classes, seed, shared)
+    rng = np.random.default_rng(seed)
+    opt = _OracleOptimizer(hparams["lr"])
     phi, psi = list(model.f_phi.layers), list(model.f_psi.layers)
     trace = []
-    for _ in range(config.steps):
-        support, query = _oracle_episode(domains, config.n_per_class, rng, same_domain)
+    for _ in range(hparams["steps"]):
+        support, query = _oracle_episode(domains, hparams["batch"], rng, shared)
         loss, g_phi, g_psi = _oracle_episode_loss(phi, psi, support, query)
         old_phi, old_psi = phi, psi
         if shared:
@@ -184,18 +187,18 @@ def _oracle_index_features(x, i, mode, m):
     return np.column_stack(blocks)
 
 
-def oracle_train_erm(domains, config, index_mode, last_k=None):
+def oracle_train_erm(domains, hparams, seed, index_mode, last_k=None):
     m = len(domains)
     used = domains[-last_k:] if last_k else domains
     xs = np.vstack([_oracle_index_features(d.x, d.index, index_mode, m) for d in used])
     ys = np.concatenate([d.y for d in used])
-    rng = np.random.default_rng(config.seed)
-    net = nn.init_mlp((xs.shape[1],) + tuple(config.hidden) + (used[0].num_classes,), rng)
+    rng = np.random.default_rng(seed)
+    net = nn.init_mlp((xs.shape[1],) + tuple(hparams["hidden"]) + (used[0].num_classes,), rng)
     layers = list(net.layers[:-1]) + [tuple(np.zeros_like(a) for a in net.layers[-1])]
-    opt = _OracleOptimizer(config.lr)
+    opt = _OracleOptimizer(hparams["lr"])
     n = xs.shape[0]
-    batch = min(config.batch_size, n)
-    for _ in range(config.steps):
+    batch = min(hparams["batch"] * used[0].num_classes, n)
+    for _ in range(hparams["steps"]):
         pick = rng.choice(n, size=batch, replace=False)
         logits, cache = _forward(layers, xs[pick])
         _, dlogits = _softmax_cross_entropy(logits, ys[pick])
@@ -212,14 +215,6 @@ def _layers_equal(params, layers):
     return len(params.layers) == len(layers) and all(
         np.array_equal(w, w2) and np.array_equal(b, b2) for (w, b), (w2, b2) in zip(params.layers, layers)
     )
-
-
-def _snapshot(*nets):
-    return [a.copy() for net in nets for a in net.arrays()]
-
-
-def _unchanged(before, *nets):
-    return all(np.array_equal(a, b) for a, b in zip(before, [a for net in nets for a in net.arrays()]))
 
 
 def _blob_domains(dim, num_classes, m=5, per_class=30, seed=11):
@@ -243,13 +238,10 @@ def rplate():
     return data.generate(data.default_spec("rplate", seed=7, num_domains=8, samples_per_domain=80))[:-1]
 
 
-def _check_dpnet(domains, dims, seed, steps=80, n=8, lr=0.02):
-    model = dpnet.init_dpnet(dims, domains[0].num_classes, seed)
-    before = _snapshot(model.f_phi, model.f_psi)
-    config = dpnet.TrainConfig(steps=steps, n_per_class=n, lr=lr, seed=seed + 100)
-    [(trained, losses, accs)] = dpnet.train([model], domains, [config])
-    phi, psi, want = oracle_train_dpnet(model, domains, config)
-    assert _unchanged(before, model.f_phi, model.f_psi)
+def _check_dpnet(domains, embed, seed, steps=80, n=8, lr=0.02):
+    hparams = {"steps": steps, "batch": n, "lr": lr, "embed": embed}
+    [(trained, losses, accs)] = dpnet.train(domains, [(hparams, seed)])
+    phi, psi, want = oracle_train_dpnet(domains, hparams, seed)
     assert _layers_equal(trained.f_phi, phi) and _layers_equal(trained.f_psi, psi)
     got = np.column_stack([losses, accs])
     assert np.array_equal(got, np.array(want))
@@ -260,24 +252,22 @@ def _check_dpnet(domains, dims, seed, steps=80, n=8, lr=0.02):
 @pytest.mark.parametrize("optimizer", ["adam"])
 class TestDpnetMatchesOracle:
     def test_two_dim_linear_encoders(self, evolcircle, rplate, optimizer):
-        _check_dpnet(evolcircle, (2, 2), seed=1)
-        _check_dpnet(rplate, (2, 2), seed=2, lr=0.08)
+        _check_dpnet(evolcircle, (2,), seed=1)
+        _check_dpnet(rplate, (2,), seed=2, lr=0.08)
 
     def test_three_layer_mlp(self, rplate, optimizer):
-        _check_dpnet(rplate, (2, 16, 8, 4), seed=3)
+        _check_dpnet(rplate, (16, 8, 4), seed=3)
 
     def test_wide_inputs_three_classes(self, optimizer):
-        _check_dpnet(_blob_domains(20, 3), (20, 32, 8), seed=4, n=5, lr=0.002)
+        _check_dpnet(_blob_domains(20, 3), (32, 8), seed=4, n=5, lr=0.002)
 
 
 @pytest.mark.parametrize("optimizer", ["adam"])
 def test_proto_shared_encoder_matches_oracle(evolcircle, optimizer):
-    config = dpnet.TrainConfig(steps=80, n_per_class=6, lr=0.03, seed=5)
-    dims = (2, 8, 2)
-    model = dpnet.init_dpnet(dims, 2, config.seed, shared=True)
-    [(trained, losses, accs)] = dpnet.train([model], evolcircle, [config])
-    assert trained.shared_encoder
-    phi, _, want = oracle_train_dpnet(model, evolcircle, config, same_domain=True)
+    hparams = {"steps": 80, "batch": 6, "lr": 0.03, "embed": (8, 2)}
+    [(trained, losses, accs)] = dpnet.train(evolcircle, [(hparams, 5)], shared=True)
+    assert trained.f_phi is trained.f_psi
+    phi, _, want = oracle_train_dpnet(evolcircle, hparams, 5, shared=True)
     assert _layers_equal(trained.f_phi, phi)
     assert np.array_equal(np.column_stack([losses, accs]), np.array(want))
 
@@ -287,16 +277,16 @@ def test_proto_shared_encoder_matches_oracle(evolcircle, optimizer):
 @pytest.mark.parametrize("mode", list(IndexMode))
 def test_erm_matches_oracle(rplate, mode, hidden, optimizer):
     before = [d.x.copy() for d in rplate]
-    config = baselines.ErmConfig(steps=60, batch_size=16, lr=0.05, seed=6, hidden=hidden)
-    [model] = baselines.train_erm(rplate, [config], index_mode=mode)
-    assert _layers_equal(model.net, oracle_train_erm(rplate, config, mode))
+    hparams = {"steps": 60, "batch": 8, "lr": 0.05, "hidden": hidden}
+    [model] = baselines.train_erm(rplate, [(hparams, 6)], index_mode=mode)
+    assert _layers_equal(model.net, oracle_train_erm(rplate, hparams, 6, mode))
     assert all(np.array_equal(a, d.x) for a, d in zip(before, rplate))
 
 
 def test_erm_recent_window_matches_oracle(rplate):
-    config = baselines.ErmConfig(steps=60, batch_size=16, lr=0.05, seed=7, hidden=(4,))
-    [model] = baselines.train_erm(rplate, [config], last_k=2)
-    assert _layers_equal(model.net, oracle_train_erm(rplate, config, IndexMode.NONE, last_k=2))
+    hparams = {"steps": 60, "batch": 8, "lr": 0.05, "hidden": (4,)}
+    [model] = baselines.train_erm(rplate, [(hparams, 7)], last_k=2)
+    assert _layers_equal(model.net, oracle_train_erm(rplate, hparams, 7, IndexMode.NONE, last_k=2))
 
 
 @pytest.mark.parametrize("same_domain", [False, True])
@@ -321,10 +311,17 @@ def test_cross_entropy_matches_oracle():
 
 
 def test_shared_input_model_left_untouched(evolcircle):
+    # train builds its start from init_dpnet of the seed; stepping it must not
+    # write into a model the caller built from the same seed, nor into the data.
     model = dpnet.init_dpnet((2, 4, 2), 2, seed=8, shared=True)
-    before = _snapshot(model.f_phi)
-    dpnet.train([model], evolcircle, [dpnet.TrainConfig(steps=20, n_per_class=4, seed=8)])
-    assert _unchanged(before, model.f_phi)
+    before = [a.copy() for a in model.f_phi.arrays()]
+    data = [(d.x.copy(), d.y.copy()) for d in evolcircle]
+    hparams = {"steps": 20, "batch": 4, "lr": 0.01, "embed": (4, 2)}
+    [(trained, _, _)] = dpnet.train(evolcircle, [(hparams, 8)], shared=True)
+    assert all(np.array_equal(a, b) for a, b in zip(before, model.f_phi.arrays()))
+    assert not _layers_equal(trained.f_phi, model.f_phi.layers)
+    for d, (x, y) in zip(evolcircle, data):
+        assert np.array_equal(d.x, x) and np.array_equal(d.y, y)
 
 
 class TestNonFiniteGradient:
@@ -338,12 +335,11 @@ class TestNonFiniteGradient:
         assert np.array_equal(params, [1.0, -2.0, 3.0])
 
     def test_diverging_training_raises_like_oracle(self, evolcircle):
-        model = dpnet.init_dpnet((2, 2), 2, seed=9)
-        config = dpnet.TrainConfig(steps=40, n_per_class=4, lr=1e200, seed=9)
+        hparams = {"steps": 40, "batch": 4, "lr": 1e200, "embed": (2,)}
         with np.errstate(over="ignore", invalid="ignore"):
-            [result] = dpnet.train([model], evolcircle, [config])
+            [result] = dpnet.train(evolcircle, [(hparams, 9)])
             with pytest.raises(nn.OptimizerError):
-                oracle_train_dpnet(model, evolcircle, config)
+                oracle_train_dpnet(evolcircle, hparams, 9)
         assert isinstance(result, nn.OptimizerError)
 
 
@@ -497,9 +493,8 @@ def test_tracer_attributes_training_calls(tracing, evolcircle):
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        model = dpnet.init_dpnet((2, 2), 2, seed=0)
-        dpnet.train([model], evolcircle, [dpnet.TrainConfig(steps=6, n_per_class=4, seed=0)])
-        baselines.train_erm(evolcircle, [baselines.ErmConfig(steps=4, batch_size=8)])
+        dpnet.train(evolcircle, [({"steps": 6, "batch": 4, "lr": 0.01, "embed": (2,)}, 0)])
+        baselines.train_erm(evolcircle, [({"steps": 4, "batch": 4, "lr": 0.01, "hidden": ()}, 0)])
     finally:
         tracer.uninstall()
     layers = tracer.layer_metrics()
