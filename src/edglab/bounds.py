@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .seeding import child_rng
+from .seeding import child_raw, child_rng, child_rngs, lemire
 
 Array = np.ndarray
 
@@ -368,8 +368,7 @@ def _instance_rows(seed: int, indices: range):
     case on s points; environments of one (nx, ny, m), and cases of one s, are scored as one
     stack. Yields each group's instance indices and per-instance quantities."""
     envs, cases = {}, {}
-    for i in indices:
-        rng = child_rng(seed, "cert", i)
+    for i, rng in zip(indices, child_rngs(seed, "cert", indices)):
         nx, ny = int(rng.integers(2, MAX_NX + 1)), int(rng.integers(2, MAX_NY + 1))
         m, n_maps = int(rng.integers(2, 5)), int(rng.integers(1, 17))
         # Each domain's cells, then its mask; the maps; the classifier; the loss.
@@ -397,17 +396,29 @@ def _instance_rows(seed: int, indices: range):
 
 def _pair_block(seed: int, indices: range) -> Array:
     """The random joint pairs ``indices`` of the decomposition check as one zero-padded
-    (2, len(indices), MAX_NX, MAX_NY) stack; the pairs of one shape are normalized together."""
-    rows, draws = {}, {}
-    for row, i in enumerate(indices):
-        rng = child_rng(seed, "jsdec", i)
-        shape = int(rng.integers(2, MAX_NX + 1)), int(rng.integers(2, MAX_NY + 1))
+    (2, len(indices), MAX_NX, MAX_NY) stack; the pairs of one shape are normalized together.
+
+    Each pair's stream makes ``integers(2, MAX_NX + 1)``, ``integers(2, MAX_NY + 1)`` and
+    ``random((2, 2, nx, ny))`` (each joint's cells, then its mask). They are decoded from the
+    stream's raw outputs, value for value: the two integers are Lemire's draws on output 0's
+    low and high half, and the doubles are outputs 1, 2, ... as (x >> 11)·2**-53. A pair whose
+    integer draw rejects its word (about 2**-32 of them) draws through its generator instead."""
+    raw = child_raw(seed, "jsdec", indices, 1 + 4 * MAX_NX * MAX_NY)
+    halves = np.stack([raw[:, 0] & np.uint64(0xFFFFFFFF), raw[:, 0] >> np.uint64(32)], axis=1).astype(np.uint32)
+    redo = lemire(halves, np.array([MAX_NX - 2, MAX_NY - 2], dtype=np.uint32)) // 2
+    shapes = [(nx + 2, ny + 2) for nx, ny in halves.tolist()]
+    for row in redo.tolist():
+        rng = child_rng(seed, "jsdec", indices[row])
+        shapes[row] = int(rng.integers(2, MAX_NX + 1)), int(rng.integers(2, MAX_NY + 1))
+        raw[row, 1:] = rng.bit_generator.random_raw(raw.shape[1] - 1)  # what ``random`` decodes next
+    rows = {}
+    for row, shape in enumerate(shapes):
         rows.setdefault(shape, []).append(row)
-        draws.setdefault(shape, []).append(rng.random((2, 2) + shape))  # each joint's cells, then its mask
     out = np.zeros((2, len(indices), MAX_NX, MAX_NY))
-    for (nx, ny), raw in draws.items():
-        raw = np.array(raw)
-        out[:, rows[nx, ny], :nx, :ny] = np.swapaxes(_joints(raw[:, :, 0], raw[:, :, 1]), 0, 1)
+    for (nx, ny), group in rows.items():
+        cells = (raw[group, 1 : 1 + 4 * nx * ny] >> np.uint64(11)) * 2.0**-53
+        cells = cells.reshape(len(group), 2, 2, nx, ny)
+        out[:, group, :nx, :ny] = np.swapaxes(_joints(cells[:, :, 0], cells[:, :, 1]), 0, 1)
     return out
 
 

@@ -106,7 +106,9 @@ class Episodic:
         dim = _count(sidecar, "feature_dim", 1)
         if nets[0].in_dim != dim:
             raise ValueError(f"the networks take {nets[0].in_dim} features, feature_dim is {dim}")
-        return dpnet.DPNetModel(nets[0], nets[-1], _count(sidecar, "num_classes", 1))
+        model = dpnet.DPNetModel(nets[0], nets[-1], _count(sidecar, "num_classes", 1))
+        _match(sidecar, self.sidecar(model))
+        return model
 
 
 @dataclass(frozen=True)
@@ -140,7 +142,17 @@ class Erm:
     def load(self, nets: list[MlpParams], sidecar: dict) -> baselines.ErmModel:
         mode = baselines.IndexMode(sidecar["index_mode"])
         seen, dim = _count(sidecar, "num_domains_seen", 2), _count(sidecar, "feature_dim", 1)
-        return baselines.ErmModel(nets[0], mode, seen, dim)
+        model = baselines.ErmModel(nets[0], mode, seen, dim)
+        _match(sidecar, self.sidecar(model))
+        return model
+
+
+def _match(sidecar: dict, written: dict) -> None:
+    """``ValueError`` unless the sidecar holds each field ``sidecar()`` writes for the loaded model,
+    as the same JSON (``2.0`` or ``true`` is not the width 2 or 1)."""
+    for key, value in written.items():
+        if json.dumps(sidecar[key]) != json.dumps(value):
+            raise ValueError(f"{key} is {sidecar[key]!r}, the checkpoint's networks give {value!r}")
 
 
 def _count(sidecar: dict, key: str, least: int) -> int:

@@ -1,5 +1,6 @@
-"""Deterministic seed derivation shared by data generation and the harness,
-and the exact bulk decoding of a generator's bounded draws."""
+"""Deterministic seed derivation shared by data generation, the harness and
+certification (which derives blocks of ``default_rng`` streams in bulk), and
+the exact bulk decoding of a generator's bounded draws."""
 from __future__ import annotations
 
 import hashlib
@@ -30,6 +31,72 @@ def child_seed(master: int, *parts) -> int:
 
 def child_rng(master: int, *parts) -> np.random.Generator:
     return np.random.default_rng(child_seed(master, *parts))
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64's
+# multiplier: ``default_rng(s)`` seeds its PCG64 from four words of the hash.
+_MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+_PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+# The running constant of the pool's 16 hashes and of generate_state's 8:
+# init·mult**k mod 2**32.
+_POOL_HASH = [np.uint32(0x43B0D7E5 * pow(0x931E8875, k, 1 << 32) & 0xFFFFFFFF) for k in range(17)]
+_STATE_HASH = [np.uint32(0x8B51F9DD * pow(0x58F38DED, k, 1 << 32) & 0xFFFFFFFF) for k in range(9)]
+
+
+def _hashmix(words: np.ndarray, consts: list, k: int) -> np.ndarray:
+    """Call ``k`` of a hash: xor with constant k, multiply by constant k + 1,
+    fold the high half down. uint32 arrays wrap silently."""
+    words = (words ^ consts[k]) * consts[k + 1]
+    return words ^ (words >> _SHIFT)
+
+
+def seed_words(seeds) -> np.ndarray:
+    """``np.random.SeedSequence(s).generate_state(4, np.uint64)`` of every
+    seed s in [0, 2**64), as an (n, 4) uint64 array, hashed for all seeds at
+    once. A seed's entropy is its low and high 32-bit words; a seed below
+    2**32 has one, and numpy fills the pool with hashed zeros after it, which
+    is what a high word of 0 gives."""
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    low, high = (seeds & np.uint64(0xFFFFFFFF)).astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32)
+    pool = [_hashmix(w, _POOL_HASH, k) for k, w in enumerate((low, high, np.zeros_like(low), np.zeros_like(low)))]
+    k = 4
+    for src in range(4):  # late words reach early ones
+        for dst in range(4):
+            if src != dst:
+                mixed = _MIX_L * pool[dst] - _MIX_R * _hashmix(pool[src], _POOL_HASH, k)
+                pool[dst], k = mixed ^ (mixed >> _SHIFT), k + 1
+    state = np.stack([_hashmix(pool[i % 4], _STATE_HASH, i) for i in range(8)], axis=-1)
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+def stream_states(seeds):
+    """The bit generator state of ``np.random.default_rng(s)`` for every seed
+    s, as ``PCG64.state`` takes it. PCG64 seeds from the words w0..w3 with
+    initstate w0·2**64 + w1 and initseq w2·2**64 + w3: inc = 2·initseq + 1,
+    then the state takes two steps from 0, adding initstate between them."""
+    for w0, w1, w2, w3 in seed_words(seeds).tolist():
+        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128
+        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+
+
+def child_rngs(master: int, label, indices):
+    """``child_rng(master, label, i)`` for each i in turn, as one reused
+    Generator set to each stream's state: done with one before the next."""
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    for state in stream_states([child_seed(master, label, i) for i in indices]):
+        bitgen.state = state
+        yield rng
+
+
+def child_raw(master: int, label, indices, count: int) -> np.ndarray:
+    """The first ``count`` 64-bit outputs of each ``child_rng(master, label,
+    i)``'s bit generator, (len(indices), count) uint64."""
+    out = np.empty((len(indices), count), dtype=np.uint64)
+    for row, rng in zip(out, child_rngs(master, label, indices)):
+        row[:] = rng.bit_generator.random_raw(count)
+    return out
 
 
 class Words:

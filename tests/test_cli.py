@@ -377,12 +377,12 @@ class TestCorruptJsonInputs:
         [
             '{"algo": "erm"', '["erm"]', '{"algo": "erm"}', None, {"num_domains": "abc"}, {"algo": "mystery"},
             {"index_mode": "bogus"}, {"index_mode": 3}, {"feature_dim": 7},
-            {"num_domains_seen": "x"}, {"num_domains_seen": 1}, {"algo": "dpnets"},
+            {"num_domains_seen": "x"}, {"num_domains_seen": 1}, {"algo": "dpnets"}, {"hidden": [9]},
         ],
         ids=[
             "truncated", "not-an-object", "no-spec", "no-index-mode", "bad-spec-value", "unknown-algo",
             "unknown-index-mode", "int-index-mode", "wrong-feature-dim",
-            "text-domains-seen", "one-domain-seen", "algo-of-two-networks",
+            "text-domains-seen", "one-domain-seen", "algo-of-two-networks", "wrong-hidden",
         ],
     )
     def test_bad_sidecar_is_input_error(self, capsys, tmp_path, trained, text):
@@ -404,23 +404,36 @@ class TestCorruptJsonInputs:
         assert "sidecar" in last_event(events, "input-error")["message"]
 
     @pytest.mark.parametrize("algo", ["dpnets", "proto"])
-    @pytest.mark.parametrize("tamper", ["networks", "feature-dim"])
+    @pytest.mark.parametrize(
+        "tamper", ["networks", "feature-dim", "dims", "embed-dim", "float-dims", "float-embed-dim"]
+    )
     def test_episodic_checkpoint_that_disagrees_with_its_sidecar_is_input_error(self, capsys, tmp_path, algo, tamper):
         # Networks over 3 features under a sidecar of feature_dim 2 raised
         # ValueError from the forward pass; a feature_dim of 7 blamed the dataset.
+        # dims and embed_dim were written but never read: edited, they evaluated with exit 0.
+        # A width written as a JSON float is not the integer the networks give.
         out = tmp_path / "t"
         argv = ["train", "--algo", algo, "--num-domains", "4", "--samples", "20", "--steps", "5", "--batch", "4"]
         assert cli.main([*argv, "--out", str(out)]) == 0
         ckpt, sidecar_path = out / "model.ckpt", out / "model.json"
+        sidecar = json.loads(sidecar_path.read_text())
+        edits = {
+            "feature-dim": {"feature_dim": 7},
+            "dims": {"dims": [9, 9, 9]},
+            "embed-dim": {"embed_dim": 42},
+            "float-dims": {"dims": [float(sidecar["dims"][0]), *sidecar["dims"][1:]]},
+            "float-embed-dim": {"embed_dim": float(sidecar["embed_dim"])},
+        }
         if tamper == "networks":
             nn.save_checkpoint(ckpt, [nn.init_mlp((3, 2), np.random.default_rng(0)) for _ in nn.load_checkpoint(ckpt)])
         else:
-            sidecar_path.write_text(json.dumps({**json.loads(sidecar_path.read_text()), "feature_dim": 7}))
+            sidecar_path.write_text(json.dumps({**sidecar, **edits[tamper]}))
         capsys.readouterr()
         code, events = run_cli(capsys, ["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "e")])
         assert code == 2
         message = last_event(events, "input-error")["message"]
-        assert "sidecar" in message and "feature_dim is" in message
+        reason = "feature_dim is" if tamper in ("networks", "feature-dim") else "the checkpoint's networks give"
+        assert "sidecar" in message and reason in message
         assert not [e for e in events if e["event"] == "eval"]
 
     @pytest.fixture(scope="class")
