@@ -107,24 +107,13 @@ def train_erm(
             head[...] = 0.0
     steps = [hp["steps"] for hp, _ in runs]
     lock = nn.Lockstep([[net] for net in nets], [hp["lr"] for hp, _ in runs], steps)
-    # Each run's batches are rng.choice(n, batch, replace=False) per step,
-    # decoded a chunk of steps at a time for every live run: T × R × batch.
-    streams = [seeding.Words(rng) for rng in rngs]
+    # Each run's batch is rng.choice(n, batch, replace=False) per step: a
+    # step of one block, the pool.
     n = xs.shape[0]
-    batch = min(per_class * k_classes, n)
-    start, picks, decoded = 0, np.empty((0,)), []
+    batches = seeding.Steps([[n]], [[0]], min(per_class * k_classes, n), rngs, steps)
 
     def grads(step):
-        nonlocal start, picks, decoded
-        if step == start + len(picks):
-            left = max(steps[run] for run in lock.ids) - step
-            start, decoded = step, list(lock.ids)
-            count = seeding.chunk_steps(len(decoded), 2 * batch - 1, left)
-            picks = seeding.choice([streams[run] for run in decoded], n, batch, count).swapaxes(0, 1)
-        # Once the shortest runs have finished, the live ones are the first
-        # decoded: a step's rows stay a slice.
-        live = slice(len(lock.ids)) if lock.ids == decoded[: len(lock.ids)] else [decoded.index(r) for r in lock.ids]
-        rows = picks[step - start, live]
+        rows = batches.draw(step, lock.ids)[0]
         [net], [out] = lock.nets, lock.grads
         logits, cache = nn.mlp_forward(net, xs.take(rows, axis=0))
         losses, dlogits = nn.softmax_cross_entropy(logits, ys.take(rows))

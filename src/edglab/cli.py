@@ -167,10 +167,7 @@ def resolve_settings(args: argparse.Namespace, defaults: dict) -> dict:
 
 def _spec_from(settings: dict) -> data.EnvironmentSpec:
     fields = {name: settings[key] for key, name in SPEC_FIELDS.items() if settings.get(key) is not None}
-    try:
-        return data.default_spec(**fields)
-    except data.ConfigurationError as exc:
-        raise CliConfigError(str(exc))
+    return data.default_spec(**fields)  # a ConfigurationError is a config-error (main)
 
 
 def _generated_spec(settings: dict) -> data.EnvironmentSpec:
@@ -565,7 +562,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args, resolve_settings(args, COMMANDS[args.command][1]))
-    except CliConfigError as exc:
+    except (CliConfigError, data.ConfigurationError) as exc:
         emit("config-error", args.quiet, message=str(exc))
         return 2
     except (CliInputError, data.IngestionError, nn.CheckpointError, FileNotFoundError) as exc:

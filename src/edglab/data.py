@@ -41,7 +41,7 @@ class IngestionError(RuntimeError):
     """Malformed source data file."""
 
 
-class SplitError(ValueError):
+class SplitError(ConfigurationError):
     """A stratified split cannot keep every class on both sides."""
 
 
@@ -104,6 +104,8 @@ class EnvironmentSpec:
             raise ConfigurationError(f"unknown dataset kind {self.kind!r} (expected one of {KINDS})")
         if self.num_domains < 3:
             raise ConfigurationError("num_domains must be at least 3")
+        if not np.isfinite(self.domain_distance):
+            raise ConfigurationError(f"domain_distance must be finite, got {self.domain_distance}")
         k = self.num_classes
         if self.samples_per_domain < k * MIN_CLASS_COUNT:
             raise ConfigurationError(
@@ -344,7 +346,7 @@ def split_train_val(domain: DomainData, ratio: float, seed: int) -> tuple[Domain
     train_idx, val_idx = [], []
     for k, idx in enumerate(domain.class_index):
         if len(idx) < 2:
-            raise SplitError(f"class {k} has {len(idx)} sample(s); need at least 2 to split")
+            raise SplitError(f"domain {domain.index} class {k} has {len(idx)} sample(s); need at least 2 to split")
         idx = rng.permutation(idx)
         n_train = int(round(ratio * len(idx)))
         n_train = min(max(n_train, 1), len(idx) - 1)

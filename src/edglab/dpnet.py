@@ -133,18 +133,15 @@ def episode_loss(
     return loss, d2, grads_phi, grads_psi
 
 
-class Episodes:
+class Episodes(seeding.Steps):
     """Where the episodes of R runs come from, and each run's draws.
 
-    Holds the source rows grouped by (domain, class) and one word stream per
-    run's generator. ``sample_episode`` decodes a chunk of steps of every
-    live run at once, value for value as the run's own generator would draw
-    them one call at a time: per step ``rng.integers(0, pairs)`` picks the
-    domain i, then per class ``rng.choice(rows, n, replace=False)`` picks n
-    rows of domain i, then n of domain i+1 (``same_domain``: 2n of domain i,
-    the first n the support). ``steps`` (one per run, or one for all) bounds
-    each run's draws; a run that gets through them hands its generator back
-    where the draws left it.
+    Holds the source rows grouped by (domain, class); the draws are
+    ``seeding.Steps`` over the domain pairs. Per step ``rng.integers(0,
+    pairs)`` picks the domain i, then per class ``rng.choice(rows, n,
+    replace=False)`` picks n rows of domain i, then n of domain i+1
+    (``same_domain``: 2n of domain i, the first n the support). A pair that
+    cannot serve some class ends a run that draws it, with ``errors[i]``.
     """
 
     def __init__(self, domains: list[DomainData], n_per_class: int, rngs, steps=1, same_domain: bool = False):
@@ -155,8 +152,6 @@ class Episodes:
             )
         if n_per_class < 1:
             raise ValueError(f"n_per_class must be at least 1, got {n_per_class}")
-        self.streams = [seeding.Words(rng) for rng in rngs]
-        self.steps = np.broadcast_to(np.asarray(steps, dtype=np.int64), len(self.streams))
         k, size = domains[0].num_classes, 2 * n_per_class if same_domain else n_per_class
         counts = np.array([[len(idx) for idx in d.class_index] for d in domains])
         firsts = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)
@@ -169,101 +164,19 @@ class Episodes:
         pairs = len(domains) - (0 if same_domain else 1)
         side = np.arange(pairs)[:, None, None] + np.arange(1 if same_domain else 2)
         classes = np.arange(k)[:, None]
-        self.pops = counts[side, classes]  # P × K × sides
-        self.firsts = firsts[side, classes]
+        pops = counts[side, classes]  # P × K × sides
         self.errors: list[str | None] = []
         for i in range(pairs):
-            short = np.flatnonzero(self.pops[i].min(axis=1) < size)
+            short = np.flatnonzero(pops[i].min(axis=1) < size)
             if not short.size:
                 self.errors.append(None)
             elif same_domain:
                 self.errors.append(f"domain {i} class {short[0]}: need {size} samples, have {counts[i, short[0]]}")
             else:
                 self.errors.append(f"episode ({i},{i + 1}) class {short[0]}: insufficient per-class samples")
-        self.ok = np.array([e is None for e in self.errors])
-        self.pops[~self.ok] = size  # a pair that fails a run draws nothing past its index
-        bounds = seeding.choice_bounds(self.pops.ravel(), size).reshape(pairs, -1)
-        bounds[~self.ok] = 0
-        # Slot 0 of a step draws i, from rng.integers(0, pairs); a slot's word
-        # is the step's first plus the words of the live slots before it.
-        self.step_bounds = np.hstack([np.full((pairs, 1), pairs - 1, dtype=np.uint32), bounds])
-        live = self.step_bounds != 0
-        self.step_words = live.sum(axis=1)
-        last = np.maximum(self.step_words - 1, 0)[:, None]  # a 0 bound reads a word and ignores it
-        self.step_at = np.minimum(np.cumsum(live, axis=1) - live, last).astype(np.int32)
-        # Usually every slot of a pair that serves takes a word, so step s
-        # begins at word s·W whatever the pairs before it (a failing pair ends
-        # its run after its index).
-        self.uniform = bool(self.ok.any() and live[self.ok].all())
-        self.n, self.size = n_per_class, size
-        self.start = self.stop = 0  # the decoded steps
-        self.runs: list[int] = []
-        self.row_of = np.full(len(self.streams), -1)
-
-    def decode(self, step: int, runs: list[int]) -> None:
-        """Decode the next chunk of steps, from ``step`` on, for ``runs``."""
-        if step != self.stop:
-            raise ValueError(f"episodes are drawn in step order: step {step} after {self.stop}")
-        self.rows = None  # this chunk's rows replace the last's
-        left = self.steps[runs] - step
-        slots = self.step_bounds.shape[1]
-        n_steps = seeding.chunk_steps(len(runs), slots, int(left.max()))
-        t, pairs = np.arange(n_steps), np.uint64(len(self.ok))
-
-        def steps_live(pair):
-            """Steps each run takes: up to its last, or the one that fails it."""
-            failed = (t < left[:, None]) & ~self.ok[pair]
-            fail_at = np.where(failed.any(axis=1), failed.argmax(axis=1), n_steps)
-            return (t < left[:, None]) & (t <= fail_at[:, None]), fail_at
-
-        def pair_of(words):
-            """The i a step draws, if it begins at these words."""
-            return (np.multiply(words, pairs, dtype=np.uint64) >> np.uint64(32)).astype(np.intp)
-
-        def layout(words):
-            if self.uniform:
-                pair, at = pair_of(words[:, ::slots]), None
-            else:  # where a step begins depends on the pairs drawn before it
-                rows = np.arange(len(runs))
-                begin = np.zeros((len(runs), n_steps + 1), dtype=np.int32)
-                pair = np.empty((len(runs), n_steps), dtype=np.intp)
-                for s in range(n_steps):
-                    pair[:, s] = pair_of(words[rows, begin[:, s]])
-                    begin[:, s + 1] = begin[:, s] + self.step_words[pair[:, s]]
-                at = (begin[:, :-1, None] + self.step_at[pair]).reshape(len(runs), -1)
-            live, _ = steps_live(pair)
-            bounds = self.step_bounds[pair]
-            bounds *= live[..., None]
-            used = np.add.reduce(self.step_words[pair] * live, axis=1)
-            return bounds.reshape(len(runs), -1), at, used
-
-        width = max(1, n_steps * int(self.step_words.max()))
-        values = seeding.decode([self.streams[r] for r in runs], width, layout)
-        values = values.reshape(len(runs), n_steps, slots)
-        pair = values[:, :, 0].astype(np.intp)
-        live, fail_at = steps_live(pair)
-        drawn = live & self.ok[pair]  # the steps whose rows a run uses
-        draws = values[:, :, 1:].reshape(*pair.shape, *self.pops.shape[1:], 2 * self.size - 1)
-        picks = seeding.choice_picks(draws, self.pops[pair], self.size)
-        del values, draws
-        # Rows of x for each step, T × 2 × R × K × n (support, then query);
-        # the steps a run does not draw point at row 0.
-        picks *= drawn[..., None, None, None]
-        first = self.firsts[pair] * drawn[..., None, None]
-        k = self.pops.shape[1]
-        self.rows = np.empty((n_steps, 2, len(runs), k, self.n), dtype=np.intp)
-        order = (1, 3, 0, 2, 4)
-        picks = picks.reshape(len(runs), n_steps, k, 2, self.n).transpose(order)
-        np.add(picks, first[..., None].transpose(order), out=self.rows)
-        self.pair, self.fail_at = pair, fail_at
-        self.fail_steps = set(fail_at[fail_at < n_steps].tolist())
-        self.runs = runs
-        self.row_of[:] = -1
-        self.row_of[runs] = np.arange(len(runs))
-        self.start, self.stop = step, step + n_steps
-        for run, done in zip(runs, (left <= n_steps) & (fail_at >= left)):
-            if done:
-                self.streams[run].sync()
+        ok = [e is None for e in self.errors]
+        super().__init__(pops.reshape(pairs, -1), firsts[side, classes].reshape(pairs, -1), size, rngs, steps, ok)
+        self.n = n_per_class
 
 
 def sample_episode(episodes: Episodes, step: int, runs: list[int]) -> tuple[Array, Array, Array]:
@@ -275,20 +188,13 @@ def sample_episode(episodes: Episodes, step: int, runs: list[int]) -> tuple[Arra
     some class, with the message the run gives alone; ``rows`` maps the
     position of each such run in ``runs`` to its own error.
     """
-    if not episodes.start <= step < episodes.stop:
-        episodes.decode(step, list(runs))
-    t = step - episodes.start
-    # Usually the runs are the decoded ones, or the first of them once the
-    # shortest have finished: their rows are a slice, and a step costs one gather.
-    row = slice(len(runs)) if runs == episodes.runs[: len(runs)] else episodes.row_of[runs]
-    if t in episodes.fail_steps:
-        failed = np.flatnonzero(episodes.fail_at[row] == t).tolist()
-        if failed:
-            pairs = episodes.pair[row, t]
-            errors = {f: EpisodeError(episodes.errors[pairs[f]]) for f in failed}
-            raise EpisodeError(str(errors[failed[0]]), rows=errors)
-    support, query = episodes.x.take(episodes.rows[t][:, row], axis=0)
-    return support, query, episodes.pair[row, t]
+    rows, pairs, ended = episodes.draw(step, runs)
+    if ended:
+        errors = {e: EpisodeError(episodes.errors[pairs[e]]) for e in ended}
+        raise EpisodeError(str(errors[ended[0]]), rows=errors)
+    # A run's rows are K × (2 × n) class-major, support then query.
+    support, query = episodes.x.take(rows.reshape(len(runs), -1, 2, episodes.n).transpose(2, 0, 1, 3), axis=0)
+    return support, query, pairs
 
 
 # Runs that differ on one of these train in separate lockstep groups.

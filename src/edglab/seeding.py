@@ -1,18 +1,19 @@
 """Deterministic seed derivation shared by data generation, the harness and
 certification (which derives blocks of ``default_rng`` streams in bulk), and
-the exact bulk decoding of a generator's bounded draws."""
+the exact bulk decoding of a generator's bounded draws: ``Steps``, the one
+step sampler of both trainers."""
 from __future__ import annotations
 
 import hashlib
-from functools import lru_cache
 
 import numpy as np
 
 TWO32 = np.uint64(1 << 32)
 # Draws decoded at once for all live runs of a group: enough steps to spread
-# the per-chunk calls. A draw holds about 10 bytes at the decode's peak (its
+# the per-chunk calls. A draw holds about 13 bytes at the decode's peak (its
 # uint32 word, which its value overwrites, its bound, and its share of the
-# picks and sort keys), so a full chunk stays under 0.4 MB.
+# picks, sort keys and rows): a chunk of 9 runs at n=32 on 30 domains
+# (31,878 draws) peaks at 0.40 MiB.
 CHUNK_DRAWS = 32768
 # Draws per block of ``lemire``'s 64-bit products (and numpy's cast buffer).
 LEMIRE_BLOCK = 4096
@@ -328,27 +329,123 @@ def _tail_shuffle(values: np.ndarray, pop: int, size: int) -> list[int]:
     return [moved.get(p, p) for p in range(pop - size, pop)]
 
 
-@lru_cache(maxsize=2)  # a trainer's full chunk and its last
-def _choice_layout(pop: int, size: int, count: int) -> tuple[np.ndarray, np.ndarray | None, int]:
-    """Bounds and words of ``count`` successive ``choice(pop, size,
-    replace=False)`` (read-only, as ``decode`` wants them), and the words
-    they take."""
-    one = choice_bounds([pop], size)
-    live = one != 0
-    per = int(live.sum())  # words per choice
-    bounds = np.tile(one, count)
-    at = None
-    if not live.all():  # a 0 bound reads a word and ignores it
-        at = np.minimum(np.cumsum(live) - live, max(per - 1, 0))
-        at = (at + per * np.arange(count)[:, None]).astype(np.int32).reshape(1, -1)
-        at.flags.writeable = False
-    bounds.flags.writeable = False
-    return bounds, at, per * count
+class Steps:
+    """The draws of R runs, decoded a chunk of steps at a time, value for
+    value as each run's generator would make them one call at a time.
 
+    A step picks a block b with ``rng.integers(0, B)``, which takes no word
+    when B is 1, then draws ``rng.choice(pops[b, j], size, replace=False)``
+    for each j in turn, offset by ``firsts[b, j]``. A block that ``ok``
+    marks False ends any run that draws it, after its index. ``steps`` (one
+    per run, or one for all) bounds each run's draws; a run that gets
+    through them hands its generator back where the draws left it.
 
-def choice(streams: list[Words], pop: int, size: int, count: int) -> np.ndarray:
-    """``count`` successive ``choice(pop, size, replace=False)`` of each
-    stream's generator: R × count × size (uint32)."""
-    bounds, at, used = _choice_layout(pop, size, count)
-    values = decode(streams, max(used, 1), lambda words: (bounds, at, used))
-    return choice_picks(values.reshape(len(streams), count, 2 * size - 1), np.full((len(streams), count), pop), size)
+    ``draw`` decodes a chunk of steps of every run it is asked for at once
+    (``chunk_steps``). Each step takes its words at fixed slots when every
+    block that serves has the same dead slots (0 bounds); else each run's
+    steps are followed in turn, since where a step begins depends on the
+    blocks drawn before it.
+    """
+
+    def __init__(self, pops, firsts, size: int, rngs, steps=1, ok=None):
+        self.streams = [Words(rng) for rng in rngs]
+        self.steps = np.broadcast_to(np.asarray(steps, dtype=np.int64), len(self.streams))
+        blocks = len(pops)
+        self.ok = np.ones(blocks, dtype=bool) if ok is None else np.asarray(ok, dtype=bool)
+        self.pops = np.where(self.ok[:, None], pops, size)  # B × J; a block that ends a run draws nothing
+        self.firsts = np.asarray(firsts, dtype=np.uint32)
+        bounds = choice_bounds(self.pops.ravel(), size).reshape(blocks, -1)
+        bounds[~self.ok] = 0
+        # With more than one block, slot 0 of a step draws b. A slot's word is
+        # the step's first plus the words of the live slots before it.
+        self.select = int(blocks > 1)
+        self.step_bounds = np.hstack([np.full((blocks, self.select), blocks - 1, dtype=np.uint32), bounds])
+        live = self.step_bounds != 0
+        self.step_words = live.sum(axis=1)
+        last = np.maximum(self.step_words - 1, 0)[:, None]  # a 0 bound reads a word and ignores it
+        self.step_at = np.minimum(np.cumsum(live, axis=1) - live, last).astype(np.int32)
+        # Usually every block that serves takes its words at the same slots,
+        # so step s begins at word s·W whatever the blocks drawn before it.
+        serving = live[self.ok]
+        self.uniform = bool(serving.size and (serving == serving[0]).all())
+        self.size = size
+        self.start = self.stop = 0  # the decoded steps
+        self.runs: list[int] = []
+
+    def decode(self, step: int, runs: list[int]) -> None:
+        """Decode the next chunk of steps, from ``step`` on, for ``runs``."""
+        if step != self.stop:
+            raise ValueError(f"steps are drawn in order: step {step} after {self.stop}")
+        self.rows = self.live_rows = self.live = None  # this chunk's rows replace the last's
+        left = self.steps[runs] - step
+        slots = self.step_bounds.shape[1]
+        n_steps = chunk_steps(len(runs), slots, int(left.max()))
+        t, blocks = np.arange(n_steps), np.uint64(len(self.ok))
+        drawn = {}
+
+        def block_of(words):
+            """The b a step draws, if it begins at these words."""
+            return (np.multiply(words, blocks, dtype=np.uint64) >> np.uint64(32)).astype(np.intp)
+
+        def layout(words):
+            if not self.uniform:  # where a step begins depends on the blocks drawn before it
+                rows = np.arange(len(runs))
+                begin = np.zeros((len(runs), n_steps + 1), dtype=np.int32)
+                block = np.empty((len(runs), n_steps), dtype=np.intp)
+                for s in range(n_steps):
+                    block[:, s] = block_of(words[rows, begin[:, s]])
+                    begin[:, s + 1] = begin[:, s] + self.step_words[block[:, s]]
+                at = (begin[:, :-1, None] + self.step_at[block]).reshape(len(runs), -1)
+            else:
+                b = int(self.ok.argmax())  # a block that serves
+                per = int(self.step_words[b])
+                block = np.zeros((len(runs), n_steps), dtype=np.intp)  # one block is drawn with no word
+                if self.select:
+                    block = block_of(words[:, : n_steps * per : per])
+                at = None if per == slots else (self.step_at[b] + per * t[:, None]).reshape(1, -1)
+            # Each run takes its steps up to its last, or the one that ends it.
+            ends = ~self.ok.take(block)
+            end_at = np.where(ends.any(axis=1), ends.argmax(axis=1), n_steps)
+            idle = t > np.minimum(left - 1, end_at)[:, None]
+            drawn.update(block=block, end_at=end_at)  # the last call's words are the ones drawn
+            bounds = self.step_bounds.take(block, axis=0)
+            bounds[idle] = 0
+            used = np.add.reduce(self.step_words.take(block) * ~idle, axis=1)
+            return bounds.reshape(len(runs), -1), at, used
+
+        width = max(1, n_steps * int(self.step_words.max()))
+        values = decode([self.streams[r] for r in runs], width, layout)
+        block, end_at = drawn["block"], drawn["end_at"]
+        draws = values.reshape(len(runs), n_steps, slots)[:, :, self.select :]
+        draws = draws.reshape(len(runs), n_steps, -1, 2 * self.size - 1)
+        picks = choice_picks(draws, self.pops.take(block, axis=0), self.size)
+        del values, draws
+        picks += self.firsts.take(block, axis=0)[..., None]  # stored position-major: runs along R·T·J
+        # Rows of each step, T × R × (J · size); an ended run's are not drawn.
+        self.rows = np.empty((n_steps, len(runs), picks.shape[2] * self.size), dtype=np.intp)
+        self.rows.reshape(n_steps, len(runs), -1, self.size)[...] = picks.swapaxes(0, 1)
+        self.block = block.T
+        self.end_at = end_at
+        self.end_steps = set(end_at[end_at < n_steps].tolist())
+        self.runs = runs
+        self.start, self.stop = step, step + n_steps
+        for run, done in zip(runs, (left <= n_steps) & (end_at >= left)):
+            if done:
+                self.streams[run].sync()
+
+    def draw(self, step: int, runs: list[int]) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """The rows (R × (J · size), the J draws in turn) and block (R) each
+        run of ``runs`` draws at ``step``, and the positions in ``runs`` of
+        the runs that step ends; an ended run's rows mean nothing. Steps are
+        asked for in order; a run's first step is 0."""
+        if not self.start <= step < self.stop:
+            self.decode(step, list(runs))
+        if runs != self.live:  # the runs' share of the chunk, kept until they change
+            # Usually they are the decoded runs, or the first of them once the
+            # shortest have finished: a slice.
+            row = slice(len(runs)) if runs == self.runs[: len(runs)] else [self.runs.index(r) for r in runs]
+            self.live = list(runs)
+            self.live_rows, self.live_block, self.live_end = self.rows[:, row], self.block[:, row], self.end_at[row]
+        t = step - self.start
+        ended = np.flatnonzero(self.live_end == t).tolist() if t in self.end_steps else []
+        return self.live_rows[t], self.live_block[t], ended

@@ -620,11 +620,31 @@ class TestSweepAndReport:
             (["train", "--lr", "-1"], "--lr"),
             (["train", "--lr", "nan"], "--lr"),
             (["train", "--lr", "inf"], "--lr"),
+            (["gen-data", "--dataset", "rotatedcloud", "--distance", "nan"], "domain_distance"),
+            (["gen-data", "--dataset", "rotatedcloud", "--distance", "inf"], "domain_distance"),
+            (
+                ["sweep", "--dataset", "rotatedcloud", "--axis", "distance", "--values", "10,nan", "--algos", "erm",
+                 "--trials", "1", "--n-seeds", "1"],
+                "domain_distance",
+            ),
+            (
+                ["sweep", "--dataset", "rplate", "--samples", "4", "--num-domains", "4", "--axis", "distance",
+                 "--values", "10,20", "--algos", "erm", "--trials", "1", "--n-seeds", "1",
+                 "--strategy", "training_domain_validation"],
+                "domain 0 class",
+            ),
+            (
+                ["interp-study", "--dataset", "rplate", "--samples", "4", "--counts", "4,5", "--trials", "1",
+                 "--n-seeds", "1", "--strategy", "training_domain_validation"],
+                "domain 0 class",
+            ),
         ],
         ids=[
             "sweep-count-2", "interp-count-2", "sweep-trials-0", "sweep-n-seeds-0", "headline-trials-0",
             "headline-algo", "train-embed-negative", "train-embed-0", "train-hidden-negative", "train-hidden-0",
             "train-steps-negative", "train-lr-0", "train-lr-negative", "train-lr-nan", "train-lr-inf",
+            "gen-data-distance-nan", "gen-data-distance-inf", "sweep-distance-nan", "sweep-split-too-small",
+            "interp-split-too-small",
         ],
     )
     def test_bad_sizes_are_config_errors(self, capsys, tmp_path, argv, words):

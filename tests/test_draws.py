@@ -38,17 +38,16 @@ def test_choice_matches_generator(pop, size):
     for seed in range(3):
         ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
         want = [ref.choice(pop, size, replace=False) for _ in range(2)]
-        words = seeding.Words(rng)
-        got = seeding.choice([words], pop, size, 2)[0]
+        batches = seeding.Steps([[pop]], [[0]], size, [rng], steps=2)
+        got = [batches.draw(step, [0])[0][0] for step in range(2)]
         assert all(np.array_equal(a, b) for a, b in zip(want, got))
-        words.sync()
-        assert state_equal(ref, rng)
+        assert state_equal(ref, rng)  # handed back after its last step
         assert np.array_equal(ref.integers(0, 1000, 50), rng.integers(0, 1000, 50))
 
 
 def test_choice_stacks_streams():
-    streams = [seeding.Words(np.random.default_rng(s)) for s in range(3)]
-    got = seeding.choice(streams, 300, 7, 4)
+    batches = seeding.Steps([[300]], [[0]], 7, [np.random.default_rng(s) for s in range(3)], steps=4)
+    got = np.stack([batches.draw(step, [0, 1, 2])[0] for step in range(4)], axis=1)
     for s in range(3):
         ref = np.random.default_rng(s)
         assert np.array_equal(got[s], [ref.choice(300, 7, replace=False) for _ in range(4)])
@@ -71,9 +70,8 @@ def test_words_start_with_a_buffered_half():
     ref.integers(0, 10), rng.integers(0, 10)  # one uint32 of a 64-bit output
     assert rng.bit_generator.state["has_uint32"] == 1
     want = ref.choice(50, 5, replace=False)
-    words = seeding.Words(rng)
-    assert np.array_equal(seeding.choice([words], 50, 5, 1)[0, 0], want)
-    words.sync()
+    batches = seeding.Steps([[50]], [[0]], 5, [rng])
+    assert np.array_equal(batches.draw(0, [0])[0][0], want)
     assert state_equal(ref, rng)
 
 
@@ -148,22 +146,36 @@ def evolcircle():
 BUDGETS = pytest.mark.parametrize("budget", [1, seeding.CHUNK_DRAWS, 10**9], ids=["one-step", "default", "whole-run"])
 
 
-@BUDGETS
-@pytest.mark.parametrize("same_domain", [False, True], ids=["dpnets", "proto"])
-def test_chunking_does_not_change_episodes(evolcircle, monkeypatch, same_domain, budget):
+def check_chunking(domains, monkeypatch, same_domain, budget):
     seeds, steps = [3, 4, 5], [70, 45, 70]
-    full = draw_all(evolcircle, 6, seeds, steps, same_domain)
+    full = draw_all(domains, 6, seeds, steps, same_domain)
     monkeypatch.setattr(seeding, "CHUNK_DRAWS", budget)
     if budget == 1:
         assert seeding.chunk_steps(3, 100, 70) == 1  # one step per chunk
     if budget == 10**9:
         assert seeding.chunk_steps(3, 100, 70) == 70  # one chunk per run
-    chunked = draw_all(evolcircle, 6, seeds, steps, same_domain)
-    want = reference_all(evolcircle, 6, seeds, steps, same_domain)
+    chunked = draw_all(domains, 6, seeds, steps, same_domain)
+    want = reference_all(domains, 6, seeds, steps, same_domain)
     for run in range(len(seeds)):
         assert len(full[run]) == len(chunked[run]) == len(want[run]) == steps[run]
         assert all(same_episodes(a, b) for a, b in zip(full[run], want[run]))
         assert all(same_episodes(a, b) for a, b in zip(chunked[run], want[run]))
+
+
+@BUDGETS
+@pytest.mark.parametrize("same_domain", [False, True], ids=["dpnets", "proto"])
+def test_chunking_does_not_change_episodes(evolcircle, monkeypatch, same_domain, budget):
+    check_chunking(evolcircle, monkeypatch, same_domain, budget)
+
+
+@BUDGETS
+@pytest.mark.parametrize("same_domain", [False, True], ids=["dpnets", "proto"])
+def test_chunking_does_not_change_one_pair_episodes(evolcircle, monkeypatch, same_domain, budget):
+    # One pair: two sources for dpnets, one for proto. Drawing the pair takes
+    # no word, so every step takes its words at the same slots.
+    domains = evolcircle[: 1 if same_domain else 2]
+    assert dpnet.Episodes(domains, 6, [], same_domain=same_domain).uniform
+    check_chunking(domains, monkeypatch, same_domain, budget)
 
 
 @pytest.mark.parametrize("same_domain,n", [(False, 6), (True, 3)], ids=["dpnets", "proto"])
@@ -249,4 +261,22 @@ def test_decode_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert episodes.stop == seeding.CHUNK_DRAWS // (27 * 253)
+    assert peak < 0.45 * 2**20
+
+
+def test_one_pair_decode_memory_stays_small():
+    # One pair (two evolcircle sources) draws no pair index and takes the
+    # fixed layout. A full chunk of 9 runs at n=32 (14 steps, 31,752 draws)
+    # peaks at 0.40 MiB with numpy 2.4, about 13 bytes a draw. The chain
+    # path, which follows each run's steps one at a time (as blocks whose
+    # dead slots differ need), peaks at 0.60 MiB on this decode.
+    domains = data.generate(data.default_spec("evolcircle", seed=7))[:2]
+    episodes = dpnet.Episodes(domains, 32, [np.random.default_rng(s) for s in range(9)], 1000)
+    tracemalloc.start()
+    try:
+        dpnet.sample_episode(episodes, 0, list(range(9)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert episodes.stop == seeding.CHUNK_DRAWS // (9 * 252)
     assert peak < 0.45 * 2**20

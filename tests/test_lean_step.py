@@ -283,6 +283,17 @@ def test_erm_matches_oracle(rplate, mode, hidden, optimizer):
     assert all(np.array_equal(a, d.x) for a, d in zip(before, rplate))
 
 
+def test_erm_tail_shuffle_matches_oracle():
+    # A pool of 11,600 sampled 300 at a time: above 11,600 // 50, so numpy
+    # shuffles the tail of arange(pool) instead of taking Floyd's sample. Two
+    # runs of different lengths train in lockstep.
+    domains = data.generate(data.default_spec("evolcircle", seed=7, samples_per_domain=400))[:-1]
+    assert sum(d.x.shape[0] for d in domains) == 11600
+    runs = [({"steps": steps, "batch": 150, "lr": 0.05, "hidden": ()}, seed) for steps, seed in ((12, 8), (20, 9))]
+    for model, (hparams, seed) in zip(baselines.train_erm(domains, runs), runs):
+        assert _layers_equal(model.net, oracle_train_erm(domains, hparams, seed, IndexMode.NONE))
+
+
 def test_erm_recent_window_matches_oracle(rplate):
     hparams = {"steps": 60, "batch": 8, "lr": 0.05, "hidden": (4,)}
     [model] = baselines.train_erm(rplate, [(hparams, 7)], last_k=2)
