@@ -386,17 +386,13 @@ def _algorithms(settings: dict) -> tuple[str, ...]:
     return algos
 
 
-def _search_args(settings: dict) -> dict:
-    return {
-        "n_trials": settings["trials"],
-        "n_seeds": settings["n-seeds"],
-        "strategy": harness.SelectionStrategy(settings["strategy"]),
-    }
-
-
-def _emit_grid(args, cells: list, name: str = "results") -> int:
-    """Write a grid's report, then one event per failure and the command's
-    event; exit 1 when any cell failed."""
+def _run_grid(args, settings: dict, cells: list, kind: str, name: str = "results") -> int:
+    """The one search path of the grid commands: search the cells in the
+    default space of their dataset ``kind``, write the report, then one event
+    per failure and the command's event; exit 1 when any cell failed."""
+    _at_least(1, settings, "trials", "n-seeds")
+    strategy = harness.SelectionStrategy(settings["strategy"])
+    cells = harness.run_cells(cells, harness.default_space(kind), settings["trials"], settings["n-seeds"], strategy)
     paths = harness.emit_report(cells, Path(args.out), name=name)
     _emit_failures(cells, args.quiet)
     failed = sum(1 for c in cells if c.error)
@@ -405,46 +401,27 @@ def _emit_grid(args, cells: list, name: str = "results") -> int:
 
 
 def cmd_sweep(args, settings: dict) -> int:
-    _at_least(1, settings, "trials", "n-seeds")
     axis = {"distance": "domain_distance", "count": "domain_count"}[settings["axis"]]
     try:
         values = tuple(float(v) if axis == "domain_distance" else int(v) for v in settings["values"].split(","))
     except ValueError:
         raise CliConfigError(f"bad --values list {settings['values']!r}")
-    algos = _algorithms(settings)
-    base_spec = _generated_spec(settings)
-    try:
-        sweep = harness.SweepConfig(axis=axis, values=values, base_spec=base_spec, algorithms=algos)
-    except ValueError as exc:
-        raise CliConfigError(str(exc))
-    return _emit_grid(args, harness.run_sweep(sweep, master_seed=settings["seed"], **_search_args(settings)))
+    cells = harness.sweep_cells(axis, values, _generated_spec(settings), _algorithms(settings), settings["seed"])
+    return _run_grid(args, settings, cells, settings["dataset"])
 
 
 def cmd_interp_study(args, settings: dict) -> int:
-    _at_least(1, settings, "trials", "n-seeds")
     try:
         counts = tuple(int(v) for v in settings["counts"].split(","))
     except ValueError:
         raise CliConfigError(f"bad --counts list {settings['counts']!r}")
-    base_spec = _generated_spec(settings)
-    for count in counts:  # every study environment is valid before any training
-        _spec_from({**settings, "num-domains": count})
-    cells = harness.run_interpolation_study(base_spec, counts, master_seed=settings["seed"], **_search_args(settings))
-    return _emit_grid(args, cells, name="interpolation")
+    cells = harness.study_cells(_generated_spec(settings), counts, settings["seed"])
+    return _run_grid(args, settings, cells, settings["dataset"], name="interpolation")
 
 
 def cmd_headline(args, settings: dict) -> int:
-    """Each algorithm searched on evolcircle and rplate, both generated with
-    data seed 7; a cell's master seed is ``child_seed(seed, kind, algo)``."""
-    _at_least(1, settings, "trials", "n-seeds")
-    algos, seed = _algorithms(settings), settings["seed"]
-    cells = []
-    for kind in ("evolcircle", "rplate"):
-        domains = data.generate(data.default_spec(kind, seed=7))
-        cells += [harness.Cell(kind, a, a, domains, harness.child_seed(seed, kind, a)) for a in algos]
     # Both benchmarks are 2-D, so they share one search space.
-    cells = harness.run_cells(cells, harness.default_space("evolcircle"), **_search_args(settings))
-    return _emit_grid(args, cells)
+    return _run_grid(args, settings, harness.headline_cells(_algorithms(settings), settings["seed"]), "evolcircle")
 
 
 def cmd_verify_bounds(args, settings: dict) -> int:
@@ -486,44 +463,23 @@ def cmd_verify_bounds(args, settings: dict) -> int:
     return 0 if report["all_passed"] else 1
 
 
-# The JSON values each raw cell field may hold; a file may omit hparams, seeds and error.
-RAW_FIELDS = {
-    **dict.fromkeys(("row", "algorithm", "scheme"), lambda v: type(v) is str),
-    **dict.fromkeys(("mean", "std"), lambda v: type(v) in (int, float, type(None))),
-    "per_seed": lambda v: type(v) is list and all(type(a) in (int, float) for a in v),
-    "hparams": lambda v: type(v) in (dict, type(None)),
-    "seeds": lambda v: type(v) is list and all(type(s) is int for s in v),
-    "error": lambda v: type(v) in (str, type(None)),
-}
-
-
 def cmd_report(args, settings: dict) -> int:
     raw_dir = settings["raw"]
     if not raw_dir or not Path(raw_dir).is_dir():
         raise CliConfigError(f"--raw must name a directory of per-cell JSON files, got {raw_dir!r}")
-    cells = []
+    cells, files = [], {}
     for path in sorted(Path(raw_dir).glob("*.json")):
-        payload = {"hparams": None, "seeds": [], "error": None, **_read_json_object(path, "raw cell")}
-        for key, fits in RAW_FIELDS.items():
-            if key not in payload:
-                raise CliInputError(f"raw cell {path} lacks {key!r}")
-            if not fits(payload[key]):
-                raise CliInputError(f"raw cell {path}: {key} cannot be {payload[key]!r}")
-        cell = harness.CellResult(
-            row=payload["row"],
-            algorithm=payload["algorithm"],
-            mean=payload["mean"],
-            std=payload["std"],
-            per_seed=tuple(payload["per_seed"]),
-            scheme=payload["scheme"],
-            error=payload["error"],
-            hparams=payload["hparams"],
-            seeds=tuple(payload["seeds"]),
-        )
+        payload = _read_json_object(path, "raw cell")
+        try:
+            cell = harness.cell_from_raw(payload)
+        except ValueError as exc:
+            raise CliInputError(f"raw cell {path}: {exc}")
+        first = files.setdefault((cell.row, cell.algorithm), path)
+        if first != path:
+            raise CliInputError(f"raw cells {first} and {path} both hold the cell {cell.row}, {cell.algorithm}")
         if cell.per_seed:
-            mean = float(np.mean(cell.per_seed))
-            std = float(np.std(cell.per_seed, ddof=1)) if len(cell.per_seed) > 1 else 0.0
-            if cell.mean is not None and (abs(mean - cell.mean) > 1e-12 or abs(std - (cell.std or 0.0)) > 1e-12):
+            mean, std = harness.mean_std(cell.per_seed)
+            if abs(mean - cell.mean) > 1e-12 or abs(std - cell.std) > 1e-12:
                 emit("report-mismatch", args.quiet, file=str(path))
                 return 1
         cells.append(cell)

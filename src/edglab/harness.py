@@ -1,14 +1,15 @@
 """Experiment orchestration: random hyperparameter search over multi-seed
-trials, grids of searches run cell by cell (axis sweeps, the
-interpolation/extrapolation study, the headline table), and report emission.
-Determinism comes from hashed child seeds, never from execution order, so
-every run reproduces identical bytes.
+trials, the cell lists of the results grids (axis sweeps, the
+interpolation/extrapolation study, the headline table), the one runner that
+searches them, and report emission. Determinism comes from hashed child
+seeds, never from execution order, so every run reproduces identical bytes.
 """
 from __future__ import annotations
 
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, data, dpnet
-from .data import DomainData, EnvironmentSpec
+from .data import ConfigurationError, DomainData, EnvironmentSpec
 from .files import write_atomic
 from .nn import MlpParams, OptimizerError
 from .seeding import child_rng, child_seed
@@ -280,10 +281,11 @@ def random_search(
     space: HParamSpace,
     algorithm: str,
     domains: list[DomainData],
-    n_trials: int = 20,
-    n_seeds: int = 5,
-    strategy: SelectionStrategy = SelectionStrategy.ORACLE_MAX_QUERY,
-    master_seed: int = 0,
+    *,
+    n_trials: int,
+    n_seeds: int,
+    strategy: SelectionStrategy,
+    master_seed: int,
     workers: int = 1,
 ) -> SearchResult:
     """Hyperparameter search: n_trials draws × n_seeds runs each, selected per
@@ -291,7 +293,8 @@ def random_search(
 
     Runs that agree on the method's ``group_keys`` (the trainer's
     ``GROUP_KEYS``) train as one lockstep group (``run_group``), one group
-    after another. Raises ``SearchFailed`` when every trial fails.
+    after another. Raises ``SearchFailed`` when every trial fails. The
+    search settings have no defaults here; ``cli.COMMANDS`` holds them.
     ``workers`` must be 1; it is kept for ``perfbench/workloads.py`` and goes
     when the benchmark drops it."""
     if workers != 1:
@@ -343,45 +346,19 @@ def random_search(
         best_index = max(completed, key=lambda it: (it[1].mean_val, -it[0]))[0]
     else:
         best_index = max(completed, key=lambda it: (it[1].mean_target, -it[0]))[0]
-    accs = np.asarray(trials[best_index].target_accs)
-    std = float(np.std(accs, ddof=1)) if accs.size > 1 else 0.0
-    return SearchResult(
-        algorithm=algorithm,
-        strategy=strategy,
-        trials=trials,
-        best_index=best_index,
-        mean=float(accs.mean()),
-        std=std,
-        failed_runs=failed_runs,
-    )
+    mean, std = mean_std(trials[best_index].target_accs)
+    return SearchResult(algorithm, strategy, trials, best_index, mean, std, failed_runs)
+
+
+def mean_std(accs) -> tuple[float, float]:
+    """A cell's mean and sample std (ddof=1) of per-seed accuracies; one seed has std 0.0."""
+    accs = np.asarray(accs)
+    return float(accs.mean()), (float(np.std(accs, ddof=1)) if accs.size > 1 else 0.0)
 
 
 # ---------------------------------------------------------------------------
-# Sweeps and studies
+# Results grids: each is a list of cells, searched by run_cells
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """Grid over one environment axis × a set of algorithms."""
-
-    axis: str  # "domain_count" | "domain_distance"
-    values: tuple
-    base_spec: EnvironmentSpec
-    algorithms: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.axis not in ("domain_count", "domain_distance"):
-            raise ValueError(f"unknown sweep axis {self.axis!r}")
-        if len(self.values) < 2:
-            raise ValueError("a sweep needs at least two axis values")
-        for value in self.values:  # every cell's environment is valid before any training
-            self.spec_for(value)
-
-    def spec_for(self, value) -> EnvironmentSpec:
-        if self.axis == "domain_count":
-            return replace(self.base_spec, num_domains=int(value))
-        return replace(self.base_spec, domain_distance=float(value))
 
 
 @dataclass
@@ -401,6 +378,40 @@ class CellResult:
     seeds: tuple[int, ...] = ()
 
 
+def _finite(v) -> bool:
+    return type(v) in (int, float) and math.isfinite(v)
+
+
+# The raw cell JSON: the CellResult fields emit_report writes and the JSON
+# values each may hold. Files written before the selection was kept lack
+# hparams and seeds, and may lack error.
+RAW_FIELDS = {
+    **dict.fromkeys(("row", "algorithm", "scheme"), lambda v: type(v) is str),
+    **dict.fromkeys(("mean", "std"), lambda v: v is None or _finite(v)),
+    "per_seed": lambda v: type(v) is list and all(_finite(a) for a in v),
+    "hparams": lambda v: type(v) in (dict, type(None)),
+    "seeds": lambda v: type(v) is list and all(type(s) is int for s in v),
+    "error": lambda v: type(v) in (str, type(None)),
+}
+
+
+def cell_from_raw(payload: dict) -> CellResult:
+    """The CellResult a raw cell JSON object holds. ``ValueError`` when a
+    field is missing or cannot hold its value, or when the cell is neither
+    scored (per-seed accuracies, a mean and a std, no error) nor failed (an
+    error and none of those)."""
+    payload = {"hparams": None, "seeds": [], "error": None, **payload}
+    for key, fits in RAW_FIELDS.items():
+        if key not in payload:
+            raise ValueError(f"lacks {key!r}")
+        if not fits(payload[key]):
+            raise ValueError(f"{key} cannot be {payload[key]!r}")
+    mean, std, per_seed, error = (payload[key] for key in ("mean", "std", "per_seed", "error"))
+    if len({mean is not None, std is not None, bool(per_seed), error is None}) > 1:
+        raise ValueError("a cell holds per_seed, mean and std and no error, or an error and none of them")
+    return CellResult(**{key: tuple(v) if type(v) is list else v for key, v in payload.items() if key in RAW_FIELDS})
+
+
 @dataclass(frozen=True)
 class Cell:
     """One search of a results grid: its report row and column, the
@@ -417,13 +428,22 @@ class Cell:
 def run_cells(
     cells: list[Cell], space: HParamSpace, n_trials: int, n_seeds: int, strategy: SelectionStrategy
 ) -> list[CellResult]:
-    """One random_search per cell, in list order. A cell whose every trial
-    fails is marked, with its failed runs, rather than aborting the grid;
-    any other error is a bug and raises."""
+    """One random_search per cell, in list order. A grid whose cells repeat
+    a (row, column) pair is a ``ConfigurationError`` before any training. A
+    cell whose every trial fails is marked, with its failed runs, rather
+    than aborting the grid; any other error is a bug and raises."""
+    seen = set()
+    for c in cells:
+        if (c.row, c.column) in seen:
+            raise ConfigurationError(f"the grid repeats the cell {c.row}, {c.column}")
+        seen.add((c.row, c.column))
     results = []
     for c in cells:
         try:
-            res = random_search(space, c.algorithm, c.domains, n_trials, n_seeds, strategy, master_seed=c.master_seed)
+            res = random_search(
+                space, c.algorithm, c.domains, n_trials=n_trials, n_seeds=n_seeds, strategy=strategy,
+                master_seed=c.master_seed,
+            )
         except SearchFailed as exc:
             results.append(CellResult(c.row, c.column, None, None, (), strategy.value, str(exc), exc.failed_runs))
             continue
@@ -435,24 +455,29 @@ def run_cells(
     return results
 
 
-def run_sweep(
-    sweep: SweepConfig,
-    space: HParamSpace | None = None,
-    n_trials: int = 20,
-    n_seeds: int = 5,
-    strategy: SelectionStrategy = SelectionStrategy.ORACLE_MAX_QUERY,
-    master_seed: int = 0,
-) -> list[CellResult]:
-    """One cell per (axis value, algorithm)."""
-    cells = []
-    for value in sweep.values:
-        domains = data.generate(sweep.spec_for(value))
-        cells += [
-            Cell(f"{sweep.axis}={value}", a, a, domains, child_seed(master_seed, sweep.axis, value, a))
-            for a in sweep.algorithms
-        ]
-    space = space or default_space(sweep.base_spec.kind)
-    return run_cells(cells, space, n_trials, n_seeds, strategy)
+SWEEP_AXES = {"domain_count": ("num_domains", int), "domain_distance": ("domain_distance", float)}
+
+
+def sweep_cells(
+    axis: str, values: tuple, base_spec: EnvironmentSpec, algorithms: tuple[str, ...], master_seed: int
+) -> list[Cell]:
+    """A grid over one environment axis: one cell per (value, algorithm),
+    row ``axis=value``, master seed ``child_seed(master_seed, axis, value,
+    algorithm)``, the value an int (count) or a float (distance). Every
+    environment is valid before any data is drawn."""
+    if axis not in SWEEP_AXES:
+        raise ConfigurationError(f"unknown sweep axis {axis!r}")
+    if len(values) < 2:
+        raise ConfigurationError("a sweep needs at least two axis values")
+    field, cast = SWEEP_AXES[axis]
+    values = [cast(value) for value in values]
+    specs = [replace(base_spec, **{field: value}) for value in values]
+    return [
+        Cell(f"{axis}={value}", a, a, domains, child_seed(master_seed, axis, value, a))
+        for value, spec in zip(values, specs)
+        for domains in [data.generate(spec)]
+        for a in algorithms
+    ]
 
 
 def middle_index(num_domains: int) -> int:
@@ -460,20 +485,17 @@ def middle_index(num_domains: int) -> int:
     return (num_domains - 1) // 2
 
 
-def run_interpolation_study(
-    base_spec: EnvironmentSpec,
-    domain_counts: tuple[int, ...],
-    space: HParamSpace | None = None,
-    n_trials: int = 3,
-    n_seeds: int = 3,
-    strategy: SelectionStrategy = SelectionStrategy.ORACLE_MAX_QUERY,
-    master_seed: int = 0,
-) -> list[CellResult]:
-    """Three curves over domain count: the episodic method and plain ERM with
-    the target at the far edge, plus ERM with the middle domain held out."""
+def study_cells(base_spec: EnvironmentSpec, counts: tuple[int, ...], master_seed: int) -> list[Cell]:
+    """Three curves over domain count, row ``domains=count``: the episodic
+    method and plain ERM with the target at the far edge, plus ERM with the
+    middle domain held out (moved last). Master seed ``child_seed(master_seed,
+    "interp", count, label)``. Every environment is valid before any data is
+    drawn."""
+    counts = [int(count) for count in counts]
+    specs = [replace(base_spec, num_domains=count) for count in counts]
     cells = []
-    for count in domain_counts:
-        domains = data.generate(replace(base_spec, num_domains=int(count)))
+    for count, spec in zip(counts, specs):
+        domains = data.generate(spec)
         mid = middle_index(len(domains))
         interp_order = [d for i, d in enumerate(domains) if i != mid] + [domains[mid]]
         settings = (
@@ -485,8 +507,19 @@ def run_interpolation_study(
             Cell(f"domains={count}", label, algorithm, ordered, child_seed(master_seed, "interp", count, label))
             for label, algorithm, ordered in settings
         ]
-    space = space or default_space(base_spec.kind)
-    return run_cells(cells, space, n_trials, n_seeds, strategy)
+    return cells
+
+
+def headline_cells(algorithms: tuple[str, ...], master_seed: int) -> list[Cell]:
+    """The headline table: each algorithm on evolcircle and rplate, both
+    generated with data seed 7; master seed ``child_seed(master_seed, kind,
+    algorithm)``."""
+    return [
+        Cell(kind, a, a, domains, child_seed(master_seed, kind, a))
+        for kind in ("evolcircle", "rplate")
+        for domains in [data.generate(data.default_spec(kind, seed=7))]
+        for a in algorithms
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -571,24 +604,7 @@ def emit_report(cells: list[CellResult], out_dir, name: str = "results") -> dict
         for c in sorted(cells, key=lambda c: (_row_key(c.row), c.algorithm)):
             safe = f"{c.row}__{c.algorithm}".replace("=", "-").replace("/", "-")
             path = raw_dir / f"{safe}.json"
-            write_atomic(
-                path,
-                json.dumps(
-                    {
-                        "row": c.row,
-                        "algorithm": c.algorithm,
-                        "mean": c.mean,
-                        "std": c.std,
-                        "per_seed": list(c.per_seed),
-                        "scheme": c.scheme,
-                        "error": c.error,
-                        "hparams": c.hparams,
-                        "seeds": list(c.seeds),
-                    },
-                    sort_keys=True,
-                    indent=1,
-                )
-            )
+            write_atomic(path, json.dumps({key: getattr(c, key) for key in RAW_FIELDS}, sort_keys=True, indent=1))
             raw_paths.append(str(path))
     except OSError as exc:
         raise ReportError(f"cannot write report under {out_dir}: {exc}") from exc

@@ -69,18 +69,9 @@ def rplate_results():
 @pytest.fixture(scope="module")
 def distance_sweep_cells():
     spec = data.default_spec("rotatedcloud", seed=DATA_SEED)
-    sweep = harness.SweepConfig(
-        axis="domain_distance", values=(3.0, 20.0), base_spec=spec, algorithms=("dpnets", "erm")
-    )
     t0 = time.time()
-    cells = harness.run_sweep(
-        sweep,
-        space=ACCEPTANCE_SPACE,
-        n_trials=N_TRIALS,
-        n_seeds=N_SEEDS,
-        strategy=SelectionStrategy.ORACLE_MAX_QUERY,
-        master_seed=MASTER_SEED,
-    )
+    sweep = harness.sweep_cells("domain_distance", (3.0, 20.0), spec, ("dpnets", "erm"), MASTER_SEED)
+    cells = harness.run_cells(sweep, ACCEPTANCE_SPACE, N_TRIALS, N_SEEDS, SelectionStrategy.ORACLE_MAX_QUERY)
     return cells, time.time() - t0
 
 
@@ -291,7 +282,8 @@ def test_criterion_6_rmnist_directional():
     results = {}
     for algo in ("dpnets", "erm"):
         results[algo] = harness.random_search(
-            space, algo, domains, n_trials=N_TRIALS, n_seeds=N_SEEDS, master_seed=MASTER_SEED
+            space, algo, domains, n_trials=N_TRIALS, n_seeds=N_SEEDS,
+            strategy=SelectionStrategy.ORACLE_MAX_QUERY, master_seed=MASTER_SEED,
         )
     elapsed = time.time() - t0
     gap = results["dpnets"].mean - results["erm"].mean
@@ -358,16 +350,9 @@ def test_criterion_9_determinism_across_workers(evolcircle_results, rplate_resul
         to_cell("rplate", rplate_results["erm"][0]),
     ]
     spec = data.default_spec("rotatedcloud", seed=DATA_SEED)
-    reversed_sweep = harness.SweepConfig(
-        axis="domain_distance", values=(20.0, 3.0), base_spec=spec, algorithms=("erm", "dpnets")
-    )
-    sweep_rerun = harness.run_sweep(
-        reversed_sweep,
-        space=ACCEPTANCE_SPACE,
-        n_trials=N_TRIALS,
-        n_seeds=N_SEEDS,
-        strategy=SelectionStrategy.ORACLE_MAX_QUERY,
-        master_seed=MASTER_SEED,
+    reversed_sweep = harness.sweep_cells("domain_distance", (20.0, 3.0), spec, ("erm", "dpnets"), MASTER_SEED)
+    sweep_rerun = harness.run_cells(
+        reversed_sweep, ACCEPTANCE_SPACE, N_TRIALS, N_SEEDS, SelectionStrategy.ORACLE_MAX_QUERY
     )
     rerun_cells = []
     for kind in ("rplate", "evolcircle"):

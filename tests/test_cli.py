@@ -457,8 +457,20 @@ class TestCorruptJsonInputs:
         "row-number": ("row", 5),
         "error-list": ("error", ["boom"]),
     }
+    # Fields of the right type that no search writes: a non-finite number
+    # (NaN compares false, so no mean/std comparison catches it), or
+    # per-seed accuracies without a mean or std and without an error.
+    INCONSISTENT = {
+        "nan-per-seed": {"per_seed": [0.5, float("nan")], "mean": 0.55},
+        "inf-mean": {"mean": float("inf")},
+        "nan-std": {"std": float("nan")},
+        "null-mean": {"mean": None},
+        "null-std": {"std": None},
+    }
 
-    @pytest.mark.parametrize("damage", ["truncated", "not-an-object", "no-per-seed", *WRONG_TYPE])
+    @pytest.mark.parametrize(
+        "damage", ["truncated", "not-an-object", "no-per-seed", *WRONG_TYPE, *INCONSISTENT, "repeated-cell"]
+    )
     def test_bad_raw_cell_is_input_error(self, capsys, tmp_path, raw_cells, damage):
         cell = dict(raw_cells)
         if damage == "no-per-seed":
@@ -466,15 +478,19 @@ class TestCorruptJsonInputs:
         elif damage in self.WRONG_TYPE:
             key, value = self.WRONG_TYPE[damage]
             cell[key] = value
+        cell.update(self.INCONSISTENT.get(damage, {}))
         text = json.dumps(cell)
         text = {"truncated": text[: len(text) // 2], "not-an-object": "[1, 2]"}.get(damage, text)
         raw = tmp_path / "raw"
         raw.mkdir()
         (raw / "cell.json").write_text(text)
+        if damage == "repeated-cell":  # two files of one (row, algorithm)
+            (raw / "copy.json").write_text(text)
         capsys.readouterr()
         code, events = run_cli(capsys, ["report", "--raw", str(raw), "--out", str(tmp_path / "r")])
         assert code == 2
         assert "raw cell" in last_event(events, "input-error")["message"]
+        assert not (tmp_path / "r").exists()
 
 
 class TestSweepAndReport:
@@ -496,6 +512,17 @@ class TestSweepAndReport:
         )
         assert code == 0
         assert (tmp_path / "rebuilt" / "results.csv").read_text() == csv_text
+        # The interpolation study's raw cells rebuild its tables byte for byte.
+        out = tmp_path / "interp"
+        argv = [
+            "interp-study", "--dataset", "rotatedcloud", "--counts", "4,5", "--trials", "2", "--n-seeds", "2",
+            "--samples", "130", "--seed", "5", "--out", str(out),
+        ]
+        assert cli.main(argv) == 0
+        assert cli.main(["report", "--raw", str(out / "raw"), "--out", str(tmp_path / "interp-rebuilt")]) == 0
+        for suffix in ("csv", "md"):
+            rebuilt = (tmp_path / "interp-rebuilt" / f"results.{suffix}").read_bytes()
+            assert rebuilt == (out / f"interpolation.{suffix}").read_bytes(), suffix
 
     def test_raw_cells_keep_the_selected_trial(self, capsys, tmp_path, monkeypatch):
         from edglab import harness
@@ -638,13 +665,30 @@ class TestSweepAndReport:
                  "--n-seeds", "1", "--strategy", "training_domain_validation"],
                 "domain 0 class",
             ),
+            # A grid that repeats a cell: 10 and 10.0 are one row.
+            (
+                ["sweep", "--dataset", "rotatedcloud", "--axis", "distance", "--values", "10,10.0", "--algos", "erm",
+                 "--samples", "40", "--num-domains", "4", "--trials", "1", "--n-seeds", "1"],
+                "repeats the cell domain_distance=10.0, erm",
+            ),
+            (
+                ["sweep", "--dataset", "rotatedcloud", "--axis", "distance", "--values", "10,20", "--algos", "erm,erm",
+                 "--samples", "40", "--num-domains", "4", "--trials", "1", "--n-seeds", "1"],
+                "repeats the cell domain_distance=10.0, erm",
+            ),
+            (
+                ["interp-study", "--counts", "4,4", "--samples", "40", "--trials", "1", "--n-seeds", "1"],
+                "repeats the cell domains=4, dpnets-extrapolation",
+            ),
+            (["headline", "--algos", "erm,erm", "--trials", "1", "--n-seeds", "1"], "repeats the cell evolcircle, erm"),
         ],
         ids=[
             "sweep-count-2", "interp-count-2", "sweep-trials-0", "sweep-n-seeds-0", "headline-trials-0",
             "headline-algo", "train-embed-negative", "train-embed-0", "train-hidden-negative", "train-hidden-0",
             "train-steps-negative", "train-lr-0", "train-lr-negative", "train-lr-nan", "train-lr-inf",
             "gen-data-distance-nan", "gen-data-distance-inf", "sweep-distance-nan", "sweep-split-too-small",
-            "interp-split-too-small",
+            "interp-split-too-small", "sweep-repeated-value", "sweep-repeated-algo", "interp-repeated-count",
+            "headline-repeated-algo",
         ],
     )
     def test_bad_sizes_are_config_errors(self, capsys, tmp_path, argv, words):
@@ -848,7 +892,7 @@ class TestHeadlineCli:
         domains = data.generate(data.default_spec("rplate", seed=7))
         bare = harness.random_search(
             harness.default_space("rplate"), "erm", domains, n_trials=1, n_seeds=2,
-            master_seed=harness.child_seed(0, "rplate", "erm"),
+            strategy=harness.SelectionStrategy.ORACLE_MAX_QUERY, master_seed=harness.child_seed(0, "rplate", "erm"),
         )
         assert cell["per_seed"] == list(bare.best.target_accs) and cell["seeds"] == list(bare.best.seeds)
         capsys.readouterr()

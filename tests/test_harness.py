@@ -1,16 +1,20 @@
 import csv
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from edglab import bounds, data, dpnet, harness
+from edglab import baselines, bounds, data, dpnet, harness
 from edglab.harness import HParamSpace, SelectionStrategy
 from edglab.seeding import child_seed
 
 FAST_SPACE = HParamSpace(
     lr_range=(0.01, 0.05), steps_choices=(60, 120), batch_choices=(4, 8), embed_choices=((2,),)
 )
+ORACLE = SelectionStrategy.ORACLE_MAX_QUERY
+# The search arguments of one single-seed trial, for tests that only check what a search refuses.
+ONE_RUN = dict(n_trials=1, n_seeds=1, strategy=ORACLE, master_seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -51,21 +55,21 @@ class TestChildSeed:
 
 class TestRandomSearch:
     def test_single_trial_single_seed_is_best(self, small_env):
-        res = harness.random_search(FAST_SPACE, "erm", small_env, n_trials=1, n_seeds=1, master_seed=5)
+        res = harness.random_search(FAST_SPACE, "erm", small_env, n_trials=1, n_seeds=1, strategy=ORACLE, master_seed=5)
         assert res.best_index == 0
         assert len(res.trials) == 1
         assert res.std == 0.0
         assert res.mean == res.best.target_accs[0]
 
     def test_oracle_selection_is_argmax_of_mean_target(self, small_env):
-        res = harness.random_search(FAST_SPACE, "erm", small_env, n_trials=4, n_seeds=2, master_seed=7)
+        res = harness.random_search(FAST_SPACE, "erm", small_env, n_trials=4, n_seeds=2, strategy=ORACLE, master_seed=7)
         best = res.best
         for trial in res.trials:
             if trial.error is None:
                 assert best.mean_target >= trial.mean_target
 
     def test_std_matches_independent_recomputation(self, small_env):
-        res = harness.random_search(FAST_SPACE, "dpnets", small_env, n_trials=2, n_seeds=3, master_seed=9)
+        res = harness.random_search(FAST_SPACE, "dpnets", small_env, n_trials=2, n_seeds=3, strategy=ORACLE, master_seed=9)
         accs = res.best.target_accs
         mean = sum(accs) / len(accs)
         var = sum((a - mean) ** 2 for a in accs) / (len(accs) - 1)
@@ -73,8 +77,8 @@ class TestRandomSearch:
         assert abs(res.mean - mean) < 1e-15
 
     def test_deterministic_across_reruns(self, small_env):
-        a = harness.random_search(FAST_SPACE, "dpnets", small_env, n_trials=2, n_seeds=2, master_seed=4)
-        b = harness.random_search(FAST_SPACE, "dpnets", small_env, n_trials=2, n_seeds=2, master_seed=4)
+        a = harness.random_search(FAST_SPACE, "dpnets", small_env, n_trials=2, n_seeds=2, strategy=ORACLE, master_seed=4)
+        b = harness.random_search(FAST_SPACE, "dpnets", small_env, n_trials=2, n_seeds=2, strategy=ORACLE, master_seed=4)
         assert a.mean == b.mean and a.std == b.std
         for ta, tb in zip(a.trials, b.trials):
             assert ta.target_accs == tb.target_accs
@@ -100,24 +104,24 @@ class TestRandomSearch:
 
     def test_more_than_one_worker_rejected(self, small_env):
         with pytest.raises(ValueError, match="workers must be 1"):
-            harness.random_search(FAST_SPACE, "erm", small_env, workers=2)
+            harness.random_search(FAST_SPACE, "erm", small_env, **ONE_RUN, workers=2)
         with pytest.raises(ValueError, match="workers must be 1"):
             bounds.run_certification(instances=1, decomposition_pairs=1, workers=2)
 
     def test_unknown_algorithm_rejected(self, small_env):
         with pytest.raises(ValueError, match="unknown algorithm"):
-            harness.random_search(FAST_SPACE, "mystery", small_env)
+            harness.random_search(FAST_SPACE, "mystery", small_env, **ONE_RUN)
 
     @pytest.mark.parametrize("n_trials,n_seeds", [(0, 1), (1, 0)])
     def test_empty_search_rejected(self, small_env, n_trials, n_seeds):
         with pytest.raises(ValueError, match="at least 1"):
-            harness.random_search(FAST_SPACE, "erm", small_env, n_trials=n_trials, n_seeds=n_seeds)
+            harness.random_search(FAST_SPACE, "erm", small_env, **{**ONE_RUN, "n_trials": n_trials, "n_seeds": n_seeds})
 
     def test_infeasible_trials_recorded_and_excluded(self, small_env):
         # Per-class batches of 500 cannot be drawn from 30-per-class domains;
         # such trials carry an error and never win selection.
         space = HParamSpace(lr_range=(0.01, 0.05), steps_choices=(40,), batch_choices=(4, 500))
-        res = harness.random_search(space, "dpnets", small_env, n_trials=6, n_seeds=1, master_seed=1)
+        res = harness.random_search(space, "dpnets", small_env, n_trials=6, n_seeds=1, strategy=ORACLE, master_seed=1)
         failed = [t for t in res.trials if t.error is not None]
         assert failed, "expected at least one infeasible draw"
         assert all("insufficient" in t.error for t in failed)
@@ -126,24 +130,23 @@ class TestRandomSearch:
     def test_all_trials_failing_raises(self, small_env):
         space = HParamSpace(lr_range=(0.01, 0.05), steps_choices=(40,), batch_choices=(500,))
         with pytest.raises(RuntimeError, match="every trial failed"):
-            harness.random_search(space, "dpnets", small_env, n_trials=2, n_seeds=1, master_seed=1)
+            harness.random_search(space, "dpnets", small_env, n_trials=2, n_seeds=1, strategy=ORACLE, master_seed=1)
 
 
 class TestSweep:
     def test_cell_equals_bare_search(self, small_env):
         spec = data.EnvironmentSpec(kind="rotatedcloud", num_domains=5, samples_per_domain=60, domain_distance=20.0, seed=3)
-        sweep = harness.SweepConfig(
-            axis="domain_distance", values=(10.0, 20.0), base_spec=spec, algorithms=("erm",)
-        )
-        cells = harness.run_sweep(sweep, space=FAST_SPACE, n_trials=2, n_seeds=2, master_seed=6)
+        sweep = harness.sweep_cells("domain_distance", (10.0, 20.0), spec, ("erm",), master_seed=6)
+        cells = harness.run_cells(sweep, FAST_SPACE, 2, 2, ORACLE)
         cell = next(c for c in cells if c.row == "domain_distance=20.0")
-        domains = data.generate(sweep.spec_for(20.0))
+        domains = data.generate(replace(spec, domain_distance=20.0))
         bare = harness.random_search(
             FAST_SPACE,
             "erm",
             domains,
             n_trials=2,
             n_seeds=2,
+            strategy=ORACLE,
             master_seed=child_seed(6, "domain_distance", 20.0, "erm"),
         )
         assert (cell.mean, cell.std, cell.per_seed) == (bare.mean, bare.std, tuple(bare.best.target_accs))
@@ -155,25 +158,37 @@ class TestSweep:
 
         monkeypatch.setattr(dpnet, "train", broken)
         spec = data.EnvironmentSpec(kind="rotatedcloud", num_domains=5, samples_per_domain=60, domain_distance=20.0, seed=3)
-        sweep = harness.SweepConfig(axis="domain_distance", values=(10.0, 20.0), base_spec=spec, algorithms=("dpnets",))
+        sweep = harness.sweep_cells("domain_distance", (10.0, 20.0), spec, ("dpnets",), master_seed=0)
         with pytest.raises(NotImplementedError, match="a bug"):
-            harness.run_sweep(sweep, space=FAST_SPACE, n_trials=1, n_seeds=1)
+            harness.run_cells(sweep, FAST_SPACE, 1, 1, ORACLE)
 
     def test_reproducible_cells(self, small_env):
         spec = data.EnvironmentSpec(kind="rotatedcloud", num_domains=5, samples_per_domain=60, domain_distance=15.0, seed=3)
-        sweep = harness.SweepConfig(
-            axis="domain_count", values=(4, 5), base_spec=spec, algorithms=("erm",)
-        )
-        a = harness.run_sweep(sweep, space=FAST_SPACE, n_trials=1, n_seeds=2, master_seed=1)
-        b = harness.run_sweep(sweep, space=FAST_SPACE, n_trials=1, n_seeds=2, master_seed=1)
+        sweep = harness.sweep_cells("domain_count", (4, 5), spec, ("erm",), master_seed=1)
+        a = harness.run_cells(sweep, FAST_SPACE, 1, 2, ORACLE)
+        b = harness.run_cells(sweep, FAST_SPACE, 1, 2, ORACLE)
         assert harness.render_csv(a) == harness.render_csv(b)
 
     def test_config_validation(self):
         spec = data.default_spec("rotatedcloud")
         with pytest.raises(ValueError, match="axis"):
-            harness.SweepConfig(axis="wrong", values=(1, 2), base_spec=spec, algorithms=("erm",))
+            harness.sweep_cells("wrong", (1, 2), spec, ("erm",), master_seed=0)
         with pytest.raises(ValueError, match="two axis values"):
-            harness.SweepConfig(axis="domain_count", values=(3,), base_spec=spec, algorithms=("erm",))
+            harness.sweep_cells("domain_count", (3,), spec, ("erm",), master_seed=0)
+
+    def test_repeated_cells_are_refused_before_training(self, monkeypatch):
+        # 10 and 10.0 name the same row; nothing trains before the refusal.
+        def broken(*args, **kwargs):
+            raise NotImplementedError("trained a repeated grid")
+
+        monkeypatch.setattr(baselines, "train_erm", broken)
+        spec = data.EnvironmentSpec(kind="rotatedcloud", num_domains=4, samples_per_domain=40, seed=3)
+        for sweep in (
+            harness.sweep_cells("domain_distance", (10, 10.0), spec, ("erm",), master_seed=0),
+            harness.sweep_cells("domain_distance", (10.0, 20.0), spec, ("erm", "erm"), master_seed=0),
+        ):
+            with pytest.raises(data.ConfigurationError, match="repeats the cell domain_distance=10.0, erm"):
+                harness.run_cells(sweep, FAST_SPACE, 1, 1, ORACLE)
 
 
 class TestInterpolationStudy:
@@ -183,7 +198,8 @@ class TestInterpolationStudy:
 
     def test_three_settings_per_count(self):
         spec = data.EnvironmentSpec(kind="rotatedcloud", num_domains=5, samples_per_domain=60, domain_distance=15.0, seed=3)
-        cells = harness.run_interpolation_study(spec, (5, 7), space=FAST_SPACE, n_trials=1, n_seeds=1, master_seed=2)
+        study = harness.study_cells(spec, (5, 7), master_seed=2)
+        cells = harness.run_cells(study, FAST_SPACE, 1, 1, ORACLE)
         labels = {(c.row, c.algorithm) for c in cells}
         for count in (5, 7):
             for setting in ("dpnets-extrapolation", "erm-extrapolation", "erm-interpolation"):

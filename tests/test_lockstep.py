@@ -219,7 +219,10 @@ def test_search_trains_one_group_per_shape_and_scores_as_single_runs(evolcircle,
         return train(sources, runs, *args, **kwargs)
 
     monkeypatch.setattr(dpnet, "train", counted)
-    res = harness.random_search(space, "dpnets", domains, n_trials=6, n_seeds=2, master_seed=3)
+    res = harness.random_search(
+        space, "dpnets", domains, n_trials=6, n_seeds=2,
+        strategy=harness.SelectionStrategy.ORACLE_MAX_QUERY, master_seed=3,
+    )
     monkeypatch.undo()
     # Runs differ only in lr, steps and seed within a group: one group per batch size drawn.
     per_batch = Counter(t.hparams["batch"] for t in res.trials)
@@ -246,7 +249,10 @@ def test_search_groups_runs_by_the_trainer_keys(evolcircle, monkeypatch, algo):
         return train(sources, runs, *args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
-    res = harness.random_search(space, algo, domains, n_trials=8, n_seeds=2, master_seed=5)
+    res = harness.random_search(
+        space, algo, domains, n_trials=8, n_seeds=2,
+        strategy=harness.SelectionStrategy.ORACLE_MAX_QUERY, master_seed=5,
+    )
     monkeypatch.undo()
     shapes = [{tuple(hp[k] for k in keys) for hp in group} for group in groups]
     assert all(len(shape) == 1 for shape in shapes)
