@@ -10,7 +10,7 @@ prototypes for the unseen target.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -37,7 +37,7 @@ class DPNetModel:
     ``f_phi`` embeds support instances (it carries the one-step-ahead drift),
     ``f_psi`` embeds queries; a shared encoder (proto) is one object in both
     fields. Both must share architecture, so the embedding dimension is
-    ``f_phi.out_dim``.
+    ``f_phi.out_dim``. Training steps them as one stack, ``encoders``.
     """
 
     f_phi: MlpParams
@@ -47,6 +47,21 @@ class DPNetModel:
     def __post_init__(self):
         if self.f_phi.dims != self.f_psi.dims:
             raise ValueError(f"encoder architectures differ: {self.f_phi.dims} vs {self.f_psi.dims}")
+
+    @property
+    def encoders(self) -> MlpParams:
+        """A copy of the encoders stacked on a leading side axis: [phi, psi]
+        with (2, out, in) weights, or the shared encoder alone, a stack of one
+        that serves both sides."""
+        nets = [self.f_phi] if self.f_phi is self.f_psi else [self.f_phi, self.f_psi]
+        return MlpParams.from_arrays([np.stack(side) for side in zip(*(net.arrays() for net in nets))])
+
+
+def from_encoders(encoders: MlpParams, num_classes: int) -> DPNetModel:
+    """The model whose ``f_phi`` and ``f_psi`` are views [0] and [-1] of an
+    encoder stack (one object for a stack of one)."""
+    sides = [MlpParams.from_arrays(list(side)) for side in zip(*encoders.arrays())]
+    return DPNetModel(sides[0], sides[-1], num_classes)
 
 
 def init_dpnet(dims: tuple[int, ...], num_classes: int, seed: int, shared: bool = False) -> DPNetModel:
@@ -70,67 +85,77 @@ def compute_prototypes(model: DPNetModel, support: tuple[Array, ...] | list[Arra
 @lru_cache(maxsize=8)
 def _true_class(runs: tuple[int, ...], k_classes: int, n_b: int) -> Array:
     """Each query's distance to its own class's prototype, as flat indices
-    into the stacked (K·n) × K distances: shaped ``runs + (K·n,)``."""
-    episodes = int(np.prod(runs, dtype=np.int64))
-    labels = np.tile(np.repeat(np.arange(k_classes), n_b), episodes)
-    true = (nn.row_starts(labels.size, k_classes) + labels).reshape(*runs, -1)
+    into the stacked K × (K·n) distances: shaped ``runs + (K·n,)``."""
+    episodes, n_q = int(np.prod(runs, dtype=np.int64)), k_classes * n_b
+    # Query q of class q // n is entry (q // n, q) of its episode's block.
+    own = np.repeat(np.arange(k_classes), n_b) * n_q + np.arange(n_q)
+    true = (nn.row_starts(episodes, k_classes * n_q)[:, None] + own).reshape(*runs, n_q)
     true.flags.writeable = False
     return true
 
 
-def episode_loss(
-    f_phi: MlpParams, f_psi: MlpParams, support, query, grads: tuple[Grads, Grads] | None = None
-) -> tuple[float, Array, Grads, Grads]:
-    """Episodic loss and exact gradients for both encoders.
+def episode_loss(encoders: MlpParams, episode, grads: Grads | None = None) -> tuple[Array, Array, Grads]:
+    """Episodic loss and exact gradients of an encoder stack.
 
-    ``support`` goes through ``f_phi`` and ``query`` through ``f_psi``. Each
-    is stacked class-major, K × n × d, so ``support[k]`` is class k's block;
-    a sequence of equal-sized per-class blocks is stacked on entry. Loss = mean over queries of d(z_q, c_y) + log sum_k exp(-d(z_q, c_k)),
-    i.e. the mean negative log-probability of the true class. Gradients flow
-    into the query encoder directly and into the support encoder through the
-    prototype means.
+    ``episode`` is 2 × K × n × d: side 0 the support, side 1 the queries,
+    each stacked class-major so ``episode[s, k]`` is class k's block.
+    ``encoders`` is a stack on the side axis, (2, out, in) weights: side 0
+    (phi) embeds the support and side 1 (psi) the queries; a stack of one is
+    a shared encoder that serves both. Loss = mean over queries of
+    d(z_q, c_y) + log sum_k exp(-d(z_q, c_k)), i.e. the mean negative
+    log-probability of the true class. Gradients flow into the query side
+    directly and into the support side through the prototype means; a shared
+    encoder gets their sum.
 
-    Returns (loss, d2, grads_phi, grads_psi) with d2 the (K·n) × K squared
-    query-to-prototype distances. ``grads``, a (phi, psi) pair, receives the
-    gradients in place (see ``nn.mlp_backward``). R episodes stacked on a
-    leading run axis (R × K × n × d) with stacked encoders give R losses and
-    R × (K·n) × K distances, each run's exactly as it would be alone.
+    Returns (loss, d2, grads) with d2 the K × (K·n) squared prototype-to-
+    query distances, class-major. ``grads`` receives the gradients in place
+    (see ``nn.mlp_backward``). R episodes stacked on a leading run axis
+    (R × 2 × K × n × d) with encoders stacked as (R, 2, out, in) give R
+    losses and R × K × (K·n) distances, each run's exactly as it would be
+    alone.
     """
-    support, query = np.asarray(support, dtype=np.float64), np.asarray(query, dtype=np.float64)
-    if support.ndim < 3 or 0 in support.shape[-3:-1] or query.shape != support.shape:
-        raise ValueError("support and query must hold one equal-sized, non-empty block per class")
-    *runs, k_classes, n_b, dim = support.shape
-    zs, cache_s = nn.mlp_forward(f_phi, support.reshape(*runs, k_classes * n_b, dim))
-    zq, cache_q = nn.mlp_forward(f_psi, query.reshape(*runs, k_classes * n_b, dim))
+    try:
+        episode = np.asarray(episode, dtype=np.float64)
+    except ValueError:  # blocks of different sizes do not stack
+        episode = np.empty(0)
+    if episode.ndim < 4 or episode.shape[-4] != 2 or 0 in episode.shape[-3:-1]:
+        raise ValueError("an episode must hold one equal-sized, non-empty block per class on each of its two sides")
+    *runs, _, k_classes, n_b, dim = episode.shape
+    n_q = k_classes * n_b
+    z, cache = nn.mlp_forward(encoders, episode.reshape(*runs, 2, n_q, dim))
+    zs, zq = z[..., 0, :, :], z[..., 1, :, :]
     # Means and sums go straight to the ufunc reductions np.mean and
     # ndarray.sum wrap: the same arithmetic with fewer Python calls.
     protos = np.add.reduce(zs.reshape(*runs, k_classes, n_b, -1), axis=-2) / n_b
 
-    d2 = nn.pairwise_sq_dists(zq, protos)  # (K*n_b) × K
-    n_q = k_classes * n_b
+    # Class-major, each reduction over the K classes is K - 1 elementwise
+    # ops on rows of K·n queries (see nn.pairwise_sum).
+    d2 = nn.pairwise_sq_dists(protos, zq)  # K × (K·n)
+    rows = range(k_classes)
     true = _true_class(tuple(runs), k_classes, n_b)
-    # log sum_k exp(-d2) with max-subtraction, per query row.
-    neg = -d2
-    m = np.maximum.reduce(neg, axis=-1, keepdims=True)
-    p = np.exp(neg - m)
-    total = np.add.reduce(p, axis=-1, keepdims=True)
-    lse = (m + np.log(total))[..., 0]
+    # log sum_k exp(-d2) with max-subtraction, per query. The largest -d2 is
+    # minus the nearest distance, so near - d2 is exactly -d2 - max(-d2).
+    near = reduce(np.minimum, [d2[..., k, :] for k in rows])
+    p = np.exp(near[..., None, :] - d2)
+    total = nn.pairwise_sum([p[..., k, :] for k in rows])
+    lse = np.log(total) - near
     loss = np.add.reduce(d2.take(true) + lse, axis=-1) / n_q
 
-    p /= total
-    # dJ/d d2[q,k] = (1[k=y_q] - p[q,k]) / n_q
+    p /= total[..., None, :]
+    # dJ/d d2[k,q] = (1[k=y_q] - p[k,q]) / n_q
     gd2 = -p
     gd2.reshape(-1)[true] += 1.0
     gd2 /= n_q
-    # Chain through d2 = |zq - c_k|^2 exactly (no zero-row-sum shortcut).
-    gzq = 2.0 * (zq * np.add.reduce(gd2, axis=-1, keepdims=True) - gd2 @ protos)
-    gproto = -2.0 * (gd2.swapaxes(-1, -2) @ zq - np.add.reduce(gd2, axis=-2)[..., None] * protos)
-    gzs = np.repeat(gproto / n_b, n_b, axis=-2)
-
-    out_phi, out_psi = grads if grads is not None else (None, None)
-    grads_psi = nn.mlp_backward(f_psi, cache_q, gzq, out=out_psi)
-    grads_phi = nn.mlp_backward(f_phi, cache_s, gzs, out=out_phi)
-    return loss, d2, grads_phi, grads_psi
+    # Chain through d2 = |zq - c_k|^2 exactly (no zero-row-sum shortcut). The
+    # products and the sum over queries keep their query-major operand, whose
+    # layout sets their summation order.
+    gq = gd2.swapaxes(-1, -2).copy()
+    gz = np.empty_like(z)  # support side, then query side
+    inner = zq * nn.pairwise_sum([gd2[..., k, :] for k in rows])[..., None] - gq @ protos
+    np.multiply(inner, 2.0, out=gz[..., 1, :, :])
+    gproto = -2.0 * (gq.swapaxes(-1, -2) @ zq - np.add.reduce(gq, axis=-2)[..., None] * protos)
+    gz.reshape(*runs, 2, k_classes, n_b, -1)[..., 0, :, :, :] = (gproto / n_b)[..., None, :]
+    return loss, d2, nn.mlp_backward(encoders, cache, gz, out=grads)
 
 
 class Episodes(seeding.Steps):
@@ -179,10 +204,10 @@ class Episodes(seeding.Steps):
         self.n = n_per_class
 
 
-def sample_episode(episodes: Episodes, step: int, runs: list[int]) -> tuple[Array, Array, Array]:
-    """The episode of each run of ``runs`` at ``step``, stacked in its order:
-    support and query (R × K × n × d) and the domain pair i each run drew.
-    Steps are asked for in order; a run's first step is 0.
+def sample_episode(episodes: Episodes, step: int, runs: list[int]) -> tuple[Array, Array]:
+    """The episode of each run of ``runs`` at ``step``, stacked in its order
+    (R × 2 × K × n × d: support, then queries), and the domain pair i each
+    run drew. Steps are asked for in order; a run's first step is 0.
 
     Raises ``EpisodeError`` when the domain pair a run drew cannot serve
     some class, with the message the run gives alone; ``rows`` maps the
@@ -193,8 +218,7 @@ def sample_episode(episodes: Episodes, step: int, runs: list[int]) -> tuple[Arra
         errors = {e: EpisodeError(episodes.errors[pairs[e]]) for e in ended}
         raise EpisodeError(str(errors[ended[0]]), rows=errors)
     # A run's rows are K × (2 × n) class-major, support then query.
-    support, query = episodes.x.take(rows.reshape(len(runs), -1, 2, episodes.n).transpose(2, 0, 1, 3), axis=0)
-    return support, query, pairs
+    return episodes.x.take(rows.reshape(len(runs), -1, 2, episodes.n).swapaxes(1, 2), axis=0), pairs
 
 
 # Runs that differ on one of these train in separate lockstep groups.
@@ -212,26 +236,22 @@ def train(
     A run's hparams give its ``lr``, ``steps``, ``batch`` (samples per class
     on each side of an episode) and ``embed`` (encoder widths after the
     input); the runs agree on ``GROUP_KEYS``. Its encoders are
-    ``init_dpnet((dim,) + embed, K, seed, shared)``, and it draws its episodes
-    from a second generator of the same seed, so it ends bit for bit where it
-    would alone. A shared encoder (proto) draws its support and queries from
-    one domain, two encoders (dpnets) from consecutive domains. Returns, per
-    run, the trained model with its per-step losses and query accuracies, or
-    the error that ended it. ``progress(step, losses)`` is called after each
-    step with ``{run: loss}`` for the runs that took it.
+    ``init_dpnet((dim,) + embed, K, seed, shared)``, trained as one stack
+    (``DPNetModel.encoders``: the group steps (R, 2, out, in) weights, or
+    (R, 1, out, in) for a shared encoder), and it draws its episodes from a
+    second generator of the same seed, so it ends bit for bit where it would
+    alone. A shared encoder (proto) draws its support and queries from one
+    domain, two encoders (dpnets) from consecutive domains. Returns, per run,
+    the trained model (``f_phi`` and ``f_psi`` views of its stack) with its
+    per-step losses and query accuracies, or the error that ended it.
+    ``progress(step, losses)`` is called after each step with ``{run: loss}``
+    for the runs that took it.
     """
     n_per_class, embed = nn.group_values(runs, GROUP_KEYS)
     dims, k_classes = (source_domains[0].dim,) + tuple(embed), source_domains[0].num_classes
-    models = [init_dpnet(dims, k_classes, seed, shared) for _, seed in runs]
     steps = [hp["steps"] for hp, _ in runs]
-    # Gradients of both encoders, phi then psi; a shared encoder steps on their sum.
-    lock = nn.Lockstep(
-        [[m.f_phi] if shared else [m.f_phi, m.f_psi] for m in models],
-        [hp["lr"] for hp, _ in runs],
-        steps,
-        grad_like=[models[0].f_phi, models[0].f_psi],
-    )
-    width = lock.params.shape[1]
+    encoders = [[init_dpnet(dims, k_classes, seed, shared).encoders] for _, seed in runs]
+    lock = nn.Lockstep(encoders, [hp["lr"] for hp, _ in runs], steps)
     rngs = [np.random.default_rng(seed) for _, seed in runs]
     episodes = Episodes(source_domains, n_per_class, rngs, steps, shared)
     labels = np.repeat(np.arange(k_classes), n_per_class)
@@ -239,18 +259,16 @@ def train(
 
     def grads(step):
         try:
-            support, query, _ = sample_episode(episodes, step, lock.ids)
+            episode, _ = sample_episode(episodes, step, lock.ids)
         except EpisodeError as exc:
             lock.drop(exc.rows)
             if not lock.ids:
                 return ()
-            support, query, _ = sample_episode(episodes, step, lock.ids)
-        losses, d2, _, _ = episode_loss(lock.nets[0], lock.nets[-1], support, query, lock.grads)
-        if shared:
-            lock.grad[: len(lock.ids), :width] += lock.grad[: len(lock.ids), width:]
+            episode, _ = sample_episode(episodes, step, lock.ids)
+        losses, d2, _ = episode_loss(lock.nets[0], episode, lock.grads[0])
         # The logged accuracy scores the pre-step encoders, as predict_with_prototypes
         # would: argmin sends ties to the lowest class index.
-        acc = np.add.reduce(np.argmin(d2, axis=-1) == labels, axis=-1) / labels.size
+        acc = np.add.reduce(np.argmin(d2, axis=-2) == labels, axis=-1) / labels.size
         logs[:, lock.ids, step] = losses, acc
         return losses
 
@@ -259,8 +277,7 @@ def train(
         if isinstance(nets, Exception):
             results.append(nets)
         else:
-            model = DPNetModel(nets[0], nets[-1], k_classes)
-            results.append((model, logs[0, run, : steps[run]], logs[1, run, : steps[run]]))
+            results.append((from_encoders(nets[0], k_classes), logs[0, run, : steps[run]], logs[1, run, : steps[run]]))
     return results
 
 

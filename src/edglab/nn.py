@@ -2,19 +2,23 @@
 
 Matrices are plain row-major ``numpy.ndarray`` of float64. Networks are
 stacks of dense layers with ReLU on hidden layers and an identity output.
-A layer may carry leading run axes: R networks of one shape stacked as
-``(R, out, in)`` weights run through the same kernels, each slice computing
-exactly what it would alone. Forward and backward never mutate their inputs
-(backward may write its gradients into caller-supplied arrays). Training
-stacks the runs' networks into one ``(R, P)`` parameter buffer with
-per-layer views (``Lockstep``), and ``step_mlps`` updates that buffer in
-place. All randomness comes from an explicit ``numpy.random.Generator``.
+A layer may carry leading stack axes: R networks of one shape stacked as
+``(R, out, in)`` weights (or ``(R, 2, out, in)``, two networks per run) run
+through the same kernels, each slice computing exactly what it would alone,
+and a stack axis of length one broadcasts over the batch's. The losses run
+their reductions over the short class axis as elementwise ops on its
+columns, with the bits the reductions give. Forward and backward never
+mutate their inputs (backward may write its gradients into caller-supplied
+arrays). Training stacks the runs' networks into one ``(R, P)`` parameter
+buffer with per-layer views (``Lockstep``), and ``step_mlps`` updates that
+buffer in place. All randomness comes from an explicit
+``numpy.random.Generator``.
 """
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -111,7 +115,8 @@ class ForwardCache:
 
 def mlp_forward(params: MlpParams, batch: Array) -> tuple[Array, ForwardCache]:
     """Rows of ``batch`` (n × in, or R × n × in for R stacked networks)
-    through the network."""
+    through the network. A stack axis of length one in the network serves
+    every batch along it (one encoder for both sides of an episode)."""
     batch = np.asarray(batch, dtype=np.float64)
     ndim = params.layers[0][0].ndim
     if batch.ndim != ndim:
@@ -135,8 +140,11 @@ def mlp_backward(
     """Exact reverse-mode parameter gradients of ``mlp_forward``.
 
     The grads are written into ``out`` when given (e.g. views of a flat
-    gradient buffer), otherwise into fresh arrays. The gradient with respect
-    to the input batch is never formed: no caller needs it.
+    gradient buffer), otherwise into fresh arrays. A network that broadcasts
+    over a stack axis of the batch (a stack of one, shared by several
+    batches) gets the sum of the gradients it would get from each. The
+    gradient with respect to the input batch is never formed: no caller
+    needs it.
     """
     n_layers = len(params.layers)
     if len(cache.inputs) != n_layers:
@@ -146,10 +154,16 @@ def mlp_backward(
         raise ValueError(f"out_grad shape {g.shape} != output shape {cache.pre_acts[-1].shape}")
     if out is None:
         out = MlpParams(tuple((np.empty_like(w), np.empty_like(b)) for w, b in params.layers))
+    # Stack axes where the network has one slice for several of the batch's.
+    shared = tuple(a for a, (p, q) in enumerate(zip(params.layers[0][0].shape[:-2], g.shape[:-2])) if p != q)
     for li in reversed(range(n_layers)):
         gw, gb = out.layers[li]
-        np.matmul(g.swapaxes(-1, -2), cache.inputs[li], out=gw)
-        np.add.reduce(g, axis=-2, out=gb)
+        if shared:
+            np.add.reduce(np.matmul(g.swapaxes(-1, -2), cache.inputs[li]), axis=shared, keepdims=True, out=gw)
+            np.add.reduce(np.add.reduce(g, axis=-2), axis=shared, keepdims=True, out=gb)
+        else:
+            np.matmul(g.swapaxes(-1, -2), cache.inputs[li], out=gw)
+            np.add.reduce(g, axis=-2, out=gb)
         if li > 0:
             g = np.matmul(g, params.layers[li][0])
             g *= cache.pre_acts[li - 1] > 0.0
@@ -198,12 +212,10 @@ class Lockstep:
 
     ``ids`` names the run of each live row (rows ``0..len(ids)-1``), ``nets``
     and ``grads`` are stacked views of those rows of the parameter and
-    gradient buffers. A gradient row is shaped like ``grad_like`` (default:
-    the networks); its first P values are the step, any further values are
-    the trainer's scratch.
+    gradient buffers.
     """
 
-    def __init__(self, runs: list[list[MlpParams]], lrs, steps, grad_like=None):
+    def __init__(self, runs: list[list[MlpParams]], lrs, steps):
         self.like = runs[0]
         self.steps = list(steps)
         order = sorted(range(len(runs)), key=lambda i: -self.steps[i])
@@ -212,8 +224,7 @@ class Lockstep:
             for src, dst in zip(runs[run], mlp_views(self.params[row], self.like)):
                 for a, b in zip(src.arrays(), dst.arrays()):
                     b[...] = a
-        self.grad_like = grad_like or self.like
-        self.grad = np.empty((len(runs), sum(a.size for net in self.grad_like for a in net.arrays())))
+        self.grad = np.empty_like(self.params)
         self.opt = Optimizer([lrs[i] for i in order], self.params)
         self.ids = order
         self.outcomes: list = [None] * len(runs)  # the run's final row, or its error
@@ -222,7 +233,7 @@ class Lockstep:
     def _view(self) -> None:
         live = len(self.ids)
         self.nets = mlp_views(self.params[:live], self.like)
-        self.grads = mlp_views(self.grad[:live], self.grad_like)
+        self.grads = mlp_views(self.grad[:live], self.like)
 
     def live(self, step: int) -> bool:
         """Retire the runs whose steps are done before ``step``; False once
@@ -251,10 +262,9 @@ class Lockstep:
         """One optimizer step of the live rows from their gradient rows. A
         row with a non-finite gradient fails its run alone, with the error it
         raises alone."""
-        width = self.params.shape[1]
         while self.ids:
             try:
-                step_mlps(self.opt, self.grad[: len(self.ids), :width])
+                step_mlps(self.opt, self.grad[: len(self.ids)])
                 return
             except OptimizerError as exc:
                 self.drop({row: OptimizerError(str(exc)) for row in exc.rows})
@@ -289,12 +299,33 @@ def pairwise_sq_dists(a: Array, b: Array) -> Array:
     return np.einsum("...nkd,...nkd->...nk", diff, diff)
 
 
+def pairwise_sum(terms: list[Array]) -> Array:
+    """The elementwise sum of ``terms`` in the order ``np.add.reduce`` sums a
+    contiguous axis of that length: numpy's pairwise summation, a chain below
+    8 terms, 8 running sums up to 128 and halves beyond. A sum over a short
+    class axis becomes len(terms) − 1 adds of whole rows with the same bits
+    (numpy starts from 0.0, which only turns a sum of −0.0 terms into 0.0)."""
+    n = len(terms)
+    if n < 8:
+        return reduce(np.add, terms)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return pairwise_sum(terms[:half]) + pairwise_sum(terms[half:])
+    run = terms[:8]
+    for top in range(8, n - n % 8, 8):
+        run = [a + b for a, b in zip(run, terms[top : top + 8])]
+    total = ((run[0] + run[1]) + (run[2] + run[3])) + ((run[4] + run[5]) + (run[6] + run[7]))
+    return reduce(np.add, terms[n - n % 8 :], total)
+
+
 def log_softmax_rows(m: Array) -> Array:
-    # The ufunc reductions behind np.max and np.sum, called directly: the
-    # same arithmetic with less per-call overhead on training's small batches.
+    # The reductions over the short class axis run on its columns: a running
+    # maximum and ``pairwise_sum``, the values np.max and np.sum give.
     m = np.asarray(m, dtype=np.float64)
-    shifted = m - np.maximum.reduce(m, axis=-1, keepdims=True)
-    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+    classes = range(m.shape[-1])
+    shifted = m - reduce(np.maximum, [m[..., k] for k in classes])[..., None]
+    exp = np.exp(shifted)
+    return shifted - np.log(pairwise_sum([exp[..., k] for k in classes]))[..., None]
 
 
 @lru_cache(maxsize=8)

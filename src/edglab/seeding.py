@@ -382,6 +382,9 @@ class Steps:
         n_steps = chunk_steps(len(runs), slots, int(left.max()))
         t, blocks = np.arange(n_steps), np.uint64(len(self.ok))
         drawn = {}
+        # One block that serves, and no run stops in the chunk: every run
+        # draws the same bounds, so one row of them serves all.
+        whole = not self.select and self.ok[0] and int(left.min()) >= n_steps
 
         def block_of(words):
             """The b a step draws, if it begins at these words."""
@@ -403,6 +406,9 @@ class Steps:
                 if self.select:
                     block = block_of(words[:, : n_steps * per : per])
                 at = None if per == slots else (self.step_at[b] + per * t[:, None]).reshape(1, -1)
+                if whole:
+                    drawn.update(block=block, end_at=np.full(len(runs), n_steps))
+                    return np.tile(self.step_bounds[0], n_steps)[None], at, per * n_steps
             # Each run takes its steps up to its last, or the one that ends it.
             ends = ~self.ok.take(block)
             end_at = np.where(ends.any(axis=1), ends.argmax(axis=1), n_steps)

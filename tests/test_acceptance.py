@@ -97,7 +97,8 @@ def _episode_grad_error(dims, num_classes, n_per_class, n_coords, rng):
         tuple(rng.standard_normal((n_per_class, dims[0])) for _ in range(num_classes)),
         tuple(rng.standard_normal((n_per_class, dims[0])) for _ in range(num_classes)),
     )
-    _, _, g_phi, g_psi = dpnet.episode_loss(model.f_phi, model.f_psi, *batch)
+    _, _, grads = dpnet.episode_loss(model.encoders, batch)
+    g_phi, g_psi = (nn.MlpParams.from_arrays(list(side)) for side in zip(*grads.arrays()))
     h = 1e-5
     worst = 0.0
     for net, grads in ((model.f_phi, g_phi), (model.f_psi, g_psi)):
@@ -110,9 +111,9 @@ def _episode_grad_error(dims, num_classes, n_per_class, n_coords, rng):
                     idx = np.unravel_index(fi, arr.shape)
                     orig = arr[idx]
                     arr[idx] = orig + h
-                    hi, _, _, _ = dpnet.episode_loss(model.f_phi, model.f_psi, *batch)
+                    hi, _, _ = dpnet.episode_loss(model.encoders, batch)
                     arr[idx] = orig - h
-                    lo, _, _, _ = dpnet.episode_loss(model.f_phi, model.f_psi, *batch)
+                    lo, _, _ = dpnet.episode_loss(model.encoders, batch)
                     arr[idx] = orig
                     worst = max(worst, _rel_err((hi - lo) / (2 * h), g_arr[idx]))
     return worst
@@ -179,7 +180,7 @@ def test_criterion_2_loss_probability_consistency():
         npc = int(rng.integers(1, 4))
         support = tuple(rng.standard_normal((npc, 3)) for _ in range(k))
         query = tuple(rng.standard_normal((npc, 3)) for _ in range(k))
-        loss, _, _, _ = dpnet.episode_loss(model.f_phi, model.f_psi, support, query)
+        loss, _, _ = dpnet.episode_loss(model.encoders, (support, query))
         protos = dpnet.compute_prototypes(model, support)
         ref = -np.mean(
             [

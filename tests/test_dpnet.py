@@ -24,6 +24,11 @@ def predictive_distribution(model, prototypes, x):
     return np.exp(nn.log_softmax_rows(-nn.pairwise_sq_dists(z, prototypes)))[0]
 
 
+def sides(stack):
+    """The per-side networks (phi, psi) of an encoder or gradient stack."""
+    return [nn.MlpParams.from_arrays(list(side)) for side in zip(*stack.arrays())]
+
+
 def random_batch(rng, model, n_per_class=4):
     """Support and query, one n_per_class × d block per class."""
     d = model.f_phi.in_dim
@@ -109,14 +114,14 @@ class TestEpisodeLoss:
         model = identity_model()
         support = (np.array([[1.0, 0.5], [1.0, -0.5]]), np.array([[-1.0, 0.5], [-1.0, -0.5]]))
         query = (np.array([[0.0, 2.0], [0.0, -1.0]]), np.array([[0.0, 0.5], [0.0, 7.0]]))
-        loss, _, _, _ = dpnet.episode_loss(model.f_phi, model.f_psi, support, query)
+        loss, _, _ = dpnet.episode_loss(model.encoders, (support, query))
         assert abs(loss - math.log(2.0)) < 1e-12
 
     def test_equals_mean_negative_log_probability(self, rng):
         for _ in range(25):
             model = random_model(rng)
             support, query = random_batch(rng, model)
-            loss, _, _, _ = dpnet.episode_loss(model.f_phi, model.f_psi, support, query)
+            loss, _, _ = dpnet.episode_loss(model.encoders, (support, query))
             protos = dpnet.compute_prototypes(model, support)
             total = 0.0
             for k, block in enumerate(query):
@@ -135,15 +140,16 @@ class TestEpisodeLoss:
             (np.zeros((0, 4, 3)), np.zeros((0, 4, 3))),  # no class at all
         ):
             with pytest.raises(ValueError, match="one equal-sized, non-empty block per class"):
-                dpnet.episode_loss(model.f_phi, model.f_psi, bad_support, bad_query)
+                dpnet.episode_loss(model.encoders, (bad_support, bad_query))
         # One empty block among full ones cannot be stacked at all.
         with pytest.raises(ValueError):
-            dpnet.episode_loss(model.f_phi, model.f_psi, (np.zeros((0, 3)),) + support[1:], query)
+            dpnet.episode_loss(model.encoders, ((np.zeros((0, 3)),) + support[1:], query))
 
     def test_gradients_match_finite_differences(self, rng):
         model = random_model(rng, dims=(3, 5, 2))
         batch = random_batch(rng, model, n_per_class=3)
-        _, _, g_phi, g_psi = dpnet.episode_loss(model.f_phi, model.f_psi, *batch)
+        _, _, grads = dpnet.episode_loss(model.encoders, batch)
+        g_phi, g_psi = sides(grads)
         h = 1e-5
         for net_name, grads in (("f_phi", g_phi), ("f_psi", g_psi)):
             net = getattr(model, net_name)
@@ -154,9 +160,9 @@ class TestEpisodeLoss:
                         idx = it.multi_index
                         orig = arr[idx]
                         arr[idx] = orig + h
-                        hi, _, _, _ = dpnet.episode_loss(model.f_phi, model.f_psi, *batch)
+                        hi, _, _ = dpnet.episode_loss(model.encoders, batch)
                         arr[idx] = orig - h
-                        lo, _, _, _ = dpnet.episode_loss(model.f_phi, model.f_psi, *batch)
+                        lo, _, _ = dpnet.episode_loss(model.encoders, batch)
                         arr[idx] = orig
                         fd = (hi - lo) / (2 * h)
                         denom = max(abs(fd), abs(g_arr[idx]), 1e-8)
@@ -176,12 +182,13 @@ class TestSampleEpisode:
     def test_two_domains_always_pair_zero_one(self, rng):
         domains = two_class_domains(rng, m=2)
         for _ in range(20):
-            _, _, pairs = dpnet.sample_episode(dpnet.Episodes(domains, 4, [rng]), 0, [0])
+            _, pairs = dpnet.sample_episode(dpnet.Episodes(domains, 4, [rng]), 0, [0])
             assert pairs[0] == 0
 
     def test_without_replacement_support(self, rng):
         domains = two_class_domains(rng, m=2, n=8)
-        support, _, _ = dpnet.sample_episode(dpnet.Episodes(domains, 4, [rng]), 0, [0])  # full class size
+        episode, _ = dpnet.sample_episode(dpnet.Episodes(domains, 4, [rng]), 0, [0])  # full class size
+        support = episode[:, 0]
         for k in range(2):
             drawn = support[0, k]
             original = domains[0].x[domains[0].y == k]
@@ -192,7 +199,7 @@ class TestSampleEpisode:
         counts = np.zeros(4)
         episodes = dpnet.Episodes(domains, 2, [rng], steps=10000)
         for step in range(10000):
-            counts[dpnet.sample_episode(episodes, step, [0])[2][0]] += 1
+            counts[dpnet.sample_episode(episodes, step, [0])[1][0]] += 1
         freqs = counts / 10000
         assert np.max(np.abs(freqs - 0.25)) < 0.02
 

@@ -106,16 +106,16 @@ def draw_all(domains, n, seeds, steps, same_domain):
     for step in range(max(steps)):
         live = [run for run in live if steps[run] > step]
         try:
-            support, query, pairs = dpnet.sample_episode(episodes, step, live)
+            episode, pairs = dpnet.sample_episode(episodes, step, live)
         except dpnet.EpisodeError as exc:
             for row, err in exc.rows.items():
                 out[live[row]].append(str(err))
             live = [run for row, run in enumerate(live) if row not in exc.rows]
             if not live:
                 break
-            support, query, pairs = dpnet.sample_episode(episodes, step, live)
+            episode, pairs = dpnet.sample_episode(episodes, step, live)
         for row, run in enumerate(live):
-            out[run].append((support[row], query[row], pairs[row]))
+            out[run].append((episode[row, 0], episode[row, 1], pairs[row]))
     return out
 
 

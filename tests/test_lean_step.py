@@ -305,7 +305,8 @@ def test_episodes_match_oracle(evolcircle, same_domain):
     rng, oracle_rng = np.random.default_rng(13), np.random.default_rng(13)
     for _ in range(50):
         episodes = dpnet.Episodes(evolcircle, 5, [rng], same_domain=same_domain)
-        got_support, got_query, _ = dpnet.sample_episode(episodes, 0, [0])
+        episode, _ = dpnet.sample_episode(episodes, 0, [0])
+        got_support, got_query = episode.swapaxes(0, 1)
         support, query = _oracle_episode(evolcircle, 5, oracle_rng, same_domain)
         assert np.array_equal(got_support[0], np.stack(support))
         assert np.array_equal(got_query[0], np.stack(query))
@@ -514,8 +515,9 @@ def test_tracer_attributes_training_calls(tracing, evolcircle):
     assert layers["dpnet.compute_prototypes.train_calls"] == 0
     assert layers["dpnet.predict_with_prototypes.train_calls"] == 0
     assert layers["nn.step_mlps.calls"] == 6 + 4
-    assert layers["nn.mlp_forward.calls"] == 2 * 6 + 4
-    assert layers["nn.mlp_backward.calls"] == 2 * 6 + 4
+    # A dpnets step runs both encoders as one stack: one forward, one backward.
+    assert layers["nn.mlp_forward.calls"] == 6 + 4
+    assert layers["nn.mlp_backward.calls"] == 6 + 4
     assert dpnet.train.__module__ == "edglab.dpnet"  # uninstalled
 
 
