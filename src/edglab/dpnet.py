@@ -22,12 +22,8 @@ Array = np.ndarray
 
 
 class EpisodeError(ValueError):
-    """An episode cannot be drawn: some class has too few samples. ``rows``
-    maps the position of each failed run of a stacked draw to its error."""
-
-    def __init__(self, message: str, rows: dict | None = None):
-        super().__init__(message)
-        self.rows = rows or {}
+    """The source domains cannot serve an episode: some class has too few
+    samples."""
 
 
 @dataclass
@@ -165,8 +161,9 @@ class Episodes(seeding.Steps):
     ``seeding.Steps`` over the domain pairs. Per step ``rng.integers(0,
     pairs)`` picks the domain i, then per class ``rng.choice(rows, n,
     replace=False)`` picks n rows of domain i, then n of domain i+1
-    (``same_domain``: 2n of domain i, the first n the support). A pair that
-    cannot serve some class ends a run that draws it, with ``errors[i]``.
+    (``same_domain``: 2n of domain i, the first n the support). Every pair
+    must serve every class: else ``EpisodeError`` names the first pair and
+    class that cannot, before any draw.
     """
 
     def __init__(self, domains: list[DomainData], n_per_class: int, rngs, steps=1, same_domain: bool = False):
@@ -190,17 +187,14 @@ class Episodes(seeding.Steps):
         side = np.arange(pairs)[:, None, None] + np.arange(1 if same_domain else 2)
         classes = np.arange(k)[:, None]
         pops = counts[side, classes]  # P × K × sides
-        self.errors: list[str | None] = []
-        for i in range(pairs):
-            short = np.flatnonzero(pops[i].min(axis=1) < size)
-            if not short.size:
-                self.errors.append(None)
-            elif same_domain:
-                self.errors.append(f"domain {i} class {short[0]}: need {size} samples, have {counts[i, short[0]]}")
-            else:
-                self.errors.append(f"episode ({i},{i + 1}) class {short[0]}: insufficient per-class samples")
-        ok = [e is None for e in self.errors]
-        super().__init__(pops.reshape(pairs, -1), firsts[side, classes].reshape(pairs, -1), size, rngs, steps, ok)
+        short = np.argwhere(pops.min(axis=2) < size)
+        if short.size:
+            i, c = short[0].tolist()
+            raise EpisodeError(
+                f"domain {i} class {c}: need {size} samples, have {counts[i, c]}" if same_domain
+                else f"episode ({i},{i + 1}) class {c}: insufficient per-class samples"
+            )
+        super().__init__(pops.reshape(pairs, -1), firsts[side, classes].reshape(pairs, -1), size, rngs, steps)
         self.n = n_per_class
 
 
@@ -208,15 +202,8 @@ def sample_episode(episodes: Episodes, step: int, runs: list[int]) -> tuple[Arra
     """The episode of each run of ``runs`` at ``step``, stacked in its order
     (R × 2 × K × n × d: support, then queries), and the domain pair i each
     run drew. Steps are asked for in order; a run's first step is 0.
-
-    Raises ``EpisodeError`` when the domain pair a run drew cannot serve
-    some class, with the message the run gives alone; ``rows`` maps the
-    position of each such run in ``runs`` to its own error.
     """
-    rows, pairs, ended = episodes.draw(step, runs)
-    if ended:
-        errors = {e: EpisodeError(episodes.errors[pairs[e]]) for e in ended}
-        raise EpisodeError(str(errors[ended[0]]), rows=errors)
+    rows, pairs = episodes.draw(step, runs)
     # A run's rows are K × (2 × n) class-major, support then query.
     return episodes.x.take(rows.reshape(len(runs), -1, 2, episodes.n).swapaxes(1, 2), axis=0), pairs
 
@@ -243,28 +230,26 @@ def train(
     alone. A shared encoder (proto) draws its support and queries from one
     domain, two encoders (dpnets) from consecutive domains. Returns, per run,
     the trained model (``f_phi`` and ``f_psi`` views of its stack) with its
-    per-step losses and query accuracies, or the error that ended it.
-    ``progress(step, losses)`` is called after each step with ``{run: loss}``
-    for the runs that took it.
+    per-step losses and query accuracies, or the error that ended it. Sources
+    that cannot serve the group's episodes fail every run with one
+    ``EpisodeError``, before any step. ``progress(step, losses)`` is called
+    after each step with ``{run: loss}`` for the runs that took it.
     """
     n_per_class, embed = nn.group_values(runs, GROUP_KEYS)
     dims, k_classes = (source_domains[0].dim,) + tuple(embed), source_domains[0].num_classes
     steps = [hp["steps"] for hp, _ in runs]
+    rngs = [np.random.default_rng(seed) for _, seed in runs]
+    try:
+        episodes = Episodes(source_domains, n_per_class, rngs, steps, shared)
+    except EpisodeError as exc:
+        return [exc] * len(runs)
     encoders = [[init_dpnet(dims, k_classes, seed, shared).encoders] for _, seed in runs]
     lock = nn.Lockstep(encoders, [hp["lr"] for hp, _ in runs], steps)
-    rngs = [np.random.default_rng(seed) for _, seed in runs]
-    episodes = Episodes(source_domains, n_per_class, rngs, steps, shared)
     labels = np.repeat(np.arange(k_classes), n_per_class)
     logs = np.empty((2, len(runs), max(steps)))  # loss, query accuracy
 
     def grads(step):
-        try:
-            episode, _ = sample_episode(episodes, step, lock.ids)
-        except EpisodeError as exc:
-            lock.drop(exc.rows)
-            if not lock.ids:
-                return ()
-            episode, _ = sample_episode(episodes, step, lock.ids)
+        episode, _ = sample_episode(episodes, step, lock.ids)
         losses, d2, _ = episode_loss(lock.nets[0], episode, lock.grads[0])
         # The logged accuracy scores the pre-step encoders, as predict_with_prototypes
         # would: argmin sends ties to the lowest class index.

@@ -78,12 +78,6 @@ class Episodic:
     shared: bool
     group_keys = dpnet.GROUP_KEYS
 
-    def samples_needed(self, batch: int) -> int:
-        """Samples per class every source domain must hold for one episode:
-        dpnets draws n from each side of a pair, proto a disjoint support and
-        query set (2n) from one domain."""
-        return 2 * batch if self.shared else batch
-
     def fit(self, sources: list[DomainData], runs: list[tuple[dict, int]], progress=None) -> list:
         """One lockstep group: per (hparams, seed) run, its model or the error that ended it."""
         results = dpnet.train(sources, runs, self.shared, progress)
@@ -120,9 +114,6 @@ class Erm:
     mode: baselines.IndexMode = baselines.IndexMode.NONE
     last_k: int | None = None
     group_keys = baselines.GROUP_KEYS
-
-    def samples_needed(self, batch: int) -> int:
-        return 0  # batches are drawn from the pool and capped at its size
 
     def fit(self, sources: list[DomainData], runs: list[tuple[dict, int]], progress=None) -> list:
         """One lockstep group: per (hparams, seed) run, its model or the error that ended it."""
@@ -219,9 +210,10 @@ def run_group(
     the target (and validation when given). The runs agree on the method's
     ``group_keys``, the trainer's ``GROUP_KEYS``.
 
-    A diverged optimizer or an episode the domains cannot serve fails that
-    run, not the group or the search: it is recorded and the trial is
-    excluded from selection. Any other error is a bug and raises.
+    A diverged optimizer fails that run, not the group or the search; sources
+    that cannot serve the group's episodes fail each of its runs before any
+    step. A failed run is recorded and its trial excluded from selection.
+    Any other error is a bug and raises.
     """
     method = METHODS[algorithm]
     outcomes = []
@@ -399,7 +391,8 @@ def cell_from_raw(payload: dict) -> CellResult:
     """The CellResult a raw cell JSON object holds. ``ValueError`` when a
     field is missing or cannot hold its value, or when the cell is neither
     scored (per-seed accuracies, a mean and a std, no error) nor failed (an
-    error and none of those)."""
+    error and none of those), or when its mean or std is not that of its
+    per-seed accuracies (``mean_std``, to 1e-12)."""
     payload = {"hparams": None, "seeds": [], "error": None, **payload}
     for key, fits in RAW_FIELDS.items():
         if key not in payload:
@@ -409,6 +402,8 @@ def cell_from_raw(payload: dict) -> CellResult:
     mean, std, per_seed, error = (payload[key] for key in ("mean", "std", "per_seed", "error"))
     if len({mean is not None, std is not None, bool(per_seed), error is None}) > 1:
         raise ValueError("a cell holds per_seed, mean and std and no error, or an error and none of them")
+    if per_seed and max(abs(a - b) for a, b in zip(mean_std(per_seed), (mean, std))) > 1e-12:
+        raise ValueError(f"mean {mean!r} and std {std!r} are not those of per_seed {per_seed!r}")
     return CellResult(**{key: tuple(v) if type(v) is list else v for key, v in payload.items() if key in RAW_FIELDS})
 
 

@@ -273,10 +273,9 @@ class Lockstep:
         """Step the group until every run is done or failed.
 
         ``grads(step)`` writes the gradient rows of the live runs and returns
-        their losses, in ``ids`` order; it may ``drop`` runs first, and
-        returns nothing to step once none is left. ``progress(step, losses)``
-        is called after each step with ``{run: loss}`` for the runs that took
-        it. Returns, per run, its trained networks (views of its row) or the
+        their losses, in ``ids`` order. ``progress(step, losses)`` is called
+        after each step with ``{run: loss}`` for the runs that took it.
+        Returns, per run, its trained networks (views of its row) or the
         error that ended it.
         """
         step = 0

@@ -335,27 +335,25 @@ class Steps:
 
     A step picks a block b with ``rng.integers(0, B)``, which takes no word
     when B is 1, then draws ``rng.choice(pops[b, j], size, replace=False)``
-    for each j in turn, offset by ``firsts[b, j]``. A block that ``ok``
-    marks False ends any run that draws it, after its index. ``steps`` (one
-    per run, or one for all) bounds each run's draws; a run that gets
-    through them hands its generator back where the draws left it.
+    for each j in turn, offset by ``firsts[b, j]``; every pop holds at least
+    ``size``. ``steps`` (one per run, or one for all) bounds each run's
+    draws; a run that gets through them hands its generator back where the
+    draws left it.
 
     ``draw`` decodes a chunk of steps of every run it is asked for at once
     (``chunk_steps``). Each step takes its words at fixed slots when every
-    block that serves has the same dead slots (0 bounds); else each run's
-    steps are followed in turn, since where a step begins depends on the
-    blocks drawn before it.
+    block has the same dead slots (0 bounds); else each run's steps are
+    followed in turn, since where a step begins depends on the blocks drawn
+    before it.
     """
 
-    def __init__(self, pops, firsts, size: int, rngs, steps=1, ok=None):
+    def __init__(self, pops, firsts, size: int, rngs, steps=1):
+        self.pops = np.asarray(pops, dtype=np.int64)  # B × J
         self.streams = [Words(rng) for rng in rngs]
         self.steps = np.broadcast_to(np.asarray(steps, dtype=np.int64), len(self.streams))
-        blocks = len(pops)
-        self.ok = np.ones(blocks, dtype=bool) if ok is None else np.asarray(ok, dtype=bool)
-        self.pops = np.where(self.ok[:, None], pops, size)  # B × J; a block that ends a run draws nothing
         self.firsts = np.asarray(firsts, dtype=np.uint32)
+        blocks = len(self.pops)
         bounds = choice_bounds(self.pops.ravel(), size).reshape(blocks, -1)
-        bounds[~self.ok] = 0
         # With more than one block, slot 0 of a step draws b. A slot's word is
         # the step's first plus the words of the live slots before it.
         self.select = int(blocks > 1)
@@ -364,10 +362,9 @@ class Steps:
         self.step_words = live.sum(axis=1)
         last = np.maximum(self.step_words - 1, 0)[:, None]  # a 0 bound reads a word and ignores it
         self.step_at = np.minimum(np.cumsum(live, axis=1) - live, last).astype(np.int32)
-        # Usually every block that serves takes its words at the same slots,
-        # so step s begins at word s·W whatever the blocks drawn before it.
-        serving = live[self.ok]
-        self.uniform = bool(serving.size and (serving == serving[0]).all())
+        # Usually every block takes its words at the same slots, so step s
+        # begins at word s·W whatever the blocks drawn before it.
+        self.uniform = bool((live == live[0]).all())
         self.size = size
         self.start = self.stop = 0  # the decoded steps
         self.runs: list[int] = []
@@ -380,11 +377,11 @@ class Steps:
         left = self.steps[runs] - step
         slots = self.step_bounds.shape[1]
         n_steps = chunk_steps(len(runs), slots, int(left.max()))
-        t, blocks = np.arange(n_steps), np.uint64(len(self.ok))
+        t, blocks = np.arange(n_steps), np.uint64(len(self.pops))
         drawn = {}
-        # One block that serves, and no run stops in the chunk: every run
-        # draws the same bounds, so one row of them serves all.
-        whole = not self.select and self.ok[0] and int(left.min()) >= n_steps
+        # One block, and no run stops in the chunk: every run draws the same
+        # bounds, so one row of them serves all.
+        whole = not self.select and int(left.min()) >= n_steps
 
         def block_of(words):
             """The b a step draws, if it begins at these words."""
@@ -400,20 +397,17 @@ class Steps:
                     begin[:, s + 1] = begin[:, s] + self.step_words[block[:, s]]
                 at = (begin[:, :-1, None] + self.step_at[block]).reshape(len(runs), -1)
             else:
-                b = int(self.ok.argmax())  # a block that serves
-                per = int(self.step_words[b])
+                per = int(self.step_words[0])
                 block = np.zeros((len(runs), n_steps), dtype=np.intp)  # one block is drawn with no word
                 if self.select:
                     block = block_of(words[:, : n_steps * per : per])
-                at = None if per == slots else (self.step_at[b] + per * t[:, None]).reshape(1, -1)
+                at = None if per == slots else (self.step_at[0] + per * t[:, None]).reshape(1, -1)
                 if whole:
-                    drawn.update(block=block, end_at=np.full(len(runs), n_steps))
+                    drawn["block"] = block
                     return np.tile(self.step_bounds[0], n_steps)[None], at, per * n_steps
-            # Each run takes its steps up to its last, or the one that ends it.
-            ends = ~self.ok.take(block)
-            end_at = np.where(ends.any(axis=1), ends.argmax(axis=1), n_steps)
-            idle = t > np.minimum(left - 1, end_at)[:, None]
-            drawn.update(block=block, end_at=end_at)  # the last call's words are the ones drawn
+            # Each run takes its steps up to its last.
+            idle = t >= left[:, None]
+            drawn["block"] = block  # the last call's words are the ones drawn
             bounds = self.step_bounds.take(block, axis=0)
             bounds[idle] = 0
             used = np.add.reduce(self.step_words.take(block) * ~idle, axis=1)
@@ -421,29 +415,26 @@ class Steps:
 
         width = max(1, n_steps * int(self.step_words.max()))
         values = decode([self.streams[r] for r in runs], width, layout)
-        block, end_at = drawn["block"], drawn["end_at"]
+        block = drawn["block"]
         draws = values.reshape(len(runs), n_steps, slots)[:, :, self.select :]
         draws = draws.reshape(len(runs), n_steps, -1, 2 * self.size - 1)
         picks = choice_picks(draws, self.pops.take(block, axis=0), self.size)
         del values, draws
         picks += self.firsts.take(block, axis=0)[..., None]  # stored position-major: runs along R·T·J
-        # Rows of each step, T × R × (J · size); an ended run's are not drawn.
+        # Rows of each step, T × R × (J · size); a finished run's are not drawn.
         self.rows = np.empty((n_steps, len(runs), picks.shape[2] * self.size), dtype=np.intp)
         self.rows.reshape(n_steps, len(runs), -1, self.size)[...] = picks.swapaxes(0, 1)
         self.block = block.T
-        self.end_at = end_at
-        self.end_steps = set(end_at[end_at < n_steps].tolist())
         self.runs = runs
         self.start, self.stop = step, step + n_steps
-        for run, done in zip(runs, (left <= n_steps) & (end_at >= left)):
+        for run, done in zip(runs, left <= n_steps):
             if done:
                 self.streams[run].sync()
 
-    def draw(self, step: int, runs: list[int]) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    def draw(self, step: int, runs: list[int]) -> tuple[np.ndarray, np.ndarray]:
         """The rows (R × (J · size), the J draws in turn) and block (R) each
-        run of ``runs`` draws at ``step``, and the positions in ``runs`` of
-        the runs that step ends; an ended run's rows mean nothing. Steps are
-        asked for in order; a run's first step is 0."""
+        run of ``runs`` draws at ``step``. Steps are asked for in order; a
+        run's first step is 0."""
         if not self.start <= step < self.stop:
             self.decode(step, list(runs))
         if runs != self.live:  # the runs' share of the chunk, kept until they change
@@ -451,7 +442,6 @@ class Steps:
             # shortest have finished: a slice.
             row = slice(len(runs)) if runs == self.runs[: len(runs)] else [self.runs.index(r) for r in runs]
             self.live = list(runs)
-            self.live_rows, self.live_block, self.live_end = self.rows[:, row], self.block[:, row], self.end_at[row]
+            self.live_rows, self.live_block = self.rows[:, row], self.block[:, row]
         t = step - self.start
-        ended = np.flatnonzero(self.live_end == t).tolist() if t in self.end_steps else []
-        return self.live_rows[t], self.live_block[t], ended
+        return self.live_rows[t], self.live_block[t]

@@ -458,14 +458,17 @@ class TestCorruptJsonInputs:
         "error-list": ("error", ["boom"]),
     }
     # Fields of the right type that no search writes: a non-finite number
-    # (NaN compares false, so no mean/std comparison catches it), or
-    # per-seed accuracies without a mean or std and without an error.
+    # (NaN compares false, so no mean/std comparison catches it),
+    # per-seed accuracies without a mean or std and without an error, or a
+    # mean or std that is not that of the per-seed accuracies.
     INCONSISTENT = {
         "nan-per-seed": {"per_seed": [0.5, float("nan")], "mean": 0.55},
         "inf-mean": {"mean": float("inf")},
         "nan-std": {"std": float("nan")},
         "null-mean": {"mean": None},
         "null-std": {"std": None},
+        "mean-off-per-seed": {"per_seed": [0.5, 0.5], "mean": 0.6, "std": 0.0},
+        "std-off-per-seed": {"per_seed": [0.5, 0.5], "mean": 0.5, "std": 0.1},
     }
 
     @pytest.mark.parametrize(

@@ -100,20 +100,12 @@ def reference_episode(domains, n, rng, same_domain):
 
 def draw_all(domains, n, seeds, steps, same_domain):
     """Every episode of a group, asked for as ``dpnet.train`` asks: all live
-    runs each step, a failed run dropped with its error."""
+    runs each step."""
     episodes = dpnet.Episodes(domains, n, [np.random.default_rng(s) for s in seeds], steps, same_domain)
     live, out = list(range(len(seeds))), {run: [] for run in range(len(seeds))}
     for step in range(max(steps)):
         live = [run for run in live if steps[run] > step]
-        try:
-            episode, pairs = dpnet.sample_episode(episodes, step, live)
-        except dpnet.EpisodeError as exc:
-            for row, err in exc.rows.items():
-                out[live[row]].append(str(err))
-            live = [run for row, run in enumerate(live) if row not in exc.rows]
-            if not live:
-                break
-            episode, pairs = dpnet.sample_episode(episodes, step, live)
+        episode, pairs = dpnet.sample_episode(episodes, step, live)
         for row, run in enumerate(live):
             out[run].append((episode[row, 0], episode[row, 1], pairs[row]))
     return out
@@ -197,38 +189,31 @@ def test_steps_of_different_word_counts(evolcircle, same_domain, n):
         assert all(same_episodes(a, b) for a, b in zip(got[run], want[run]))
 
 
-def test_episode_error_surfaces_at_its_step(evolcircle):
-    # Domain 3 keeps 3 samples of class 1: pairs (2,3) and (3,4) cannot serve n=4.
+def test_a_short_pair_fails_every_run_before_training(evolcircle):
+    # Domain 3 keeps 3 samples of class 1: pairs (2,3) and (3,4) cannot serve
+    # n=4. Every run fails with the first short pair's error before its first
+    # draw, the 7- and 5-step runs of seeds 3 and 5 too, though alone they
+    # would never draw a short pair.
     domains = list(evolcircle)
     d = domains[3]
     keep = np.concatenate([np.flatnonzero(d.y == 0), np.flatnonzero(d.y == 1)[:3]])
     domains[3] = data.DomainData(d.index, d.x[keep], d.y[keep], d.num_classes)
-    seeds, steps = list(range(6)), [200] * 6
-    got = draw_all(domains, 4, seeds, steps, False)
+    seeds, steps = list(range(6)), [200, 200, 200, 7, 200, 5]
     want = reference_all(domains, 4, seeds, steps, False)
-    failures = 0
-    for run in range(len(seeds)):
-        assert len(got[run]) == len(want[run])
-        assert all(same_episodes(a, b) for a, b in zip(got[run], want[run]))
-        failures += isinstance(want[run][-1], str)
-    assert failures >= 3  # most runs meet a bad pair within 200 steps
-    # The trainer gives each failed run the same error. The two runs whose bad
-    # pair comes last stop one step short of it: they outlive the groupmates
-    # dropped before them and end exactly as in a group of one.
-    fail_at = {run: len(w) - 1 for run, w in want.items() if isinstance(w[-1], str)}
-    survivors = sorted(fail_at, key=fail_at.get)[-2:]
-    steps = [fail_at[run] if run in survivors else 200 for run in range(len(seeds))]
-    assert min(fail_at.values()) < min(steps[run] for run in survivors)
+    assert [run for run, w in want.items() if not isinstance(w[-1], str)] == [3, 5]
+    error = "episode (2,3) class 1: insufficient per-class samples"
+    rngs = [np.random.default_rng(s) for s in seeds]
+    with pytest.raises(dpnet.EpisodeError) as info:
+        dpnet.Episodes(domains, 4, rngs, steps)
+    assert str(info.value) == error
+    assert all(state_equal(rng, np.random.default_rng(s)) for rng, s in zip(rngs, seeds))
     runs = [({"steps": n, "batch": 4, "lr": 0.01, "embed": (2,)}, s) for s, n in zip(seeds, steps)]
-    for run, result in enumerate(dpnet.train(domains, runs)):
-        if run not in survivors:
-            assert isinstance(result, dpnet.EpisodeError) and str(result) == want[run][-1]
-            continue
-        [(solo, solo_losses, solo_accs)] = dpnet.train(domains, [runs[run]])
-        model, losses, accs = result
-        for net, solo_net in ((model.f_phi, solo.f_phi), (model.f_psi, solo.f_psi)):
-            assert all(np.array_equal(a, b) for a, b in zip(net.arrays(), solo_net.arrays()))
-        assert np.array_equal(losses, solo_losses) and np.array_equal(accs, solo_accs)
+    called = []
+    for group in (runs, runs[3:4], runs[5:]):  # the group, and each of the two alone
+        results = dpnet.train(domains, group, progress=lambda *call: called.append(call))
+        assert len(results) == len(group)
+        assert all(isinstance(r, dpnet.EpisodeError) and str(r) == error for r in results)
+    assert not called
 
 
 @BUDGETS

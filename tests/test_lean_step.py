@@ -440,6 +440,28 @@ class TestCliExitTwo:
         argv = ["train", *SMALL, "--algo", algo, "--batch", str(batch), "--steps", "3", "--out", str(tmp_path)]
         assert _run(capsys, argv)[0] == 0
 
+    def test_one_short_source_fails_before_training(self, capsys, tmp_path):
+        # Only source 0 is short (3 samples of class 1), so only pair (0,1)
+        # cannot serve --batch 4. The run's one step would draw pair 2, yet
+        # it fails before training, as every run on these sources does.
+        cache, out = tmp_path / "cache", tmp_path / "o"
+        assert _run(capsys, ["gen-data", *SMALL, "--cache-dir", str(cache), "--out", str(tmp_path / "g")])[0] == 0
+        [path] = cache.iterdir()
+        domains = data.load_domains(path)
+        d = domains[0]
+        keep = np.concatenate([np.flatnonzero(d.y == 0), np.flatnonzero(d.y == 1)[:3]])
+        domains[0] = data.DomainData(d.index, d.x[keep], d.y[keep], d.num_classes)
+        data.save_domains(path, domains)
+        assert np.random.default_rng(3).integers(0, len(domains) - 2) == 2  # the one step's pair
+        argv = ["train", *SMALL, "--algo", "dpnets", "--batch", "4", "--steps", "1", "--cache-dir", str(cache),
+                "--out", str(out)]
+        code, events = _run(capsys, argv)
+        assert code == 2
+        message = events["config-error"]["message"]
+        assert "--batch" in message and "episode (0,1) class 1: insufficient per-class samples" in message
+        assert "dataset-cache-hit" in events
+        assert not (out / "model.ckpt").exists()
+
 
 class TestAtomicSaves:
     """A save that fails partway leaves the earlier file whole and no

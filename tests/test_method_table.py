@@ -116,9 +116,9 @@ class TestRunSingleFailures:
         assert not isinstance(info.value, dpnet.EpisodeError)
 
     @pytest.mark.parametrize("same_domain", [False, True])
-    def test_sample_episode_raises_episode_error(self, domains, same_domain):
+    def test_episodes_raise_episode_error(self, domains, same_domain):
         with pytest.raises(dpnet.EpisodeError):
-            dpnet.sample_episode(dpnet.Episodes(domains, 500, [np.random.default_rng(0)], same_domain=same_domain), 0, [0])
+            dpnet.Episodes(domains, 500, [np.random.default_rng(0)], same_domain=same_domain)
 
 
 def idx_flags(directory, seed, n=80):
