@@ -79,15 +79,19 @@ def compute_prototypes(model: DPNetModel, support: tuple[Array, ...] | list[Arra
 
 
 @lru_cache(maxsize=8)
-def _true_class(runs: tuple[int, ...], k_classes: int, n_b: int) -> Array:
+def _true_class(runs: tuple[int, ...], k_classes: int, n_b: int) -> tuple[Array, Array]:
     """Each query's distance to its own class's prototype, as flat indices
-    into the stacked K × (K·n) distances: shaped ``runs + (K·n,)``."""
+    into the stacked K × (K·n) distances (shaped ``runs + (K·n,)``), and the
+    indicator of those entries, shaped like the distances: 1.0 there, −0.0
+    elsewhere, so that ``hot - p`` has the bits of ``-p`` plus 1.0 at them."""
     episodes, n_q = int(np.prod(runs, dtype=np.int64)), k_classes * n_b
     # Query q of class q // n is entry (q // n, q) of its episode's block.
     own = np.repeat(np.arange(k_classes), n_b) * n_q + np.arange(n_q)
     true = (nn.row_starts(episodes, k_classes * n_q)[:, None] + own).reshape(*runs, n_q)
-    true.flags.writeable = False
-    return true
+    hot = np.full((*runs, k_classes, n_q), -0.0)
+    hot.reshape(-1)[true] = 1.0
+    true.flags.writeable = hot.flags.writeable = False
+    return true, hot
 
 
 def episode_loss(encoders: MlpParams, episode, grads: Grads | None = None) -> tuple[Array, Array, Grads]:
@@ -112,23 +116,21 @@ def episode_loss(encoders: MlpParams, episode, grads: Grads | None = None) -> tu
     """
     try:
         episode = np.asarray(episode, dtype=np.float64)
-    except ValueError:  # blocks of different sizes do not stack
-        episode = np.empty(0)
-    if episode.ndim < 4 or episode.shape[-4] != 2 or 0 in episode.shape[-3:-1]:
+        *runs, sides, k_classes, n_b, dim = episode.shape
+    except ValueError:  # blocks of different sizes do not stack, or too few axes
+        sides = 0
+    if sides != 2 or not k_classes * n_b:
         raise ValueError("an episode must hold one equal-sized, non-empty block per class on each of its two sides")
-    *runs, _, k_classes, n_b, dim = episode.shape
     n_q = k_classes * n_b
     z, cache = nn.mlp_forward(encoders, episode.reshape(*runs, 2, n_q, dim))
     zs, zq = z[..., 0, :, :], z[..., 1, :, :]
-    # Means and sums go straight to the ufunc reductions np.mean and
-    # ndarray.sum wrap: the same arithmetic with fewer Python calls.
-    protos = np.add.reduce(zs.reshape(*runs, k_classes, n_b, -1), axis=-2) / n_b
+    protos = nn.sum_rows(zs.reshape(*runs, k_classes, n_b, -1)) / n_b
 
     # Class-major, each reduction over the K classes is K - 1 elementwise
     # ops on rows of K·n queries (see nn.pairwise_sum).
     d2 = nn.pairwise_sq_dists(protos, zq)  # K × (K·n)
     rows = range(k_classes)
-    true = _true_class(tuple(runs), k_classes, n_b)
+    true, hot = _true_class(tuple(runs), k_classes, n_b)
     # log sum_k exp(-d2) with max-subtraction, per query. The largest -d2 is
     # minus the nearest distance, so near - d2 is exactly -d2 - max(-d2).
     near = reduce(np.minimum, [d2[..., k, :] for k in rows])
@@ -139,17 +141,17 @@ def episode_loss(encoders: MlpParams, episode, grads: Grads | None = None) -> tu
 
     p /= total[..., None, :]
     # dJ/d d2[k,q] = (1[k=y_q] - p[k,q]) / n_q
-    gd2 = -p
-    gd2.reshape(-1)[true] += 1.0
+    gd2 = hot - p
     gd2 /= n_q
     # Chain through d2 = |zq - c_k|^2 exactly (no zero-row-sum shortcut). The
     # products and the sum over queries keep their query-major operand, whose
     # layout sets their summation order.
     gq = gd2.swapaxes(-1, -2).copy()
     gz = np.empty_like(z)  # support side, then query side
-    inner = zq * nn.pairwise_sum([gd2[..., k, :] for k in rows])[..., None] - gq @ protos
+    scale = nn.pairwise_sum([gd2[..., k, :] for k in rows])[..., None]
+    inner = nn.broadcast_rows(np.multiply, zq, scale, np.empty(zq.shape)) - gq @ protos
     np.multiply(inner, 2.0, out=gz[..., 1, :, :])
-    gproto = -2.0 * (gq.swapaxes(-1, -2) @ zq - np.add.reduce(gq, axis=-2)[..., None] * protos)
+    gproto = -2.0 * (gq.swapaxes(-1, -2) @ zq - nn.sum_rows(gq)[..., None] * protos)
     gz.reshape(*runs, 2, k_classes, n_b, -1)[..., 0, :, :, :] = (gproto / n_b)[..., None, :]
     return loss, d2, nn.mlp_backward(encoders, cache, gz, out=grads)
 
@@ -253,8 +255,9 @@ def train(
         losses, d2, _ = episode_loss(lock.nets[0], episode, lock.grads[0])
         # The logged accuracy scores the pre-step encoders, as predict_with_prototypes
         # would: argmin sends ties to the lowest class index.
-        acc = np.add.reduce(np.argmin(d2, axis=-2) == labels, axis=-1) / labels.size
-        logs[:, lock.ids, step] = losses, acc
+        hits = np.add.reduce(d2.argmin(axis=-2) == labels, axis=-1)
+        logs[0, lock.runs, step] = losses
+        logs[1, lock.runs, step] = hits / labels.size
         return losses
 
     results = []

@@ -5,14 +5,15 @@ stacks of dense layers with ReLU on hidden layers and an identity output.
 A layer may carry leading stack axes: R networks of one shape stacked as
 ``(R, out, in)`` weights (or ``(R, 2, out, in)``, two networks per run) run
 through the same kernels, each slice computing exactly what it would alone,
-and a stack axis of length one broadcasts over the batch's. The losses run
-their reductions over the short class axis as elementwise ops on its
-columns, with the bits the reductions give. Forward and backward never
-mutate their inputs (backward may write its gradients into caller-supplied
-arrays). Training stacks the runs' networks into one ``(R, P)`` parameter
-buffer with per-layer views (``Lockstep``), and ``step_mlps`` updates that
-buffer in place. All randomness comes from an explicit
-``numpy.random.Generator``.
+and a stack axis of length one broadcasts over the batch's. On many rows of
+a narrow last axis, sums and broadcasts loop along the rows (``sum_rows``,
+``broadcast_rows``) and the losses reduce over the class axis with
+elementwise ops on its columns, all with the bits numpy's own loops give.
+Forward and backward never mutate their inputs (backward may write its
+gradients into caller-supplied arrays). Training stacks the runs' networks
+into one ``(R, P)`` parameter buffer with per-layer views (``Lockstep``), and
+``step_mlps`` updates that buffer in place. All randomness comes from an
+explicit ``numpy.random.Generator``.
 """
 from __future__ import annotations
 
@@ -128,7 +129,8 @@ def mlp_forward(params: MlpParams, batch: Array) -> tuple[Array, ForwardCache]:
     inputs, pre_acts = [], []
     for li, (w, b) in enumerate(params.layers):
         inputs.append(h)
-        z = np.matmul(h, w.swapaxes(-1, -2)) + b[..., None, :]
+        z = np.matmul(h, w.swapaxes(-1, -2))
+        z += b[..., None, :]
         pre_acts.append(z)
         h = np.maximum(z, 0.0) if li < n_layers - 1 else z
     return h, ForwardCache(inputs=inputs, pre_acts=pre_acts)
@@ -155,15 +157,16 @@ def mlp_backward(
     if out is None:
         out = MlpParams(tuple((np.empty_like(w), np.empty_like(b)) for w, b in params.layers))
     # Stack axes where the network has one slice for several of the batch's.
-    shared = tuple(a for a, (p, q) in enumerate(zip(params.layers[0][0].shape[:-2], g.shape[:-2])) if p != q)
+    lead = params.layers[0][0].shape[:-2]
+    shared = () if lead == g.shape[:-2] else tuple(a for a, (p, q) in enumerate(zip(lead, g.shape[:-2])) if p != q)
     for li in reversed(range(n_layers)):
         gw, gb = out.layers[li]
         if shared:
             np.add.reduce(np.matmul(g.swapaxes(-1, -2), cache.inputs[li]), axis=shared, keepdims=True, out=gw)
-            np.add.reduce(np.add.reduce(g, axis=-2), axis=shared, keepdims=True, out=gb)
+            np.add.reduce(sum_rows(g), axis=shared, keepdims=True, out=gb)
         else:
             np.matmul(g.swapaxes(-1, -2), cache.inputs[li], out=gw)
-            np.add.reduce(g, axis=-2, out=gb)
+            sum_rows(g, out=gb)
         if li > 0:
             g = np.matmul(g, params.layers[li][0])
             g *= cache.pre_acts[li - 1] > 0.0
@@ -210,9 +213,9 @@ class Lockstep:
     run ends bit for bit where it would alone. ``train`` is the one step
     loop; a trainer gives it only the gradients of each step.
 
-    ``ids`` names the run of each live row (rows ``0..len(ids)-1``), ``nets``
-    and ``grads`` are stacked views of those rows of the parameter and
-    gradient buffers.
+    ``ids`` names the run of each live row (rows ``0..len(ids)-1``), and
+    ``runs`` holds the same as an index array; ``nets`` and ``grads`` are
+    stacked views of those rows of the parameter and gradient buffers.
     """
 
     def __init__(self, runs: list[list[MlpParams]], lrs, steps):
@@ -232,8 +235,10 @@ class Lockstep:
 
     def _view(self) -> None:
         live = len(self.ids)
+        self.runs = np.array(self.ids, dtype=np.intp)
+        self.live_grad = self.grad[:live]  # one object per live set: see Optimizer.tiles
         self.nets = mlp_views(self.params[:live], self.like)
-        self.grads = mlp_views(self.grad[:live], self.like)
+        self.grads = mlp_views(self.live_grad, self.like)
 
     def live(self, step: int) -> bool:
         """Retire the runs whose steps are done before ``step``; False once
@@ -264,7 +269,7 @@ class Lockstep:
         raises alone."""
         while self.ids:
             try:
-                step_mlps(self.opt, self.grad[: len(self.ids)])
+                step_mlps(self.opt, self.live_grad)
                 return
             except OptimizerError as exc:
                 self.drop({row: OptimizerError(str(exc)) for row in exc.rows})
@@ -289,12 +294,47 @@ class Lockstep:
         return [out if isinstance(out, Exception) else mlp_views(self.params[out], self.like) for out in self.outcomes]
 
 
+# Numpy runs an elementwise op or a reduction over the last two axes with one
+# inner-loop call per row of the last axis. From ROWS rows of at most NARROW
+# values (the 2-D data's axes) the two kernels below loop along the rows
+# instead. Measured at width 2 in one process: the distances' broadcast
+# subtract at 576 rows takes 4.7 µs against 8.8, the axis −2 sum 5.2 against
+# 6.6; both break even near 192 rows and cost up to 1 µs more below.
+NARROW, ROWS = 4, 192
+
+
+def broadcast_rows(op, a, b, out: Array) -> Array:
+    """``op(a, b, out=out)``, looping along the second-to-last axis when
+    ``out`` has ``ROWS`` rows or more of at most ``NARROW`` values. An
+    elementwise op gives the same bits in any order. ``a`` has at least two
+    axes, ``b`` too or none."""
+    if out.shape[-1] > NARROW or out.size < ROWS * out.shape[-1]:
+        return op(a, b, out=out)
+    op(a.swapaxes(-1, -2), b.swapaxes(-1, -2) if isinstance(b, np.ndarray) else b, out=out.swapaxes(-1, -2), order="C")
+    return out
+
+
+def sum_rows(x: Array, out: Array | None = None) -> Array:
+    """``np.add.reduce(x, axis=-2)``, bit for bit. Over a last axis wider than
+    one numpy adds the rows in order, starting from 0.0; on ``ROWS`` rows or
+    more of at most ``NARROW`` values a running sum down each column
+    (``np.add.accumulate``) adds them in the same order, and adding 0.0 turns
+    its −0.0 sums into the 0.0 numpy gives. Over a last axis of one numpy
+    sums pairwise, and over rows that are not C-ordered blocks it may: those
+    cases keep the reduction."""
+    width = x.shape[-1]
+    if not 1 < width <= NARROW or x.size < ROWS * width or x.strides[-2:] != (8 * width, 8):
+        return np.add.reduce(x, axis=-2, out=out)
+    return np.add(np.add.accumulate(x.swapaxes(-1, -2), axis=-1)[..., -1], 0.0, out=out)
+
+
 def pairwise_sq_dists(a: Array, b: Array) -> Array:
     """Exact squared Euclidean distances between rows of a (n×d) and b (k×d),
-    per stack entry for leading axes."""
+    per stack entry for equal leading axes."""
     if a.shape[-1] != b.shape[-1]:
         raise ValueError(f"dim mismatch: {a.shape} vs {b.shape}")
-    diff = a[..., :, None, :] - b[..., None, :, :]
+    diff = np.empty(a.shape[:-1] + b.shape[-2:])
+    broadcast_rows(np.subtract, a[..., :, None, :], b[..., None, :, :], out=diff)
     return np.einsum("...nkd,...nkd->...nk", diff, diff)
 
 
@@ -318,9 +358,13 @@ def pairwise_sum(terms: list[Array]) -> Array:
 
 
 def log_softmax_rows(m: Array) -> Array:
-    # The reductions over the short class axis run on its columns: a running
-    # maximum and ``pairwise_sum``, the values np.max and np.sum give.
+    # Numpy's reductions over the class axis; from 32 rows of a narrow one,
+    # the values they give from its columns (a running maximum and
+    # ``pairwise_sum``), in K - 1 calls instead of one inner-loop call per row.
     m = np.asarray(m, dtype=np.float64)
+    if m.shape[-1] > NARROW or m.size < 32 * m.shape[-1]:
+        shifted = m - np.maximum.reduce(m, axis=-1, keepdims=True)
+        return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
     classes = range(m.shape[-1])
     shifted = m - reduce(np.maximum, [m[..., k] for k in classes])[..., None]
     exp = np.exp(shifted)
@@ -346,7 +390,7 @@ def softmax_cross_entropy(logits: Array, labels: Array) -> tuple[Array, Array]:
     # Each label's logit as a flat index: one gather, one flat scatter.
     picked = row_starts(labels.size, logits.shape[-1]).reshape(labels.shape) + labels
     logp = log_softmax_rows(logits)
-    loss = -(np.add.reduce(logp.take(picked), axis=-1) / n)
+    loss = np.add.reduce(logp.take(picked), axis=-1) / -n  # the bits of -(sum / n)
     grad = np.exp(logp)
     grad.reshape(-1)[picked] -= 1.0
     grad /= n
@@ -360,79 +404,89 @@ STEP_TILE = 32768
 
 
 class Optimizer:
-    """Adam over a float64 parameter buffer, updated in place.
+    """Adam over an (R, P) float64 parameter buffer, one run per row with its
+    own rate, updated in place.
 
-    The buffer is flat, or (R, P) with one run per row and ``lr`` one rate
-    per row. Adam keeps its moments in buffers the size of the parameters;
-    a step works through two scratch tiles of at most ``STEP_TILE`` values,
-    so it allocates nothing the size of the network.
+    Adam keeps its moments in buffers the size of the parameters; a step
+    works through two scratch tiles of at most ``STEP_TILE`` values, so it
+    allocates nothing the size of the network.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, lr, params: Array):
-        if params.ndim not in (1, 2) or params.dtype != np.float64 or not params.flags.c_contiguous:
-            raise ValueError("params must be a flat or (runs, size) contiguous float64 buffer")
+        if params.ndim != 2 or params.dtype != np.float64 or not params.flags.c_contiguous:
+            raise ValueError("params must be a (runs, size) contiguous float64 buffer")
         lr = np.asarray(lr, dtype=np.float64)
-        if lr.shape != params.shape[:-1]:
+        if lr.shape != params.shape[:1]:
             raise ValueError(f"need one lr per parameter row, got shape {lr.shape} for {params.shape}")
         if np.any(lr <= 0):
             raise ValueError("lr must be positive")
-        # Rows throughout: a flat buffer is one row.
-        self.lr, self.params = lr.reshape(-1, 1), params.reshape(-1, params.shape[-1])
+        self.lr, self.params = lr[:, None], params
         self.t = 0
         # Room for the widest tile of any number of live rows (see ``step_mlps``).
-        tile = min(self.params.size, max(len(self.params), STEP_TILE))
+        tile = min(params.size, max(len(params), STEP_TILE))
         self.scratch = np.empty(tile)
         self.scratch2 = np.empty(tile)
-        self.m = np.zeros_like(self.params)
-        self.v = np.zeros_like(self.params)
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
         self.state = [self.params, self.lr, self.m, self.v]  # one row per run
+        self.stepped: tuple = (None, [])  # the gradient rows last stepped, and their tiles
 
     def keep(self, rows: list[int]) -> None:
         """Move ``rows`` of the per-run state to the front, in order."""
         for buf in self.state:
             buf[: len(rows)] = buf[rows]
 
+    def tiles(self, grad: Array) -> list[tuple[Array, ...]]:
+        """The column tiles of ``grad`` (the first r rows of a gradient
+        buffer) with the same tiles of r rows of the parameters, moments and
+        rates and the two scratch tiles. They are views, built once for the
+        ``grad`` object the last step was given (``Lockstep`` passes one
+        object until its live rows change)."""
+        if grad is self.stepped[0]:
+            return self.stepped[1]
+        if grad.ndim != 2 or grad.shape[1] != self.params.shape[1] or len(grad) > len(self.params):
+            raise ValueError(f"gradient shape {grad.shape} does not fit parameter rows {self.params.shape}")
+        live, width = grad.shape
+        cols = max(1, STEP_TILE // max(live, 1))
+        tiles = []
+        for c in range(0, width, cols):
+            t = slice(c, c + cols)
+            gt = grad[:, t]
+            scratch = [buf[: gt.size].reshape(gt.shape) for buf in (self.scratch, self.scratch2)]
+            tiles.append((gt, self.params[:live, t], self.m[:live, t], self.v[:live, t], self.lr[:live], *scratch))
+        self.stepped = (grad, tiles)
+        return tiles
+
 
 def step_mlps(opt: Optimizer, grad: Array) -> None:
-    """One in-place update of ``opt.params`` from the gradient buffer.
+    """One in-place update of the first r rows of ``opt.params`` from the r
+    rows of ``grad``.
 
-    ``grad`` is shaped like the parameters, or holds the first r rows of a
-    stacked buffer and steps only those. A non-finite gradient fails the call
-    before any update; ``OptimizerError.rows`` names the rows that hold one.
-    Every operation matches the textbook recursion ``m = b1*m + (1-b1)*g``,
+    A non-finite gradient fails the call before any update;
+    ``OptimizerError.rows`` names the rows that hold one. Every operation
+    matches the textbook recursion ``m = b1*m + (1-b1)*g``,
     ``v = b2*v + ((1-b2)*g)*g``, ``p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)``
     in its floating-point order, so results do not depend on the buffering,
     the tiling or on the other rows. The buffer is walked in column tiles of
     about ``STEP_TILE`` values: one pass checks every tile of the gradient,
     a second runs the whole update on each tile while it is in cache.
     """
-    g = grad.reshape(-1, grad.shape[-1])
-    live, width = g.shape
-    if width != opt.params.shape[1] or live > len(opt.params):
-        raise ValueError(f"gradient shape {grad.shape} does not fit parameter rows {opt.params.shape}")
-    cols = max(1, STEP_TILE // max(live, 1))
-    starts = range(0, width, cols)
-    # One test per tile clears a finite gradient; the rows are looked up
-    # only when it is not.
-    if not all(np.isfinite(g[:, c : c + cols]).all() for c in starts):
-        rows = np.flatnonzero(~np.isfinite(g).all(axis=1))
-        raise OptimizerError("non-finite gradient", tuple(rows.tolist()))
-    p, lr = opt.params[:live], opt.lr[:live]
+    tiles = opt.tiles(grad)
+    for tile in tiles:
+        if not np.isfinite(tile[0]).all():
+            raise OptimizerError("non-finite gradient", tuple(np.flatnonzero(~np.isfinite(grad).all(axis=1)).tolist()))
     opt.t += 1
     b1, b2 = opt.beta1, opt.beta2
     bc1, bc2 = 1 - b1**opt.t, 1 - b2**opt.t
-    for c in starts:
-        t = slice(c, c + cols)
-        gt, pt, m, v = g[:, t], p[:, t], opt.m[:live, t], opt.v[:live, t]
-        tmp, upd = opt.scratch[: gt.size].reshape(gt.shape), opt.scratch2[: gt.size].reshape(gt.shape)
+    for g, p, m, v, lr, tmp, upd in tiles:
         m *= b1
-        np.multiply(gt, 1 - b1, out=tmp)
+        np.multiply(g, 1 - b1, out=tmp)
         m += tmp
         v *= b2
-        np.multiply(gt, 1 - b2, out=tmp)
-        tmp *= gt
+        np.multiply(g, 1 - b2, out=tmp)
+        tmp *= g
         v += tmp
         np.divide(v, bc2, out=tmp)
         np.sqrt(tmp, out=tmp)
@@ -440,7 +494,7 @@ def step_mlps(opt: Optimizer, grad: Array) -> None:
         np.divide(m, bc1, out=upd)
         upd *= lr
         upd /= tmp
-        pt -= upd
+        p -= upd
 
 
 def save_checkpoint(path, nets: list[MlpParams]) -> None:

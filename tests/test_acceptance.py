@@ -340,7 +340,7 @@ def test_criterion_8_relaxation_ordering(certification):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_9_determinism_across_workers(evolcircle_results, rplate_results, distance_sweep_cells):
+def test_criterion_9_determinism_across_reruns(evolcircle_results, rplate_results, distance_sweep_cells):
     # The reruns go in reverse cell order, so no state left behind by one
     # search (such as a cached draw layout) can shape the next one's bytes.
     t0 = time.time()

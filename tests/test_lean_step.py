@@ -338,13 +338,13 @@ def test_shared_input_model_left_untouched(evolcircle):
 
 class TestNonFiniteGradient:
     def test_step_raises_and_leaves_params(self):
-        params = np.array([1.0, -2.0, 3.0])
-        opt = nn.Optimizer(0.1, params)
+        params = np.array([[1.0, -2.0, 3.0]])
+        opt = nn.Optimizer([0.1], params)
         with pytest.raises(nn.OptimizerError):
-            nn.step_mlps(opt, np.array([0.5, np.nan, 0.0]))
+            nn.step_mlps(opt, np.array([[0.5, np.nan, 0.0]]))
         with pytest.raises(nn.OptimizerError):
-            nn.step_mlps(opt, np.array([np.inf, 0.0, 0.0]))
-        assert np.array_equal(params, [1.0, -2.0, 3.0])
+            nn.step_mlps(opt, np.array([[np.inf, 0.0, 0.0]]))
+        assert np.array_equal(params, [[1.0, -2.0, 3.0]])
 
     def test_diverging_training_raises_like_oracle(self, evolcircle):
         hparams = {"steps": 40, "batch": 4, "lr": 1e200, "embed": (2,)}

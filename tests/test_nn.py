@@ -146,14 +146,14 @@ class TestDistancesAndSoftmax:
 
 class TestOptimizers:
     def test_zero_gradient_leaves_params(self):
-        p = np.array([1.0, -2.0])
-        nn.step_mlps(nn.Optimizer(0.5, p), np.zeros(2))
-        assert np.array_equal(p, np.array([1.0, -2.0]))
+        p = np.array([[1.0, -2.0]])
+        nn.step_mlps(nn.Optimizer([0.5], p), np.zeros((1, 2)))
+        assert np.array_equal(p, np.array([[1.0, -2.0]]))
 
     def test_adam_minimizes_quadratic(self):
         # Oracle: an independent textbook Adam recursion run side by side.
-        p = np.array([1.0])
-        opt = nn.Optimizer(0.1, p)
+        p = np.array([[1.0]])
+        opt = nn.Optimizer([0.1], p)
         m = v = 0.0
         ref = 1.0
         for t in range(1, 101):
@@ -163,16 +163,26 @@ class TestOptimizers:
             m = 0.9 * m + 0.1 * gr
             v = 0.999 * v + 0.001 * gr * gr
             ref -= 0.1 * (m / (1 - 0.9**t)) / (math.sqrt(v / (1 - 0.999**t)) + 1e-8)
-        assert abs(p[0]) < 0.1
-        assert abs(p[0] - ref) < 1e-12
+        assert abs(p[0, 0]) < 0.1
+        assert abs(p[0, 0] - ref) < 1e-12
 
     def test_non_finite_gradient_raises(self):
         with pytest.raises(nn.OptimizerError):
-            nn.step_mlps(nn.Optimizer(0.1, np.array([1.0])), np.array([np.nan]))
+            nn.step_mlps(nn.Optimizer([0.1], np.array([[1.0]])), np.array([[np.nan]]))
 
     def test_bad_lr_rejected(self):
         with pytest.raises(ValueError):
-            nn.Optimizer(0.0, np.zeros(1))
+            nn.Optimizer([0.0], np.zeros((1, 1)))
+
+    def test_only_a_stacked_buffer(self):
+        # Lockstep passes an (R, P) buffer with one rate per row; a flat
+        # buffer, or a gradient that is not r rows of it, is refused.
+        with pytest.raises(ValueError, match="runs, size"):
+            nn.Optimizer(0.1, np.zeros(3))
+        opt = nn.Optimizer([0.1, 0.2], np.zeros((2, 3)))
+        for bad in (np.zeros(3), np.zeros((3, 3)), np.zeros((1, 4))):
+            with pytest.raises(ValueError, match="does not fit"):
+                nn.step_mlps(opt, bad)
 
 
 class FrozenStep:
